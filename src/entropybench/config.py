@@ -20,8 +20,6 @@ class Tolerances:
     reconstruction: float = 1e-10
     # operator-norm bound for orthonormality of eigenvector sets
     orthonormality: float = 1e-10
-    # off-diagonal Frobenius mass at which the Jacobi sweep stops
-    jacobi_off: float = 1e-14
     # eigenvalues below this count as zero (rank / support decisions)
     rank_cutoff: float = 1e-12
     # trace-one check for density matrices

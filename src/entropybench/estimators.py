@@ -38,6 +38,8 @@ from .qsvtpoly import apply_poly, approx_log, approx_neg_power, approx_pos_power
 from .states import DensityMatrix, StateMeta, exact_entropies
 
 LOG_PI_OVER_4 = math.log(math.pi / 4.0)
+# the binomial sampler draws counts as 64-bit integers
+_MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
 class EstimationFailure(RuntimeError):
@@ -756,6 +758,12 @@ def vn_poly(
         n_i = shots_for("bernoulli", delta_i, cfg)
         if noiseless:
             t_hat = t_i
+        elif n_i > _MAX_SHOTS:
+            raise ValueError(
+                f"term {i} of the plain-power expansion (coefficient {a_i:.3e}) needs "
+                f"{n_i:.3e} shots, more than a 64-bit count holds; the expansion is too "
+                "ill-conditioned for this state, use the direct-transform estimator (vn_qsvt) instead"
+            )
         else:
             rng = np.random.default_rng(rng_seeds[i - 1])
             t_hat = 2.0 * rng.binomial(n_i, (1.0 + t_i) / 2.0) / n_i - 1.0

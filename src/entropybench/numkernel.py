@@ -1,9 +1,10 @@
 """Dense complex linear algebra for Hermitian operators at dimension <= 64.
 
-Self-contained spectral kernel: the eigensolver is a cyclic Jacobi
-iteration (unconditionally stable at these sizes, deterministic, no
-dependence on LAPACK behaviour), and every matrix function in the
-package is realized through it.
+Spectral kernel: `hermitian_eig` is LAPACK's Hermitian eigensolver
+(`numpy.linalg.eigh`) with the spectrum reordered descending, and every
+matrix function in the package is realized through it.  Each validated
+matrix caches its decomposition, so an operator is diagonalized at most
+once however many functions are taken of it.
 """
 
 from __future__ import annotations
@@ -76,66 +77,17 @@ class Spectrum:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def _jacobi_rotation(app: float, aqq: float, apq: complex):
-    """2x2 unitary [[c, s*w], [-s*conj(w), c*?]] data zeroing the (p,q) entry.
-
-    Returns (c, s, w) where the rotation applied on the (p, q) plane is
-    J = [[c, s], [-s*conj(w), c*conj(w)]] with w = apq/|apq| absorbed so
-    the reduced 2x2 problem is real symmetric.
-    """
-    b = abs(apq)
-    w = apq / b
-    tau = (aqq - app) / (2.0 * b)
-    if tau >= 0:
-        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    return c, s, w
-
-
 def hermitian_eig(a: HermMatrix) -> Spectrum:
-    """Full spectral decomposition by cyclic Jacobi sweeps.
+    """Full spectral decomposition, eigenvalues descending.
 
-    Stops when the off-diagonal Frobenius mass drops below the
-    configured threshold; at dimension <= 64 this takes a handful of
-    sweeps and leaves reconstruction error well under 1e-12.
+    The order is stable, so equal eigenvalues keep the order LAPACK
+    returned them in; both arrays are read-only, like every cached
+    spectrum.
     """
-    d = a.dim
-    m = np.array(a.mat, dtype=np.complex128)
-    v = np.eye(d, dtype=np.complex128)
-    if d > 1:
-        scale = max(1.0, float(np.linalg.norm(m)))
-        threshold = TOL.jacobi_off * scale
-        offmask = ~np.eye(d, dtype=bool)
-        for _ in range(60):
-            # summed directly (not total minus diagonal) to avoid cancellation
-            off = float(np.sqrt(np.sum(np.abs(m[offmask]) ** 2)))
-            if off < threshold:
-                break
-            for p in range(d - 1):
-                for q in range(p + 1, d):
-                    apq = m[p, q]
-                    if abs(apq) < threshold / (d * d):
-                        continue
-                    c, s, w = _jacobi_rotation(m[p, p].real, m[q, q].real, apq)
-                    # J restricted to the (p,q) plane; A <- J^dagger A J
-                    jpp, jpq = c, s
-                    jqp, jqq = -s * np.conj(w), c * np.conj(w)
-                    rp = np.conj(jpp) * m[p, :] + np.conj(jqp) * m[q, :]
-                    rq = np.conj(jpq) * m[p, :] + np.conj(jqq) * m[q, :]
-                    m[p, :], m[q, :] = rp, rq
-                    cp = m[:, p] * jpp + m[:, q] * jqp
-                    cq = m[:, p] * jpq + m[:, q] * jqq
-                    m[:, p], m[:, q] = cp, cq
-                    vp = v[:, p] * jpp + v[:, q] * jqp
-                    vq = v[:, p] * jpq + v[:, q] * jqq
-                    v[:, p], v[:, q] = vp, vq
-    eigs = np.real(np.diag(m))
+    eigs, vecs = np.linalg.eigh(a.mat)
     order = np.argsort(-eigs, kind="stable")
-    eigs = eigs[order].copy()
-    vecs = v[:, order].copy()
+    eigs = eigs[order]
+    vecs = vecs[:, order]
     eigs.flags.writeable = False
     vecs.flags.writeable = False
     return Spectrum(eigenvalues=eigs, eigenvectors=vecs)

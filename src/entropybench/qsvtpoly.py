@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial
 
 from .config import DEFAULT_CONFIG, TOL, RuntimeConfig
-from .blockenc import BlockEncoding
+from .blockenc import BlockEncoding, widen_for_rounding
 from .numkernel import herm_with_spectrum, op_norm_dist
 
 # multiplied onto the grid maximum so the recorded bound also covers
@@ -364,13 +364,14 @@ def apply_poly(be: BlockEncoding, p: PolyApprox) -> BlockEncoding:
 
     lip = p.lipschitz_bound(widen=eta) if eta > 0 else 0.0
     new_eta = p.eps + lip * eta
+    bound = None
     if eta > 0 and not np.array_equal(be.encoded.mat, be.target.mat):
         # the scalar slope bound does not always transfer to a
         # non-commuting perturbation (the operator Lipschitz constant of
         # a polynomial can exceed max |p'|); the realized distance is
         # available here, and the ledger must never under-report
-        realized = op_norm_dist(new_encoded, new_target)
-        new_eta = max(new_eta, realized * (1.0 + 1e-12) + 1e-15)
+        bound = widen_for_rounding(op_norm_dist(new_encoded, new_target), be.dim)
+        new_eta = max(new_eta, bound)
     return BlockEncoding(
         encoded=new_encoded,
         target=new_target,
@@ -378,6 +379,7 @@ def apply_poly(be: BlockEncoding, p: PolyApprox) -> BlockEncoding:
         ancillas=be.ancillas + 1,
         eta=new_eta,
         sample_cost=be.sample_cost * 2 * p.degree,
+        dist_bound=bound,
     )
 
 

@@ -157,6 +157,24 @@ def test_rescale_removes_half():
     assert doubled.eta == pytest.approx(2 * half.eta)
 
 
+def test_rescale_clipping_carries_overshoot():
+    # a noisy corner whose doubled top eigenvalue pokes above 1 is clipped,
+    # and the carried bound grows by the overshoot
+    rng = np.random.default_rng(2)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    p = (g + g.conj().T) / 2
+    p *= 4e-4 / np.max(np.abs(np.linalg.eigvalsh(p)))
+    target = HermMatrix(np.diag([0.5, 0.3, 0.1]).astype(complex))
+    be = BlockEncoding(
+        encoded=HermMatrix(target.mat + p), target=target, eta=1e-3, dist_bound=4e-4 + 1e-14
+    )
+    out = rescale(be, 2.0)
+    overshoot = 2 * op_norm(be.encoded) - 1.0
+    assert overshoot > 0
+    assert out.dist_bound >= 8e-4 + overshoot
+    assert op_norm_dist(out.encoded, out.target) <= out.dist_bound <= out.eta
+
+
 def test_every_encoding_eta_never_underreports():
     rho = random_density(5, 4, seed=21)
     be = encode_density(rho, 0.05, noise_seed=9)

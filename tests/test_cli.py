@@ -137,6 +137,15 @@ def test_config_file_with_cli_override(tmp_path):
     assert cfg.eps == 0.2 and cfg.d == 4 and cfg.seed == 8
 
 
+def test_config_file_unreadable_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    with pytest.raises(UsageError, match="cannot read config file"):
+        parse_config_file(str(missing))
+    for path in (missing, tmp_path):  # absent, and a directory
+        assert main(["renyi", "--alpha", "2", "--config", str(path)]) == 1
+        assert "cannot read config file" in capsys.readouterr().err
+
+
 def test_config_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("alpha 2.0\n")

@@ -1,10 +1,13 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import binom
 
-from entropybench.blockenc import encode_density
+from entropybench import numkernel
+from entropybench.blockenc import BlockEncoding, encode_density, encode_state_side
 from entropybench.config import DEFAULT_CONFIG
 from entropybench.estimators import (
     EstimationFailure,
@@ -23,6 +26,7 @@ from entropybench.estimators import (
     vn_poly,
     vn_qsvt,
 )
+from entropybench.numkernel import op_norm_dist
 from entropybench.states import exact_entropies, from_spectrum, random_density
 
 CFG1 = DEFAULT_CONFIG.with_(c_shots=1.0)
@@ -394,3 +398,88 @@ def test_vn_poly_degree_cap_suggests_alternative():
     rho = from_spectrum([0.994, 0.005, 0.001], 3)
     with pytest.raises(ValueError, match="direct-transform"):
         vn_poly(rho, 0.05, seed=1)
+
+
+def test_vn_poly_shot_overflow_refused_before_drawing():
+    # one term's coefficient is so large its shot count exceeds int64
+    with pytest.raises(ValueError, match="term .*vn_qsvt"):
+        vn_poly(random_density(8, 4, 16), 0.05, seed=1)
+
+
+# ------------------------------------------------- construction-certified bounds
+
+# one request per estimator branch: odd floor with k = 0 and k = 1, even
+# floor, below one by sampling and by amplitude estimation, von Neumann
+BRANCH_CALLS = [
+    lambda rho, seed: estimate(rho, 1.5, 0.1, seed=seed),
+    lambda rho, seed: estimate(rho, 3.5, 0.1, seed=seed),
+    lambda rho, seed: estimate(rho, 2.5, 0.1, seed=seed),
+    lambda rho, seed: estimate(rho, 0.5, 0.1, seed=seed),
+    lambda rho, seed: estimate(rho, 0.5, 0.1, seed=seed, method="ae"),
+    lambda rho, seed: vn_qsvt(rho, 0.1, seed=seed),
+]
+
+
+@contextlib.contextmanager
+def _recorded_encodings():
+    built = []
+    original = BlockEncoding.__post_init__
+
+    def record(self):
+        original(self)
+        built.append(self)
+
+    BlockEncoding.__post_init__ = record
+    try:
+        yield built
+    finally:
+        BlockEncoding.__post_init__ = original
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d_exp=st.integers(1, 4),
+    r=st.integers(1, 4),
+    state_seed=st.integers(0, 2**31 - 1),
+    seed=st.integers(0, 2**31 - 1),
+    branch=st.sampled_from(range(len(BRANCH_CALLS))),
+)
+def test_carried_bound_never_underreports(d_exp, r, state_seed, seed, branch):
+    d = 2**d_exp  # powers of two, so the amplitude-estimation route applies
+    rho = random_density(d, min(r, d), state_seed)
+    assume(rho.meta.rho_min >= 0.02)
+    with _recorded_encodings() as built:
+        BRANCH_CALLS[branch](rho, seed)
+    carried = [be for be in built if be.dist_bound is not None]
+    assert carried
+    for be in carried:
+        assert op_norm_dist(be.encoded, be.target) <= be.dist_bound
+
+
+def test_clipped_perturbation_carries_no_bound():
+    # a pure state's corner sits at norm 1, so the perturbation is clipped
+    # and the encoding's own check has to measure the distance
+    rho = from_spectrum([1.0], 2)
+    be = encode_state_side(rho, 0.2, noise_seed=3)
+    assert be.dist_bound is None
+    assert op_norm_dist(be.encoded, be.target) <= be.eta
+
+
+def test_eigendecompositions_per_branch(monkeypatch):
+    rho = random_density(32, 8, seed=4)
+    calls = []
+    counted = numkernel.hermitian_eig
+
+    def counting(a):
+        calls.append(a.dim)
+        return counted(a)
+
+    monkeypatch.setattr(numkernel, "hermitian_eig", counting)
+    per_branch = []
+    for alpha in (2.0, 1.5, 3.5, 2.5, 0.5, 1.0):
+        before = len(calls)
+        estimate(rho, alpha, 0.1, seed=11)
+        per_branch.append(len(calls) - before)
+    assert per_branch[0] == 0  # the integer branch builds no encoding
+    assert max(per_branch) <= 3, per_branch
+    assert sum(per_branch) / len(per_branch) <= 2.0, per_branch

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entropybench import numkernel
 from entropybench.config import TOL
 from entropybench.numkernel import (
     HermMatrix,
     NonHermitianError,
+    herm_with_spectrum,
     hermitian_eig,
     mat_fun,
     op_norm,
@@ -99,6 +101,35 @@ def test_reconstruction_property(seed, d):
     assert op_norm(a) <= 1 + 1e-12
     s = hermitian_eig(a)
     assert np.linalg.norm(s.reconstruct() - a.mat, 2) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), d=st.integers(1, 64), levels=st.integers(1, 4))
+def test_eig_property_repeated_eigenvalues(seed, d, levels):
+    # eigenvalues drawn from a few levels, so most spectra repeat some
+    rng = np.random.default_rng(seed)
+    w = rng.choice(rng.uniform(-1.0, 1.0, levels), size=d)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    a = HermMatrix((q * w) @ q.conj().T)
+    s = hermitian_eig(a)
+    assert np.all(np.diff(s.eigenvalues) <= 0.0)
+    assert np.allclose(s.eigenvalues, np.sort(w)[::-1], atol=1e-12)
+    assert np.linalg.norm(s.reconstruct() - a.mat, 2) <= TOL.reconstruction
+    assert np.linalg.norm(s.eigenvectors.conj().T @ s.eigenvectors - np.eye(d), 2) <= TOL.orthonormality
+    assert not s.eigenvalues.flags.writeable and not s.eigenvectors.flags.writeable
+
+
+def test_spectrum_decomposed_once_and_never_when_known(monkeypatch):
+    calls = []
+    counted = numkernel.hermitian_eig
+    monkeypatch.setattr(numkernel, "hermitian_eig", lambda a: calls.append(a) or counted(a))
+    a = random_hermitian(6, seed=3)
+    assert a.spectrum is a.spectrum
+    assert len(calls) == 1
+    w = np.array([0.2, 0.7, 0.1])
+    b = herm_with_spectrum(np.diag(w).astype(complex), w, np.eye(3, dtype=complex))
+    assert np.array_equal(b.spectrum.eigenvalues, [0.7, 0.2, 0.1])
+    assert len(calls) == 1
 
 
 @settings(max_examples=20, deadline=None)
