@@ -64,8 +64,8 @@ def decompose_alpha(alpha: float) -> RegimeDecomposition:
     exists, so k is the largest with 2k+1 < alpha and the exact identity
     alpha = 2k+1+c holds for odd integers and all non-integers only.
     """
-    if alpha <= 0:
-        raise ValueError(f"order must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"order must be positive and finite, got {alpha}")
     near = round(alpha)
     if abs(alpha - near) <= _INT_TOL:
         n = int(near)

@@ -24,6 +24,7 @@ import numpy as np
 from .accountant import decompose_alpha
 from .config import DEFAULT_CONFIG, RuntimeConfig
 from .estimators import EstimateReport, EstimationFailure, estimate, vn_poly, vn_qsvt
+from .qsvtpoly import DegreeCapExceeded
 from .states import DensityMatrix, from_spectrum, random_density
 
 CSV_COLUMNS = [
@@ -47,6 +48,11 @@ CSV_COLUMNS = [
 
 class UsageError(ValueError):
     pass
+
+
+def _positive(x: float) -> bool:
+    """Finite and > 0; NaN fails, unlike a bare `x <= 0` test."""
+    return math.isfinite(x) and x > 0
 
 
 @dataclass
@@ -76,10 +82,12 @@ class ExperimentConfig:
             problems.append(f"mode {self.mode!r}")
         if self.trials < 1:
             problems.append(f"trials {self.trials}")
-        if self.eps <= 0:
+        if not _positive(self.eps):
             problems.append(f"eps {self.eps}")
-        if self.mode != "validate" and self.alpha <= 0:
+        if self.mode != "validate" and not _positive(self.alpha):
             problems.append(f"alpha {self.alpha}")
+        if not _positive(self.c_shots):
+            problems.append(f"c_shots {self.c_shots}")
         if self.spectrum is None and not (1 <= self.rank <= self.d <= 64):
             problems.append(f"rank/dim pair ({self.rank}, {self.d})")
         if self.log_base not in ("e", "2"):
@@ -437,7 +445,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except EstimationFailure as exc:
+    except (EstimationFailure, DegreeCapExceeded) as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
         return 1
     if cfg.out:

@@ -34,7 +34,7 @@ from .blockenc import (
 )
 from .config import DEFAULT_CONFIG, TOL, RuntimeConfig
 from .numkernel import op_norm
-from .qsvtpoly import apply_poly, approx_log, approx_neg_power, approx_pos_power, to_monomial
+from .qsvtpoly import apply_poly, approx_log, approx_neg_power, approx_pos_power
 from .states import DensityMatrix, StateMeta, exact_entropies
 
 LOG_PI_OVER_4 = math.log(math.pi / 4.0)
@@ -742,7 +742,7 @@ def vn_poly(
             f"expansion degree {k_deg} exceeds the stable conversion cap "
             f"{cfg.monomial_degree_cap}; use the direct-transform estimator instead"
         )
-    mono = to_monomial(log_fit)
+    mono = log_fit.monomial()
     coeffs = mono.coeffs  # of log(1/x) on [beta, 1]
 
     oracle_powers = {i: exact_entropies(rho, float(i + 1)).tr_pow_alpha for i in range(1, len(coeffs))}

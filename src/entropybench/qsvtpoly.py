@@ -6,12 +6,18 @@ error ledgers are backed by a checked bound rather than a requested one.
 Three target families are built in: the scaled logarithm
 log(1/x)/(2 log(1/beta)), positive powers x^c/2, and negative powers
 x^(-c)/(2 kappa^c), each on a domain bounded away from zero.
+
+The three builders are memoized per process on their full argument
+list, runtime config included: a fit is computed once per key and then
+shared, so its coefficients are read-only and the values derived from
+it (Chebyshev form, slope bounds, monomial form) are computed once too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,6 +30,9 @@ from .numkernel import herm_with_spectrum, op_norm_dist
 # multiplied onto the grid maximum so the recorded bound also covers
 # excursions between certification nodes
 _CERT_SAFETY = 1.05
+
+# distinct fits each builder keeps; one estimator run needs at most two
+_FIT_CACHE_SIZE = 128
 
 
 class DegreeCapExceeded(RuntimeError):
@@ -53,8 +62,15 @@ class PolyApprox:
     subnorm_factor: float = 1.0
     # input-precision requirement attached by the power transforms
     input_precision: Optional[float] = None
+    # values derived from the coefficients, computed on first use; not an
+    # init field, so dataclasses.replace starts a copy with an empty one
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # a memoized fit is shared by every caller, so nobody may write to it
+        coeffs = np.array(self.coeffs, dtype=float)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
         cheb = self._cheb()
         lo, hi = self.domain
         grid = _cheb_grid(lo, hi, max(10 * max(self.degree, 1), 10))
@@ -68,16 +84,27 @@ class PolyApprox:
                 raise ValueError("scaled-log fit exceeds the |P(x)| <= 1 bound")
 
     def _cheb(self) -> Chebyshev:
-        return Chebyshev(self.coeffs, domain=list(self.domain))
+        if "cheb" not in self._cache:
+            self._cache["cheb"] = Chebyshev(self.coeffs, domain=list(self.domain))
+        return self._cache["cheb"]
 
     def __call__(self, x):
         return self._cheb()(x)
 
     def lipschitz_bound(self, widen: float = 0.0) -> float:
         """max |P'| on the domain enlarged by `widen` on both sides."""
-        lo, hi = self.domain
-        span = np.linspace(lo - widen, hi + widen, 10 * max(self.degree, 1) + 21)
-        return float(np.max(np.abs(self._cheb().deriv()(span))))
+        key = ("lip", widen)
+        if key not in self._cache:
+            lo, hi = self.domain
+            span = np.linspace(lo - widen, hi + widen, 10 * max(self.degree, 1) + 21)
+            self._cache[key] = float(np.max(np.abs(self._cheb().deriv()(span))))
+        return self._cache[key]
+
+    def monomial(self) -> "MonomialPoly":
+        """`to_monomial(self)`, converted once per fit."""
+        if "mono" not in self._cache:
+            self._cache["mono"] = to_monomial(self)
+        return self._cache["mono"]
 
     def to_text(self) -> str:
         lines = [f"domain {self.domain[0]!r} {self.domain[1]!r}", f"eps {self.eps!r}"]
@@ -178,7 +205,7 @@ def cheb_fit(
     deg, cheb, err = best
     recorded = min(eps, _CERT_SAFETY * err + 1e-15)
     return PolyApprox(
-        coeffs=np.asarray(cheb.coef, dtype=float),
+        coeffs=cheb.coef,
         degree=deg,
         domain=(lo, hi),
         target_tag=target_tag,
@@ -200,7 +227,7 @@ def _constant_poly(
     input_precision: Optional[float],
 ) -> PolyApprox:
     return PolyApprox(
-        coeffs=np.asarray([value]),
+        coeffs=[value],
         degree=0,
         domain=(lo, hi),
         target_tag=target_tag,
@@ -212,6 +239,7 @@ def _constant_poly(
     )
 
 
+@functools.lru_cache(maxsize=_FIT_CACHE_SIZE, typed=True)
 def approx_log(beta: float, eps: float, cfg: RuntimeConfig = DEFAULT_CONFIG) -> PolyApprox:
     """Certified fit of log(1/x) / (2 log(1/beta)) on [beta, 1].
 
@@ -249,6 +277,7 @@ def neg_power_input_precision(c: float, kappa: float, eps: float) -> float:
     return eps / (k1c * (1.0 + c) * math.log(k1c / eps) ** 3)
 
 
+@functools.lru_cache(maxsize=_FIT_CACHE_SIZE, typed=True)
 def approx_pos_power(c: float, kappa: float, eps: float, cfg: RuntimeConfig = DEFAULT_CONFIG) -> PolyApprox:
     """Certified fit of x^c / 2 on [1/kappa, 1], with its input-precision tag.
 
@@ -277,6 +306,7 @@ def approx_pos_power(c: float, kappa: float, eps: float, cfg: RuntimeConfig = DE
     )
 
 
+@functools.lru_cache(maxsize=_FIT_CACHE_SIZE, typed=True)
 def approx_neg_power(c: float, kappa: float, eps: float, cfg: RuntimeConfig = DEFAULT_CONFIG) -> PolyApprox:
     """Certified fit of x^(-c) / (2 kappa^c) on [1/kappa, 1].
 
@@ -342,22 +372,20 @@ def apply_poly(be: BlockEncoding, p: PolyApprox) -> BlockEncoding:
         (tspec.eigenvectors * tw) @ tspec.eigenvectors.conj().T, tw, tspec.eigenvectors
     )
 
-    cheb = Chebyshev(p.coeffs, domain=[lo, hi])
     espec = be.encoded.spectrum
-    ew = []
+    mus = espec.eigenvalues
     reach = eta + tol
-    for mu in espec.eigenvalues:
-        mu = float(mu)
-        if lo - reach <= mu <= hi + reach:
-            ew.append(float(cheb(mu)))
-        elif abs(mu) <= reach and p.zero_extension is not None:
-            ew.append(p.zero_extension)
-        else:
-            raise ValueError(
-                f"encoded eigenvalue {mu!r} lies outside the fit domain "
-                f"[{lo}, {hi}] by more than the error budget {eta:g}"
-            )
-    ew = np.asarray(ew)
+    inside = (lo - reach <= mus) & (mus <= hi + reach)
+    at_zero = ~inside & (np.abs(mus) <= reach) & (p.zero_extension is not None)
+    stray = ~(inside | at_zero)
+    if stray.any():
+        raise ValueError(
+            f"encoded eigenvalue {float(mus[stray][0])!r} lies outside the fit domain "
+            f"[{lo}, {hi}] by more than the error budget {eta:g}"
+        )
+    ew = p(mus)
+    if at_zero.any():
+        ew[at_zero] = p.zero_extension
     new_encoded = herm_with_spectrum(
         (espec.eigenvectors * ew) @ espec.eigenvectors.conj().T, ew, espec.eigenvectors
     )
@@ -399,6 +427,7 @@ def to_monomial(p: PolyApprox, tol_check: float = TOL.monomial_eval) -> Monomial
     factor = p.subnorm_factor if p.target_tag in ("log_scaled",) else 1.0
     plain = (p._cheb() * factor).convert(kind=Polynomial)
     coeffs = np.asarray(plain.coef, dtype=float)
+    coeffs.flags.writeable = False  # shared through PolyApprox.monomial
     mono = MonomialPoly(coeffs=coeffs)
     lo, hi = p.domain
     grid = np.linspace(lo, hi, 10 * max(p.degree, 1) + 11)

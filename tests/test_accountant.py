@@ -171,3 +171,9 @@ def test_meta_from_state_feeds_budget():
     assert meta.dim == 8 and meta.rank == 3
     b = delta_budget(decompose_alpha(2.0), 0.05, meta)
     assert b.delta == pytest.approx(0.05 / 6)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_decompose_rejects_non_finite(alpha):
+    with pytest.raises(ValueError, match="finite"):
+        decompose_alpha(alpha)

@@ -14,6 +14,7 @@ from entropybench.cli import (
     rows_to_csv,
     run_experiment,
 )
+from entropybench.qsvtpoly import DegreeCapExceeded
 
 
 def test_csv_schema_and_pass_column():
@@ -195,3 +196,32 @@ def test_validate_failure_exit_code(monkeypatch):
 
     monkeypatch.setattr(cli, "run_experiment", fake_run)
     assert cli.main(["validate", "--quick"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--alpha", "nan"),
+        ("--alpha", "inf"),
+        ("--eps", "nan"),
+        ("--eps", "inf"),
+        ("--c-shots", "nan"),
+        ("--c-shots", "0"),
+    ],
+)
+def test_cli_rejects_non_finite_inputs(flag, value, capsys):
+    argv = ["renyi", "--alpha", "1.5", "--dim", "4", "--rank", "4", "--eps", "0.1", flag, value]
+    assert main(argv) == 1  # main returns instead of raising: no traceback
+    assert "invalid config fields" in capsys.readouterr().err
+
+
+def test_cli_degree_cap_is_estimation_failure(monkeypatch, capsys):
+    import entropybench.estimators as estimators
+
+    def capped(*args, **kwargs):
+        raise DegreeCapExceeded(4, 0.25)
+
+    monkeypatch.setattr(estimators, "approx_log", capped)
+    argv = ["vonneumann", "--spectrum", "0.4,0.3,0.2,0.1", "--eps", "0.1", "--seed", "1"]
+    assert main(argv) == 1
+    assert "estimation failed: no Chebyshev fit up to degree 4" in capsys.readouterr().err

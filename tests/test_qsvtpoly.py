@@ -1,9 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from entropybench import qsvtpoly
 from entropybench.blockenc import encode_density, purified_encode
+from entropybench.config import DEFAULT_CONFIG
+from entropybench.estimators import vn_qsvt
 from entropybench.numkernel import op_norm_dist
 from entropybench.qsvtpoly import (
     DegreeCapExceeded,
@@ -237,3 +241,89 @@ def test_apply_poly_eta_covers_noncommuting_noise():
     realized = op_norm_dist(out.encoded, out.target)
     assert realized > fit.eps + fit.lipschitz_bound(widen=be.eta) * be.eta  # scalar bound beaten
     assert realized <= out.eta  # ledger still honest
+
+
+BUILDER_CASES = [
+    (approx_log, (0.1, 1e-3)),
+    (approx_pos_power, (0.5, 10.0, 1e-4)),
+    (approx_neg_power, (0.6, 10.0, 1e-4)),
+]
+
+
+def clear_fit_caches():
+    for builder, _ in BUILDER_CASES:
+        builder.cache_clear()
+
+
+@pytest.fixture
+def cheb_fit_calls(monkeypatch):
+    """Target tags of every cheb_fit call the fit builders make."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("target_tag"))
+        return cheb_fit(*args, **kwargs)
+
+    monkeypatch.setattr(qsvtpoly, "cheb_fit", counting)
+    clear_fit_caches()
+    return calls
+
+
+def test_memo_fits_once_across_trials(cheb_fit_calls):
+    rho = from_spectrum([0.4, 0.3, 0.2, 0.1], 8)
+    for seed in range(20):
+        vn_qsvt(rho, 0.05, seed=seed)
+    assert sorted(cheb_fit_calls) == ["log_scaled", "pos_power"]
+
+
+@pytest.mark.parametrize("builder,args", BUILDER_CASES)
+def test_memo_hit_equals_fresh_fit(builder, args):
+    clear_fit_caches()
+    first = builder(*args)
+    hit = builder(*args)
+    assert hit is first
+    clear_fit_caches()
+    fresh = builder(*args)
+    assert fresh is not first
+    assert hit.to_text() == fresh.to_text()
+
+
+@pytest.mark.parametrize("builder,args", BUILDER_CASES)
+def test_memo_fit_is_read_only(builder, args):
+    p = builder(*args)
+    with pytest.raises(ValueError, match="read-only"):
+        p.coeffs[0] = 0.0
+    assert builder(*args).coeffs[0] != 0.0
+
+
+def test_memo_does_not_keep_degree_cap_failures(cheb_fit_calls):
+    cfg = DEFAULT_CONFIG.with_(c_log=0.01)  # cap ceil(0.01 * 10 * ln(1e6)) = 2
+    for _ in range(2):
+        with pytest.raises(DegreeCapExceeded):
+            approx_log(0.1, 1e-6, cfg)
+    assert cheb_fit_calls == ["log_scaled", "log_scaled"]
+
+
+def test_cached_derived_values_equal_fresh():
+    p = approx_log(0.2, 0.05)
+    cached = [p.lipschitz_bound(w) for w in (0.0, 1e-3)]
+    assert p.monomial() is p.monomial()
+    fresh = replace(p)  # same fit, empty cache
+    assert [fresh.lipschitz_bound(w) for w in (0.0, 1e-3)] == cached
+    np.testing.assert_array_equal(p.monomial().coeffs, to_monomial(fresh).coeffs)
+
+
+def test_apply_poly_matches_scalar_loop():
+    # reference: the per-eigenvalue evaluation apply_poly used to run
+    rho = random_density(6, 3, seed=0)
+    fit = approx_pos_power(0.5, 4 / (np.pi * rho.meta.rho_min), 1e-4)
+    be = encode_density(rho, 0.01, noise_seed=1)
+    lo, hi = fit.domain
+    reach = be.eta + 1e-9
+    expect = []
+    for mu in be.encoded.spectrum.eigenvalues:
+        mu = float(mu)
+        expect.append(float(fit(mu)) if lo - reach <= mu <= hi + reach else fit.zero_extension)
+    assert 0.0 in expect  # the zero extension is exercised
+    got = apply_poly(be, fit).encoded.spectrum.eigenvalues
+    np.testing.assert_array_equal(np.sort(got), np.sort(expect))
