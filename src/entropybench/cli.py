@@ -13,6 +13,7 @@ seed produce byte-identical CSV.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -390,6 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built on the first call and reused: parsing leaves
+    no state on the parser, and building it costs more than a parse."""
+    return build_parser()
+
+
 _BOOL_KEYS = {"ideal", "blind", "quick"}
 _FLOAT_KEYS = {"alpha", "eps", "c_shots"}
 _INT_KEYS = {"d", "rank", "trials", "seed"}
@@ -434,9 +442,8 @@ def config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -449,7 +456,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"estimation failed: {exc}", file=sys.stderr)
         return 1
     if cfg.out:
-        write_csv(rows, cfg.out)
+        try:
+            write_csv(rows, cfg.out)
+        except OSError as exc:
+            print(f"error: cannot write CSV to {cfg.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     print(summary)
     if cfg.mode == "validate":
         coverage = sum(r["pass"] for r in rows) / len(rows)

@@ -7,6 +7,13 @@ Three target families are built in: the scaled logarithm
 log(1/x)/(2 log(1/beta)), positive powers x^c/2, and negative powers
 x^(-c)/(2 kappa^c), each on a domain bounded away from zero.
 
+The search for the smallest passing degree is steered by FFT estimates
+of the error, each with a rigorous slack: a degree is interpolated and
+certified exactly only when its estimate cannot decide pass or fail.
+The returned fit is interpolated from the scalar `math` target and
+certified on the full grid exactly as before, so the chosen degree,
+coefficients and recorded eps are those of the all-exact search.
+
 The three builders are memoized per process on their full argument
 list, runtime config included: a fit is computed once per key and then
 shared, so its coefficients are read-only and the values derived from
@@ -22,6 +29,8 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial
+from numpy.polynomial import polyutils as pu
+from numpy.polynomial.chebyshev import chebpts1
 
 from .config import DEFAULT_CONFIG, TOL, RuntimeConfig
 from .blockenc import BlockEncoding, widen_for_rounding
@@ -33,6 +42,8 @@ _CERT_SAFETY = 1.05
 
 # distinct fits each builder keeps; one estimator run needs at most two
 _FIT_CACHE_SIZE = 128
+
+_UNIT_ROUNDOFF = float(np.finfo(float).eps)
 
 
 class DegreeCapExceeded(RuntimeError):
@@ -73,14 +84,15 @@ class PolyApprox:
         object.__setattr__(self, "coeffs", coeffs)
         cheb = self._cheb()
         lo, hi = self.domain
-        grid = _cheb_grid(lo, hi, max(10 * max(self.degree, 1), 10))
-        err = float(np.max(np.abs(cheb(grid) - _vec(self.target_fn, grid))))
+        grid = _cheb_grid(lo, hi, _grid_size(self.degree))
+        values = cheb(grid)
+        err = float(np.max(np.abs(values - _vec(self.target_fn, grid))))
         if err > self.eps + 1e-15:
             raise ValueError(
                 f"certification failed: grid error {err:.3e} exceeds recorded eps {self.eps:.3e}"
             )
         if self.target_tag == "log_scaled":
-            if float(np.max(np.abs(cheb(grid)))) > 1.0 + TOL.poly_bound_slack:
+            if float(np.max(np.abs(values))) > 1.0 + TOL.poly_bound_slack:
                 raise ValueError("scaled-log fit exceeds the |P(x)| <= 1 bound")
 
     def _cheb(self) -> Chebyshev:
@@ -137,9 +149,42 @@ def _cheb_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return (hi + lo) / 2 + (hi - lo) / 2 * nodes
 
 
+def _grid_size(degree: int) -> int:
+    """Intervals of the certification grid for a fit of this degree."""
+    return max(10 * max(degree, 1), 10)
+
+
 def _certified_error(cheb: Chebyshev, f, lo: float, hi: float, degree: int) -> float:
-    grid = _cheb_grid(lo, hi, max(10 * max(degree, 1), 10))
+    grid = _cheb_grid(lo, hi, _grid_size(degree))
     return float(np.max(np.abs(cheb(grid) - _vec(f, grid))))
+
+
+def _estimated_error(f_arr, lo: float, hi: float, degree: int) -> tuple[float, float]:
+    """FFT estimate of `_certified_error` for the degree-`degree` interpolant,
+    and a slack that bounds its distance from the exact value.
+
+    The coefficients come from a DCT-II of the array target at the nodes
+    `Chebyshev.interpolate` samples, the fit's values on the certification
+    grid from a DCT-I of the coefficients, each one real FFT.  The slack
+    is the rounding of the exact path, times 1e3 to spare: the Vandermonde
+    product O(N^3 u max|f|), Clenshaw's sum and the map between domain and
+    window O(N^2 u cond sum|c|); it also covers this path's own rounding and
+    the last-bit difference between the array and the scalar target.
+    """
+    n = degree + 1
+    y = f_arr(pu.mapdomain(chebpts1(n), Chebyshev.window, [lo, hi]))
+    # chebpts1 ascends, so reversed it is cos((2k+1)pi/2n) for k = 0..n-1
+    spec = np.fft.rfft(np.concatenate((y[::-1], y)))[:n]
+    coeffs = (spec * np.exp(-0.5j * np.pi * np.arange(n) / n)).real / n  # c_0 doubled
+    m = _grid_size(degree)
+    grid_f = f_arr(_cheb_grid(lo, hi, m))
+    values = m * np.fft.irfft(coeffs, 2 * m)[: m + 1]  # the fit at cos(pi k/m)
+    est = float(abs(values - grid_f).max())
+    cond = (hi + lo) / (hi - lo)
+    f_max = max(abs(y).max(), abs(grid_f).max())
+    scale = cond * abs(coeffs).sum() + n * f_max
+    slack = 1e3 * (n + 1) ** 2 * _UNIT_ROUNDOFF * float(scale) + 1e-13
+    return est, slack
 
 
 def cheb_fit(
@@ -152,12 +197,22 @@ def cheb_fit(
     zero_extension: Optional[float] = None,
     subnorm_factor: float = 1.0,
     input_precision: Optional[float] = None,
+    array_target: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> PolyApprox:
     """Smallest-degree Chebyshev interpolant meeting sup error <= eps.
 
     Degrees are doubled until certification succeeds, then binary search
     finds the smallest passing degree.  The recorded eps carries a small
     aliasing safety factor over the grid maximum.
+
+    With `array_target`, a numpy form of `target`, each pass/fail question
+    of the search is first answered from an FFT estimate of the error with
+    a rigorous slack (`_estimated_error`); only a degree the estimate cannot
+    decide is interpolated and certified exactly, so every decision, and
+    the result, equal those of the exact search.  The returned fit is
+    always interpolated from the scalar `target` and certified on the full
+    grid exactly as without it; the array target never reaches the
+    certificate, since numpy ufuncs and `math` can differ in the last bit.
     """
     if not (0.0 < lo < hi <= 1.0):
         raise ValueError(f"domain must satisfy 0 < lo < hi <= 1, got [{lo}, {hi}]")
@@ -166,43 +221,59 @@ def cheb_fit(
     if k_cap < 0:
         raise ValueError("degree cap must be nonnegative")
 
-    def attempt(deg: int):
-        # interpolate feeds arrays; targets are scalar functions
-        cheb = Chebyshev.interpolate(
-            lambda xs: _vec(target, np.atleast_1d(xs)), deg, domain=[lo, hi]
-        )
-        err = _certified_error(cheb, target, lo, hi, deg)
-        return cheb, err
+    exact: dict[int, tuple[Chebyshev, float]] = {}
+
+    def attempt(deg: int) -> tuple[Chebyshev, float]:
+        if deg not in exact:
+            # interpolate feeds arrays; targets are scalar functions
+            cheb = Chebyshev.interpolate(
+                lambda xs: _vec(target, np.atleast_1d(xs)), deg, domain=[lo, hi]
+            )
+            exact[deg] = cheb, _certified_error(cheb, target, lo, hi, deg)
+        return exact[deg]
 
     def passes(err: float) -> bool:
         return _CERT_SAFETY * err + 1e-15 <= eps
 
-    best_err = math.inf
+    def passes_at(deg: int) -> bool:
+        if array_target is not None:
+            est, slack = _estimated_error(array_target, lo, hi, deg)
+            if math.isfinite(est + slack):  # else let the exact error decide
+                if passes(est + slack):
+                    return True
+                if not passes(est - slack):
+                    return False
+        return passes(attempt(deg)[1])
+
+    tried = []
     deg = 0
     prev_fail = -1
     while True:
-        cheb, err = attempt(deg)
-        best_err = min(best_err, err)
-        if passes(err):
+        tried.append(deg)
+        if passes_at(deg):
             break
         prev_fail = deg
         if deg >= k_cap:
+            # the exact search's running minimum over the degrees it tried
+            best_err = functools.reduce(min, (attempt(d)[1] for d in tried), math.inf)
             raise DegreeCapExceeded(k_cap, best_err)
         deg = min(k_cap, max(1, 2 * deg))
 
     # smallest passing degree between the last failure and this success
     lo_deg, hi_deg = prev_fail, deg
-    best = (deg, cheb, err)
     while hi_deg - lo_deg > 1:
         mid = (lo_deg + hi_deg) // 2
-        cheb_mid, err_mid = attempt(mid)
-        if passes(err_mid):
+        if passes_at(mid):
             hi_deg = mid
-            best = (mid, cheb_mid, err_mid)
         else:
             lo_deg = mid
 
-    deg, cheb, err = best
+    deg = hi_deg
+    cheb, err = attempt(deg)
+    if not passes(err):  # an estimate was wrong: decide every degree exactly
+        return cheb_fit(
+            target, lo, hi, eps, k_cap, target_tag, zero_extension, subnorm_factor, input_precision
+        )
     recorded = min(eps, _CERT_SAFETY * err + 1e-15)
     return PolyApprox(
         coeffs=cheb.coef,
@@ -263,6 +334,7 @@ def approx_log(beta: float, eps: float, cfg: RuntimeConfig = DEFAULT_CONFIG) -> 
         target_tag="log_scaled",
         zero_extension=None,
         subnorm_factor=scale,
+        array_target=lambda xs: np.log(1.0 / xs) / scale,
     )
 
 
@@ -303,6 +375,7 @@ def approx_pos_power(c: float, kappa: float, eps: float, cfg: RuntimeConfig = DE
         zero_extension=0.0,
         subnorm_factor=2.0,
         input_precision=prec,
+        array_target=lambda xs: 0.5 * xs**c,
     )
 
 
@@ -334,6 +407,7 @@ def approx_neg_power(c: float, kappa: float, eps: float, cfg: RuntimeConfig = DE
         zero_extension=None,
         subnorm_factor=scale,
         input_precision=prec,
+        array_target=lambda xs: xs ** (-c) / scale,
     )
 
 

@@ -199,20 +199,24 @@ def test_validate_failure_exit_code(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "flag,value",
+    "flag,value,message",
     [
-        ("--alpha", "nan"),
-        ("--alpha", "inf"),
-        ("--eps", "nan"),
-        ("--eps", "inf"),
-        ("--c-shots", "nan"),
-        ("--c-shots", "0"),
+        pytest.param(flag, value, message, id=f"{flag}-{value}")
+        for flag, value, message in [
+            ("--alpha", "nan", "invalid config fields"),
+            ("--alpha", "inf", "invalid config fields"),
+            ("--eps", "nan", "invalid config fields"),
+            ("--eps", "inf", "invalid config fields"),
+            ("--c-shots", "nan", "invalid config fields"),
+            ("--c-shots", "0", "invalid config fields"),
+            ("--out", "/nonexistent/dir/x.csv", "error: cannot write CSV to /nonexistent/dir/x.csv: "),
+        ]
     ],
 )
-def test_cli_rejects_non_finite_inputs(flag, value, capsys):
+def test_cli_rejects_non_finite_inputs(flag, value, message, capsys):
     argv = ["renyi", "--alpha", "1.5", "--dim", "4", "--rank", "4", "--eps", "0.1", flag, value]
     assert main(argv) == 1  # main returns instead of raising: no traceback
-    assert "invalid config fields" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_cli_degree_cap_is_estimation_failure(monkeypatch, capsys):
@@ -225,3 +229,26 @@ def test_cli_degree_cap_is_estimation_failure(monkeypatch, capsys):
     argv = ["vonneumann", "--spectrum", "0.4,0.3,0.2,0.1", "--eps", "0.1", "--seed", "1"]
     assert main(argv) == 1
     assert "estimation failed: no Chebyshev fit up to degree 4" in capsys.readouterr().err
+
+
+def test_main_reuses_its_parser_without_leaking_flags(tmp_path, capsys):
+    import entropybench.cli as cli
+
+    requests = [
+        ["renyi", "--alpha", "1.5", "--ideal", "--dim", "4", "--rank", "3", "--seed", "2"],
+        ["vonneumann", "--dim", "4", "--spectrum", "0.4,0.3,0.2,0.1", "--seed", "2"],
+    ]
+
+    def run(i, argv, tag):
+        out = tmp_path / f"{tag}{i}.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        return out.read_text()
+
+    lone = []
+    for i, argv in enumerate(requests):
+        cli._parser.cache_clear()  # as in a process that serves one request
+        lone.append(run(i, argv, "lone"))
+    cli._parser.cache_clear()
+    shared = [run(i, argv, "shared") for i, argv in enumerate(requests)]
+    assert cli._parser.cache_info().misses == 1  # built once for both
+    assert shared == lone

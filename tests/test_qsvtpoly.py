@@ -1,8 +1,11 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial import Chebyshev
 
 from entropybench import qsvtpoly
 from entropybench.blockenc import encode_density, purified_encode
@@ -327,3 +330,123 @@ def test_apply_poly_matches_scalar_loop():
     assert 0.0 in expect  # the zero extension is exercised
     got = apply_poly(be, fit).encoded.spectrum.eigenvalues
     np.testing.assert_array_equal(np.sort(got), np.sort(expect))
+
+
+def reference_cheb_fit(
+    target, lo, hi, eps, k_cap, target_tag="custom", zero_extension=None,
+    subnorm_factor=1.0, input_precision=None,
+):
+    """The all-exact degree search cheb_fit ran before its search was
+    steered by estimates, kept verbatim as the reference."""
+
+    def attempt(deg: int):
+        cheb = Chebyshev.interpolate(
+            lambda xs: qsvtpoly._vec(target, np.atleast_1d(xs)), deg, domain=[lo, hi]
+        )
+        err = qsvtpoly._certified_error(cheb, target, lo, hi, deg)
+        return cheb, err
+
+    def passes(err: float) -> bool:
+        return qsvtpoly._CERT_SAFETY * err + 1e-15 <= eps
+
+    best_err = math.inf
+    deg = 0
+    prev_fail = -1
+    while True:
+        cheb, err = attempt(deg)
+        best_err = min(best_err, err)
+        if passes(err):
+            break
+        prev_fail = deg
+        if deg >= k_cap:
+            raise DegreeCapExceeded(k_cap, best_err)
+        deg = min(k_cap, max(1, 2 * deg))
+
+    lo_deg, hi_deg = prev_fail, deg
+    best = (deg, cheb, err)
+    while hi_deg - lo_deg > 1:
+        mid = (lo_deg + hi_deg) // 2
+        cheb_mid, err_mid = attempt(mid)
+        if passes(err_mid):
+            hi_deg = mid
+            best = (mid, cheb_mid, err_mid)
+        else:
+            lo_deg = mid
+
+    deg, cheb, err = best
+    recorded = min(eps, qsvtpoly._CERT_SAFETY * err + 1e-15)
+    return PolyApprox(
+        coeffs=cheb.coef, degree=deg, domain=(lo, hi), target_tag=target_tag, eps=recorded,
+        target_fn=target, zero_extension=zero_extension, subnorm_factor=subnorm_factor,
+        input_precision=input_precision,
+    )
+
+
+def cheb_fit_call(builder, lo, c, eps, cfg=DEFAULT_CONFIG):
+    """(args, kwargs) the uncached `builder` passes to cheb_fit for the domain [lo, 1]."""
+    with mock.patch.object(qsvtpoly, "cheb_fit", lambda *a, **k: (a, k)):
+        if builder is approx_log:
+            return builder.__wrapped__(lo, eps, cfg)
+        return builder.__wrapped__(c, 1.0 / lo, eps, cfg)
+
+
+def assert_same_fit(got, want):
+    assert got.degree == want.degree
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    assert got.eps.hex() == want.eps.hex()
+
+
+FAMILIES = st.sampled_from([approx_log, approx_pos_power, approx_neg_power])
+LOWER_ENDS = st.floats(-4.5, math.log10(0.5)).map(lambda e: 10.0**e)
+EXPONENTS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(builder=FAMILIES, lo=LOWER_ENDS, c=EXPONENTS, eps=st.floats(-6, -2).map(lambda e: 10.0**e))
+def test_steered_search_equals_exact_search(builder, lo, c, eps):
+    args, kwargs = cheb_fit_call(builder, lo, c, eps)
+    assert kwargs["array_target"] is not None
+    want = reference_cheb_fit(*args, **{k: v for k, v in kwargs.items() if k != "array_target"})
+    assert_same_fit(cheb_fit(*args, **kwargs), want)
+
+
+CAPPED_FITS = {
+    # cap ceil(0.01 * 100 * ln(1e6)) = 14
+    "log": cheb_fit_call(approx_log, 0.01, None, 1e-6, DEFAULT_CONFIG.with_(c_log=0.01)),
+    # the smallest error of degrees 0, 1, 2, 4, 8, 14 is at degree 1, not at the cap
+    "sine": (
+        (lambda x: math.sin(40 * x), 0.01, 1.0, 1e-6, 14),
+        {"array_target": lambda xs: np.sin(40 * xs)},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CAPPED_FITS))
+def test_steered_search_degree_cap_reports_exact_best_err(case):
+    args, kwargs = CAPPED_FITS[case]
+    with pytest.raises(DegreeCapExceeded) as want:
+        reference_cheb_fit(*args, **{k: v for k, v in kwargs.items() if k != "array_target"})
+    with pytest.raises(DegreeCapExceeded) as got:
+        cheb_fit(*args, **kwargs)
+    assert (got.value.cap, got.value.best_err.hex()) == (want.value.cap, want.value.best_err.hex())
+
+
+@settings(max_examples=30, deadline=None)
+@given(builder=FAMILIES, lo=LOWER_ENDS, c=EXPONENTS, deg=st.integers(4, 1024))
+def test_error_estimate_within_a_thousandth_of_its_slack(builder, lo, c, deg):
+    (target, lo, hi, *_), kwargs = cheb_fit_call(builder, lo, c, 1e-3)
+    est, slack = qsvtpoly._estimated_error(kwargs["array_target"], lo, hi, deg)
+    cheb = Chebyshev.interpolate(
+        lambda xs: qsvtpoly._vec(target, np.atleast_1d(xs)), deg, domain=[lo, hi]
+    )
+    exact = qsvtpoly._certified_error(cheb, target, lo, hi, deg)
+    assert abs(est - exact) <= slack / 1000
+
+
+def test_wrong_estimate_never_reaches_the_certificate(monkeypatch):
+    args, kwargs = cheb_fit_call(approx_neg_power, 0.01, 0.6, 1e-5)
+    # an estimate that passes every degree would return degree 0
+    monkeypatch.setattr(qsvtpoly, "_estimated_error", lambda *a: (0.0, 0.0))
+    want = reference_cheb_fit(*args, **{k: v for k, v in kwargs.items() if k != "array_target"})
+    assert want.degree > 0
+    assert_same_fit(cheb_fit(*args, **kwargs), want)
