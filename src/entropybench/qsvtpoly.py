@@ -43,7 +43,7 @@ _CERT_SAFETY = 1.05
 # distinct fits each builder keeps; one estimator run needs at most two
 _FIT_CACHE_SIZE = 128
 
-_UNIT_ROUNDOFF = float(np.finfo(float).eps)
+_MACHINE_EPS = float(np.finfo(float).eps)
 
 
 class DegreeCapExceeded(RuntimeError):
@@ -183,7 +183,7 @@ def _estimated_error(f_arr, lo: float, hi: float, degree: int) -> tuple[float, f
     cond = (hi + lo) / (hi - lo)
     f_max = max(abs(y).max(), abs(grid_f).max())
     scale = cond * abs(coeffs).sum() + n * f_max
-    slack = 1e3 * (n + 1) ** 2 * _UNIT_ROUNDOFF * float(scale) + 1e-13
+    slack = 1e3 * (n + 1) ** 2 * _MACHINE_EPS * float(scale) + 1e-13
     return est, slack
 
 
