@@ -17,6 +17,8 @@ from .config import DEFAULT_CONFIG, RuntimeConfig
 from .states import StateMeta
 
 _INT_TOL = 1e-9
+# the binomial sampler draws counts as 64-bit integers
+MAX_SHOTS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -63,11 +65,13 @@ def decompose_alpha(alpha: float) -> RegimeDecomposition:
     Integer orders get c = 0; for even integers no odd 2k+1 with |c| < 1
     exists, so k is the largest with 2k+1 < alpha and the exact identity
     alpha = 2k+1+c holds for odd integers and all non-integers only.
+    Orders are snapped to a nearby integer n >= 1 only: a tiny positive
+    order is below one, not the integer 0.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"order must be positive and finite, got {alpha}")
     near = round(alpha)
-    if abs(alpha - near) <= _INT_TOL:
+    if near >= 1 and abs(alpha - near) <= _INT_TOL:
         n = int(near)
         if n == 1:
             return RegimeDecomposition(alpha=alpha, k=0, c=0.0, branch="von_neumann")
@@ -82,16 +86,29 @@ def decompose_alpha(alpha: float) -> RegimeDecomposition:
     return RegimeDecomposition(alpha=alpha, k=k, c=c, branch=branch)
 
 
-def delta_budget(
-    regime: RegimeDecomposition,
-    eps: float,
-    meta: StateMeta,
-    method: str = "sampling",
-    cfg: RuntimeConfig = DEFAULT_CONFIG,
-) -> Budget:
-    """Trace-functional accuracy and shot count for a target entropy accuracy."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+def shots_for(mode: str, delta: float, cfg: RuntimeConfig = DEFAULT_CONFIG, limit: float = MAX_SHOTS) -> int:
+    """Shots at accuracy delta: ceil(c_shots/delta^2) Bernoulli draws, or
+    ceil(c_shots/delta) queries in the amplitude-estimation model.
+
+    Raises ValueError when the count is not finite or exceeds `limit`,
+    by default the largest count the sampler can draw.
+    """
+    try:
+        n = cfg.c_shots / delta if mode == "amplitude_estimation" else cfg.c_shots / delta**2
+    except ZeroDivisionError:  # delta or delta**2 is 0
+        n = math.inf
+    except OverflowError:  # delta**2 exceeds the float range: the count rounds to 0
+        n = 0.0
+    if not (math.isfinite(n) and n <= limit):
+        raise ValueError(
+            f"accuracy {delta:.3e} needs {n:.3e} shots at c_shots={cfg.c_shots:g}, "
+            f"not a finite count of at most {limit:.3e}"
+        )
+    return int(math.ceil(n))
+
+
+def _accuracy(regime: RegimeDecomposition, eps: float, meta: StateMeta) -> tuple[float, str]:
+    """delta_budget's trace-functional accuracy and its formula tag."""
     a, r = regime.alpha, meta.rank
     if regime.branch == "integer":
         if abs(a - 2.0) <= _INT_TOL:
@@ -113,14 +130,30 @@ def delta_budget(
     else:
         delta = eps * abs(1.0 - a) / (6.0 * r ** (a - 1.0))
         tag = "fractional_gt2"
+    return delta, tag
+
+
+def delta_budget(
+    regime: RegimeDecomposition,
+    eps: float,
+    meta: StateMeta,
+    method: str = "sampling",
+    cfg: RuntimeConfig = DEFAULT_CONFIG,
+) -> Budget:
+    """Trace-functional accuracy and shot count for a target entropy accuracy."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    try:
+        delta, tag = _accuracy(regime, eps, meta)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(
+            f"accuracy budget for order {regime.alpha} at eps={eps:.3e} is outside the float range"
+        ) from exc
     measure_delta = delta
     if regime.branch == "sub_one":
         # the recovery multiplies the raw statistic by the dimension
         measure_delta = delta / (2.0 * meta.dim if method == "ae" else 4.0 * meta.dim)
-    if method == "ae":
-        shots = int(math.ceil(cfg.c_shots / measure_delta))
-    else:
-        shots = int(math.ceil(cfg.c_shots / measure_delta**2))
+    shots = shots_for("amplitude_estimation" if method == "ae" else "bernoulli", measure_delta, cfg)
     predicted = predicted_samples(regime, eps, meta, d=meta.dim, method=method, cfg=cfg)
     return Budget(
         delta=delta,
@@ -148,8 +181,18 @@ def predicted_samples(
 
     Constants are all 1 (times the configured global multiplier),
     logarithms natural and clamped at 1.  A comparison yardstick for the
-    empirical ledgers, not a guarantee.
+    empirical ledgers, not a guarantee.  A count outside the float range
+    raises ValueError.
     """
+    try:
+        return int(math.ceil(cfg.big_o_multiplier * _cost_formula(regime, eps, meta, d, method)))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(
+            f"predicted sample count for order {regime.alpha} at eps={eps:.3e} is outside the float range"
+        ) from exc
+
+
+def _cost_formula(regime: RegimeDecomposition, eps: float, meta: StateMeta, d: int, method: str) -> float:
     a, r = regime.alpha, meta.rank
     rmin = meta.rho_min
     p2 = meta.purity
@@ -191,7 +234,7 @@ def predicted_samples(
             * _ln(r ** (a - 1.0) / (eps * one * rmin ** (1.0 - c))) ** 5
         )
         val = t1 + t2 + math.log(d)
-    return int(math.ceil(cfg.big_o_multiplier * val))
+    return val
 
 
 def propagate_entropy_error(delta: float, alpha: float, meta: StateMeta) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .accountant import decompose_alpha
 from .config import DEFAULT_CONFIG, RuntimeConfig
-from .estimators import EstimateReport, EstimationFailure, estimate, vn_poly, vn_qsvt
+from .estimators import EstimateReport, EstimationFailure, estimate
 from .qsvtpoly import DegreeCapExceeded
 from .states import DensityMatrix, from_spectrum, random_density
 
@@ -102,6 +102,10 @@ class ExperimentConfig:
                 problems.append(f"sweep variable {self.var!r}")
             if len(self.grid) < 3:
                 problems.append(f"grid needs >= 3 points, got {len(self.grid)}")
+            if self.var == "eps" and not all(_positive(v) for v in self.grid):
+                problems.append(f"eps grid {self.grid} (need finite values > 0)")
+            if self.var == "rank" and not all(float(v).is_integer() and 1 <= v <= self.d for v in self.grid):
+                problems.append(f"rank grid {self.grid} (need integers in [1, {self.d}])")
         if problems:
             raise UsageError("invalid config fields: " + ", ".join(problems))
 
@@ -151,29 +155,25 @@ def _row(report: EstimateReport, cfg: ExperimentConfig, rho: DensityMatrix, eps_
     }
 
 
-def _run_one(
+def _point_rows(
     rho: DensityMatrix,
     alpha: float,
     eps_internal: float,
-    seed: int,
+    grid_index: int,
     cfg: ExperimentConfig,
-) -> EstimateReport:
+    runtime: RuntimeConfig,
+) -> list[dict]:
+    """CSV rows of `cfg.trials` estimates at one grid point, each on its
+    own seed; the route is chosen once for the point, not per trial."""
     mode = "ideal" if cfg.ideal else "noisy"
-    regime = decompose_alpha(alpha)
-    if regime.branch == "von_neumann":
-        if cfg.approach == "poly":
-            return vn_poly(rho, eps_internal, seed=seed, mode=mode, blind=cfg.blind, cfg=cfg.runtime)
-        return vn_qsvt(rho, eps_internal, mode=mode, seed=seed, blind=cfg.blind, cfg=cfg.runtime)
-    return estimate(
-        rho,
-        alpha,
-        eps_internal,
-        seed=seed,
-        mode=mode,
-        method=cfg.method if regime.branch == "sub_one" else None,
-        blind=cfg.blind,
-        cfg=cfg.runtime,
-    )
+    branch = decompose_alpha(alpha).branch
+    method = cfg.approach if branch == "von_neumann" else cfg.method if branch == "sub_one" else None
+    rows = []
+    for t in range(cfg.trials):
+        seed = _trial_seed(cfg.seed, grid_index, t)
+        rep = estimate(rho, alpha, eps_internal, seed=seed, mode=mode, method=method, blind=cfg.blind, cfg=runtime)
+        rows.append(_row(rep, cfg, rho, cfg.eps))
+    return rows
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], str]:
@@ -187,13 +187,16 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], str]:
     rho = _build_state(cfg)
     eps_internal = cfg.eps * math.log(2.0) if cfg.log_base == "2" else cfg.eps
     alpha = 1.0 if cfg.mode == "vonneumann" else cfg.alpha
-    rows = []
-    for t in range(cfg.trials):
-        seed = _trial_seed(cfg.seed, 1, t)
-        rep = _run_one(rho, alpha, eps_internal, seed, cfg)
-        rows.append(_row(rep, cfg, rho, cfg.eps))
+    rows = _point_rows(rho, alpha, eps_internal, 1, cfg, cfg.runtime)
     summary = _summarize(rows)
     return rows, summary
+
+
+def _median(values: list[float]) -> float:
+    """Median as `numpy.median` computes it, without importing `numpy.ma`."""
+    s = sorted(values)
+    mid = len(s) // 2
+    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2.0
 
 
 def _summarize(rows: list[dict]) -> str:
@@ -210,7 +213,7 @@ def _summarize(rows: list[dict]) -> str:
         f"coverage (abs_err <= eps): {coverage:.3f} ({passed}/{n})",
     ]
     if ratios:
-        lines.append(f"ledger/predicted ratio: median {float(np.median(ratios)):.3e}")
+        lines.append(f"ledger/predicted ratio: median {_median(ratios):.3e}")
     return "\n".join(lines)
 
 
@@ -224,6 +227,7 @@ def _fit_slope(x: list[float], y: list[float]) -> tuple[float, float]:
 def sweep(cfg: ExperimentConfig) -> tuple[list[dict], str]:
     """Grid sweep with scaling-exponent fits of the cost columns."""
     cfg.validate()
+    runtime = cfg.runtime
     rows: list[dict] = []
     shots_by_point: list[float] = []
     ledger_by_point: list[float] = []
@@ -241,16 +245,10 @@ def sweep(cfg: ExperimentConfig) -> tuple[list[dict], str]:
         rho = _build_state(sub)
         eps_internal = sub.eps * math.log(2.0) if sub.log_base == "2" else sub.eps
         alpha = 1.0 if sub.mode == "vonneumann" else sub.alpha
-        point_shots = []
-        point_ledger = []
-        for t in range(cfg.trials):
-            seed = _trial_seed(cfg.seed, gi + 1, t)
-            rep = _run_one(rho, alpha, eps_internal, seed, sub)
-            rows.append(_row(rep, sub, rho, sub.eps))
-            point_shots.append(rep.shots_used)
-            point_ledger.append(rep.sample_cost_total)
-        shots_by_point.append(float(np.mean(point_shots)))
-        ledger_by_point.append(float(np.mean(point_ledger)))
+        point = _point_rows(rho, alpha, eps_internal, gi + 1, sub, runtime)
+        rows.extend(point)
+        shots_by_point.append(float(np.mean([r["shots"] for r in point])))
+        ledger_by_point.append(float(np.mean([r["ledger_samples"] for r in point])))
 
     slope_shots, err_shots = _fit_slope(xs, [math.log(v) for v in shots_by_point])
     slope_ledger, err_ledger = _fit_slope(xs, [math.log(v) for v in ledger_by_point])
@@ -279,8 +277,9 @@ def sweep(cfg: ExperimentConfig) -> tuple[list[dict], str]:
 def _run_validate(cfg: ExperimentConfig) -> tuple[list[dict], str]:
     """Fixture suite: pure and maximally mixed states across every branch,
     plus a statistical block on a fixed three-level spectrum."""
-    trials = 3 if cfg.quick else 10
-    eps = 0.1
+    # the estimators get eps = 0.1 unconverted, whatever the log base
+    fixed = ExperimentConfig(**{**cfg.__dict__, "eps": 0.1, "trials": 3 if cfg.quick else 10})
+    runtime = cfg.runtime
     rows: list[dict] = []
     fixtures = [
         ("pure", from_spectrum([1.0], 4)),
@@ -291,22 +290,12 @@ def _run_validate(cfg: ExperimentConfig) -> tuple[list[dict], str]:
     for _, rho in fixtures:
         for alpha in alphas:
             gi += 1
-            for t in range(trials):
-                sub_cfg = ExperimentConfig(**{**cfg.__dict__})
-                sub_cfg.eps = eps
-                seed = _trial_seed(cfg.seed, gi, t)
-                rep = _run_one(rho, alpha, eps, seed, sub_cfg)
-                rows.append(_row(rep, sub_cfg, rho, eps))
+            rows += _point_rows(rho, alpha, fixed.eps, gi, fixed, runtime)
     diag = from_spectrum([0.5, 0.3, 0.2], 8)
     for alpha, approach in ((2.0, "qsvt"), (1.5, "qsvt"), (1.0, "qsvt"), (1.0, "poly")):
         gi += 1
-        for t in range(trials):
-            sub_cfg = ExperimentConfig(**{**cfg.__dict__})
-            sub_cfg.eps = eps
-            sub_cfg.approach = approach
-            seed = _trial_seed(cfg.seed, gi, t)
-            rep = _run_one(diag, alpha, eps, seed, sub_cfg)
-            rows.append(_row(rep, sub_cfg, diag, eps))
+        sub_cfg = ExperimentConfig(**{**fixed.__dict__, "approach": approach})
+        rows += _point_rows(diag, alpha, fixed.eps, gi, sub_cfg, runtime)
     summary = _summarize(rows)
     coverage = sum(r["pass"] for r in rows) / len(rows)
     summary += f"\nvalidate: {'PASS' if coverage >= 0.9 else 'FAIL'} (threshold 0.9)"

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .accountant import Budget, decompose_alpha, delta_budget
+from .accountant import MAX_SHOTS, Budget, decompose_alpha, delta_budget, shots_for
 from .blockenc import (
     BlockEncoding,
     be_power,
@@ -38,8 +38,6 @@ from .qsvtpoly import apply_poly, approx_log, approx_neg_power, approx_pos_power
 from .states import DensityMatrix, StateMeta, exact_entropies
 
 LOG_PI_OVER_4 = math.log(math.pi / 4.0)
-# the binomial sampler draws counts as 64-bit integers
-_MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
 class EstimationFailure(RuntimeError):
@@ -60,12 +58,6 @@ class MeasurementModel:
         if not (-1e-12 <= self.p0 <= 1.0 + 1e-12):
             raise ValueError(f"probability {self.p0!r} outside [0, 1]")
         object.__setattr__(self, "p0", float(min(1.0, max(0.0, self.p0))))
-
-
-def shots_for(mode: str, delta: float, cfg: RuntimeConfig = DEFAULT_CONFIG) -> int:
-    if mode == "amplitude_estimation":
-        return int(math.ceil(cfg.c_shots / delta))
-    return int(math.ceil(cfg.c_shots / delta**2))
 
 
 def measure_p0(
@@ -130,9 +122,17 @@ class MinEigResult:
     sample_cost: int
 
 
+# An estimate's seed has numbered children: 0 feeds the blind-mode probes,
+# then each branch numbers its build stages, and its measurement comes last.
+# A child is derived where it is used, so unused ones cost nothing.
+def _child_seed(seed: int, i: int) -> int:
+    """Seed of child i of `SeedSequence(seed)`, as `spawn` would make it,
+    without building the parent or its other children."""
+    return int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0])
+
+
 def _child_seeds(seed: int, n: int) -> list[int]:
-    ss = np.random.SeedSequence(seed)
-    return [int(child.generate_state(1)[0]) for child in ss.spawn(n)]
+    return [_child_seed(seed, i) for i in range(n)]
 
 
 def _op_norm_cap(h) -> float:
@@ -269,10 +269,12 @@ def _gather_inputs(
     cfg: RuntimeConfig,
     need_rho_min: bool = True,
 ) -> _Inputs:
+    """`seed` is the estimate's own seed: blind probes draw from its
+    child 0, which is derived only when they run."""
     meta = rho.meta
     if not blind:
         return _Inputs(meta=meta, rho_min_lower=meta.rho_min)
-    s_pur, s_min, s_enc = _child_seeds(seed, 3)
+    s_pur, s_min, s_enc = _child_seeds(_child_seed(seed, 0), 3)
     t2_hat, cost = _estimate_purity(rho, s_pur, cfg)
     r_hat = max(1, min(rho.dim, int(math.ceil(1.0 / t2_hat - 1e-9))))
     flags = ["blind_rank", "blind_purity"]
@@ -361,8 +363,7 @@ def renyi_integer(
     if int(alpha) != alpha or alpha < 2:
         raise ValueError(f"order must be an integer >= 2, got {alpha}")
     alpha = int(alpha)
-    s_in, s_meas = _child_seeds(seed, 2)
-    inputs = _gather_inputs(rho, blind, mode, s_in, cfg, need_rho_min=False)
+    inputs = _gather_inputs(rho, blind, mode, seed, cfg, need_rho_min=False)
     regime = decompose_alpha(float(alpha))
     budget = delta_budget(regime, eps, inputs.meta, cfg=cfg)
     oracle = exact_entropies(rho, float(alpha))
@@ -370,7 +371,8 @@ def renyi_integer(
     if mode == "ideal":
         p_hat = p
     else:
-        p_hat = measure_p0(MeasurementModel(p0=p, cost_per_query=alpha), budget.delta, s_meas, cfg)
+        model = MeasurementModel(p0=p, cost_per_query=alpha)
+        p_hat = measure_p0(model, budget.delta, _child_seed(seed, 1), cfg)
     t_hat = 2.0 * p_hat - 1.0
     if t_hat <= 0.0:
         raise EstimationFailure(
@@ -411,13 +413,12 @@ def _build_case_odd(
     """Encoding of ((pi/4) rho)^(k + c/2), subnormalization folded out."""
     kappa = 4.0 / (math.pi * rho_min_lower)
     fit = approx_pos_power(c / 2.0, kappa, poly_eps, cfg)
-    s_pos, s_pow = _child_seeds(seed, 2)
     enc_budget = _clamp_encoding_budget(min(fit.input_precision, delta))
-    branch = apply_poly(encode_density(rho, enc_budget, s_pos, noiseless, cfg), fit)
+    branch = apply_poly(encode_density(rho, enc_budget, _child_seed(seed, 0), noiseless, cfg), fit)
     branch = rescale(branch, 2.0)
     if k == 0:
         return branch
-    powers = be_power(rho, k, _clamp_encoding_budget(delta / k), s_pow, noiseless, cfg)
+    powers = be_power(rho, k, _clamp_encoding_budget(delta / k), _child_seed(seed, 1), noiseless, cfg)
     return be_product(powers, branch)
 
 
@@ -439,8 +440,7 @@ def renyi_case_odd(
     regime = decompose_alpha(alpha)
     if regime.branch != "odd_floor":
         raise ValueError(f"order {alpha} is not fractional with odd floor")
-    s_in, s_build, s_meas = _child_seeds(seed, 3)
-    inputs = _gather_inputs(rho, blind, mode, s_in, cfg)
+    inputs = _gather_inputs(rho, blind, mode, seed, cfg)
     budget = delta_budget(regime, eps, inputs.meta, cfg=cfg)
     be = _build_case_odd(
         rho,
@@ -449,12 +449,12 @@ def renyi_case_odd(
         budget.delta,
         _poly_budget(budget.delta, cfg, mode),
         inputs.rho_min_lower,
-        s_build,
+        _child_seed(seed, 1),
         noiseless=(mode == "ideal"),
         cfg=cfg,
     )
     pair = _p0_pair(be, rho.matrix.mat)
-    p0_hat = pair[0] if mode == "ideal" else measure_p0(MeasurementModel(p0=pair[0]), budget.delta, s_meas, cfg)
+    p0_hat = pair[0] if mode == "ideal" else measure_p0(MeasurementModel(p0=pair[0]), budget.delta, _child_seed(seed, 2), cfg)
     if p0_hat <= 0.0:
         raise EstimationFailure("measured ancilla probability is zero; increase the shot budget")
     estimate = (math.log(p0_hat * math.pi / 4.0) - alpha * LOG_PI_OVER_4) / (1.0 - alpha)
@@ -508,8 +508,7 @@ def renyi_case_even(
                 "negative powers are undefined at eigenvalue 0"
             )
         work = rho.project_to_support()
-    s_in, s_side, s_pow, s_meas = _child_seeds(seed, 4)
-    inputs = _gather_inputs(work, blind, mode, s_in, cfg)
+    inputs = _gather_inputs(work, blind, mode, seed, cfg)
     budget = delta_budget(regime, eps, inputs.meta, cfg=cfg)
     delta = budget.delta
     poly_eps = _poly_budget(delta, cfg, mode)
@@ -519,12 +518,12 @@ def renyi_case_even(
     kappa = 1.0 / inputs.rho_min_lower
     fit = approx_neg_power(abs(c) / 2.0, kappa, poly_eps, cfg)
     enc_budget = _clamp_encoding_budget(min(fit.input_precision, delta))
-    neg_branch = apply_poly(encode_state_side(work, enc_budget, s_side, noiseless, cfg), fit)
-    powers = be_power(work, k, _clamp_encoding_budget(delta / k), s_pow, noiseless, cfg)
+    neg_branch = apply_poly(encode_state_side(work, enc_budget, _child_seed(seed, 1), noiseless, cfg), fit)
+    powers = be_power(work, k, _clamp_encoding_budget(delta / k), _child_seed(seed, 2), noiseless, cfg)
     be = be_product(powers, neg_branch)
 
     pair = _p0_pair(be, work.matrix.mat)
-    p0_hat = pair[0] if mode == "ideal" else measure_p0(MeasurementModel(p0=pair[0]), delta, s_meas, cfg)
+    p0_hat = pair[0] if mode == "ideal" else measure_p0(MeasurementModel(p0=pair[0]), delta, _child_seed(seed, 3), cfg)
     if p0_hat <= 0.0:
         raise EstimationFailure("measured ancilla probability is zero; increase the shot budget")
     rho_min_used = 1.0 / kappa
@@ -578,8 +577,7 @@ def renyi_sub_one(
     d = rho.dim
     if method == "ae" and 2 ** int(round(math.log2(d))) != d:
         raise ValueError(f"amplitude-estimation route needs a power-of-2 dimension, got {d}")
-    s_in, s_build, s_meas = _child_seeds(seed, 3)
-    inputs = _gather_inputs(rho, blind, mode, s_in, cfg)
+    inputs = _gather_inputs(rho, blind, mode, seed, cfg)
     flags = inputs.flags
     if blind:
         flags = flags + ("budget_from_estimated_purity",)
@@ -592,13 +590,13 @@ def renyi_sub_one(
     exponent = alpha / 2.0 if method == "sampling" else alpha
     fit = approx_pos_power(exponent, kappa, poly_eps, cfg)
     enc_budget = _clamp_encoding_budget(min(fit.input_precision, delta_meas))
-    be = apply_poly(encode_density(rho, enc_budget, s_build, noiseless, cfg), fit)
+    be = apply_poly(encode_density(rho, enc_budget, _child_seed(seed, 1), noiseless, cfg), fit)
 
     mixed = np.eye(d, dtype=np.complex128) / d
     if method == "sampling":
         pair = _p0_pair(be, mixed)
         mm = MeasurementModel(p0=pair[0])
-        p0_hat = pair[0] if mode == "ideal" else measure_p0(mm, delta_meas, s_meas, cfg)
+        p0_hat = pair[0] if mode == "ideal" else measure_p0(mm, delta_meas, _child_seed(seed, 2), cfg)
         if p0_hat <= 0.0:
             raise EstimationFailure("measured ancilla probability is zero; increase the shot budget")
         tr_quarter = 4.0 * d * p0_hat  # Tr ((pi/4) rho)^alpha
@@ -607,7 +605,7 @@ def renyi_sub_one(
         q_exact = float(np.real(np.trace(be.target.mat @ mixed)))
         pair = (q_noisy, q_exact, be.eta)
         mm = MeasurementModel(p0=q_noisy, mode="amplitude_estimation")
-        p0_hat = q_noisy if mode == "ideal" else measure_p0(mm, delta_meas, s_meas, cfg)
+        p0_hat = q_noisy if mode == "ideal" else measure_p0(mm, delta_meas, _child_seed(seed, 2), cfg)
         if p0_hat <= 0.0:
             raise EstimationFailure("overlap estimate is zero; increase the query budget")
         tr_quarter = 2.0 * d * p0_hat
@@ -657,8 +655,7 @@ def vn_qsvt(
             raise ValueError("state is rank deficient and support projection is disabled")
         work = rho.project_to_support()
     regime = decompose_alpha(1.0)
-    s_in, s_enc, s_meas = _child_seeds(seed, 3)
-    inputs = _gather_inputs(work, blind, mode, s_in, cfg)
+    inputs = _gather_inputs(work, blind, mode, seed, cfg)
     budget = delta_budget(regime, eps, inputs.meta, cfg=cfg)
     delta = budget.delta
     noiseless = mode == "ideal"
@@ -670,7 +667,7 @@ def vn_qsvt(
     log_fit = approx_log(beta, stage_eps, cfg)
     slope = max(1.0, log_fit.lipschitz_bound())
     enc_budget = _clamp_encoding_budget(stage_eps / (2.0 * slope))
-    b1 = apply_poly(encode_density(work, enc_budget, s_enc, noiseless, cfg), log_fit)
+    b1 = apply_poly(encode_density(work, enc_budget, _child_seed(seed, 1), noiseless, cfg), log_fit)
 
     floor2 = gamma * math.log(4.0 / math.pi)
     kappa2 = 1.0 / floor2
@@ -678,7 +675,7 @@ def vn_qsvt(
     b2 = rescale(apply_poly(b1, sqrt_fit), 2.0)
 
     pair = _p0_pair(b2, work.matrix.mat)
-    p0_hat = pair[0] if mode == "ideal" else measure_p0(MeasurementModel(p0=pair[0]), delta, s_meas, cfg)
+    p0_hat = pair[0] if mode == "ideal" else measure_p0(MeasurementModel(p0=pair[0]), delta, _child_seed(seed, 2), cfg)
     margin = 4.0 * delta + pair[2]
     if p0_hat < floor2 - margin:
         raise EstimationFailure(
@@ -727,8 +724,7 @@ def vn_poly(
     coefficients.
     """
     regime = decompose_alpha(1.0)
-    s_in, s_meas = _child_seeds(seed, 2)
-    inputs = _gather_inputs(rho, blind, mode, s_in, cfg)
+    inputs = _gather_inputs(rho, blind, mode, seed, cfg)
     budget = delta_budget(regime, eps, inputs.meta, cfg=cfg)
     noiseless = mode == "ideal"
 
@@ -746,7 +742,7 @@ def vn_poly(
     coeffs = mono.coeffs  # of log(1/x) on [beta, 1]
 
     oracle_powers = {i: exact_entropies(rho, float(i + 1)).tr_pow_alpha for i in range(1, len(coeffs))}
-    rng_seeds = _child_seeds(s_meas, max(1, len(coeffs) - 1))
+    s_meas = _child_seed(seed, 1)
     estimate = float(coeffs[0]) if len(coeffs) else 0.0
     shots_total = 0
     ledger = inputs.extra_cost
@@ -755,17 +751,18 @@ def vn_poly(
         t_i = oracle_powers[i]
         denom = 2.0 * max(1, k_deg) * max(log_scale, abs(a_i))
         delta_i = min(0.49, eps / denom)
-        n_i = shots_for("bernoulli", delta_i, cfg)
+        try:
+            # ideal mode draws nothing, so its count is only reported
+            n_i = shots_for("bernoulli", delta_i, cfg, limit=math.inf if noiseless else MAX_SHOTS)
+        except ValueError as exc:
+            raise ValueError(
+                f"term {i} of the plain-power expansion (coefficient {a_i:.3e}): {exc}; the expansion "
+                "is too ill-conditioned for this state, use the direct-transform estimator (vn_qsvt) instead"
+            ) from None
         if noiseless:
             t_hat = t_i
-        elif n_i > _MAX_SHOTS:
-            raise ValueError(
-                f"term {i} of the plain-power expansion (coefficient {a_i:.3e}) needs "
-                f"{n_i:.3e} shots, more than a 64-bit count holds; the expansion is too "
-                "ill-conditioned for this state, use the direct-transform estimator (vn_qsvt) instead"
-            )
         else:
-            rng = np.random.default_rng(rng_seeds[i - 1])
+            rng = np.random.default_rng(_child_seed(s_meas, i - 1))
             t_hat = 2.0 * rng.binomial(n_i, (1.0 + t_i) / 2.0) / n_i - 1.0
         estimate += a_i * t_hat
         shots_total += n_i
@@ -800,7 +797,12 @@ def estimate(
     blind: bool = False,
     cfg: RuntimeConfig = DEFAULT_CONFIG,
 ) -> EstimateReport:
-    """Dispatch to the branch-appropriate pipeline for this order."""
+    """Dispatch to the branch-appropriate pipeline for this order.
+
+    `method` picks the route where a branch has two: "sampling" (default)
+    or "ae" below order 1, "qsvt" (default) or "poly" at order 1; other
+    branches ignore it.
+    """
     regime = decompose_alpha(alpha)
     if regime.branch == "integer":
         return renyi_integer(rho, int(round(alpha)), eps, seed, mode, blind, cfg)
@@ -812,4 +814,6 @@ def estimate(
         return renyi_sub_one(rho, alpha, eps, method or "sampling", mode, seed, blind, cfg)
     if method == "poly":
         return vn_poly(rho, eps, seed, mode, blind, cfg)
+    if method not in (None, "qsvt"):
+        raise ValueError(f"unknown von Neumann method {method!r}")
     return vn_qsvt(rho, eps, mode, seed, blind, cfg=cfg)

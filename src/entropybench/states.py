@@ -3,11 +3,16 @@
 All entropies use natural logarithms internally; the CLI converts to
 base 2 on request.  The zero-eigenvalue convention is 0*log(0) = 0, and
 trace powers run over the nonzero spectrum only.
+
+A state is validated once, at construction, and then caches what is
+derived from it: its spectral summary (`meta`), its oracle records
+(`exact_entropies`, one per order) and its support projection.  The
+caches live on the state, so they are freed with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -38,11 +43,18 @@ class StateMeta:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Trace-one PSD Hermitian operator with a cached spectral decomposition."""
+    """Trace-one PSD Hermitian operator with a cached spectral decomposition.
+
+    `_cache` holds the derived values below, computed on first use;
+    `init=False` keeps `dataclasses.replace` from sharing it.
+    """
 
     matrix: HermMatrix
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not bool(np.all(np.isfinite(self.matrix.mat))):
+            raise ValueError("state has non-finite entries")
         tr = float(np.trace(self.matrix.mat).real)
         if abs(tr - 1.0) > TOL.trace_one:
             raise ValueError(f"trace is {tr!r}, expected 1 within {TOL.trace_one:g}")
@@ -60,26 +72,36 @@ class DensityMatrix:
 
     @property
     def nonzero_eigenvalues(self) -> np.ndarray:
-        eigs = self.spectrum.eigenvalues
-        return eigs[eigs > TOL.rank_cutoff]
+        """Eigenvalues above the rank cutoff, descending (read-only)."""
+        if "nz" not in self._cache:
+            eigs = self.spectrum.eigenvalues
+            nz = eigs[eigs > TOL.rank_cutoff]
+            nz.flags.writeable = False
+            self._cache["nz"] = nz
+        return self._cache["nz"]
 
     @property
     def meta(self) -> StateMeta:
-        nz = self.nonzero_eigenvalues
-        return StateMeta(
-            rank=int(nz.size),
-            rho_min=float(nz[-1]),
-            rho_max=float(nz[0]),
-            purity=float(np.sum(nz**2)),
-            dim=self.dim,
-        )
+        if "meta" not in self._cache:
+            nz = self.nonzero_eigenvalues
+            self._cache["meta"] = StateMeta(
+                rank=int(nz.size),
+                rho_min=float(nz[-1]),
+                rho_max=float(nz[0]),
+                purity=float(np.sum(nz**2)),
+                dim=self.dim,
+            )
+        return self._cache["meta"]
 
     def project_to_support(self) -> "DensityMatrix":
         """Restrict to the span of nonzero eigenvectors (rank-sized block).
 
         Entropies and trace powers are unchanged; negative powers and
-        logarithms become well defined.
+        logarithms become well defined.  A full-rank state is returned
+        as is; otherwise the projection is built once and reused.
         """
+        if "support" in self._cache:
+            return self._cache["support"]
         spec = self.spectrum
         keep = spec.eigenvalues > TOL.rank_cutoff
         if bool(np.all(keep)):
@@ -87,7 +109,8 @@ class DensityMatrix:
         w = np.clip(spec.eigenvalues[keep], 0.0, None)
         r = int(w.size)
         mat = herm_with_spectrum(np.diag(w).astype(np.complex128), w, np.eye(r, dtype=np.complex128))
-        return DensityMatrix(mat)
+        self._cache["support"] = DensityMatrix(mat)
+        return self._cache["support"]
 
 
 @dataclass(frozen=True)
@@ -112,6 +135,8 @@ class EntropyRecord:
 def from_spectrum(eigs: Sequence[float], d: int) -> DensityMatrix:
     """Diagonal state with the given spectrum, zero-padded to dimension d."""
     v = np.asarray(list(eigs), dtype=float)
+    if not bool(np.all(np.isfinite(v))):
+        raise ValueError(f"non-finite eigenvalue in {v.tolist()}")
     if v.size > d:
         raise ValueError(f"{v.size} eigenvalues do not fit in dimension {d}")
     if np.any(v < -1e-15):
@@ -186,17 +211,25 @@ def exact_entropies(rho: DensityMatrix, alpha: float) -> EntropyRecord:
     """Spectral oracle: Tr rho^alpha and the entropy of order alpha.
 
     alpha = 1 is read as the von Neumann limit -Tr(rho log rho) with the
-    0*log(0) = 0 convention.
+    0*log(0) = 0 convention.  Records are cached on the state, keyed by
+    the order's type as well as its value (as the fit builders key
+    theirs), since `nz**2` and `nz**2.0` need not round alike.
     """
+    key = ("entropy", type(alpha), alpha)
+    if key in rho._cache:
+        return rho._cache[key]
     if alpha <= 0:
         raise ValueError(f"order must be positive, got {alpha}")
     nz = rho.nonzero_eigenvalues
     if alpha == 1.0:
         s = float(-np.sum(nz * np.log(nz)))
-        return EntropyRecord(alpha=1.0, tr_pow_alpha=1.0, entropy=s, quantity="S_v", meta=rho.meta)
-    t = float(np.sum(nz**alpha))
-    s = float(np.log(t) / (1.0 - alpha))
-    return EntropyRecord(alpha=alpha, tr_pow_alpha=t, entropy=s, quantity="S_alpha", meta=rho.meta)
+        rec = EntropyRecord(alpha=1.0, tr_pow_alpha=1.0, entropy=s, quantity="S_v", meta=rho.meta)
+    else:
+        t = float(np.sum(nz**alpha))
+        s = float(np.log(t) / (1.0 - alpha))
+        rec = EntropyRecord(alpha=alpha, tr_pow_alpha=t, entropy=s, quantity="S_alpha", meta=rho.meta)
+    rho._cache[key] = rec
+    return rec
 
 
 def partial_trace_second(vec: np.ndarray, d: int) -> np.ndarray:

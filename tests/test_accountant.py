@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entropybench.accountant import (
+    MAX_SHOTS,
     decompose_alpha,
     delta_budget,
     predicted_samples,
     propagate_entropy_error,
+    shots_for,
 )
 from entropybench.config import DEFAULT_CONFIG
 from entropybench.states import StateMeta, random_density
@@ -177,3 +179,46 @@ def test_meta_from_state_feeds_budget():
 def test_decompose_rejects_non_finite(alpha):
     with pytest.raises(ValueError, match="finite"):
         decompose_alpha(alpha)
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 5e-10, 1e-9, 4e-9])
+def test_decompose_tiny_orders_are_below_one(alpha):
+    # snapping to a nearby integer must not turn a tiny order into order 0
+    r = decompose_alpha(alpha)
+    assert (r.branch, r.k) == ("sub_one", 0)
+    assert r.c == alpha - 1.0
+
+
+def test_shots_for_refuses_counts_it_cannot_draw():
+    cfg = DEFAULT_CONFIG.with_(c_shots=1.0)
+    for delta in (1e-300, 0.0, math.nan):  # delta**2 underflows, or no count at all
+        with pytest.raises(ValueError, match="not a finite count"):
+            shots_for("bernoulli", delta, cfg)
+    with pytest.raises(ValueError, match="not a finite count"):
+        shots_for("bernoulli", 0.01, DEFAULT_CONFIG.with_(c_shots=1e300))
+    # the largest count the sampler holds passes, the next float does not
+    assert shots_for("amplitude_estimation", 1.0 / 2.0**62, cfg) == 2**62
+    with pytest.raises(ValueError):
+        shots_for("amplitude_estimation", 1.0 / 2.0**63, cfg)
+    assert shots_for("amplitude_estimation", 1.0 / 2.0**63, cfg, limit=math.inf) == 2**63 > MAX_SHOTS
+
+
+def test_delta_budget_uses_the_shared_shot_rule():
+    regime = decompose_alpha(2.0)
+    for method, mode in (("sampling", "bernoulli"), ("ae", "amplitude_estimation")):
+        b = delta_budget(regime, 0.1, META, method=method)
+        assert b.shots == shots_for(mode, b.measure_delta)
+    with pytest.raises(ValueError, match="not a finite count"):
+        delta_budget(regime, 1e-300, META)
+    with pytest.raises(ValueError, match="not a finite count"):
+        delta_budget(regime, 0.1, META, cfg=DEFAULT_CONFIG.with_(c_shots=1e300))
+    for alpha in (1e6, 1e6 + 0.5):  # rank**(alpha - 1) overflows
+        with pytest.raises(ValueError, match="accuracy budget .* outside the float range"):
+            delta_budget(decompose_alpha(alpha), 0.1, META)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 2.5, 3.5])
+@pytest.mark.parametrize("eps", [1e300, 1e-300])
+def test_predicted_samples_out_of_range_is_value_error(alpha, eps):
+    with pytest.raises(ValueError, match="outside the float range"):
+        predicted_samples(decompose_alpha(alpha), eps, META, d=8)

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from entropybench import cli
 
 from entropybench.cli import (
     CSV_COLUMNS,
@@ -198,25 +204,89 @@ def test_validate_failure_exit_code(monkeypatch):
     assert cli.main(["validate", "--quick"]) == 2
 
 
+_RENYI = ("renyi", "--alpha", "1.5", "--dim", "4", "--rank", "4", "--eps", "0.1")
+_RENYI2 = ("renyi", "--alpha", "2", "--dim", "4", "--rank", "2")
+_SWEEP = ("sweep", "--alpha", "2", "--dim", "4")
+
+
 @pytest.mark.parametrize(
-    "flag,value,message",
+    "flag,value,message,head",
     [
-        pytest.param(flag, value, message, id=f"{flag}-{value}")
-        for flag, value, message in [
-            ("--alpha", "nan", "invalid config fields"),
-            ("--alpha", "inf", "invalid config fields"),
-            ("--eps", "nan", "invalid config fields"),
-            ("--eps", "inf", "invalid config fields"),
-            ("--c-shots", "nan", "invalid config fields"),
-            ("--c-shots", "0", "invalid config fields"),
-            ("--out", "/nonexistent/dir/x.csv", "error: cannot write CSV to /nonexistent/dir/x.csv: "),
+        pytest.param(flag, value, message, head, id=f"{flag}-{value}")
+        for flag, value, message, head in [
+            ("--alpha", "nan", "invalid config fields", _RENYI),
+            ("--alpha", "inf", "invalid config fields", _RENYI),
+            ("--eps", "nan", "invalid config fields", _RENYI),
+            ("--eps", "inf", "invalid config fields", _RENYI),
+            ("--c-shots", "nan", "invalid config fields", _RENYI),
+            ("--c-shots", "0", "invalid config fields", _RENYI),
+            ("--out", "/nonexistent/dir/x.csv", "error: cannot write CSV to /nonexistent/dir/x.csv: ", _RENYI),
+            ("--spectrum", "nan,1", "error: non-finite eigenvalue", _RENYI2),
+            ("--eps", "1e-300", "error: accuracy 2.500e-301 needs inf shots", _RENYI2),
+            ("--eps", "1e300", "error: predicted sample count for order 2.0", _RENYI2),
+            ("--c-shots", "1e300", "not a finite count of at most 9.223e+18", _RENYI2),
+            ("--alpha", "1e6", "error: accuracy budget for order 1000000.0", _RENYI2),
+            ("--grid", "0,0.1,0.2", "invalid config fields: eps grid", (*_SWEEP, "--var", "eps")),
+            ("--grid", "2,2.5,9", "invalid config fields: rank grid", (*_SWEEP, "--var", "rank")),
         ]
     ],
 )
-def test_cli_rejects_non_finite_inputs(flag, value, message, capsys):
-    argv = ["renyi", "--alpha", "1.5", "--dim", "4", "--rank", "4", "--eps", "0.1", flag, value]
+def test_cli_rejects_non_finite_inputs(flag, value, message, head, capsys):
+    argv = [*head, flag, value]
     assert main(argv) == 1  # main returns instead of raising: no traceback
     assert message in capsys.readouterr().err
+
+
+def test_cli_tiny_order_runs_below_one(tmp_path):
+    # a tiny order is not snapped to the integer 0
+    out = tmp_path / "tiny.csv"
+    assert main(["renyi", "--alpha", "1e-300", "--dim", "4", "--rank", "2", "--seed", "1", "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[CSV_COLUMNS.index("branch")] == "sub_one"
+    assert row[CSV_COLUMNS.index("pass")] == "1"
+
+
+def test_sweep_never_imports_numpy_ma(tmp_path):
+    import entropybench
+
+    src = os.path.dirname(os.path.dirname(entropybench.__file__))
+    code = (
+        "import sys; from entropybench.cli import main; "
+        f"code = main(['sweep', '--var', 'eps', '--grid', '0.2,0.1,0.05', '--alpha', '2', '--dim', '4', "
+        f"'--trials', '3', '--out', {str(tmp_path / 's.csv')!r}]); "
+        "assert code == 0, code; assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(1e-30, 1e30), min_size=1, max_size=9))
+def test_summary_median_equals_numpy(values):
+    assert cli._median(values).hex() == float(np.median(values)).hex()
+
+
+def test_run_builds_one_runtime_config_and_routes_through_estimate(monkeypatch):
+    seen = []
+    real = cli.estimate
+
+    def spy(rho, alpha, eps, **kw):
+        seen.append((kw["method"], kw["cfg"]))
+        return real(rho, alpha, eps, **kw)
+
+    monkeypatch.setattr(cli, "estimate", spy)
+    for cfg, method in (
+        (ExperimentConfig(mode="renyi", alpha=2.0, d=4, rank=4, trials=4), None),
+        (ExperimentConfig(mode="renyi", alpha=0.5, d=4, rank=4, trials=3, method="ae"), "ae"),
+        (ExperimentConfig(mode="vonneumann", spectrum=[0.5, 0.5], d=2, trials=3, approach="poly"), "poly"),
+    ):
+        seen.clear()
+        run_experiment(cfg)
+        assert len(seen) == cfg.trials
+        assert {m for m, _ in seen} == {method}
+        assert len({id(c) for _, c in seen}) == 1  # one RuntimeConfig for the whole run
+        assert seen[0][1] == cfg.runtime
 
 
 def test_cli_degree_cap_is_estimation_failure(monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import binom
 
-from entropybench import numkernel
+from entropybench import estimators, numkernel
 from entropybench.blockenc import BlockEncoding, encode_density, encode_state_side
 from entropybench.config import DEFAULT_CONFIG
 from entropybench.estimators import (
@@ -483,3 +483,47 @@ def test_eigendecompositions_per_branch(monkeypatch):
     assert per_branch[0] == 0  # the integer branch builds no encoding
     assert max(per_branch) <= 3, per_branch
     assert sum(per_branch) / len(per_branch) <= 2.0, per_branch
+
+
+def _spawned(seed, n):
+    return [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(n)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1, 2**32 + 5, 12345678901234567890])
+def test_child_seeds_equal_spawned_children(seed):
+    for n in range(1, 9):
+        assert estimators._child_seeds(seed, n) == _spawned(seed, n)
+
+
+def test_integer_branch_derives_only_the_seeds_it_uses(monkeypatch):
+    derived = []
+    real = estimators._child_seed
+    monkeypatch.setattr(estimators, "_child_seed", lambda seed, i: derived.append(i) or real(seed, i))
+    rho = from_spectrum([0.5, 0.3, 0.2], 4)
+    renyi_integer(rho, 2, 0.1, seed=3)
+    assert derived == [1]  # the measurement seed; blind inputs would use child 0
+    derived.clear()
+    renyi_integer(rho, 2, 0.1, seed=3, mode="ideal")
+    assert derived == []
+
+
+def test_blind_inputs_and_measurement_keep_their_seeds(monkeypatch):
+    seen = []
+    real = estimators._estimate_purity
+
+    def spy(rho, seed, cfg, delta=0.05):
+        seen.append(seed)
+        return real(rho, seed, cfg, delta)
+
+    monkeypatch.setattr(estimators, "_estimate_purity", spy)
+    rho = random_density(4, 2, seed=1)
+    r = renyi_integer(rho, 2, 0.1, seed=9, blind=True)
+    s_in, s_meas = _spawned(9, 2)
+    assert seen == [_spawned(s_in, 3)[0]]
+    model = MeasurementModel(p0=(1.0 + exact_entropies(rho, 2.0).tr_pow_alpha) / 2.0, cost_per_query=2)
+    assert r.p0_measured == measure_p0(model, r.delta, s_meas)
+
+
+def test_estimate_rejects_unknown_von_neumann_method():
+    with pytest.raises(ValueError, match="unknown von Neumann method"):
+        estimate(DIAG, 1.0, 0.1, method="ae")

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from entropybench.numkernel import op_norm_dist, HermMatrix
 from entropybench.states import (
+    DensityMatrix,
     density_from_text,
     density_to_text,
     exact_entropies,
@@ -180,3 +183,81 @@ def test_spectrum_cache_consistent():
     spec = rho.spectrum
     rec = spec.reconstruct()
     assert op_norm_dist(HermMatrix(rec), rho.matrix) <= 1e-10
+
+
+def _meta_bits(m):
+    return (m.rank, m.dim, m.rho_min.hex(), m.rho_max.hex(), m.purity.hex())
+
+
+def _record_bits(rec):
+    return (
+        type(rec.alpha),
+        float(rec.alpha).hex(),
+        rec.tr_pow_alpha.hex(),
+        rec.entropy.hex(),
+        rec.quantity,
+        _meta_bits(rec.meta),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 12),
+    data=st.data(),
+    seed=st.integers(0, 10_000),
+    orders=st.lists(
+        st.one_of(st.integers(2, 6), st.floats(0.05, 6.0), st.just(1.0)), min_size=1, max_size=6
+    ),
+)
+def test_cached_state_facts_equal_a_fresh_copy(d, data, seed, orders):
+    r = data.draw(st.integers(1, d))
+    rho = random_density(d, r, seed)
+    for _ in range(2):  # the second round reads every value from the caches
+        for a in orders:
+            exact_entropies(rho, a)
+        rho.meta, rho.project_to_support()
+    proj = rho.project_to_support()
+    for a in orders:
+        fresh = random_density(d, r, seed)
+        assert _record_bits(exact_entropies(rho, a)) == _record_bits(exact_entropies(fresh, a))
+        fresh_proj = random_density(d, r, seed).project_to_support()
+        assert _record_bits(exact_entropies(proj, a)) == _record_bits(exact_entropies(fresh_proj, a))
+    fresh = random_density(d, r, seed)
+    assert _meta_bits(rho.meta) == _meta_bits(fresh.meta)
+    fresh_proj = fresh.project_to_support()
+    assert proj.matrix.mat.tobytes() == fresh_proj.matrix.mat.tobytes()
+    assert _meta_bits(proj.meta) == _meta_bits(fresh_proj.meta)
+
+
+def test_state_caches_are_per_state_and_typed():
+    rho = from_spectrum([0.5, 0.3, 0.2], 8)
+    assert rho.meta is rho.meta
+    assert exact_entropies(rho, 2.0) is exact_entropies(rho, 2.0)
+    # an int order is its own entry: its record carries the int
+    assert type(exact_entropies(rho, 2).alpha) is int
+    assert type(exact_entropies(rho, 2.0).alpha) is float
+    assert rho.project_to_support() is rho.project_to_support()
+    assert rho.project_to_support().dim == 3
+    full = from_spectrum([0.5, 0.5], 2)
+    assert full.project_to_support() is full
+    assert "support" not in full._cache
+    # a copy starts with an empty cache
+    assert dataclasses.replace(rho)._cache == {}
+    with pytest.raises(ValueError, match="positive"):
+        exact_entropies(rho, -1.0)
+    with pytest.raises(ValueError, match="positive"):  # errors are not cached
+        exact_entropies(rho, -1.0)
+
+
+def test_nonzero_eigenvalues_are_read_only():
+    rho = random_density(6, 3, seed=2)
+    with pytest.raises(ValueError):
+        rho.nonzero_eigenvalues[0] = 1.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_states_are_rejected(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        from_spectrum([bad, 1.0], 2)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(HermMatrix(np.diag([bad, 1.0]).astype(np.complex128)))
