@@ -17,12 +17,9 @@ from .accountant import (
 )
 from .blockenc import (
     BlockEncoding,
-    DilatedUnitary,
     be_power,
     be_product,
-    dilate,
     encode_density,
-    purified_encode,
     rescale,
 )
 from .config import DEFAULT_CONFIG, TOL, RuntimeConfig, Tolerances
@@ -57,11 +54,8 @@ from .qsvtpoly import (
 from .states import (
     DensityMatrix,
     StateMeta,
-    density_from_text,
-    density_to_text,
     exact_entropies,
     from_spectrum,
-    purify_maximally_mixed,
     random_density,
 )
 
@@ -75,12 +69,9 @@ __all__ = [
     "predicted_samples",
     "propagate_entropy_error",
     "BlockEncoding",
-    "DilatedUnitary",
     "be_power",
     "be_product",
-    "dilate",
     "encode_density",
-    "purified_encode",
     "rescale",
     "DEFAULT_CONFIG",
     "TOL",
@@ -117,10 +108,7 @@ __all__ = [
     "to_monomial",
     "DensityMatrix",
     "StateMeta",
-    "density_from_text",
-    "density_to_text",
     "exact_entropies",
     "from_spectrum",
-    "purify_maximally_mixed",
     "random_density",
 ]

@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULT_CONFIG, TOL, RuntimeConfig
-from .numkernel import HermMatrix, herm_with_spectrum, mat_fun, op_norm, op_norm_dist
-from .states import DensityMatrix, partial_trace_second
+from .numkernel import HermMatrix, herm_with_spectrum, op_norm, op_norm_dist
+from .states import DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -67,24 +67,6 @@ class BlockEncoding:
     @property
     def dim(self) -> int:
         return self.target.dim
-
-
-@dataclass(frozen=True)
-class DilatedUnitary:
-    """Explicit 2d x 2d unitary whose top-left block is the encoded operator."""
-
-    matrix: np.ndarray
-    parent: BlockEncoding
-
-    def __post_init__(self):
-        u = np.asarray(self.matrix)
-        d = self.parent.dim
-        if u.shape != (2 * d, 2 * d):
-            raise ValueError("dilation must double the dimension")
-        if np.linalg.norm(u.conj().T @ u - np.eye(2 * d), 2) > TOL.reconstruction:
-            raise ValueError("dilation is not unitary within tolerance")
-        if np.max(np.abs(u[:d, :d] - self.parent.encoded.mat)) > 1e-12:
-            raise ValueError("top-left block does not match the encoded operator")
 
 
 def widen_for_rounding(bound: float, dim: int) -> float:
@@ -137,6 +119,32 @@ def _perturbed(target: HermMatrix, norm: float, seed: int) -> tuple[HermMatrix, 
     return herm_with_spectrum(clipped, w, spec.eigenvectors), None
 
 
+def _encode(
+    rho: DensityMatrix,
+    delta: float,
+    noise_seed: int,
+    noiseless: bool,
+    cfg: RuntimeConfig,
+    scale: float,
+    subnorm: float,
+) -> BlockEncoding:
+    """Encoding of scale * rho: the shared body of the two public encoders."""
+    if not (0.0 < delta <= 0.5):
+        raise ValueError(f"approximation budget must be in (0, 1/2], got {delta}")
+    spec = rho.spectrum
+    target = herm_with_spectrum(rho.matrix.mat * scale, spec.eigenvalues * scale, spec.eigenvectors)
+    encoded, bound = (target, 0.0) if noiseless else _perturbed(target, delta / 2.0, noise_seed)
+    return BlockEncoding(
+        encoded=encoded,
+        target=target,
+        subnorm=subnorm,
+        ancillas=1,
+        eta=delta,
+        sample_cost=encoding_copy_cost(delta, cfg),
+        dist_bound=bound,
+    )
+
+
 def encode_density(
     rho: DensityMatrix,
     delta: float,
@@ -152,21 +160,7 @@ def encode_density(
     bound only.  Copy cost is ceil((1/delta) log(1/delta)) up to the
     configured constant.
     """
-    if not (0.0 < delta <= 0.5):
-        raise ValueError(f"approximation budget must be in (0, 1/2], got {delta}")
-    spec = rho.spectrum
-    w = spec.eigenvalues * (np.pi / 4.0)
-    target = herm_with_spectrum(rho.matrix.mat * (np.pi / 4.0), w, spec.eigenvectors)
-    encoded, bound = (target, 0.0) if noiseless else _perturbed(target, delta / 2.0, noise_seed)
-    return BlockEncoding(
-        encoded=encoded,
-        target=target,
-        subnorm=4.0 / np.pi,
-        ancillas=1,
-        eta=delta,
-        sample_cost=encoding_copy_cost(delta, cfg),
-        dist_bound=bound,
-    )
+    return _encode(rho, delta, noise_seed, noiseless, cfg, np.pi / 4.0, 4.0 / np.pi)
 
 
 def encode_state_side(
@@ -179,42 +173,11 @@ def encode_state_side(
     """Encoding whose corner is rho itself (no pi/4 prefactor).
 
     Model plumbing for the negative-power route, which consumes the
-    state's own spectrum scale.  Perturbation is capped so the corner
-    norm stays <= 1 even for spectra touching 1; the certified eta is
-    still delta.
+    state's own spectrum scale.  Noise, eta and copy cost are those of
+    `encode_density`; the perturbation is clipped if it would push the
+    corner norm above 1, as it can for spectra touching 1.
     """
-    if not (0.0 < delta <= 0.5):
-        raise ValueError(f"approximation budget must be in (0, 1/2], got {delta}")
-    spec = rho.spectrum
-    target = herm_with_spectrum(rho.matrix.mat, spec.eigenvalues, spec.eigenvectors)
-    encoded, bound = (target, 0.0) if noiseless else _perturbed(target, delta / 2.0, noise_seed)
-    return BlockEncoding(
-        encoded=encoded,
-        target=target,
-        subnorm=1.0,
-        ancillas=1,
-        eta=delta,
-        sample_cost=encoding_copy_cost(delta, cfg),
-        dist_bound=bound,
-    )
-
-
-def dilate(be: BlockEncoding) -> DilatedUnitary:
-    """Explicit unitary completion [[A, sqrt(I-A^2)], [sqrt(I-A^2), -A]]."""
-    a = be.encoded
-    if op_norm(a) > 1.0 + TOL.encoding_norm_slack:
-        raise ValueError("encoding impossible: corner norm exceeds 1")
-    comp = mat_fun(
-        HermMatrix(np.eye(a.dim) - a.mat @ a.mat),
-        lambda x: math.sqrt(max(0.0, x)),
-    )
-    d = a.dim
-    u = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    u[:d, :d] = a.mat
-    u[:d, d:] = comp.mat
-    u[d:, :d] = comp.mat
-    u[d:, d:] = -a.mat
-    return DilatedUnitary(matrix=u, parent=be)
+    return _encode(rho, delta, noise_seed, noiseless, cfg, 1.0, 1.0)
 
 
 def be_product(be1: BlockEncoding, be2: BlockEncoding) -> BlockEncoding:
@@ -262,17 +225,6 @@ def be_power(
     for j in range(1, k):
         out = be_product(out, encode_density(rho, per_factor_delta, noise_seed + j, noiseless, cfg))
     return out
-
-
-def purified_encode(purification: np.ndarray, d: int) -> BlockEncoding:
-    """Exact encoding of the reduced state of a pure vector on C^d (x) C^m."""
-    v = np.asarray(purification, dtype=np.complex128).reshape(-1)
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError(f"purification has norm {nrm!r}, expected 1")
-    red = partial_trace_second(v, d)
-    h = HermMatrix(red)
-    return BlockEncoding(encoded=h, target=h, subnorm=1.0, ancillas=1, eta=0.0, sample_cost=0, dist_bound=0.0)
 
 
 def rescale(be: BlockEncoding, factor: float) -> BlockEncoding:

@@ -158,14 +158,16 @@ def _row(report: EstimateReport, cfg: ExperimentConfig, rho: DensityMatrix, eps_
 def _point_rows(
     rho: DensityMatrix,
     alpha: float,
-    eps_internal: float,
     grid_index: int,
     cfg: ExperimentConfig,
     runtime: RuntimeConfig,
 ) -> list[dict]:
     """CSV rows of `cfg.trials` estimates at one grid point, each on its
-    own seed; the route is chosen once for the point, not per trial."""
+    own seed; the route is chosen once for the point, not per trial.
+    `cfg.eps` is in the report's units, so the estimators, which work in
+    nats, get it converted."""
     mode = "ideal" if cfg.ideal else "noisy"
+    eps_internal = cfg.eps * math.log(2.0) if cfg.log_base == "2" else cfg.eps
     branch = decompose_alpha(alpha).branch
     method = cfg.approach if branch == "von_neumann" else cfg.method if branch == "sub_one" else None
     rows = []
@@ -185,9 +187,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], str]:
         return sweep(cfg)
 
     rho = _build_state(cfg)
-    eps_internal = cfg.eps * math.log(2.0) if cfg.log_base == "2" else cfg.eps
     alpha = 1.0 if cfg.mode == "vonneumann" else cfg.alpha
-    rows = _point_rows(rho, alpha, eps_internal, 1, cfg, cfg.runtime)
+    rows = _point_rows(rho, alpha, 1, cfg, cfg.runtime)
     summary = _summarize(rows)
     return rows, summary
 
@@ -229,8 +230,8 @@ def sweep(cfg: ExperimentConfig) -> tuple[list[dict], str]:
     cfg.validate()
     runtime = cfg.runtime
     rows: list[dict] = []
-    shots_by_point: list[float] = []
-    ledger_by_point: list[float] = []
+    # per-point means of the cost columns, in the order the summary fits them
+    means: dict[str, list[float]] = {"shots": [], "ledger_samples": [], "predicted_samples": []}
     xs: list[float] = []
     for gi, value in enumerate(cfg.grid):
         sub = ExperimentConfig(**{**cfg.__dict__})
@@ -243,41 +244,26 @@ def sweep(cfg: ExperimentConfig) -> tuple[list[dict], str]:
             sub.spectrum = None
             xs.append(math.log(float(value)))
         rho = _build_state(sub)
-        eps_internal = sub.eps * math.log(2.0) if sub.log_base == "2" else sub.eps
         alpha = 1.0 if sub.mode == "vonneumann" else sub.alpha
-        point = _point_rows(rho, alpha, eps_internal, gi + 1, sub, runtime)
+        point = _point_rows(rho, alpha, gi + 1, sub, runtime)
         rows.extend(point)
-        shots_by_point.append(float(np.mean([r["shots"] for r in point])))
-        ledger_by_point.append(float(np.mean([r["ledger_samples"] for r in point])))
+        for column, by_point in means.items():
+            by_point.append(float(np.mean([r[column] for r in point])))
 
-    slope_shots, err_shots = _fit_slope(xs, [math.log(v) for v in shots_by_point])
-    slope_ledger, err_ledger = _fit_slope(xs, [math.log(v) for v in ledger_by_point])
     var_name = "log(1/eps)" if cfg.var == "eps" else "log(rank)"
-    regime = decompose_alpha(1.0 if cfg.mode == "vonneumann" else cfg.alpha)
-    if cfg.var == "eps":
-        reference = "1" if cfg.method == "ae" and regime.branch == "sub_one" else "2"
-        ref_note = f"measurement model predicts slope {reference}"
-    else:
-        ref_note = (
-            f"cost formula for this regime predicts rank exponent "
-            f"{2 * regime.alpha - 2:g}" if regime.branch == "integer" else
-            f"cost formula for this regime predicts rank exponent about {3 * (regime.alpha - 1):g}"
-        )
-    summary = "\n".join(
-        [
-            _summarize(rows),
-            f"slope of log(shots) vs {var_name}: {slope_shots:.3f} +/- {err_shots:.3f}",
-            f"slope of log(ledger_samples) vs {var_name}: {slope_ledger:.3f} +/- {err_ledger:.3f}",
-            ref_note,
-        ]
-    )
-    return rows, summary
+    lines = [_summarize(rows)]
+    for column, by_point in means.items():
+        slope, err = _fit_slope(xs, [math.log(v) for v in by_point])
+        # predicted_samples evaluates the accountant's cost formula, the
+        # reference the measured columns are read against
+        note = " (reference: cost formula)" if column == "predicted_samples" else ""
+        lines.append(f"slope of log({column}) vs {var_name}: {slope:.3f} +/- {err:.3f}{note}")
+    return rows, "\n".join(lines)
 
 
 def _run_validate(cfg: ExperimentConfig) -> tuple[list[dict], str]:
     """Fixture suite: pure and maximally mixed states across every branch,
     plus a statistical block on a fixed three-level spectrum."""
-    # the estimators get eps = 0.1 unconverted, whatever the log base
     fixed = ExperimentConfig(**{**cfg.__dict__, "eps": 0.1, "trials": 3 if cfg.quick else 10})
     runtime = cfg.runtime
     rows: list[dict] = []
@@ -290,12 +276,12 @@ def _run_validate(cfg: ExperimentConfig) -> tuple[list[dict], str]:
     for _, rho in fixtures:
         for alpha in alphas:
             gi += 1
-            rows += _point_rows(rho, alpha, fixed.eps, gi, fixed, runtime)
+            rows += _point_rows(rho, alpha, gi, fixed, runtime)
     diag = from_spectrum([0.5, 0.3, 0.2], 8)
     for alpha, approach in ((2.0, "qsvt"), (1.5, "qsvt"), (1.0, "qsvt"), (1.0, "poly")):
         gi += 1
         sub_cfg = ExperimentConfig(**{**fixed.__dict__, "approach": approach})
-        rows += _point_rows(diag, alpha, fixed.eps, gi, sub_cfg, runtime)
+        rows += _point_rows(diag, alpha, gi, sub_cfg, runtime)
     summary = _summarize(rows)
     coverage = sum(r["pass"] for r in rows) / len(rows)
     summary += f"\nvalidate: {'PASS' if coverage >= 0.9 else 'FAIL'} (threshold 0.9)"

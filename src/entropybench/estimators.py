@@ -4,9 +4,12 @@ Every estimator follows the same skeleton: build the branch-appropriate
 transformed encoding A of the state, read off the exact ancilla-outcome
 probability p0 = Tr(A rho A) it induces, simulate the measurement of p0
 at the budgeted accuracy, and invert the branch's closed-form relation
-between p0 and the entropy.  Reports carry the realized and exact p0,
-the certified operator-error ledger, a p0-level deviation bound, and the
-copy-count bookkeeping.
+between p0 and the entropy.  One private driver, `_pipeline`, runs that
+skeleton; each public branch supplies only its build and inversion
+steps.  `vn_poly` measures many trace powers instead of one p0, so it
+runs its own loop and shares only the report constructor, `_report`.
+Reports carry the realized and exact p0, the certified operator-error
+ledger, a p0-level deviation bound, and the copy-count bookkeeping.
 
 Modes: "ideal" uses noiseless encodings, tight fits, and the exact p0
 (isolating formula correctness); "noisy" injects encoding noise at the
@@ -19,11 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .accountant import MAX_SHOTS, Budget, decompose_alpha, delta_budget, shots_for
+from .accountant import MAX_SHOTS, Budget, RegimeDecomposition, decompose_alpha, delta_budget, shots_for
 from .blockenc import (
     BlockEncoding,
     be_power,
@@ -35,7 +38,7 @@ from .blockenc import (
 from .config import DEFAULT_CONFIG, TOL, RuntimeConfig
 from .numkernel import op_norm
 from .qsvtpoly import apply_poly, approx_log, approx_neg_power, approx_pos_power
-from .states import DensityMatrix, StateMeta, exact_entropies
+from .states import DensityMatrix, EntropyRecord, StateMeta, exact_entropies
 
 LOG_PI_OVER_4 = math.log(math.pi / 4.0)
 
@@ -50,7 +53,6 @@ class MeasurementModel:
 
     p0: float
     mode: str = "bernoulli"  # or "amplitude_estimation"
-    cost_per_query: int = 1
 
     def __post_init__(self):
         if self.mode not in ("bernoulli", "amplitude_estimation"):
@@ -295,54 +297,120 @@ def _gather_inputs(
     return _Inputs(meta=blind_meta, rho_min_lower=rho_min_lower, extra_cost=cost, flags=tuple(flags))
 
 
-def _finish(
-    *,
-    quantity: str,
-    estimate: float,
+@dataclass
+class _Built:
+    """A branch's build step: its p0 pair (realized, exact-operator,
+    deviation bound), the encoding behind it (None when the route needs
+    none), and the smallest eigenvalue the construction assumed."""
+
+    pair: tuple[float, float, float]
+    be: Optional[BlockEncoding] = None
+    rho_min_used: Optional[float] = None
+    sensitivity: Optional[float] = None
+
+
+def _report(
+    regime: RegimeDecomposition,
+    oracle: EntropyRecord,
     eps: float,
     budget: Budget,
-    shots: int,
-    ledger: int,
+    estimate: float,
     method: str,
     seed: int,
-    alpha: float,
-    branch: str,
-    exact: Optional[float],
+    ledger: int,
+    flags: tuple[str, ...],
     p0_measured: Optional[float] = None,
-    p0_pair: Optional[tuple[float, float, float]] = None,
+    pair: tuple = (None, None, 0.0),
     eta: float = 0.0,
     rho_min_used: Optional[float] = None,
     sensitivity: Optional[float] = None,
-    flags: tuple[str, ...] = (),
 ) -> EstimateReport:
-    within = None if exact is None else bool(abs(estimate - exact) <= eps)
-    p0r = p0e = None
-    bound = 0.0
-    if p0_pair is not None:
-        p0r, p0e, bound = p0_pair
+    """The one report constructor: the oracle gives the quantity and the
+    exact value, the regime the order and branch, the budget delta and
+    the shot counts."""
     return EstimateReport(
-        quantity_tag=quantity,
+        quantity_tag=oracle.quantity,
         estimate=float(estimate),
         target_eps=eps,
-        shots_used=shots,
+        shots_used=budget.shots,
         sample_cost_total=int(ledger),
         method=method,
         seed=seed,
         predicted_budget=budget.predicted_samples,
-        alpha=alpha,
-        branch=branch,
+        alpha=regime.alpha,
+        branch=regime.branch,
         delta=budget.delta,
-        exact_value=exact,
-        within_eps=within,
+        exact_value=oracle.entropy,
+        within_eps=bool(abs(estimate - oracle.entropy) <= eps),
         p0_measured=p0_measured,
-        p0_realized=p0r,
-        p0_operator_exact=p0e,
+        p0_realized=pair[0],
+        p0_operator_exact=pair[1],
         eta_operator=eta,
-        p0_error_bound=bound,
+        p0_error_bound=pair[2],
         rho_min_used=rho_min_used,
         sensitivity_rho_min=sensitivity,
         flags=flags,
     )
+
+
+def _pipeline(
+    rho: DensityMatrix,
+    regime: RegimeDecomposition,
+    eps: float,
+    mode: str,
+    seed: int,
+    blind: bool,
+    cfg: RuntimeConfig,
+    build: Callable[[_Inputs, Budget, EntropyRecord], _Built],
+    invert: Callable[[float, _Built, Budget], float],
+    *,
+    method: str,
+    measure_child: int,
+    need_rho_min: bool = True,
+    copies_per_shot: int = 1,
+    blind_flags: tuple[str, ...] = (),
+) -> EstimateReport:
+    """The skeleton every encoded estimator shares.
+
+    Gathers the spectral inputs (oracle or blind) and budgets the run;
+    `build(inputs, budget, oracle)` returns the branch's `_Built`; p0 is
+    then read exactly (ideal mode) or measured on child `measure_child`
+    of the seed, Bernoulli or, for method "ae", by amplitude estimation;
+    `invert(p0_hat, built, budget)` turns it into the entropy.
+    """
+    inputs = _gather_inputs(rho, blind, mode, seed, cfg, need_rho_min)
+    ae = method == "ae"
+    budget = delta_budget(regime, eps, inputs.meta, method="ae" if ae else "sampling", cfg=cfg)
+    oracle = exact_entropies(rho, regime.alpha)
+    built = build(inputs, budget, oracle)
+    p0_hat = built.pair[0]
+    if mode != "ideal":
+        model = MeasurementModel(p0=p0_hat, mode="amplitude_estimation" if ae else "bernoulli")
+        p0_hat = measure_p0(model, budget.measure_delta, _child_seed(seed, measure_child), cfg)
+    estimate = invert(p0_hat, built, budget)
+    be = built.be
+    return _report(
+        regime,
+        oracle,
+        eps,
+        budget,
+        estimate,
+        method,
+        seed,
+        ledger=(be.sample_cost if be else 0) + copies_per_shot * budget.shots + inputs.extra_cost,
+        flags=inputs.flags + (blind_flags if blind else ()),
+        p0_measured=p0_hat,
+        pair=built.pair,
+        eta=be.eta if be else 0.0,
+        rho_min_used=built.rho_min_used,
+        sensitivity=built.sensitivity,
+    )
+
+
+def _nonzero(p0_hat: float, what: str = "measured ancilla probability", budget: str = "shot") -> float:
+    if p0_hat <= 0.0:
+        raise EstimationFailure(f"{what} is zero; increase the {budget} budget")
+    return p0_hat
 
 
 def renyi_integer(
@@ -363,63 +431,24 @@ def renyi_integer(
     if int(alpha) != alpha or alpha < 2:
         raise ValueError(f"order must be an integer >= 2, got {alpha}")
     alpha = int(alpha)
-    inputs = _gather_inputs(rho, blind, mode, seed, cfg, need_rho_min=False)
-    regime = decompose_alpha(float(alpha))
-    budget = delta_budget(regime, eps, inputs.meta, cfg=cfg)
-    oracle = exact_entropies(rho, float(alpha))
-    p = (1.0 + oracle.tr_pow_alpha) / 2.0
-    if mode == "ideal":
-        p_hat = p
-    else:
-        model = MeasurementModel(p0=p, cost_per_query=alpha)
-        p_hat = measure_p0(model, budget.delta, _child_seed(seed, 1), cfg)
-    t_hat = 2.0 * p_hat - 1.0
-    if t_hat <= 0.0:
-        raise EstimationFailure(
-            f"trace-power estimate {t_hat:.3e} is not positive; "
-            "increase the shot budget (smaller eps or larger c_shots)"
-        )
-    estimate = math.log(t_hat) / (1.0 - alpha)
-    ledger = alpha * budget.shots + inputs.extra_cost
-    return _finish(
-        quantity="S_alpha",
-        estimate=estimate,
-        eps=eps,
-        budget=budget,
-        shots=budget.shots,
-        ledger=ledger,
-        method="integer",
-        seed=seed,
-        alpha=float(alpha),
-        branch=regime.branch,
-        exact=oracle.entropy,
-        p0_measured=p_hat,
-        p0_pair=(p, p, 0.0),
-        flags=inputs.flags,
+
+    def build(inputs, budget, oracle):
+        p = (1.0 + oracle.tr_pow_alpha) / 2.0
+        return _Built((p, p, 0.0))
+
+    def invert(p_hat, built, budget):
+        t_hat = 2.0 * p_hat - 1.0
+        if t_hat <= 0.0:
+            raise EstimationFailure(
+                f"trace-power estimate {t_hat:.3e} is not positive; "
+                "increase the shot budget (smaller eps or larger c_shots)"
+            )
+        return math.log(t_hat) / (1.0 - alpha)
+
+    return _pipeline(
+        rho, decompose_alpha(float(alpha)), eps, mode, seed, blind, cfg, build, invert,
+        method="integer", measure_child=1, need_rho_min=False, copies_per_shot=alpha,
     )
-
-
-def _build_case_odd(
-    rho: DensityMatrix,
-    k: int,
-    c: float,
-    delta: float,
-    poly_eps: float,
-    rho_min_lower: float,
-    seed: int,
-    noiseless: bool,
-    cfg: RuntimeConfig,
-) -> BlockEncoding:
-    """Encoding of ((pi/4) rho)^(k + c/2), subnormalization folded out."""
-    kappa = 4.0 / (math.pi * rho_min_lower)
-    fit = approx_pos_power(c / 2.0, kappa, poly_eps, cfg)
-    enc_budget = _clamp_encoding_budget(min(fit.input_precision, delta))
-    branch = apply_poly(encode_density(rho, enc_budget, _child_seed(seed, 0), noiseless, cfg), fit)
-    branch = rescale(branch, 2.0)
-    if k == 0:
-        return branch
-    powers = be_power(rho, k, _clamp_encoding_budget(delta / k), _child_seed(seed, 1), noiseless, cfg)
-    return be_product(powers, branch)
 
 
 def renyi_case_odd(
@@ -440,43 +469,27 @@ def renyi_case_odd(
     regime = decompose_alpha(alpha)
     if regime.branch != "odd_floor":
         raise ValueError(f"order {alpha} is not fractional with odd floor")
-    inputs = _gather_inputs(rho, blind, mode, seed, cfg)
-    budget = delta_budget(regime, eps, inputs.meta, cfg=cfg)
-    be = _build_case_odd(
-        rho,
-        regime.k,
-        regime.c,
-        budget.delta,
-        _poly_budget(budget.delta, cfg, mode),
-        inputs.rho_min_lower,
-        _child_seed(seed, 1),
-        noiseless=(mode == "ideal"),
-        cfg=cfg,
-    )
-    pair = _p0_pair(be, rho.matrix.mat)
-    p0_hat = pair[0] if mode == "ideal" else measure_p0(MeasurementModel(p0=pair[0]), budget.delta, _child_seed(seed, 2), cfg)
-    if p0_hat <= 0.0:
-        raise EstimationFailure("measured ancilla probability is zero; increase the shot budget")
-    estimate = (math.log(p0_hat * math.pi / 4.0) - alpha * LOG_PI_OVER_4) / (1.0 - alpha)
-    oracle = exact_entropies(rho, alpha)
-    return _finish(
-        quantity="S_alpha",
-        estimate=estimate,
-        eps=eps,
-        budget=budget,
-        shots=budget.shots,
-        ledger=be.sample_cost + budget.shots + inputs.extra_cost,
-        method="odd_floor",
-        seed=seed,
-        alpha=alpha,
-        branch=regime.branch,
-        exact=oracle.entropy,
-        p0_measured=p0_hat,
-        p0_pair=pair,
-        eta=be.eta,
-        rho_min_used=inputs.rho_min_lower,
-        flags=inputs.flags,
-    )
+    k, c = regime.k, regime.c
+
+    def build(inputs, budget, oracle):
+        # ((pi/4) rho)^(k + c/2), subnormalization folded out: the fractional
+        # power and the k plain factors draw noise from children of child 1
+        delta = budget.delta
+        noiseless = mode == "ideal"
+        kappa = 4.0 / (math.pi * inputs.rho_min_lower)
+        fit = approx_pos_power(c / 2.0, kappa, _poly_budget(delta, cfg, mode), cfg)
+        enc_budget = _clamp_encoding_budget(min(fit.input_precision, delta))
+        s_build = _child_seed(seed, 1)
+        be = rescale(apply_poly(encode_density(rho, enc_budget, _child_seed(s_build, 0), noiseless, cfg), fit), 2.0)
+        if k > 0:
+            powers = be_power(rho, k, _clamp_encoding_budget(delta / k), _child_seed(s_build, 1), noiseless, cfg)
+            be = be_product(powers, be)
+        return _Built(_p0_pair(be, rho.matrix.mat), be, inputs.rho_min_lower)
+
+    def invert(p0_hat, built, budget):
+        return (math.log(_nonzero(p0_hat) * math.pi / 4.0) - alpha * LOG_PI_OVER_4) / (1.0 - alpha)
+
+    return _pipeline(rho, regime, eps, mode, seed, blind, cfg, build, invert, method="odd_floor", measure_child=2)
 
 
 def renyi_case_even(
@@ -486,7 +499,6 @@ def renyi_case_even(
     mode: str = "noisy",
     seed: int = 0,
     blind: bool = False,
-    support_projection: bool = True,
     cfg: RuntimeConfig = DEFAULT_CONFIG,
 ) -> EstimateReport:
     """Fractional order above 2 with even floor: negative-power route.
@@ -496,59 +508,32 @@ def renyi_case_even(
     p0 = (1/4) (pi/4)^(2k) (1/rho_min)^c Tr rho^alpha, inverted with the
     same rho_min the construction used (its exact division is what makes
     the recovery self-consistent; the report carries the sensitivity).
+    Negative powers are undefined at eigenvalue 0, so a rank-deficient
+    state is restricted to its support first.
     """
     regime = decompose_alpha(alpha)
     if regime.branch != "even_floor":
         raise ValueError(f"order {alpha} is not fractional above 2 with even floor")
-    work = rho
-    if rho.meta.rank < rho.dim:
-        if not support_projection:
-            raise ValueError(
-                "state is rank deficient and support projection is disabled; "
-                "negative powers are undefined at eigenvalue 0"
-            )
-        work = rho.project_to_support()
-    inputs = _gather_inputs(work, blind, mode, seed, cfg)
-    budget = delta_budget(regime, eps, inputs.meta, cfg=cfg)
-    delta = budget.delta
-    poly_eps = _poly_budget(delta, cfg, mode)
+    work = rho.project_to_support()
     k, c = regime.k, regime.c
-    noiseless = mode == "ideal"
 
-    kappa = 1.0 / inputs.rho_min_lower
-    fit = approx_neg_power(abs(c) / 2.0, kappa, poly_eps, cfg)
-    enc_budget = _clamp_encoding_budget(min(fit.input_precision, delta))
-    neg_branch = apply_poly(encode_state_side(work, enc_budget, _child_seed(seed, 1), noiseless, cfg), fit)
-    powers = be_power(work, k, _clamp_encoding_budget(delta / k), _child_seed(seed, 2), noiseless, cfg)
-    be = be_product(powers, neg_branch)
+    def build(inputs, budget, oracle):
+        delta = budget.delta
+        noiseless = mode == "ideal"
+        kappa = 1.0 / inputs.rho_min_lower
+        fit = approx_neg_power(abs(c) / 2.0, kappa, _poly_budget(delta, cfg, mode), cfg)
+        enc_budget = _clamp_encoding_budget(min(fit.input_precision, delta))
+        neg_branch = apply_poly(encode_state_side(work, enc_budget, _child_seed(seed, 1), noiseless, cfg), fit)
+        powers = be_power(work, k, _clamp_encoding_budget(delta / k), _child_seed(seed, 2), noiseless, cfg)
+        be = be_product(powers, neg_branch)
+        rho_min_used = 1.0 / kappa
+        return _Built(_p0_pair(be, work.matrix.mat), be, rho_min_used, c / ((1.0 - alpha) * rho_min_used))
 
-    pair = _p0_pair(be, work.matrix.mat)
-    p0_hat = pair[0] if mode == "ideal" else measure_p0(MeasurementModel(p0=pair[0]), delta, _child_seed(seed, 3), cfg)
-    if p0_hat <= 0.0:
-        raise EstimationFailure("measured ancilla probability is zero; increase the shot budget")
-    rho_min_used = 1.0 / kappa
-    prefactor = 0.25 * (math.pi / 4.0) ** (2 * k) * rho_min_used ** (-c)
-    estimate = (math.log(p0_hat) - math.log(prefactor)) / (1.0 - alpha)
-    oracle = exact_entropies(work, alpha)
-    return _finish(
-        quantity="S_alpha",
-        estimate=estimate,
-        eps=eps,
-        budget=budget,
-        shots=budget.shots,
-        ledger=be.sample_cost + budget.shots + inputs.extra_cost,
-        method="even_floor",
-        seed=seed,
-        alpha=alpha,
-        branch=regime.branch,
-        exact=oracle.entropy,
-        p0_measured=p0_hat,
-        p0_pair=pair,
-        eta=be.eta,
-        rho_min_used=rho_min_used,
-        sensitivity=c / ((1.0 - alpha) * rho_min_used),
-        flags=inputs.flags,
-    )
+    def invert(p0_hat, built, budget):
+        prefactor = 0.25 * (math.pi / 4.0) ** (2 * k) * built.rho_min_used ** (-c)
+        return (math.log(_nonzero(p0_hat)) - math.log(prefactor)) / (1.0 - alpha)
+
+    return _pipeline(work, regime, eps, mode, seed, blind, cfg, build, invert, method="even_floor", measure_child=3)
 
 
 def renyi_sub_one(
@@ -567,7 +552,8 @@ def renyi_sub_one(
     p0 = pi^alpha/(4^(alpha+1) d) Tr rho^alpha by Bernoulli sampling.
     ae: realize (1/2)((pi/4) rho)^alpha, estimate its overlap with the
     maximally entangled purification to additive delta at ~1/delta query
-    cost (d must be a power of 2 for that preparation).
+    cost (d must be a power of 2 for that preparation).  Either way the
+    budget follows the purity, which blind mode estimates.
     """
     regime = decompose_alpha(alpha)
     if regime.branch != "sub_one":
@@ -577,59 +563,41 @@ def renyi_sub_one(
     d = rho.dim
     if method == "ae" and 2 ** int(round(math.log2(d))) != d:
         raise ValueError(f"amplitude-estimation route needs a power-of-2 dimension, got {d}")
-    inputs = _gather_inputs(rho, blind, mode, seed, cfg)
-    flags = inputs.flags
-    if blind:
-        flags = flags + ("budget_from_estimated_purity",)
-    budget = delta_budget(regime, eps, inputs.meta, method=method if method == "ae" else "sampling", cfg=cfg)
-    delta_meas = budget.measure_delta  # dimension-rescaled: the recovery scales by d
-    poly_eps = _poly_budget(delta_meas, cfg, mode)
-    noiseless = mode == "ideal"
-    kappa = 4.0 / (math.pi * inputs.rho_min_lower)
 
-    exponent = alpha / 2.0 if method == "sampling" else alpha
-    fit = approx_pos_power(exponent, kappa, poly_eps, cfg)
-    enc_budget = _clamp_encoding_budget(min(fit.input_precision, delta_meas))
-    be = apply_poly(encode_density(rho, enc_budget, _child_seed(seed, 1), noiseless, cfg), fit)
-
-    mixed = np.eye(d, dtype=np.complex128) / d
-    if method == "sampling":
-        pair = _p0_pair(be, mixed)
-        mm = MeasurementModel(p0=pair[0])
-        p0_hat = pair[0] if mode == "ideal" else measure_p0(mm, delta_meas, _child_seed(seed, 2), cfg)
-        if p0_hat <= 0.0:
-            raise EstimationFailure("measured ancilla probability is zero; increase the shot budget")
-        tr_quarter = 4.0 * d * p0_hat  # Tr ((pi/4) rho)^alpha
-    else:
+    def build(inputs, budget, oracle):
+        delta_meas = budget.measure_delta  # dimension-rescaled: the recovery scales by d
+        kappa = 4.0 / (math.pi * inputs.rho_min_lower)
+        exponent = alpha / 2.0 if method == "sampling" else alpha
+        fit = approx_pos_power(exponent, kappa, _poly_budget(delta_meas, cfg, mode), cfg)
+        enc_budget = _clamp_encoding_budget(min(fit.input_precision, delta_meas))
+        be = apply_poly(encode_density(rho, enc_budget, _child_seed(seed, 1), mode == "ideal", cfg), fit)
+        mixed = np.eye(d, dtype=np.complex128) / d
+        if method == "sampling":
+            return _Built(_p0_pair(be, mixed), be, inputs.rho_min_lower)
+        # amplitude estimation reads the overlap Tr(A I/d), off by at most eta
         q_noisy = min(1.0, max(0.0, float(np.real(np.trace(be.encoded.mat @ mixed)))))
         q_exact = float(np.real(np.trace(be.target.mat @ mixed)))
-        pair = (q_noisy, q_exact, be.eta)
-        mm = MeasurementModel(p0=q_noisy, mode="amplitude_estimation")
-        p0_hat = q_noisy if mode == "ideal" else measure_p0(mm, delta_meas, _child_seed(seed, 2), cfg)
-        if p0_hat <= 0.0:
-            raise EstimationFailure("overlap estimate is zero; increase the query budget")
-        tr_quarter = 2.0 * d * p0_hat
+        return _Built((q_noisy, q_exact, be.eta), be, inputs.rho_min_lower)
 
-    estimate = (math.log(tr_quarter) - alpha * LOG_PI_OVER_4) / (1.0 - alpha)
-    oracle = exact_entropies(rho, alpha)
-    return _finish(
-        quantity="S_alpha",
-        estimate=estimate,
-        eps=eps,
-        budget=budget,
-        shots=budget.shots,
-        ledger=be.sample_cost + budget.shots + inputs.extra_cost,
-        method=method,
-        seed=seed,
-        alpha=alpha,
-        branch=regime.branch,
-        exact=oracle.entropy,
-        p0_measured=p0_hat,
-        p0_pair=pair,
-        eta=be.eta,
-        rho_min_used=inputs.rho_min_lower,
-        flags=flags,
+    def invert(p0_hat, built, budget):
+        if method == "sampling":
+            tr_quarter = 4.0 * d * _nonzero(p0_hat)  # Tr ((pi/4) rho)^alpha
+        else:
+            tr_quarter = 2.0 * d * _nonzero(p0_hat, "overlap estimate", "query")
+        return (math.log(tr_quarter) - alpha * LOG_PI_OVER_4) / (1.0 - alpha)
+
+    return _pipeline(
+        rho, regime, eps, mode, seed, blind, cfg, build, invert,
+        method=method, measure_child=2, blind_flags=("budget_from_estimated_purity",),
     )
+
+
+def _vn_scale(rho_min_lower: float) -> tuple[float, float, float]:
+    """beta = pi rho_min/4, the log-stage scale gamma = 1/(2 log(1/beta)),
+    and the zero-entropy floor gamma log(4/pi) of the direct transform."""
+    beta = math.pi * rho_min_lower / 4.0
+    gamma = 1.0 / (2.0 * math.log(1.0 / beta))
+    return beta, gamma, gamma * math.log(4.0 / math.pi)
 
 
 def vn_qsvt(
@@ -638,7 +606,6 @@ def vn_qsvt(
     mode: str = "noisy",
     seed: int = 0,
     blind: bool = False,
-    support_projection: bool = True,
     cfg: RuntimeConfig = DEFAULT_CONFIG,
 ) -> EstimateReport:
     """Von Neumann entropy by direct spectral transformation.
@@ -647,60 +614,35 @@ def vn_qsvt(
     [pi rho_min/4, 1] to reach gamma * log(4 rho^{-1}/pi) with
     gamma = 1/(2 log(4/(pi rho_min))), take the half power, fold out the
     1/2.  The ancilla gives p0 = gamma log(4/pi) + gamma S_v; shots are
-    budgeted at delta = eps * gamma.
+    budgeted at delta = eps * gamma.  A rank-deficient state is
+    restricted to its support, where the logarithm is defined.
     """
-    work = rho
-    if rho.meta.rank < rho.dim:
-        if not support_projection:
-            raise ValueError("state is rank deficient and support projection is disabled")
-        work = rho.project_to_support()
-    regime = decompose_alpha(1.0)
-    inputs = _gather_inputs(work, blind, mode, seed, cfg)
-    budget = delta_budget(regime, eps, inputs.meta, cfg=cfg)
-    delta = budget.delta
-    noiseless = mode == "ideal"
+    work = rho.project_to_support()
 
-    beta = math.pi * inputs.rho_min_lower / 4.0
-    gamma = 1.0 / (2.0 * math.log(1.0 / beta))
-    stage_eps = cfg.ideal_poly_eps if mode == "ideal" else max(min(5e-4, delta / 32.0), 1e-12)
+    def build(inputs, budget, oracle):
+        delta = budget.delta
+        beta, _, floor2 = _vn_scale(inputs.rho_min_lower)
+        stage_eps = cfg.ideal_poly_eps if mode == "ideal" else max(min(5e-4, delta / 32.0), 1e-12)
+        log_fit = approx_log(beta, stage_eps, cfg)
+        slope = max(1.0, log_fit.lipschitz_bound())
+        enc_budget = _clamp_encoding_budget(stage_eps / (2.0 * slope))
+        b1 = apply_poly(encode_density(work, enc_budget, _child_seed(seed, 1), mode == "ideal", cfg), log_fit)
+        sqrt_fit = approx_pos_power(0.5, 1.0 / floor2, stage_eps, cfg)
+        b2 = rescale(apply_poly(b1, sqrt_fit), 2.0)
+        return _Built(_p0_pair(b2, work.matrix.mat), b2, inputs.rho_min_lower)
 
-    log_fit = approx_log(beta, stage_eps, cfg)
-    slope = max(1.0, log_fit.lipschitz_bound())
-    enc_budget = _clamp_encoding_budget(stage_eps / (2.0 * slope))
-    b1 = apply_poly(encode_density(work, enc_budget, _child_seed(seed, 1), noiseless, cfg), log_fit)
+    def invert(p0_hat, built, budget):
+        _, gamma, floor2 = _vn_scale(built.rho_min_used)
+        margin = 4.0 * budget.delta + built.pair[2]
+        if p0_hat < floor2 - margin:
+            raise EstimationFailure(
+                f"ancilla probability {p0_hat:.4f} sits below the zero-entropy floor "
+                f"{floor2:.4f} by more than the error margin; the run is inconsistent"
+            )
+        return (p0_hat - floor2) / gamma
 
-    floor2 = gamma * math.log(4.0 / math.pi)
-    kappa2 = 1.0 / floor2
-    sqrt_fit = approx_pos_power(0.5, kappa2, stage_eps, cfg)
-    b2 = rescale(apply_poly(b1, sqrt_fit), 2.0)
-
-    pair = _p0_pair(b2, work.matrix.mat)
-    p0_hat = pair[0] if mode == "ideal" else measure_p0(MeasurementModel(p0=pair[0]), delta, _child_seed(seed, 2), cfg)
-    margin = 4.0 * delta + pair[2]
-    if p0_hat < floor2 - margin:
-        raise EstimationFailure(
-            f"ancilla probability {p0_hat:.4f} sits below the zero-entropy floor "
-            f"{floor2:.4f} by more than the error margin; the run is inconsistent"
-        )
-    estimate = (p0_hat - floor2) / gamma
-    oracle = exact_entropies(work, 1.0)
-    return _finish(
-        quantity="S_v",
-        estimate=estimate,
-        eps=eps,
-        budget=budget,
-        shots=budget.shots,
-        ledger=b2.sample_cost + budget.shots + inputs.extra_cost,
-        method="qsvt",
-        seed=seed,
-        alpha=1.0,
-        branch="von_neumann",
-        exact=oracle.entropy,
-        p0_measured=p0_hat,
-        p0_pair=pair,
-        eta=b2.eta,
-        rho_min_used=inputs.rho_min_lower,
-        flags=inputs.flags,
+    return _pipeline(
+        work, decompose_alpha(1.0), eps, mode, seed, blind, cfg, build, invert, method="qsvt", measure_child=2
     )
 
 
@@ -721,7 +663,8 @@ def vn_poly(
     projection is needed).  Per-term accuracy is eps/(2K max(log(1/beta),
     |a_i|)); the coefficient-aware denominator keeps the statistical
     error within budget even when the plain-power basis inflates the
-    coefficients.
+    coefficients.  There is no single p0, so the terms are measured here
+    rather than by `_pipeline`.
     """
     regime = decompose_alpha(1.0)
     inputs = _gather_inputs(rho, blind, mode, seed, cfg)
@@ -767,23 +710,19 @@ def vn_poly(
         estimate += a_i * t_hat
         shots_total += n_i
         ledger += (i + 1) * n_i
-    oracle = exact_entropies(rho, 1.0)
     report_delta = eps / (2.0 * max(1, k_deg) * log_scale)
-    return _finish(
-        quantity="S_v",
-        estimate=estimate,
-        eps=eps,
-        budget=replace(budget, delta=report_delta, shots=max(1, shots_total)),
-        shots=max(1, shots_total),
-        ledger=ledger,
-        method="poly",
-        seed=seed,
-        alpha=1.0,
-        branch="von_neumann",
-        exact=oracle.entropy,
+    return _report(
+        regime,
+        exact_entropies(rho, 1.0),
+        eps,
+        replace(budget, delta=report_delta, shots=max(1, shots_total)),
+        estimate,
+        "poly",
+        seed,
+        ledger,
+        inputs.flags,
         eta=log_scale * 2.0 * log_fit.eps,
         rho_min_used=inputs.rho_min_lower,
-        flags=inputs.flags,
     )
 
 
@@ -809,11 +748,11 @@ def estimate(
     if regime.branch == "odd_floor":
         return renyi_case_odd(rho, alpha, eps, mode, seed, blind, cfg)
     if regime.branch == "even_floor":
-        return renyi_case_even(rho, alpha, eps, mode, seed, blind, cfg=cfg)
+        return renyi_case_even(rho, alpha, eps, mode, seed, blind, cfg)
     if regime.branch == "sub_one":
         return renyi_sub_one(rho, alpha, eps, method or "sampling", mode, seed, blind, cfg)
     if method == "poly":
         return vn_poly(rho, eps, seed, mode, blind, cfg)
     if method not in (None, "qsvt"):
         raise ValueError(f"unknown von Neumann method {method!r}")
-    return vn_qsvt(rho, eps, mode, seed, blind, cfg=cfg)
+    return vn_qsvt(rho, eps, mode, seed, blind, cfg)

@@ -114,14 +114,6 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
-class GateCountRecord:
-    """Gates used to prepare the maximally entangled purification."""
-
-    hadamards: int
-    cnots: int
-
-
-@dataclass(frozen=True)
 class EntropyRecord:
     """Exact oracle output: the trace power, the entropy, and the state summary."""
 
@@ -190,23 +182,6 @@ def _complete_basis(q: np.ndarray) -> np.ndarray:
     return qq[:, r:d]
 
 
-def purify_maximally_mixed(d: int) -> tuple[np.ndarray, GateCountRecord]:
-    """Pure vector on d^2 dimensions whose partial trace is I/d.
-
-    Prepared (conceptually) by log2(d) Hadamards followed by log2(d)
-    CNOTs, hence the power-of-two requirement; the gate record reports
-    exactly that count.
-    """
-    n = int(round(np.log2(d)))
-    if d < 1 or 2**n != d:
-        raise ValueError(f"dimension {d} is not a power of 2")
-    vec = np.zeros(d * d, dtype=np.complex128)
-    for i in range(d):
-        vec[i * d + i] = 1.0
-    vec /= np.sqrt(d)
-    return vec, GateCountRecord(hadamards=n, cnots=n)
-
-
 def exact_entropies(rho: DensityMatrix, alpha: float) -> EntropyRecord:
     """Spectral oracle: Tr rho^alpha and the entropy of order alpha.
 
@@ -230,51 +205,3 @@ def exact_entropies(rho: DensityMatrix, alpha: float) -> EntropyRecord:
         rec = EntropyRecord(alpha=alpha, tr_pow_alpha=t, entropy=s, quantity="S_alpha", meta=rho.meta)
     rho._cache[key] = rec
     return rec
-
-
-def partial_trace_second(vec: np.ndarray, d: int) -> np.ndarray:
-    """Trace out the second register of a pure state on C^d (x) C^m."""
-    v = np.asarray(vec, dtype=np.complex128).reshape(-1)
-    if v.size % d != 0:
-        raise ValueError(f"vector of length {v.size} does not factor as {d} x m")
-    m = v.reshape(d, v.size // d)
-    return m @ m.conj().T
-
-
-def matrix_to_text(mat: np.ndarray) -> str:
-    """Plain-text rendering: 'dim d' then one 'i j re im' line per entry.
-
-    Floats are written with shortest round-trip rendering, so parsing the
-    text reproduces the matrix bit-exactly.
-    """
-    m = np.asarray(mat)
-    d = m.shape[0]
-    lines = [f"dim {d}"]
-    for i in range(d):
-        for j in range(d):
-            z = complex(m[i, j])
-            lines.append(f"{i} {j} {z.real!r} {z.imag!r}")
-    return "\n".join(lines) + "\n"
-
-
-def matrix_from_text(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "dim":
-        raise ValueError(f"expected 'dim d' header, got {lines[0]!r}")
-    d = int(head[1])
-    m = np.zeros((d, d), dtype=np.complex128)
-    if len(lines) - 1 != d * d:
-        raise ValueError(f"expected {d * d} entry lines, got {len(lines) - 1}")
-    for ln in lines[1:]:
-        i, j, re_, im_ = ln.split()
-        m[int(i), int(j)] = complex(float(re_), float(im_))
-    return m
-
-
-def density_to_text(rho: DensityMatrix) -> str:
-    return matrix_to_text(rho.matrix.mat)
-
-
-def density_from_text(text: str) -> DensityMatrix:
-    return DensityMatrix(HermMatrix(matrix_from_text(text)))

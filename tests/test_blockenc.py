@@ -5,14 +5,12 @@ from entropybench.blockenc import (
     BlockEncoding,
     be_power,
     be_product,
-    dilate,
     encode_density,
     encoding_copy_cost,
-    purified_encode,
     rescale,
 )
 from entropybench.numkernel import HermMatrix, mat_fun, op_norm, op_norm_dist
-from entropybench.states import from_spectrum, purify_maximally_mixed, random_density
+from entropybench.states import from_spectrum, random_density
 
 
 def test_encode_pure_noiseless():
@@ -44,30 +42,6 @@ def test_encode_rejects_bad_delta():
             encode_density(rho, bad)
 
 
-def test_dilate_zero_block():
-    be = BlockEncoding(
-        encoded=HermMatrix(np.zeros((2, 2), dtype=complex)),
-        target=HermMatrix(np.zeros((2, 2), dtype=complex)),
-    )
-    u = dilate(be).matrix
-    assert np.allclose(u, np.block([[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]]))
-
-
-def test_dilate_half_identity():
-    h = HermMatrix(np.eye(2, dtype=complex) / 2)
-    u = dilate(BlockEncoding(encoded=h, target=h)).matrix
-    assert np.allclose(u[:2, :2], np.eye(2) / 2)
-    assert np.linalg.norm(u.conj().T @ u - np.eye(4), 2) <= 1e-10
-
-
-def test_dilate_random_density():
-    rho = random_density(4, 4, seed=3)
-    be = encode_density(rho, 0.05, noise_seed=1)
-    u = dilate(be).matrix
-    assert np.linalg.norm(u.conj().T @ u - np.eye(8), 2) <= 1e-10
-    assert np.max(np.abs(u[:4, :4] - be.encoded.mat)) <= 1e-14
-
-
 def test_product_squares_spectrum():
     rho = from_spectrum([0.5, 0.3, 0.2], 3)
     be = encode_density(rho, 0.01, noiseless=True)
@@ -88,8 +62,8 @@ def test_product_eta_composition():
 
 
 def test_product_exact_inputs_zero_eta():
-    vec, _ = purify_maximally_mixed(2)
-    be = purified_encode(vec, 2)
+    h = HermMatrix(np.eye(2, dtype=complex) / 2)
+    be = BlockEncoding(encoded=h, target=h, dist_bound=0.0)
     assert be_product(be, be).eta == 0.0
 
 
@@ -121,31 +95,6 @@ def test_kfold_error_accumulation():
             be = be_power(rho, k, big_delta / k, noise_seed=17)
             assert be.eta <= 1.1 * big_delta
             assert op_norm_dist(be.encoded, be.target) <= be.eta
-
-
-def test_purified_bell():
-    vec, _ = purify_maximally_mixed(2)
-    be = purified_encode(vec, 2)
-    assert np.allclose(be.encoded.mat, np.eye(2) / 2)
-    assert be.eta == 0.0 and be.subnorm == 1.0
-
-
-def test_purified_maximally_mixed_4():
-    vec, _ = purify_maximally_mixed(4)
-    be = purified_encode(vec, 4)
-    assert np.max(np.abs(be.encoded.mat - np.eye(4) / 4)) <= 1e-12
-
-
-def test_purified_product_state():
-    psi = np.array([0.6, 0.8j], dtype=complex)
-    vec = np.kron(psi, np.array([1.0, 0.0]))
-    be = purified_encode(vec, 2)
-    assert np.allclose(be.encoded.mat, np.outer(psi, psi.conj()))
-
-
-def test_purified_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        purified_encode(np.array([1.0, 1.0]), 2)
 
 
 def test_rescale_removes_half():
@@ -190,12 +139,3 @@ def test_three_fold_budget_split():
     be = be_power(rho, 3, eps / 3, noise_seed=5)
     assert be.eta <= eps + eps**2
     assert op_norm_dist(be.encoded, be.target) <= be.eta
-
-
-def test_dilated_unitary_printable():
-    from entropybench.states import matrix_to_text, matrix_from_text
-
-    rho = from_spectrum([0.5, 0.5], 2)
-    u = dilate(encode_density(rho, 0.1, noiseless=True))
-    back = matrix_from_text(matrix_to_text(u.matrix))
-    assert np.array_equal(back, u.matrix)

@@ -67,6 +67,22 @@ def test_log_base_2():
     assert float(rows[0]["estimate"]) == pytest.approx(2.0, abs=1e-9)  # log2(4) bits
 
 
+def test_validate_log_base_2_budgets_in_bits(tmp_path):
+    # validate judges each row against eps in bits, so it must budget that
+    # eps converted to nats, as a single run with the same flags does
+    def first_row(argv):
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()[:2]
+        return dict(zip(header.split(","), row.split(",")))
+
+    val = first_row(["validate", "--log-base", "2", "--quick"])
+    one = first_row(["renyi", "--alpha", "0.5", "--dim", "4", "--spectrum", "1.0", "--log-base", "2", "--eps", "0.1"])
+    assert (val["alpha"], val["d"], val["rank"], val["eps"]) == (one["alpha"], one["d"], one["rank"], one["eps"])
+    assert val["delta"] == one["delta"]
+    assert float(val["delta"]) == pytest.approx(0.1 * math.log(2.0) * 0.5 / 4.0)
+
+
 def test_vonneumann_modes():
     for approach in ("qsvt", "poly"):
         cfg = ExperimentConfig(
@@ -180,7 +196,8 @@ def test_sweep_rank_trend_integer_order():
     ys = [math.log(float(r["ledger_samples"])) for r in rows]
     slope = float(np.polyfit(xs, ys, 1)[0])
     assert abs(slope - 4.0) <= 0.3
-    assert "rank exponent 4" in summary
+    ref = next(ln for ln in summary.splitlines() if ln.startswith("slope of log(predicted_samples) vs log(rank):"))
+    assert abs(float(ref.split(":")[1].split()[0]) - 4.0) <= 0.01
 
 
 def test_invalid_config_lists_all_offenders():

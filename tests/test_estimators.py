@@ -232,8 +232,6 @@ def test_even_maximally_mixed():
 def test_even_rank_deficient_projects():
     r = renyi_case_even(DIAG8, 2.5, 0.05, mode="ideal", seed=2)
     assert abs(r.estimate - exact_entropies(DIAG, 2.5).entropy) <= 1e-8
-    with pytest.raises(ValueError, match="support"):
-        renyi_case_even(DIAG8, 2.5, 0.05, support_projection=False)
 
 
 def test_even_reports_sensitivity():
@@ -369,11 +367,31 @@ def test_monotone_shot_cost():
     assert shots == sorted(shots, reverse=True)
 
 
+BLIND_BASE = ("blind_rank", "blind_purity")
+BLIND_ENCODED = BLIND_BASE + ("blind_rho_min",)
+BLIND_SUB_ONE = BLIND_ENCODED + ("budget_from_estimated_purity",)
+BLIND_ROUTES = [
+    # (alpha, method, flags): every route, with the flags its run must carry
+    (2.0, None, BLIND_BASE),
+    (3.0, None, BLIND_BASE),
+    (1.5, None, BLIND_ENCODED),
+    (3.5, None, BLIND_ENCODED),
+    (4.5, None, BLIND_ENCODED),
+    (0.5, "sampling", BLIND_SUB_ONE),
+    (0.5, "ae", BLIND_SUB_ONE),
+    (1.0, "qsvt", BLIND_ENCODED),
+    (1.0, "poly", BLIND_ENCODED),
+]
+
+
 def test_blind_mode_flags_and_recovers():
     rho = random_density(8, 4, seed=10)
-    r = renyi_case_even(rho, 4.5, 0.1, seed=7, blind=True)
-    assert "blind_rho_min" in r.flags and "blind_rank" in r.flags
-    assert abs(r.estimate - r.exact_value) <= 0.1
+    for alpha, method, flags in BLIND_ROUTES:
+        r = estimate(rho, alpha, 0.1, seed=7, method=method, blind=True)
+        assert r.flags == flags, (alpha, method)
+        assert abs(r.estimate - r.exact_value) <= 0.1, (alpha, method)
+        # the same route without blind mode carries no flags
+        assert estimate(rho, alpha, 0.1, seed=7, method=method).flags == (), (alpha, method)
 
 
 def test_error_propagation_inequality_sampled():
@@ -520,7 +538,7 @@ def test_blind_inputs_and_measurement_keep_their_seeds(monkeypatch):
     r = renyi_integer(rho, 2, 0.1, seed=9, blind=True)
     s_in, s_meas = _spawned(9, 2)
     assert seen == [_spawned(s_in, 3)[0]]
-    model = MeasurementModel(p0=(1.0 + exact_entropies(rho, 2.0).tr_pow_alpha) / 2.0, cost_per_query=2)
+    model = MeasurementModel(p0=(1.0 + exact_entropies(rho, 2.0).tr_pow_alpha) / 2.0)
     assert r.p0_measured == measure_p0(model, r.delta, s_meas)
 
 

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import Chebyshev
 
 from entropybench import qsvtpoly
-from entropybench.blockenc import encode_density, purified_encode
+from entropybench.blockenc import BlockEncoding, encode_density
 from entropybench.config import DEFAULT_CONFIG
 from entropybench.estimators import vn_qsvt
-from entropybench.numkernel import op_norm_dist
+from entropybench.numkernel import HermMatrix, op_norm_dist
 from entropybench.qsvtpoly import (
     DegreeCapExceeded,
     PolyApprox,
@@ -24,7 +24,7 @@ from entropybench.qsvtpoly import (
     pos_power_input_precision,
     to_monomial,
 )
-from entropybench.states import from_spectrum, purify_maximally_mixed, random_density
+from entropybench.states import from_spectrum, random_density
 
 
 def dense_grid(lo, hi, n=400):
@@ -154,8 +154,8 @@ def test_apply_pos_power_spectrum():
 
 
 def test_apply_noiseless_eta_equals_eps():
-    vec, _ = purify_maximally_mixed(4)
-    be = purified_encode(vec, 4)  # eta = 0 exactly
+    h = HermMatrix(np.eye(4, dtype=complex) / 4)
+    be = BlockEncoding(encoded=h, target=h, dist_bound=0.0)  # eta = 0 exactly
     p = approx_pos_power(0.5, 8.0, 1e-5)
     out = apply_poly(be, p)
     assert out.eta == p.eps

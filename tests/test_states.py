@@ -7,12 +7,8 @@ from hypothesis import given, settings, strategies as st
 from entropybench.numkernel import op_norm_dist, HermMatrix
 from entropybench.states import (
     DensityMatrix,
-    density_from_text,
-    density_to_text,
     exact_entropies,
     from_spectrum,
-    partial_trace_second,
-    purify_maximally_mixed,
     random_density,
 )
 
@@ -131,30 +127,6 @@ def test_renyi_monotone_in_alpha(seed):
         assert y <= x + 1e-10
 
 
-def test_purify_bell_state():
-    vec, gates = purify_maximally_mixed(2)
-    expect = np.zeros(4)
-    expect[0] = expect[3] = 1 / np.sqrt(2)
-    assert np.allclose(vec, expect)
-    assert (gates.hadamards, gates.cnots) == (1, 1)
-
-
-def test_purify_partial_trace():
-    vec, _ = purify_maximally_mixed(4)
-    pt = partial_trace_second(vec, 4)
-    assert np.max(np.abs(pt - np.eye(4) / 4)) <= 1e-12
-
-
-def test_purify_gate_record_d8():
-    _, gates = purify_maximally_mixed(8)
-    assert (gates.hadamards, gates.cnots) == (3, 3)
-
-
-def test_purify_rejects_non_power_of_two():
-    with pytest.raises(ValueError):
-        purify_maximally_mixed(3)
-
-
 def test_support_projection():
     rho = from_spectrum([0.5, 0.3, 0.2], 8)
     proj = rho.project_to_support()
@@ -162,20 +134,6 @@ def test_support_projection():
     assert exact_entropies(proj, 1.7).entropy == pytest.approx(
         exact_entropies(rho, 1.7).entropy, abs=1e-12
     )
-
-
-def test_text_round_trip_bit_exact():
-    rho = random_density(5, 3, seed=99)
-    back = density_from_text(density_to_text(rho))
-    assert np.array_equal(back.matrix.mat, rho.matrix.mat)
-
-
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 1000))
-def test_text_round_trip_property(seed):
-    rho = random_density(4, 2, seed)
-    back = density_from_text(density_to_text(rho))
-    assert np.array_equal(back.matrix.mat, rho.matrix.mat)
 
 
 def test_spectrum_cache_consistent():
