@@ -22,7 +22,7 @@ from .blockenc import (
     encode_density,
     rescale,
 )
-from .config import DEFAULT_CONFIG, TOL, RuntimeConfig, Tolerances
+from .config import TOL, Tolerances
 from .estimators import (
     EstimateReport,
     EstimationFailure,
@@ -73,9 +73,7 @@ __all__ = [
     "be_product",
     "encode_density",
     "rescale",
-    "DEFAULT_CONFIG",
     "TOL",
-    "RuntimeConfig",
     "Tolerances",
     "EstimateReport",
     "EstimationFailure",

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import DEFAULT_CONFIG, RuntimeConfig
 from .states import StateMeta
 
 _INT_TOL = 1e-9
@@ -47,7 +46,6 @@ class Budget:
     delta: float
     shots: int
     predicted_samples: int
-    formula_tag: str
     measure_delta: float = 0.0
 
     def __post_init__(self):
@@ -86,7 +84,13 @@ def decompose_alpha(alpha: float) -> RegimeDecomposition:
     return RegimeDecomposition(alpha=alpha, k=k, c=c, branch=branch)
 
 
-def shots_for(mode: str, delta: float, cfg: RuntimeConfig = DEFAULT_CONFIG, limit: float = MAX_SHOTS) -> int:
+# Shot multiplier: the default of 4 is calibrated so seeded runs hit >= 95%
+# empirical coverage on the statistical fixtures; 1 reproduces the bare
+# 1/delta^2 bookkeeping.
+C_SHOTS = 4.0
+
+
+def shots_for(mode: str, delta: float, c_shots: float = C_SHOTS, limit: float = MAX_SHOTS) -> int:
     """Shots at accuracy delta: ceil(c_shots/delta^2) Bernoulli draws, or
     ceil(c_shots/delta) queries in the amplitude-estimation model.
 
@@ -94,43 +98,34 @@ def shots_for(mode: str, delta: float, cfg: RuntimeConfig = DEFAULT_CONFIG, limi
     by default the largest count the sampler can draw.
     """
     try:
-        n = cfg.c_shots / delta if mode == "amplitude_estimation" else cfg.c_shots / delta**2
+        n = c_shots / delta if mode == "amplitude_estimation" else c_shots / delta**2
     except ZeroDivisionError:  # delta or delta**2 is 0
         n = math.inf
     except OverflowError:  # delta**2 exceeds the float range: the count rounds to 0
         n = 0.0
     if not (math.isfinite(n) and n <= limit):
         raise ValueError(
-            f"accuracy {delta:.3e} needs {n:.3e} shots at c_shots={cfg.c_shots:g}, "
+            f"accuracy {delta:.3e} needs {n:.3e} shots at c_shots={c_shots:g}, "
             f"not a finite count of at most {limit:.3e}"
         )
     return int(math.ceil(n))
 
 
-def _accuracy(regime: RegimeDecomposition, eps: float, meta: StateMeta) -> tuple[float, str]:
-    """delta_budget's trace-functional accuracy and its formula tag."""
+def _accuracy(regime: RegimeDecomposition, eps: float, meta: StateMeta) -> float:
+    """delta_budget's trace-functional accuracy."""
     a, r = regime.alpha, meta.rank
     if regime.branch == "integer":
         if abs(a - 2.0) <= _INT_TOL:
-            delta = eps / (2.0 * r)
-            tag = "integer_alpha2"
-        else:
-            delta = abs(1.0 - a) * eps / (2.0 * r ** (a - 1.0))
-            tag = "integer"
-    elif regime.branch == "sub_one":
-        delta = eps * abs(1.0 - a) * meta.purity ** (a - 1.0) / 4.0
-        tag = "sub_one"
-    elif regime.branch == "von_neumann":
+            return eps / (2.0 * r)
+        return abs(1.0 - a) * eps / (2.0 * r ** (a - 1.0))
+    if regime.branch == "sub_one":
+        return eps * abs(1.0 - a) * meta.purity ** (a - 1.0) / 4.0
+    if regime.branch == "von_neumann":
         gamma = 1.0 / (2.0 * math.log(4.0 / (math.pi * meta.rho_min)))
-        delta = eps * gamma
-        tag = "von_neumann"
-    elif 1.0 < a <= 2.0:
-        delta = eps * abs(1.0 - a) / (6.0 * r)
-        tag = "fractional_1to2"
-    else:
-        delta = eps * abs(1.0 - a) / (6.0 * r ** (a - 1.0))
-        tag = "fractional_gt2"
-    return delta, tag
+        return eps * gamma
+    if 1.0 < a <= 2.0:
+        return eps * abs(1.0 - a) / (6.0 * r)
+    return eps * abs(1.0 - a) / (6.0 * r ** (a - 1.0))
 
 
 def delta_budget(
@@ -138,13 +133,13 @@ def delta_budget(
     eps: float,
     meta: StateMeta,
     method: str = "sampling",
-    cfg: RuntimeConfig = DEFAULT_CONFIG,
+    c_shots: float = C_SHOTS,
 ) -> Budget:
     """Trace-functional accuracy and shot count for a target entropy accuracy."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     try:
-        delta, tag = _accuracy(regime, eps, meta)
+        delta = _accuracy(regime, eps, meta)
     except (OverflowError, ZeroDivisionError) as exc:
         raise ValueError(
             f"accuracy budget for order {regime.alpha} at eps={eps:.3e} is outside the float range"
@@ -153,15 +148,9 @@ def delta_budget(
     if regime.branch == "sub_one":
         # the recovery multiplies the raw statistic by the dimension
         measure_delta = delta / (2.0 * meta.dim if method == "ae" else 4.0 * meta.dim)
-    shots = shots_for("amplitude_estimation" if method == "ae" else "bernoulli", measure_delta, cfg)
-    predicted = predicted_samples(regime, eps, meta, d=meta.dim, method=method, cfg=cfg)
-    return Budget(
-        delta=delta,
-        shots=shots,
-        predicted_samples=predicted,
-        formula_tag=tag,
-        measure_delta=measure_delta,
-    )
+    shots = shots_for("amplitude_estimation" if method == "ae" else "bernoulli", measure_delta, c_shots)
+    predicted = predicted_samples(regime, eps, meta, d=meta.dim, method=method)
+    return Budget(delta=delta, shots=shots, predicted_samples=predicted, measure_delta=measure_delta)
 
 
 def _ln(x: float) -> float:
@@ -175,17 +164,15 @@ def predicted_samples(
     meta: StateMeta,
     d: int,
     method: str = "sampling",
-    cfg: RuntimeConfig = DEFAULT_CONFIG,
 ) -> int:
     """Evaluate the protocol's cost formula for this regime.
 
-    Constants are all 1 (times the configured global multiplier),
-    logarithms natural and clamped at 1.  A comparison yardstick for the
-    empirical ledgers, not a guarantee.  A count outside the float range
-    raises ValueError.
+    Constants are all 1, logarithms natural and clamped at 1.  A
+    comparison yardstick for the empirical ledgers, not a guarantee.  A
+    count outside the float range raises ValueError.
     """
     try:
-        return int(math.ceil(cfg.big_o_multiplier * _cost_formula(regime, eps, meta, d, method)))
+        return int(math.ceil(_cost_formula(regime, eps, meta, d, method)))
     except (OverflowError, ZeroDivisionError) as exc:
         raise ValueError(
             f"predicted sample count for order {regime.alpha} at eps={eps:.3e} is outside the float range"

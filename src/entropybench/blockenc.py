@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, TOL, RuntimeConfig
+from .config import TOL
 from .numkernel import HermMatrix, herm_with_spectrum, op_norm, op_norm_dist
 from .states import DensityMatrix
 
@@ -76,9 +76,9 @@ def widen_for_rounding(bound: float, dim: int) -> float:
     return bound * (1.0 + 1e-12) + dim * 1e-15
 
 
-def encoding_copy_cost(delta: float, cfg: RuntimeConfig = DEFAULT_CONFIG) -> int:
+def encoding_copy_cost(delta: float) -> int:
     """Copies of the state consumed to realize a delta-accurate encoding."""
-    return int(math.ceil(cfg.c_copy_cost * (1.0 / delta) * math.log(1.0 / delta)))
+    return int(math.ceil((1.0 / delta) * math.log(1.0 / delta)))
 
 
 def _random_perturbation(dim: int, norm: float, seed: int) -> np.ndarray:
@@ -124,7 +124,6 @@ def _encode(
     delta: float,
     noise_seed: int,
     noiseless: bool,
-    cfg: RuntimeConfig,
     scale: float,
     subnorm: float,
 ) -> BlockEncoding:
@@ -140,7 +139,7 @@ def _encode(
         subnorm=subnorm,
         ancillas=1,
         eta=delta,
-        sample_cost=encoding_copy_cost(delta, cfg),
+        sample_cost=encoding_copy_cost(delta),
         dist_bound=bound,
     )
 
@@ -150,17 +149,15 @@ def encode_density(
     delta: float,
     noise_seed: int = 0,
     noiseless: bool = False,
-    cfg: RuntimeConfig = DEFAULT_CONFIG,
 ) -> BlockEncoding:
     """Encoding of (pi/4) * rho with approximation budget delta.
 
     The realized corner is the target plus a seeded random Hermitian
     perturbation of operator norm delta/2 (half the certified budget);
     in noiseless mode the perturbation is dropped and delta is kept as a
-    bound only.  Copy cost is ceil((1/delta) log(1/delta)) up to the
-    configured constant.
+    bound only.  Copy cost is ceil((1/delta) log(1/delta)).
     """
-    return _encode(rho, delta, noise_seed, noiseless, cfg, np.pi / 4.0, 4.0 / np.pi)
+    return _encode(rho, delta, noise_seed, noiseless, np.pi / 4.0, 4.0 / np.pi)
 
 
 def encode_state_side(
@@ -168,7 +165,6 @@ def encode_state_side(
     delta: float,
     noise_seed: int = 0,
     noiseless: bool = False,
-    cfg: RuntimeConfig = DEFAULT_CONFIG,
 ) -> BlockEncoding:
     """Encoding whose corner is rho itself (no pi/4 prefactor).
 
@@ -177,7 +173,7 @@ def encode_state_side(
     `encode_density`; the perturbation is clipped if it would push the
     corner norm above 1, as it can for spectra touching 1.
     """
-    return _encode(rho, delta, noise_seed, noiseless, cfg, 1.0, 1.0)
+    return _encode(rho, delta, noise_seed, noiseless, 1.0, 1.0)
 
 
 def be_product(be1: BlockEncoding, be2: BlockEncoding) -> BlockEncoding:
@@ -216,14 +212,13 @@ def be_power(
     per_factor_delta: float,
     noise_seed: int = 0,
     noiseless: bool = False,
-    cfg: RuntimeConfig = DEFAULT_CONFIG,
 ) -> BlockEncoding:
     """k-fold product of fresh encodings of (pi/4) rho, one noise seed each."""
     if k < 1:
         raise ValueError("power must be >= 1")
-    out = encode_density(rho, per_factor_delta, noise_seed, noiseless, cfg)
+    out = encode_density(rho, per_factor_delta, noise_seed, noiseless)
     for j in range(1, k):
-        out = be_product(out, encode_density(rho, per_factor_delta, noise_seed + j, noiseless, cfg))
+        out = be_product(out, encode_density(rho, per_factor_delta, noise_seed + j, noiseless))
     return out
 
 

@@ -22,8 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .accountant import decompose_alpha
-from .config import DEFAULT_CONFIG, RuntimeConfig
+from .accountant import C_SHOTS, decompose_alpha
 from .estimators import EstimateReport, EstimationFailure, estimate
 from .qsvtpoly import DegreeCapExceeded
 from .states import DensityMatrix, from_spectrum, random_density
@@ -75,7 +74,7 @@ class ExperimentConfig:
     blind: bool = False
     quick: bool = False
     out: Optional[str] = None
-    c_shots: float = DEFAULT_CONFIG.c_shots
+    c_shots: float = C_SHOTS
 
     def validate(self) -> None:
         problems = []
@@ -108,10 +107,6 @@ class ExperimentConfig:
                 problems.append(f"rank grid {self.grid} (need integers in [1, {self.d}])")
         if problems:
             raise UsageError("invalid config fields: " + ", ".join(problems))
-
-    @property
-    def runtime(self) -> RuntimeConfig:
-        return DEFAULT_CONFIG.with_(c_shots=self.c_shots)
 
 
 def _trial_seed(master: int, grid_index: int, trial: int) -> int:
@@ -155,13 +150,7 @@ def _row(report: EstimateReport, cfg: ExperimentConfig, rho: DensityMatrix, eps_
     }
 
 
-def _point_rows(
-    rho: DensityMatrix,
-    alpha: float,
-    grid_index: int,
-    cfg: ExperimentConfig,
-    runtime: RuntimeConfig,
-) -> list[dict]:
+def _point_rows(rho: DensityMatrix, alpha: float, grid_index: int, cfg: ExperimentConfig) -> list[dict]:
     """CSV rows of `cfg.trials` estimates at one grid point, each on its
     own seed; the route is chosen once for the point, not per trial.
     `cfg.eps` is in the report's units, so the estimators, which work in
@@ -173,7 +162,9 @@ def _point_rows(
     rows = []
     for t in range(cfg.trials):
         seed = _trial_seed(cfg.seed, grid_index, t)
-        rep = estimate(rho, alpha, eps_internal, seed=seed, mode=mode, method=method, blind=cfg.blind, cfg=runtime)
+        rep = estimate(
+            rho, alpha, eps_internal, seed=seed, mode=mode, method=method, blind=cfg.blind, c_shots=cfg.c_shots
+        )
         rows.append(_row(rep, cfg, rho, cfg.eps))
     return rows
 
@@ -188,7 +179,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], str]:
 
     rho = _build_state(cfg)
     alpha = 1.0 if cfg.mode == "vonneumann" else cfg.alpha
-    rows = _point_rows(rho, alpha, 1, cfg, cfg.runtime)
+    rows = _point_rows(rho, alpha, 1, cfg)
     summary = _summarize(rows)
     return rows, summary
 
@@ -228,7 +219,6 @@ def _fit_slope(x: list[float], y: list[float]) -> tuple[float, float]:
 def sweep(cfg: ExperimentConfig) -> tuple[list[dict], str]:
     """Grid sweep with scaling-exponent fits of the cost columns."""
     cfg.validate()
-    runtime = cfg.runtime
     rows: list[dict] = []
     # per-point means of the cost columns, in the order the summary fits them
     means: dict[str, list[float]] = {"shots": [], "ledger_samples": [], "predicted_samples": []}
@@ -245,7 +235,7 @@ def sweep(cfg: ExperimentConfig) -> tuple[list[dict], str]:
             xs.append(math.log(float(value)))
         rho = _build_state(sub)
         alpha = 1.0 if sub.mode == "vonneumann" else sub.alpha
-        point = _point_rows(rho, alpha, gi + 1, sub, runtime)
+        point = _point_rows(rho, alpha, gi + 1, sub)
         rows.extend(point)
         for column, by_point in means.items():
             by_point.append(float(np.mean([r[column] for r in point])))
@@ -265,7 +255,6 @@ def _run_validate(cfg: ExperimentConfig) -> tuple[list[dict], str]:
     """Fixture suite: pure and maximally mixed states across every branch,
     plus a statistical block on a fixed three-level spectrum."""
     fixed = ExperimentConfig(**{**cfg.__dict__, "eps": 0.1, "trials": 3 if cfg.quick else 10})
-    runtime = cfg.runtime
     rows: list[dict] = []
     fixtures = [
         ("pure", from_spectrum([1.0], 4)),
@@ -276,12 +265,12 @@ def _run_validate(cfg: ExperimentConfig) -> tuple[list[dict], str]:
     for _, rho in fixtures:
         for alpha in alphas:
             gi += 1
-            rows += _point_rows(rho, alpha, gi, fixed, runtime)
+            rows += _point_rows(rho, alpha, gi, fixed)
     diag = from_spectrum([0.5, 0.3, 0.2], 8)
     for alpha, approach in ((2.0, "qsvt"), (1.5, "qsvt"), (1.0, "qsvt"), (1.0, "poly")):
         gi += 1
         sub_cfg = ExperimentConfig(**{**fixed.__dict__, "approach": approach})
-        rows += _point_rows(diag, alpha, gi, sub_cfg, runtime)
+        rows += _point_rows(diag, alpha, gi, sub_cfg)
     summary = _summarize(rows)
     coverage = sum(r["pass"] for r in rows) / len(rows)
     summary += f"\nvalidate: {'PASS' if coverage >= 0.9 else 'FAIL'} (threshold 0.9)"
@@ -384,6 +373,8 @@ def config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
     for key, raw in file_values.items():
         if key == "dim":
             key = "d"
+        if key == "mode":
+            raise UsageError("config key 'mode' is not accepted; the subcommand sets the mode")
         if not hasattr(cfg, key):
             raise UsageError(f"unknown config key {key!r}")
         if key in _BOOL_KEYS:

@@ -1,13 +1,15 @@
-"""Centralized numerical tolerances and tunable constants.
+"""Centralized numerical tolerances.
 
-Every module and every test reads its thresholds from the two records
-below so that library and test suite can never disagree about what
-"close enough" means.
+Every module and every test reads its thresholds from the record below
+so that library and test suite can never disagree about what "close
+enough" means.  The run's one setting, the shot multiplier, is the
+`c_shots` argument of the estimators (default `accountant.C_SHOTS`);
+every other fixed constant sits beside its only reader.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -33,43 +35,7 @@ class Tolerances:
     poly_bound_slack: float = 1e-9
 
 
-@dataclass(frozen=True)
-class RuntimeConfig:
-    """Tunable constants exposed to callers.
-
-    c_shots scales every shot budget: a Bernoulli estimate at accuracy
-    delta uses ceil(c_shots / delta^2) shots and the additive-noise
-    amplitude-estimation model uses ceil(c_shots / delta) queries.  The
-    default of 4 is calibrated so seeded runs hit >= 95% empirical
-    coverage on the statistical fixtures; set it to 1 to reproduce the
-    bare 1/delta^2 bookkeeping.
-    """
-
-    # shot multiplier, see above
-    c_shots: float = 4.0
-    # constant in the copy cost ceil(c * (1/D) log(1/D)) of the
-    # density-to-block-encoding construction
-    c_copy_cost: float = 1.0
-    # degree-cap constant: log fits may use up to c_log*(1/beta)*ln(1/eps)
-    c_log: float = 8.0
-    # degree-cap constant for power-function fits
-    c_power: float = 8.0
-    # single global multiplier on every predicted sample-count formula
-    big_o_multiplier: float = 1.0
-    # additive accuracy of the simulated minimum-eigenvalue subroutine
-    # when an estimator has to run it (blind mode)
-    blind_theta: float = 0.02
-    # monomial conversion refuses degrees above this (ill-conditioned)
-    monomial_degree_cap: int = 30
-    # polynomial sup error used by ideal-mode pipelines
-    ideal_poly_eps: float = 1e-8
-
-    def with_(self, **kw) -> "RuntimeConfig":
-        return replace(self, **kw)
-
-
 TOL = Tolerances()
-DEFAULT_CONFIG = RuntimeConfig()
 
 # dimensions the dense kernel accepts
 MAX_DIM = 64

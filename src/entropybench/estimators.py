@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .accountant import MAX_SHOTS, Budget, RegimeDecomposition, decompose_alpha, delta_budget, shots_for
+from .accountant import C_SHOTS, MAX_SHOTS, Budget, RegimeDecomposition, decompose_alpha, delta_budget, shots_for
 from .blockenc import (
     BlockEncoding,
     be_power,
@@ -35,12 +35,17 @@ from .blockenc import (
     encode_state_side,
     rescale,
 )
-from .config import DEFAULT_CONFIG, TOL, RuntimeConfig
+from .config import TOL
 from .numkernel import op_norm
-from .qsvtpoly import apply_poly, approx_log, approx_neg_power, approx_pos_power
+from .qsvtpoly import MONOMIAL_DEGREE_CAP, apply_poly, approx_log, approx_neg_power, approx_pos_power
 from .states import DensityMatrix, EntropyRecord, StateMeta, exact_entropies
 
 LOG_PI_OVER_4 = math.log(math.pi / 4.0)
+# additive accuracy of the simulated minimum-eigenvalue subroutine when an
+# estimator has to run it (blind mode)
+BLIND_THETA = 0.02
+# polynomial sup error used by ideal-mode pipelines
+IDEAL_POLY_EPS = 1e-8
 
 
 class EstimationFailure(RuntimeError):
@@ -66,7 +71,7 @@ def measure_p0(
     model: MeasurementModel,
     delta: float,
     seed: int,
-    cfg: RuntimeConfig = DEFAULT_CONFIG,
+    c_shots: float = C_SHOTS,
 ) -> float:
     """Simulated estimate of p0 at accuracy parameter delta.
 
@@ -78,7 +83,7 @@ def measure_p0(
     if not (0.0 < delta < 1.0):
         raise ValueError(f"accuracy parameter must be in (0, 1), got {delta}")
     rng = np.random.default_rng(seed)
-    n = shots_for(model.mode, delta, cfg)
+    n = shots_for(model.mode, delta, c_shots)
     if model.mode == "bernoulli":
         return float(rng.binomial(n, model.p0) / n)
     return float(model.p0 + rng.uniform(-delta, delta))
@@ -159,9 +164,9 @@ def _p0_pair(be: BlockEncoding, rho_mat: np.ndarray) -> tuple[float, float, floa
     return min(1.0, max(0.0, p_noisy)), min(1.0, max(0.0, p_exact)), bound
 
 
-def _poly_budget(delta: float, cfg: RuntimeConfig, mode: str) -> float:
+def _poly_budget(delta: float, mode: str) -> float:
     if mode == "ideal":
-        return cfg.ideal_poly_eps
+        return IDEAL_POLY_EPS
     return min(delta, 0.4)
 
 
@@ -169,12 +174,7 @@ def _clamp_encoding_budget(x: float) -> float:
     return float(min(0.5, max(1e-300, x)))
 
 
-def min_eig_estimate(
-    be: BlockEncoding,
-    theta: float,
-    seed: int = 0,
-    cfg: RuntimeConfig = DEFAULT_CONFIG,
-) -> MinEigResult:
+def min_eig_estimate(be: BlockEncoding, theta: float, seed: int = 0) -> MinEigResult:
     """Smallest nonzero eigenvalue of the encoded block, up to additive theta.
 
     theta = 0 returns the exact value at zero ledger cost; otherwise
@@ -254,10 +254,10 @@ class _Inputs:
     flags: tuple[str, ...] = ()
 
 
-def _estimate_purity(rho: DensityMatrix, seed: int, cfg: RuntimeConfig, delta: float = 0.05) -> tuple[float, int]:
+def _estimate_purity(rho: DensityMatrix, seed: int, c_shots: float, delta: float = 0.05) -> tuple[float, int]:
     """Preliminary order-2 trace estimate used by blind budgets."""
     t2 = rho.meta.purity
-    n = shots_for("bernoulli", delta, cfg)
+    n = shots_for("bernoulli", delta, c_shots)
     rng = np.random.default_rng(seed)
     t2_hat = 2.0 * rng.binomial(n, (1.0 + t2) / 2.0) / n - 1.0
     return float(min(1.0, max(t2_hat, 1.0 / rho.dim))), 2 * n
@@ -268,7 +268,7 @@ def _gather_inputs(
     blind: bool,
     mode: str,
     seed: int,
-    cfg: RuntimeConfig,
+    c_shots: float,
     need_rho_min: bool = True,
 ) -> _Inputs:
     """`seed` is the estimate's own seed: blind probes draw from its
@@ -277,14 +277,14 @@ def _gather_inputs(
     if not blind:
         return _Inputs(meta=meta, rho_min_lower=meta.rho_min)
     s_pur, s_min, s_enc = _child_seeds(_child_seed(seed, 0), 3)
-    t2_hat, cost = _estimate_purity(rho, s_pur, cfg)
+    t2_hat, cost = _estimate_purity(rho, s_pur, c_shots)
     r_hat = max(1, min(rho.dim, int(math.ceil(1.0 / t2_hat - 1e-9))))
     flags = ["blind_rank", "blind_purity"]
     rho_min_lower = meta.rho_min
     if need_rho_min:
-        probe = encode_density(rho, 0.01, s_enc, noiseless=(mode == "ideal"), cfg=cfg)
-        res = min_eig_estimate(probe, cfg.blind_theta, s_min, cfg)
-        rho_min_lower = max((res.estimate - cfg.blind_theta) * 4.0 / math.pi, 1e-4)
+        probe = encode_density(rho, 0.01, s_enc, noiseless=(mode == "ideal"))
+        res = min_eig_estimate(probe, BLIND_THETA, s_min)
+        rho_min_lower = max((res.estimate - BLIND_THETA) * 4.0 / math.pi, 1e-4)
         cost += probe.sample_cost + res.sample_cost
         flags.append("blind_rho_min")
     blind_meta = StateMeta(
@@ -360,7 +360,7 @@ def _pipeline(
     mode: str,
     seed: int,
     blind: bool,
-    cfg: RuntimeConfig,
+    c_shots: float,
     build: Callable[[_Inputs, Budget, EntropyRecord], _Built],
     invert: Callable[[float, _Built, Budget], float],
     *,
@@ -378,15 +378,15 @@ def _pipeline(
     of the seed, Bernoulli or, for method "ae", by amplitude estimation;
     `invert(p0_hat, built, budget)` turns it into the entropy.
     """
-    inputs = _gather_inputs(rho, blind, mode, seed, cfg, need_rho_min)
+    inputs = _gather_inputs(rho, blind, mode, seed, c_shots, need_rho_min)
     ae = method == "ae"
-    budget = delta_budget(regime, eps, inputs.meta, method="ae" if ae else "sampling", cfg=cfg)
+    budget = delta_budget(regime, eps, inputs.meta, method="ae" if ae else "sampling", c_shots=c_shots)
     oracle = exact_entropies(rho, regime.alpha)
     built = build(inputs, budget, oracle)
     p0_hat = built.pair[0]
     if mode != "ideal":
         model = MeasurementModel(p0=p0_hat, mode="amplitude_estimation" if ae else "bernoulli")
-        p0_hat = measure_p0(model, budget.measure_delta, _child_seed(seed, measure_child), cfg)
+        p0_hat = measure_p0(model, budget.measure_delta, _child_seed(seed, measure_child), c_shots)
     estimate = invert(p0_hat, built, budget)
     be = built.be
     return _report(
@@ -420,7 +420,7 @@ def renyi_integer(
     seed: int = 0,
     mode: str = "noisy",
     blind: bool = False,
-    cfg: RuntimeConfig = DEFAULT_CONFIG,
+    c_shots: float = C_SHOTS,
 ) -> EstimateReport:
     """Integer-order estimate from joint measurements on alpha copies.
 
@@ -446,7 +446,7 @@ def renyi_integer(
         return math.log(t_hat) / (1.0 - alpha)
 
     return _pipeline(
-        rho, decompose_alpha(float(alpha)), eps, mode, seed, blind, cfg, build, invert,
+        rho, decompose_alpha(float(alpha)), eps, mode, seed, blind, c_shots, build, invert,
         method="integer", measure_child=1, need_rho_min=False, copies_per_shot=alpha,
     )
 
@@ -458,7 +458,7 @@ def renyi_case_odd(
     mode: str = "noisy",
     seed: int = 0,
     blind: bool = False,
-    cfg: RuntimeConfig = DEFAULT_CONFIG,
+    c_shots: float = C_SHOTS,
 ) -> EstimateReport:
     """Fractional order with odd floor: positive-power route.
 
@@ -477,19 +477,19 @@ def renyi_case_odd(
         delta = budget.delta
         noiseless = mode == "ideal"
         kappa = 4.0 / (math.pi * inputs.rho_min_lower)
-        fit = approx_pos_power(c / 2.0, kappa, _poly_budget(delta, cfg, mode), cfg)
+        fit = approx_pos_power(c / 2.0, kappa, _poly_budget(delta, mode))
         enc_budget = _clamp_encoding_budget(min(fit.input_precision, delta))
         s_build = _child_seed(seed, 1)
-        be = rescale(apply_poly(encode_density(rho, enc_budget, _child_seed(s_build, 0), noiseless, cfg), fit), 2.0)
+        be = rescale(apply_poly(encode_density(rho, enc_budget, _child_seed(s_build, 0), noiseless), fit), 2.0)
         if k > 0:
-            powers = be_power(rho, k, _clamp_encoding_budget(delta / k), _child_seed(s_build, 1), noiseless, cfg)
+            powers = be_power(rho, k, _clamp_encoding_budget(delta / k), _child_seed(s_build, 1), noiseless)
             be = be_product(powers, be)
         return _Built(_p0_pair(be, rho.matrix.mat), be, inputs.rho_min_lower)
 
     def invert(p0_hat, built, budget):
         return (math.log(_nonzero(p0_hat) * math.pi / 4.0) - alpha * LOG_PI_OVER_4) / (1.0 - alpha)
 
-    return _pipeline(rho, regime, eps, mode, seed, blind, cfg, build, invert, method="odd_floor", measure_child=2)
+    return _pipeline(rho, regime, eps, mode, seed, blind, c_shots, build, invert, method="odd_floor", measure_child=2)
 
 
 def renyi_case_even(
@@ -499,7 +499,7 @@ def renyi_case_even(
     mode: str = "noisy",
     seed: int = 0,
     blind: bool = False,
-    cfg: RuntimeConfig = DEFAULT_CONFIG,
+    c_shots: float = C_SHOTS,
 ) -> EstimateReport:
     """Fractional order above 2 with even floor: negative-power route.
 
@@ -521,10 +521,10 @@ def renyi_case_even(
         delta = budget.delta
         noiseless = mode == "ideal"
         kappa = 1.0 / inputs.rho_min_lower
-        fit = approx_neg_power(abs(c) / 2.0, kappa, _poly_budget(delta, cfg, mode), cfg)
+        fit = approx_neg_power(abs(c) / 2.0, kappa, _poly_budget(delta, mode))
         enc_budget = _clamp_encoding_budget(min(fit.input_precision, delta))
-        neg_branch = apply_poly(encode_state_side(work, enc_budget, _child_seed(seed, 1), noiseless, cfg), fit)
-        powers = be_power(work, k, _clamp_encoding_budget(delta / k), _child_seed(seed, 2), noiseless, cfg)
+        neg_branch = apply_poly(encode_state_side(work, enc_budget, _child_seed(seed, 1), noiseless), fit)
+        powers = be_power(work, k, _clamp_encoding_budget(delta / k), _child_seed(seed, 2), noiseless)
         be = be_product(powers, neg_branch)
         rho_min_used = 1.0 / kappa
         return _Built(_p0_pair(be, work.matrix.mat), be, rho_min_used, c / ((1.0 - alpha) * rho_min_used))
@@ -533,7 +533,7 @@ def renyi_case_even(
         prefactor = 0.25 * (math.pi / 4.0) ** (2 * k) * built.rho_min_used ** (-c)
         return (math.log(_nonzero(p0_hat)) - math.log(prefactor)) / (1.0 - alpha)
 
-    return _pipeline(work, regime, eps, mode, seed, blind, cfg, build, invert, method="even_floor", measure_child=3)
+    return _pipeline(work, regime, eps, mode, seed, blind, c_shots, build, invert, method="even_floor", measure_child=3)
 
 
 def renyi_sub_one(
@@ -544,7 +544,7 @@ def renyi_sub_one(
     mode: str = "noisy",
     seed: int = 0,
     blind: bool = False,
-    cfg: RuntimeConfig = DEFAULT_CONFIG,
+    c_shots: float = C_SHOTS,
 ) -> EstimateReport:
     """Order in (0, 1): half-power transform against the maximally mixed input.
 
@@ -568,9 +568,9 @@ def renyi_sub_one(
         delta_meas = budget.measure_delta  # dimension-rescaled: the recovery scales by d
         kappa = 4.0 / (math.pi * inputs.rho_min_lower)
         exponent = alpha / 2.0 if method == "sampling" else alpha
-        fit = approx_pos_power(exponent, kappa, _poly_budget(delta_meas, cfg, mode), cfg)
+        fit = approx_pos_power(exponent, kappa, _poly_budget(delta_meas, mode))
         enc_budget = _clamp_encoding_budget(min(fit.input_precision, delta_meas))
-        be = apply_poly(encode_density(rho, enc_budget, _child_seed(seed, 1), mode == "ideal", cfg), fit)
+        be = apply_poly(encode_density(rho, enc_budget, _child_seed(seed, 1), mode == "ideal"), fit)
         mixed = np.eye(d, dtype=np.complex128) / d
         if method == "sampling":
             return _Built(_p0_pair(be, mixed), be, inputs.rho_min_lower)
@@ -587,7 +587,7 @@ def renyi_sub_one(
         return (math.log(tr_quarter) - alpha * LOG_PI_OVER_4) / (1.0 - alpha)
 
     return _pipeline(
-        rho, regime, eps, mode, seed, blind, cfg, build, invert,
+        rho, regime, eps, mode, seed, blind, c_shots, build, invert,
         method=method, measure_child=2, blind_flags=("budget_from_estimated_purity",),
     )
 
@@ -606,7 +606,7 @@ def vn_qsvt(
     mode: str = "noisy",
     seed: int = 0,
     blind: bool = False,
-    cfg: RuntimeConfig = DEFAULT_CONFIG,
+    c_shots: float = C_SHOTS,
 ) -> EstimateReport:
     """Von Neumann entropy by direct spectral transformation.
 
@@ -622,12 +622,12 @@ def vn_qsvt(
     def build(inputs, budget, oracle):
         delta = budget.delta
         beta, _, floor2 = _vn_scale(inputs.rho_min_lower)
-        stage_eps = cfg.ideal_poly_eps if mode == "ideal" else max(min(5e-4, delta / 32.0), 1e-12)
-        log_fit = approx_log(beta, stage_eps, cfg)
+        stage_eps = IDEAL_POLY_EPS if mode == "ideal" else max(min(5e-4, delta / 32.0), 1e-12)
+        log_fit = approx_log(beta, stage_eps)
         slope = max(1.0, log_fit.lipschitz_bound())
         enc_budget = _clamp_encoding_budget(stage_eps / (2.0 * slope))
-        b1 = apply_poly(encode_density(work, enc_budget, _child_seed(seed, 1), mode == "ideal", cfg), log_fit)
-        sqrt_fit = approx_pos_power(0.5, 1.0 / floor2, stage_eps, cfg)
+        b1 = apply_poly(encode_density(work, enc_budget, _child_seed(seed, 1), mode == "ideal"), log_fit)
+        sqrt_fit = approx_pos_power(0.5, 1.0 / floor2, stage_eps)
         b2 = rescale(apply_poly(b1, sqrt_fit), 2.0)
         return _Built(_p0_pair(b2, work.matrix.mat), b2, inputs.rho_min_lower)
 
@@ -642,7 +642,7 @@ def vn_qsvt(
         return (p0_hat - floor2) / gamma
 
     return _pipeline(
-        work, decompose_alpha(1.0), eps, mode, seed, blind, cfg, build, invert, method="qsvt", measure_child=2
+        work, decompose_alpha(1.0), eps, mode, seed, blind, c_shots, build, invert, method="qsvt", measure_child=2
     )
 
 
@@ -652,7 +652,7 @@ def vn_poly(
     seed: int = 0,
     mode: str = "noisy",
     blind: bool = False,
-    cfg: RuntimeConfig = DEFAULT_CONFIG,
+    c_shots: float = C_SHOTS,
 ) -> EstimateReport:
     """Von Neumann entropy from a plain-power expansion of log(1/x).
 
@@ -667,19 +667,19 @@ def vn_poly(
     rather than by `_pipeline`.
     """
     regime = decompose_alpha(1.0)
-    inputs = _gather_inputs(rho, blind, mode, seed, cfg)
-    budget = delta_budget(regime, eps, inputs.meta, cfg=cfg)
+    inputs = _gather_inputs(rho, blind, mode, seed, c_shots)
+    budget = delta_budget(regime, eps, inputs.meta, c_shots=c_shots)
     noiseless = mode == "ideal"
 
     beta = min(inputs.rho_min_lower, 0.9)
     log_scale = math.log(1.0 / beta)
     fit_eps = min(0.5, eps / (2.0 * log_scale))
-    log_fit = approx_log(beta, fit_eps, cfg)
+    log_fit = approx_log(beta, fit_eps)
     k_deg = log_fit.degree
-    if k_deg > cfg.monomial_degree_cap:
+    if k_deg > MONOMIAL_DEGREE_CAP:
         raise ValueError(
             f"expansion degree {k_deg} exceeds the stable conversion cap "
-            f"{cfg.monomial_degree_cap}; use the direct-transform estimator instead"
+            f"{MONOMIAL_DEGREE_CAP}; use the direct-transform estimator instead"
         )
     mono = log_fit.monomial()
     coeffs = mono.coeffs  # of log(1/x) on [beta, 1]
@@ -696,7 +696,7 @@ def vn_poly(
         delta_i = min(0.49, eps / denom)
         try:
             # ideal mode draws nothing, so its count is only reported
-            n_i = shots_for("bernoulli", delta_i, cfg, limit=math.inf if noiseless else MAX_SHOTS)
+            n_i = shots_for("bernoulli", delta_i, c_shots, limit=math.inf if noiseless else MAX_SHOTS)
         except ValueError as exc:
             raise ValueError(
                 f"term {i} of the plain-power expansion (coefficient {a_i:.3e}): {exc}; the expansion "
@@ -734,7 +734,7 @@ def estimate(
     mode: str = "noisy",
     method: Optional[str] = None,
     blind: bool = False,
-    cfg: RuntimeConfig = DEFAULT_CONFIG,
+    c_shots: float = C_SHOTS,
 ) -> EstimateReport:
     """Dispatch to the branch-appropriate pipeline for this order.
 
@@ -744,15 +744,15 @@ def estimate(
     """
     regime = decompose_alpha(alpha)
     if regime.branch == "integer":
-        return renyi_integer(rho, int(round(alpha)), eps, seed, mode, blind, cfg)
+        return renyi_integer(rho, int(round(alpha)), eps, seed, mode, blind, c_shots)
     if regime.branch == "odd_floor":
-        return renyi_case_odd(rho, alpha, eps, mode, seed, blind, cfg)
+        return renyi_case_odd(rho, alpha, eps, mode, seed, blind, c_shots)
     if regime.branch == "even_floor":
-        return renyi_case_even(rho, alpha, eps, mode, seed, blind, cfg)
+        return renyi_case_even(rho, alpha, eps, mode, seed, blind, c_shots)
     if regime.branch == "sub_one":
-        return renyi_sub_one(rho, alpha, eps, method or "sampling", mode, seed, blind, cfg)
+        return renyi_sub_one(rho, alpha, eps, method or "sampling", mode, seed, blind, c_shots)
     if method == "poly":
-        return vn_poly(rho, eps, seed, mode, blind, cfg)
+        return vn_poly(rho, eps, seed, mode, blind, c_shots)
     if method not in (None, "qsvt"):
         raise ValueError(f"unknown von Neumann method {method!r}")
-    return vn_qsvt(rho, eps, mode, seed, blind, cfg)
+    return vn_qsvt(rho, eps, mode, seed, blind, c_shots)

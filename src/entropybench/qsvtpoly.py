@@ -14,10 +14,10 @@ The returned fit is interpolated from the scalar `math` target and
 certified on the full grid exactly as before, so the chosen degree,
 coefficients and recorded eps are those of the all-exact search.
 
-The three builders are memoized per process on their full argument
-list, runtime config included: a fit is computed once per key and then
-shared, so its coefficients are read-only and the values derived from
-it (Chebyshev form, slope bounds, monomial form) are computed once too.
+The three builders are memoized per process on their argument list: a
+fit is computed once per key and then shared, so its coefficients are
+read-only and the values derived from it (Chebyshev form, slope bounds,
+monomial form) are computed once too.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from numpy.polynomial import Chebyshev, Polynomial
 from numpy.polynomial import polyutils as pu
 from numpy.polynomial.chebyshev import chebpts1
 
-from .config import DEFAULT_CONFIG, TOL, RuntimeConfig
+from .config import TOL
 from .blockenc import BlockEncoding, widen_for_rounding
 from .numkernel import herm_with_spectrum, op_norm_dist
 
@@ -42,6 +42,13 @@ _CERT_SAFETY = 1.05
 
 # distinct fits each builder keeps; one estimator run needs at most two
 _FIT_CACHE_SIZE = 128
+
+# degree caps: log fits may use up to C_LOG * (1/beta) * ln(1/eps), power
+# fits up to C_POWER * kappa * max(1, ln(kappa/eps))
+C_LOG = 8.0
+C_POWER = 8.0
+# monomial conversion refuses degrees above this (ill-conditioned)
+MONOMIAL_DEGREE_CAP = 30
 
 _MACHINE_EPS = float(np.finfo(float).eps)
 
@@ -117,11 +124,6 @@ class PolyApprox:
         if "mono" not in self._cache:
             self._cache["mono"] = to_monomial(self)
         return self._cache["mono"]
-
-    def to_text(self) -> str:
-        lines = [f"domain {self.domain[0]!r} {self.domain[1]!r}", f"eps {self.eps!r}"]
-        lines += [repr(float(c)) for c in self.coeffs]
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -311,11 +313,11 @@ def _constant_poly(
 
 
 @functools.lru_cache(maxsize=_FIT_CACHE_SIZE, typed=True)
-def approx_log(beta: float, eps: float, cfg: RuntimeConfig = DEFAULT_CONFIG) -> PolyApprox:
+def approx_log(beta: float, eps: float) -> PolyApprox:
     """Certified fit of log(1/x) / (2 log(1/beta)) on [beta, 1].
 
     The scaled target sits in [0, 1/2] on the domain, with value exactly
-    1/2 at x = beta.  Degree is capped at c_log * (1/beta) * ln(1/eps).
+    1/2 at x = beta.  Degree is capped at C_LOG * (1/beta) * ln(1/eps).
     """
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"beta must be in (0, 1], got {beta}")
@@ -324,7 +326,7 @@ def approx_log(beta: float, eps: float, cfg: RuntimeConfig = DEFAULT_CONFIG) -> 
     if not (0.0 < eps <= 0.5):
         raise ValueError(f"eps must be in (0, 1/2], got {eps}")
     scale = 2.0 * math.log(1.0 / beta)
-    cap = int(math.ceil(cfg.c_log * (1.0 / beta) * math.log(1.0 / eps)))
+    cap = int(math.ceil(C_LOG * (1.0 / beta) * math.log(1.0 / eps)))
     return cheb_fit(
         lambda x: math.log(1.0 / x) / scale,
         beta,
@@ -350,7 +352,7 @@ def neg_power_input_precision(c: float, kappa: float, eps: float) -> float:
 
 
 @functools.lru_cache(maxsize=_FIT_CACHE_SIZE, typed=True)
-def approx_pos_power(c: float, kappa: float, eps: float, cfg: RuntimeConfig = DEFAULT_CONFIG) -> PolyApprox:
+def approx_pos_power(c: float, kappa: float, eps: float) -> PolyApprox:
     """Certified fit of x^c / 2 on [1/kappa, 1], with its input-precision tag.
 
     A zero eigenvalue extends continuously to 0.
@@ -364,7 +366,7 @@ def approx_pos_power(c: float, kappa: float, eps: float, cfg: RuntimeConfig = DE
     prec = pos_power_input_precision(kappa, eps)
     if kappa <= 1.0 + 1e-9:
         return _constant_poly(0.5, 0.5, 1.0, "pos_power", 0.0, 2.0, prec)
-    cap = int(math.ceil(cfg.c_power * kappa * max(1.0, math.log(kappa / eps))))
+    cap = int(math.ceil(C_POWER * kappa * max(1.0, math.log(kappa / eps))))
     return cheb_fit(
         lambda x: 0.5 * x**c,
         1.0 / kappa,
@@ -380,7 +382,7 @@ def approx_pos_power(c: float, kappa: float, eps: float, cfg: RuntimeConfig = DE
 
 
 @functools.lru_cache(maxsize=_FIT_CACHE_SIZE, typed=True)
-def approx_neg_power(c: float, kappa: float, eps: float, cfg: RuntimeConfig = DEFAULT_CONFIG) -> PolyApprox:
+def approx_neg_power(c: float, kappa: float, eps: float) -> PolyApprox:
     """Certified fit of x^(-c) / (2 kappa^c) on [1/kappa, 1].
 
     The target peaks at exactly 1/2 at x = 1/kappa; zero eigenvalues are
@@ -396,7 +398,7 @@ def approx_neg_power(c: float, kappa: float, eps: float, cfg: RuntimeConfig = DE
     if kappa <= 1.0 + 1e-9:
         return _constant_poly(0.5, 0.5, 1.0, "neg_power", None, 2.0 * kappa**c, prec)
     scale = 2.0 * kappa**c
-    cap = int(math.ceil(cfg.c_power * kappa * max(1.0, math.log(kappa / eps))))
+    cap = int(math.ceil(C_POWER * kappa * max(1.0, math.log(kappa / eps))))
     return cheb_fit(
         lambda x: x ** (-c) / scale,
         1.0 / kappa,
@@ -493,10 +495,10 @@ def to_monomial(p: PolyApprox, tol_check: float = TOL.monomial_eval) -> Monomial
     degrees above 30, where the change of basis is no longer trustworthy
     at double precision, and verifies agreement on the domain.
     """
-    if p.degree > DEFAULT_CONFIG.monomial_degree_cap:
+    if p.degree > MONOMIAL_DEGREE_CAP:
         raise ValueError(
             f"degree {p.degree} exceeds the monomial conversion cap "
-            f"{DEFAULT_CONFIG.monomial_degree_cap} (conversion would be unstable)"
+            f"{MONOMIAL_DEGREE_CAP} (conversion would be unstable)"
         )
     factor = p.subnorm_factor if p.target_tag in ("log_scaled",) else 1.0
     plain = (p._cheb() * factor).convert(kind=Polynomial)

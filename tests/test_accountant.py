@@ -11,7 +11,6 @@ from entropybench.accountant import (
     propagate_entropy_error,
     shots_for,
 )
-from entropybench.config import DEFAULT_CONFIG
 from entropybench.states import StateMeta, random_density
 
 
@@ -69,16 +68,15 @@ def test_budget_sub_one():
 
 
 def test_budget_shot_rules():
-    cfg = DEFAULT_CONFIG.with_(c_shots=1.0)
-    b = delta_budget(decompose_alpha(0.5), 0.1, META, method="sampling", cfg=cfg)
+    b = delta_budget(decompose_alpha(0.5), 0.1, META, method="sampling", c_shots=1.0)
     assert b.shots == math.ceil(1.0 / b.measure_delta**2)
     assert b.measure_delta == pytest.approx(b.delta / (4 * META.dim))
-    bae = delta_budget(decompose_alpha(0.5), 0.1, META, method="ae", cfg=cfg)
+    bae = delta_budget(decompose_alpha(0.5), 0.1, META, method="ae", c_shots=1.0)
     assert bae.shots == math.ceil(1.0 / bae.measure_delta)
     assert bae.measure_delta == pytest.approx(bae.delta / (2 * META.dim))
     assert bae.shots <= b.shots
     # above order 1 the measurement accuracy is the budget itself
-    b2 = delta_budget(decompose_alpha(1.5), 0.1, META, cfg=cfg)
+    b2 = delta_budget(decompose_alpha(1.5), 0.1, META, c_shots=1.0)
     assert b2.measure_delta == b2.delta
     assert b2.shots == math.ceil(1.0 / b2.delta**2)
 
@@ -190,17 +188,16 @@ def test_decompose_tiny_orders_are_below_one(alpha):
 
 
 def test_shots_for_refuses_counts_it_cannot_draw():
-    cfg = DEFAULT_CONFIG.with_(c_shots=1.0)
     for delta in (1e-300, 0.0, math.nan):  # delta**2 underflows, or no count at all
         with pytest.raises(ValueError, match="not a finite count"):
-            shots_for("bernoulli", delta, cfg)
+            shots_for("bernoulli", delta, 1.0)
     with pytest.raises(ValueError, match="not a finite count"):
-        shots_for("bernoulli", 0.01, DEFAULT_CONFIG.with_(c_shots=1e300))
+        shots_for("bernoulli", 0.01, 1e300)
     # the largest count the sampler holds passes, the next float does not
-    assert shots_for("amplitude_estimation", 1.0 / 2.0**62, cfg) == 2**62
+    assert shots_for("amplitude_estimation", 1.0 / 2.0**62, 1.0) == 2**62
     with pytest.raises(ValueError):
-        shots_for("amplitude_estimation", 1.0 / 2.0**63, cfg)
-    assert shots_for("amplitude_estimation", 1.0 / 2.0**63, cfg, limit=math.inf) == 2**63 > MAX_SHOTS
+        shots_for("amplitude_estimation", 1.0 / 2.0**63, 1.0)
+    assert shots_for("amplitude_estimation", 1.0 / 2.0**63, 1.0, limit=math.inf) == 2**63 > MAX_SHOTS
 
 
 def test_delta_budget_uses_the_shared_shot_rule():
@@ -211,7 +208,7 @@ def test_delta_budget_uses_the_shared_shot_rule():
     with pytest.raises(ValueError, match="not a finite count"):
         delta_budget(regime, 1e-300, META)
     with pytest.raises(ValueError, match="not a finite count"):
-        delta_budget(regime, 0.1, META, cfg=DEFAULT_CONFIG.with_(c_shots=1e300))
+        delta_budget(regime, 0.1, META, c_shots=1e300)
     for alpha in (1e6, 1e6 + 0.5):  # rank**(alpha - 1) overflows
         with pytest.raises(ValueError, match="accuracy budget .* outside the float range"):
             delta_budget(decompose_alpha(alpha), 0.1, META)

@@ -169,11 +169,19 @@ def test_config_file_unreadable_is_usage_error(tmp_path, capsys):
         assert "cannot read config file" in capsys.readouterr().err
 
 
-def test_config_file_rejects_garbage(tmp_path):
+def test_config_file_rejects_garbage(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("alpha 2.0\n")
     with pytest.raises(UsageError):
         parse_config_file(str(path))
+    argv = ["renyi", "--alpha", "2", "--dim", "4", "--rank", "2", "--config", str(path)]
+    for text, message in (
+        ("alpha 2.0\n", "expected key=value"),
+        ("mode=validate\n", "config key 'mode'"),  # a file may not replace the subcommand
+    ):
+        path.write_text(text)
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_validate_ideal_pure_rows_exact():
@@ -289,12 +297,12 @@ def test_run_builds_one_runtime_config_and_routes_through_estimate(monkeypatch):
     real = cli.estimate
 
     def spy(rho, alpha, eps, **kw):
-        seen.append((kw["method"], kw["cfg"]))
+        seen.append((kw["method"], kw["c_shots"]))
         return real(rho, alpha, eps, **kw)
 
     monkeypatch.setattr(cli, "estimate", spy)
     for cfg, method in (
-        (ExperimentConfig(mode="renyi", alpha=2.0, d=4, rank=4, trials=4), None),
+        (ExperimentConfig(mode="renyi", alpha=2.0, d=4, rank=4, trials=4, c_shots=1.0), None),
         (ExperimentConfig(mode="renyi", alpha=0.5, d=4, rank=4, trials=3, method="ae"), "ae"),
         (ExperimentConfig(mode="vonneumann", spectrum=[0.5, 0.5], d=2, trials=3, approach="poly"), "poly"),
     ):
@@ -302,8 +310,7 @@ def test_run_builds_one_runtime_config_and_routes_through_estimate(monkeypatch):
         run_experiment(cfg)
         assert len(seen) == cfg.trials
         assert {m for m, _ in seen} == {method}
-        assert len({id(c) for _, c in seen}) == 1  # one RuntimeConfig for the whole run
-        assert seen[0][1] == cfg.runtime
+        assert {c for _, c in seen} == {cfg.c_shots}
 
 
 def test_cli_degree_cap_is_estimation_failure(monkeypatch, capsys):

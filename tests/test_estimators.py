@@ -8,7 +8,6 @@ from scipy.stats import binom
 
 from entropybench import estimators, numkernel
 from entropybench.blockenc import BlockEncoding, encode_density, encode_state_side
-from entropybench.config import DEFAULT_CONFIG
 from entropybench.estimators import (
     EstimationFailure,
     MeasurementModel,
@@ -28,8 +27,6 @@ from entropybench.estimators import (
 )
 from entropybench.numkernel import op_norm_dist
 from entropybench.states import exact_entropies, from_spectrum, random_density
-
-CFG1 = DEFAULT_CONFIG.with_(c_shots=1.0)
 
 DIAG = from_spectrum([0.5, 0.3, 0.2], 3)
 DIAG8 = from_spectrum([0.5, 0.3, 0.2], 8)
@@ -72,8 +69,8 @@ def test_measure_p0_rejects_bad_delta():
 
 
 def test_shot_rules():
-    assert shots_for("bernoulli", 0.01, CFG1) == 10_000
-    assert shots_for("amplitude_estimation", 0.01, CFG1) == 100
+    assert shots_for("bernoulli", 0.01, 1.0) == 10_000
+    assert shots_for("amplitude_estimation", 0.01, 1.0) == 100
 
 
 # ---------------------------------------------------------- closed-form p0
@@ -256,15 +253,15 @@ def test_sub_one_maximally_mixed():
 
 def test_sub_one_ae_cost_versus_sampling():
     # equal accuracy 0.01 at unit shot constant: 100 queries versus 10000 shots
-    assert shots_for("amplitude_estimation", 0.01, CFG1) == 100
-    assert shots_for("bernoulli", 0.01, CFG1) == 10_000
+    assert shots_for("amplitude_estimation", 0.01, 1.0) == 100
+    assert shots_for("bernoulli", 0.01, 1.0) == 10_000
     # and through the budget machinery the ae route stays cheaper
     meta = MIXED4.meta
     from entropybench.accountant import decompose_alpha, delta_budget
 
     regime = decompose_alpha(0.5)
-    bs = delta_budget(regime, 0.1, meta, method="sampling", cfg=CFG1)
-    ba = delta_budget(regime, 0.1, meta, method="ae", cfg=CFG1)
+    bs = delta_budget(regime, 0.1, meta, method="sampling", c_shots=1.0)
+    ba = delta_budget(regime, 0.1, meta, method="ae", c_shots=1.0)
     assert bs.delta == pytest.approx(0.025) and ba.delta == pytest.approx(0.025)
     assert bs.measure_delta == pytest.approx(0.025 / 16)
     assert ba.measure_delta == pytest.approx(0.025 / 8)
@@ -298,7 +295,7 @@ def test_vn_qsvt_pure():
 
 def test_vn_qsvt_ideal_diag():
     r = vn_qsvt(DIAG8, 0.05, mode="ideal", seed=4)
-    assert abs(r.estimate - 1.0296530140645737) <= 2 * DEFAULT_CONFIG.ideal_poly_eps * 100
+    assert abs(r.estimate - 1.0296530140645737) <= 2 * estimators.IDEAL_POLY_EPS * 100
     assert abs(r.estimate - r.exact_value) <= 1e-6
 
 
@@ -529,9 +526,9 @@ def test_blind_inputs_and_measurement_keep_their_seeds(monkeypatch):
     seen = []
     real = estimators._estimate_purity
 
-    def spy(rho, seed, cfg, delta=0.05):
+    def spy(rho, seed, c_shots, delta=0.05):
         seen.append(seed)
-        return real(rho, seed, cfg, delta)
+        return real(rho, seed, c_shots, delta)
 
     monkeypatch.setattr(estimators, "_estimate_purity", spy)
     rho = random_density(4, 2, seed=1)

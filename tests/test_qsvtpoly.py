@@ -9,7 +9,6 @@ from numpy.polynomial import Chebyshev
 
 from entropybench import qsvtpoly
 from entropybench.blockenc import BlockEncoding, encode_density
-from entropybench.config import DEFAULT_CONFIG
 from entropybench.estimators import vn_qsvt
 from entropybench.numkernel import HermMatrix, op_norm_dist
 from entropybench.qsvtpoly import (
@@ -223,15 +222,6 @@ def test_to_monomial_degree_cap():
         to_monomial(p)
 
 
-def test_serialization_text():
-    p = approx_log(0.2, 0.05)
-    text = p.to_text()
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("domain ")
-    assert lines[1].startswith("eps ")
-    assert len(lines) == 2 + p.degree + 1
-
-
 def test_apply_poly_eta_covers_noncommuting_noise():
     # a random perturbation does not commute with the state, and the
     # operator slope of a steep fit can beat its scalar slope; the
@@ -272,10 +262,32 @@ def cheb_fit_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def c_log(monkeypatch):
+    """Setter for the log-fit degree-cap constant; the fit caches, which do
+    not key on it, are emptied when it is set and again after the test."""
+
+    def set_c_log(value):
+        monkeypatch.setattr(qsvtpoly, "C_LOG", value)
+        clear_fit_caches()
+
+    yield set_c_log
+    clear_fit_caches()
+
+
 def test_memo_fits_once_across_trials(cheb_fit_calls):
     rho = from_spectrum([0.4, 0.3, 0.2, 0.1], 8)
     for seed in range(20):
         vn_qsvt(rho, 0.05, seed=seed)
+    assert sorted(cheb_fit_calls) == ["log_scaled", "pos_power"]
+
+
+def test_memo_shares_fits_across_shot_multipliers(cheb_fit_calls):
+    # the shot multiplier moves no fit, so it is no part of a fit's key
+    rho = from_spectrum([0.4, 0.3, 0.2, 0.1], 8)
+    vn_qsvt(rho, 0.05, seed=1, c_shots=4.0)
+    assert sorted(cheb_fit_calls) == ["log_scaled", "pos_power"]
+    vn_qsvt(rho, 0.05, seed=1, c_shots=8.0)
     assert sorted(cheb_fit_calls) == ["log_scaled", "pos_power"]
 
 
@@ -288,7 +300,7 @@ def test_memo_hit_equals_fresh_fit(builder, args):
     clear_fit_caches()
     fresh = builder(*args)
     assert fresh is not first
-    assert hit.to_text() == fresh.to_text()
+    assert_same_fit(hit, fresh)
 
 
 @pytest.mark.parametrize("builder,args", BUILDER_CASES)
@@ -299,11 +311,11 @@ def test_memo_fit_is_read_only(builder, args):
     assert builder(*args).coeffs[0] != 0.0
 
 
-def test_memo_does_not_keep_degree_cap_failures(cheb_fit_calls):
-    cfg = DEFAULT_CONFIG.with_(c_log=0.01)  # cap ceil(0.01 * 10 * ln(1e6)) = 2
+def test_memo_does_not_keep_degree_cap_failures(cheb_fit_calls, c_log):
+    c_log(0.01)  # cap ceil(0.01 * 10 * ln(1e6)) = 2
     for _ in range(2):
         with pytest.raises(DegreeCapExceeded):
-            approx_log(0.1, 1e-6, cfg)
+            approx_log(0.1, 1e-6)
     assert cheb_fit_calls == ["log_scaled", "log_scaled"]
 
 
@@ -383,12 +395,12 @@ def reference_cheb_fit(
     )
 
 
-def cheb_fit_call(builder, lo, c, eps, cfg=DEFAULT_CONFIG):
+def cheb_fit_call(builder, lo, c, eps):
     """(args, kwargs) the uncached `builder` passes to cheb_fit for the domain [lo, 1]."""
     with mock.patch.object(qsvtpoly, "cheb_fit", lambda *a, **k: (a, k)):
         if builder is approx_log:
-            return builder.__wrapped__(lo, eps, cfg)
-        return builder.__wrapped__(c, 1.0 / lo, eps, cfg)
+            return builder.__wrapped__(lo, eps)
+        return builder.__wrapped__(c, 1.0 / lo, eps)
 
 
 def assert_same_fit(got, want):
@@ -411,11 +423,15 @@ def test_steered_search_equals_exact_search(builder, lo, c, eps):
     assert_same_fit(cheb_fit(*args, **kwargs), want)
 
 
+def capped_log_fit(c_log):
+    c_log(0.01)  # cap ceil(0.01 * 100 * ln(1e6)) = 14
+    return cheb_fit_call(approx_log, 0.01, None, 1e-6)
+
+
 CAPPED_FITS = {
-    # cap ceil(0.01 * 100 * ln(1e6)) = 14
-    "log": cheb_fit_call(approx_log, 0.01, None, 1e-6, DEFAULT_CONFIG.with_(c_log=0.01)),
+    "log": capped_log_fit,
     # the smallest error of degrees 0, 1, 2, 4, 8, 14 is at degree 1, not at the cap
-    "sine": (
+    "sine": lambda c_log: (
         (lambda x: math.sin(40 * x), 0.01, 1.0, 1e-6, 14),
         {"array_target": lambda xs: np.sin(40 * xs)},
     ),
@@ -423,8 +439,8 @@ CAPPED_FITS = {
 
 
 @pytest.mark.parametrize("case", sorted(CAPPED_FITS))
-def test_steered_search_degree_cap_reports_exact_best_err(case):
-    args, kwargs = CAPPED_FITS[case]
+def test_steered_search_degree_cap_reports_exact_best_err(case, c_log):
+    args, kwargs = CAPPED_FITS[case](c_log)
     with pytest.raises(DegreeCapExceeded) as want:
         reference_cheb_fit(*args, **kwargs)
     with pytest.raises(DegreeCapExceeded) as got:

@@ -1,0 +1,96 @@
+"""One sha256 over the output of a fixed list of `entropybench` CLI runs.
+
+Each run calls `entropybench.cli.main` in this process and contributes its
+argv, exit code, stdout, stderr and CSV bytes to the digest.  A change meant
+to keep behaviour byte-identical must print the same digest as its parent:
+
+    PYTHONPATH=<parent checkout>/src python tools/golden_digest.py
+    PYTHONPATH=src python tools/golden_digest.py
+
+The list covers `validate` (full, quick, quick in bits), every route in
+noisy, ideal and blind mode on one random and one explicit-spectrum state,
+a non-default shot multiplier, one eps sweep, one rank sweep and four
+error exits.  Only flags that every version of the CLI accepts are used,
+so old and new code run the same list.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+from entropybench import cli
+
+# (subcommand and order, route flags) for every estimation route
+ROUTES = [
+    ("renyi", "--alpha", "2"),
+    ("renyi", "--alpha", "3"),
+    ("renyi", "--alpha", "1.5"),
+    ("renyi", "--alpha", "3.5"),
+    ("renyi", "--alpha", "2.5"),
+    ("renyi", "--alpha", "0.5", "--method", "sampling"),
+    ("renyi", "--alpha", "0.5", "--method", "ae"),
+    ("vonneumann", "--approach", "qsvt"),
+    ("vonneumann", "--approach", "poly"),
+]
+STATES = [
+    ("--dim", "4", "--rank", "4", "--seed", "11"),
+    ("--dim", "8", "--spectrum", "0.5,0.3,0.2", "--seed", "5"),
+]
+MODES = [(), ("--ideal",), ("--blind",)]
+
+
+def runs() -> list[list[str]]:
+    out = [["validate"], ["validate", "--quick"], ["validate", "--quick", "--log-base", "2"]]
+    for state in STATES:
+        for mode in MODES:
+            for route in ROUTES:
+                out.append([*route, *state, *mode, "--eps", "0.1", "--trials", "2"])
+    out += [
+        ["renyi", "--alpha", "1.5", "--dim", "4", "--rank", "3", "--c-shots", "8", "--trials", "3", "--seed", "2"],
+        ["sweep", "--var", "eps", "--grid", "0.2,0.1,0.05", "--alpha", "2.5",
+         "--dim", "8", "--spectrum", "0.5,0.3,0.2", "--trials", "2", "--seed", "3"],
+        ["sweep", "--var", "rank", "--grid", "2,4,8", "--alpha", "1.5", "--dim", "8", "--trials", "2", "--seed", "3"],
+        # error exits: a bad order, a short grid, a bad shot multiplier, and
+        # a route refusal from inside the pipeline
+        ["renyi", "--alpha", "-1"],
+        ["sweep", "--var", "eps", "--grid", "0.1,0.05", "--alpha", "2"],
+        ["renyi", "--alpha", "2", "--c-shots", "nan"],
+        ["renyi", "--alpha", "0.5", "--method", "ae", "--dim", "6", "--rank", "3"],
+    ]
+    return out
+
+
+def run_one(argv: list[str], csv_path: str) -> bytes:
+    """argv, exit code, stdout, stderr and CSV of one in-process run."""
+    if os.path.exists(csv_path):
+        os.remove(csv_path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--out", csv_path])
+    csv = b""
+    if os.path.exists(csv_path):
+        with open(csv_path, "rb") as fh:
+            csv = fh.read()
+    parts = [" ".join(argv), str(code), out.getvalue(), err.getvalue()]
+    return b"\0".join(p.encode() for p in parts) + b"\0" + csv
+
+
+def main() -> int:
+    os.environ.pop("ENTROPYBENCH_SEED", None)  # runs without --seed use seed 0
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = os.path.join(tmp, "rows.csv")
+        for argv in runs():
+            record = run_one(argv, csv_path)
+            h.update(len(record).to_bytes(8, "big") + record)
+    print(h.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
