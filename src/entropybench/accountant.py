@@ -10,12 +10,16 @@ suppressed constant set to 1 and natural logarithms throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .states import StateMeta
 
 _INT_TOL = 1e-9
+# distinct arguments each memoized planning step keeps: a sweep needs one
+# per grid point, a blind run one per trial
+_PLAN_CACHE_SIZE = 128
 # the binomial sampler draws counts as 64-bit integers
 MAX_SHOTS = 2**63 - 1
 
@@ -57,6 +61,7 @@ class Budget:
             object.__setattr__(self, "measure_delta", self.delta)
 
 
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE, typed=True)
 def decompose_alpha(alpha: float) -> RegimeDecomposition:
     """Classify alpha and extract (k, c) with 2k+1 odd.
 
@@ -64,7 +69,9 @@ def decompose_alpha(alpha: float) -> RegimeDecomposition:
     exists, so k is the largest with 2k+1 < alpha and the exact identity
     alpha = 2k+1+c holds for odd integers and all non-integers only.
     Orders are snapped to a nearby integer n >= 1 only: a tiny positive
-    order is below one, not the integer 0.
+    order is below one, not the integer 0.  Memoized per order, keyed by
+    its type too, since the order is carried into the entropy oracle,
+    where `nz**2` and `nz**2.0` need not round alike.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"order must be positive and finite, got {alpha}")
@@ -128,6 +135,7 @@ def _accuracy(regime: RegimeDecomposition, eps: float, meta: StateMeta) -> float
     return eps * abs(1.0 - a) / (6.0 * r ** (a - 1.0))
 
 
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE, typed=True)
 def delta_budget(
     regime: RegimeDecomposition,
     eps: float,
@@ -135,7 +143,11 @@ def delta_budget(
     method: str = "sampling",
     c_shots: float = C_SHOTS,
 ) -> Budget:
-    """Trace-functional accuracy and shot count for a target entropy accuracy."""
+    """Trace-functional accuracy and shot count for a target entropy accuracy.
+
+    Memoized on the arguments, keyed by type as well as value as the fits
+    are, so every trial of a grid point shares one budget; a `Budget` is
+    frozen, so sharing it is safe."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     try:

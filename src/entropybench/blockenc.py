@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import seeding
 from .config import TOL
 from .numkernel import HermMatrix, herm_with_spectrum, op_norm, op_norm_dist
 from .states import DensityMatrix
@@ -83,7 +84,7 @@ def encoding_copy_cost(delta: float) -> int:
 
 def _random_perturbation(dim: int, norm: float, seed: int) -> np.ndarray:
     """Random Hermitian direction scaled to an exact operator norm."""
-    rng = np.random.default_rng(seed)
+    rng = seeding.rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (g + g.conj().T) / 2
     cur = float(np.max(np.abs(np.linalg.eigvalsh(h))))

@@ -25,6 +25,7 @@ import numpy as np
 from .accountant import C_SHOTS, decompose_alpha
 from .estimators import EstimateReport, EstimationFailure, estimate
 from .qsvtpoly import DegreeCapExceeded
+from .seeding import spawn_seed
 from .states import DensityMatrix, from_spectrum, random_density
 
 CSV_COLUMNS = [
@@ -110,8 +111,10 @@ class ExperimentConfig:
 
 
 def _trial_seed(master: int, grid_index: int, trial: int) -> int:
-    ss = np.random.SeedSequence(master, spawn_key=(grid_index, trial))
-    return int(ss.generate_state(1)[0])
+    """Seed of `trial` at grid point `grid_index`: the master seed's child
+    at spawn key (grid_index, trial).  The trials of one grid point share
+    the mixed pool before their trial word."""
+    return spawn_seed(master, (grid_index, trial))
 
 
 def _build_state(cfg: ExperimentConfig) -> DensityMatrix:
@@ -127,17 +130,17 @@ def _scale(value: Optional[float], log_base: str) -> Optional[float]:
     return value / math.log(2.0) if log_base == "2" else value
 
 
-def _row(report: EstimateReport, cfg: ExperimentConfig, rho: DensityMatrix, eps_report: float) -> dict:
-    est = _scale(report.estimate, cfg.log_base)
-    exact = _scale(report.exact_value, cfg.log_base)
+def _row(report: EstimateReport, log_base: str, eps_report: float, fixed: dict) -> dict:
+    """One CSV row; `fixed` holds the fields every trial of the grid point
+    shares, formatted once for the point."""
+    est = _scale(report.estimate, log_base)
+    exact = _scale(report.exact_value, log_base)
     abs_err = abs(est - exact) if exact is not None else float("nan")
     return {
+        **fixed,
         "seed": report.seed,
         "alpha": repr(float(report.alpha)),
         "branch": report.branch,
-        "d": rho.dim,
-        "rank": rho.meta.rank,
-        "eps": repr(float(eps_report)),
         "delta": repr(float(report.delta)),
         "method": report.method,
         "shots": report.shots_used,
@@ -159,13 +162,14 @@ def _point_rows(rho: DensityMatrix, alpha: float, grid_index: int, cfg: Experime
     eps_internal = cfg.eps * math.log(2.0) if cfg.log_base == "2" else cfg.eps
     branch = decompose_alpha(alpha).branch
     method = cfg.approach if branch == "von_neumann" else cfg.method if branch == "sub_one" else None
+    fixed = {"d": rho.dim, "rank": rho.meta.rank, "eps": repr(float(cfg.eps))}
     rows = []
     for t in range(cfg.trials):
         seed = _trial_seed(cfg.seed, grid_index, t)
         rep = estimate(
             rho, alpha, eps_internal, seed=seed, mode=mode, method=method, blind=cfg.blind, c_shots=cfg.c_shots
         )
-        rows.append(_row(rep, cfg, rho, cfg.eps))
+        rows.append(_row(rep, cfg.log_base, cfg.eps, fixed))
     return rows
 
 
@@ -363,6 +367,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 _BOOL_KEYS = {"ideal", "blind", "quick"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _FLOAT_KEYS = {"alpha", "eps", "c_shots"}
 _INT_KEYS = {"d", "rank", "trials", "seed"}
 
@@ -378,7 +383,9 @@ def config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
         if not hasattr(cfg, key):
             raise UsageError(f"unknown config key {key!r}")
         if key in _BOOL_KEYS:
-            setattr(cfg, key, raw.lower() in ("1", "true", "yes"))
+            if raw.lower() not in _BOOL_WORDS:
+                raise UsageError(f"config key {key!r}: expected 1/true/yes or 0/false/no, got {raw!r}")
+            setattr(cfg, key, _BOOL_WORDS[raw.lower()])
         elif key in _FLOAT_KEYS:
             setattr(cfg, key, float(raw))
         elif key in _INT_KEYS:

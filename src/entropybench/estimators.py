@@ -38,6 +38,8 @@ from .blockenc import (
 from .config import TOL
 from .numkernel import op_norm
 from .qsvtpoly import MONOMIAL_DEGREE_CAP, apply_poly, approx_log, approx_neg_power, approx_pos_power
+from . import seeding
+from .seeding import child_seed as _child_seed
 from .states import DensityMatrix, EntropyRecord, StateMeta, exact_entropies
 
 LOG_PI_OVER_4 = math.log(math.pi / 4.0)
@@ -82,7 +84,7 @@ def measure_p0(
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"accuracy parameter must be in (0, 1), got {delta}")
-    rng = np.random.default_rng(seed)
+    rng = seeding.rng(seed)
     n = shots_for(model.mode, delta, c_shots)
     if model.mode == "bernoulli":
         return float(rng.binomial(n, model.p0) / n)
@@ -129,15 +131,10 @@ class MinEigResult:
     sample_cost: int
 
 
-# An estimate's seed has numbered children: 0 feeds the blind-mode probes,
-# then each branch numbers its build stages, and its measurement comes last.
-# A child is derived where it is used, so unused ones cost nothing.
-def _child_seed(seed: int, i: int) -> int:
-    """Seed of child i of `SeedSequence(seed)`, as `spawn` would make it,
-    without building the parent or its other children."""
-    return int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0])
-
-
+# An estimate's seed has numbered children (`_child_seed(seed, i)`): 0 feeds
+# the blind-mode probes, then each branch numbers its build stages, and its
+# measurement comes last.  A child is derived where it is used, so unused
+# ones cost nothing.
 def _child_seeds(seed: int, n: int) -> list[int]:
     return [_child_seed(seed, i) for i in range(n)]
 
@@ -193,7 +190,7 @@ def min_eig_estimate(be: BlockEncoding, theta: float, seed: int = 0) -> MinEigRe
     val = float(nz[-1])
     cost = 0
     if theta > 0.0:
-        rng = np.random.default_rng(seed)
+        rng = seeding.rng(seed)
         val = val + float(rng.uniform(-theta, theta))
         val = max(val, TOL.rank_cutoff)
         d = be.dim
@@ -258,7 +255,7 @@ def _estimate_purity(rho: DensityMatrix, seed: int, c_shots: float, delta: float
     """Preliminary order-2 trace estimate used by blind budgets."""
     t2 = rho.meta.purity
     n = shots_for("bernoulli", delta, c_shots)
-    rng = np.random.default_rng(seed)
+    rng = seeding.rng(seed)
     t2_hat = 2.0 * rng.binomial(n, (1.0 + t2) / 2.0) / n - 1.0
     return float(min(1.0, max(t2_hat, 1.0 / rho.dim))), 2 * n
 
@@ -705,7 +702,7 @@ def vn_poly(
         if noiseless:
             t_hat = t_i
         else:
-            rng = np.random.default_rng(_child_seed(s_meas, i - 1))
+            rng = seeding.rng(_child_seed(s_meas, i - 1))
             t_hat = 2.0 * rng.binomial(n_i, (1.0 + t_i) / 2.0) / n_i - 1.0
         estimate += a_i * t_hat
         shots_total += n_i

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -83,17 +83,20 @@ class PolyApprox:
     # values derived from the coefficients, computed on first use; not an
     # init field, so dataclasses.replace starts a copy with an empty one
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (grid error, grid values) of these coefficients, as `_certify` computes
+    # them; `cheb_fit` hands over the certificate it has just computed, and
+    # a fit built any other way is certified here
+    _certificate: InitVar[Optional[tuple[float, np.ndarray]]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _certificate):
         # a memoized fit is shared by every caller, so nobody may write to it
         coeffs = np.array(self.coeffs, dtype=float)
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
-        cheb = self._cheb()
-        lo, hi = self.domain
-        grid = _cheb_grid(lo, hi, _grid_size(self.degree))
-        values = cheb(grid)
-        err = float(np.max(np.abs(values - _vec(self.target_fn, grid))))
+        if _certificate is None:
+            lo, hi = self.domain
+            _certificate = _certify(self._cheb(), self.target_fn, lo, hi, self.degree)
+        err, values = _certificate
         if err > self.eps + 1e-15:
             raise ValueError(
                 f"certification failed: grid error {err:.3e} exceeds recorded eps {self.eps:.3e}"
@@ -156,13 +159,16 @@ def _grid_size(degree: int) -> int:
     return max(10 * max(degree, 1), 10)
 
 
-def _certified_error(cheb: Chebyshev, f, lo: float, hi: float, degree: int) -> float:
+def _certify(cheb: Chebyshev, f, lo: float, hi: float, degree: int) -> tuple[float, np.ndarray]:
+    """Sup error of the fit against the scalar target on the certification
+    grid, and the fit's values there."""
     grid = _cheb_grid(lo, hi, _grid_size(degree))
-    return float(np.max(np.abs(cheb(grid) - _vec(f, grid))))
+    values = cheb(grid)
+    return float(np.max(np.abs(values - _vec(f, grid)))), values
 
 
 def _estimated_error(f_arr, lo: float, hi: float, degree: int) -> tuple[float, float]:
-    """FFT estimate of `_certified_error` for the degree-`degree` interpolant,
+    """FFT estimate of `_certify`'s error for the degree-`degree` interpolant,
     and a slack that bounds its distance from the exact value.
 
     The coefficients come from a DCT-II of the array target at the nodes
@@ -223,15 +229,16 @@ def cheb_fit(
     if k_cap < 0:
         raise ValueError("degree cap must be nonnegative")
 
-    exact: dict[int, tuple[Chebyshev, float]] = {}
+    exact: dict[int, tuple[Chebyshev, tuple[float, np.ndarray]]] = {}
 
-    def attempt(deg: int) -> tuple[Chebyshev, float]:
+    def attempt(deg: int) -> tuple[Chebyshev, tuple[float, np.ndarray]]:
+        """The degree-`deg` interpolant and its certificate (error, values)."""
         if deg not in exact:
             # interpolate feeds arrays; targets are scalar functions
             cheb = Chebyshev.interpolate(
                 lambda xs: _vec(target, np.atleast_1d(xs)), deg, domain=[lo, hi]
             )
-            exact[deg] = cheb, _certified_error(cheb, target, lo, hi, deg)
+            exact[deg] = cheb, _certify(cheb, target, lo, hi, deg)
         return exact[deg]
 
     def passes(err: float) -> bool:
@@ -245,7 +252,7 @@ def cheb_fit(
                     return True
                 if not passes(est - slack):
                     return False
-        return passes(attempt(deg)[1])
+        return passes(attempt(deg)[1][0])
 
     tried = []
     deg = 0
@@ -257,7 +264,7 @@ def cheb_fit(
         prev_fail = deg
         if deg >= k_cap:
             # the exact search's running minimum over the degrees it tried
-            best_err = functools.reduce(min, (attempt(d)[1] for d in tried), math.inf)
+            best_err = functools.reduce(min, (attempt(d)[1][0] for d in tried), math.inf)
             raise DegreeCapExceeded(k_cap, best_err)
         deg = min(k_cap, max(1, 2 * deg))
 
@@ -271,7 +278,8 @@ def cheb_fit(
             lo_deg = mid
 
     deg = hi_deg
-    cheb, err = attempt(deg)
+    cheb, certificate = attempt(deg)
+    err = certificate[0]
     if not passes(err):  # an estimate was wrong: decide every degree exactly
         return cheb_fit(
             target, lo, hi, eps, k_cap, target_tag, zero_extension, subnorm_factor, input_precision
@@ -287,6 +295,7 @@ def cheb_fit(
         zero_extension=zero_extension,
         subnorm_factor=subnorm_factor,
         input_precision=input_precision,
+        _certificate=certificate,
     )
 
 

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import seeding
 from .config import MAX_DIM, TOL
 from .numkernel import HermMatrix, Spectrum, herm_with_spectrum
 
@@ -151,7 +152,7 @@ def random_density(d: int, r: int, seed: int) -> DensityMatrix:
     """
     if not (1 <= r <= d <= MAX_DIM):
         raise ValueError(f"need 1 <= r <= d <= {MAX_DIM}, got r={r}, d={d}")
-    rng = np.random.default_rng(seed)
+    rng = seeding.rng(seed)
     while True:
         p = rng.dirichlet(np.ones(r))
         if np.min(p) > 10 * TOL.rank_cutoff:

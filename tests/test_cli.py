@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entropybench import cli
+from entropybench import accountant, cli
 
 from entropybench.cli import (
     CSV_COLUMNS,
@@ -178,10 +178,20 @@ def test_config_file_rejects_garbage(tmp_path, capsys):
     for text, message in (
         ("alpha 2.0\n", "expected key=value"),
         ("mode=validate\n", "config key 'mode'"),  # a file may not replace the subcommand
+        ("blind=flase\n", "config key 'blind': expected 1/true/yes or 0/false/no, got 'flase'"),
+        ("ideal=maybe\n", "config key 'ideal': expected 1/true/yes or 0/false/no, got 'maybe'"),
     ):
         path.write_text(text)
         assert main(argv) == 1
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("word,value", [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("False", False), ("NO", False)])
+def test_config_file_booleans(tmp_path, word, value):
+    path = tmp_path / "flags.cfg"
+    path.write_text(f"blind={word}\nideal={word}\n")
+    cfg = config_from_args(build_parser().parse_args(["renyi", "--alpha", "2", "--config", str(path)]))
+    assert (cfg.blind, cfg.ideal) == (value, value)
 
 
 def test_validate_ideal_pure_rows_exact():
@@ -253,6 +263,7 @@ _SWEEP = ("sweep", "--alpha", "2", "--dim", "4")
             ("--alpha", "1e6", "error: accuracy budget for order 1000000.0", _RENYI2),
             ("--grid", "0,0.1,0.2", "invalid config fields: eps grid", (*_SWEEP, "--var", "eps")),
             ("--grid", "2,2.5,9", "invalid config fields: rank grid", (*_SWEEP, "--var", "rank")),
+            ("--seed", "-1", "error: expected non-negative integer", _RENYI2),
         ]
     ],
 )
@@ -277,6 +288,7 @@ def test_sweep_never_imports_numpy_ma(tmp_path):
     src = os.path.dirname(os.path.dirname(entropybench.__file__))
     code = (
         "import sys; from entropybench.cli import main; "
+        "assert 'numpy.random' not in sys.modules, 'numpy.random imported'; "
         f"code = main(['sweep', '--var', 'eps', '--grid', '0.2,0.1,0.05', '--alpha', '2', '--dim', '4', "
         f"'--trials', '3', '--out', {str(tmp_path / 's.csv')!r}]); "
         "assert code == 0, code; assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'"
@@ -284,6 +296,17 @@ def test_sweep_never_imports_numpy_ma(tmp_path):
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_sweep_budgets_each_point_once(monkeypatch):
+    calls = []
+    real = accountant.predicted_samples
+    monkeypatch.setattr(accountant, "predicted_samples", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    accountant.delta_budget.cache_clear()
+    cfg = ExperimentConfig(mode="sweep", var="eps", grid=[0.2, 0.1, 0.05], alpha=2.0, d=4, rank=2, trials=5, seed=4)
+    rows, _ = run_experiment(cfg)
+    assert len(rows) == 15
+    assert len(calls) == 3  # one budget per grid point, shared by its trials
 
 
 @settings(max_examples=50, deadline=None)

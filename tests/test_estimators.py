@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import binom
 
-from entropybench import estimators, numkernel
+from entropybench import cli, estimators, numkernel, seeding
 from entropybench.blockenc import BlockEncoding, encode_density, encode_state_side
 from entropybench.estimators import (
     EstimationFailure,
@@ -504,10 +504,25 @@ def _spawned(seed, n):
     return [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(n)]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1, 2**32 + 5, 12345678901234567890])
-def test_child_seeds_equal_spawned_children(seed):
+def _numpy_seed(seed, key):
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
+
+
+# Seeds of 1, 2, 5 and 32 words: once the run entropy is longer than the
+# 4-word pool, the hashmix index of the spawn words moves.
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1, 2**32 + 5, 12345678901234567890, 2**128 + 9, 2**1023 + 3])
+@settings(max_examples=20, deadline=None)
+@given(
+    drawn=st.integers(0, 2**1024 - 1),
+    words=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+)
+def test_child_seeds_equal_spawned_children(seed, drawn, words):
     for n in range(1, 9):
         assert estimators._child_seeds(seed, n) == _spawned(seed, n)
+    for s in (seed, drawn):
+        assert estimators._child_seed(s, words[0]) == _numpy_seed(s, words[:1])
+        assert cli._trial_seed(s, *words) == _numpy_seed(s, words)
+        assert seeding.rng(s).bit_generator.state == np.random.default_rng(s).bit_generator.state
 
 
 def test_integer_branch_derives_only_the_seeds_it_uses(monkeypatch):

@@ -356,7 +356,7 @@ def reference_cheb_fit(
         cheb = Chebyshev.interpolate(
             lambda xs: qsvtpoly._vec(target, np.atleast_1d(xs)), deg, domain=[lo, hi]
         )
-        err = qsvtpoly._certified_error(cheb, target, lo, hi, deg)
+        err = qsvtpoly._certify(cheb, target, lo, hi, deg)[0]
         return cheb, err
 
     def passes(err: float) -> bool:
@@ -456,7 +456,7 @@ def test_error_estimate_within_a_thousandth_of_its_slack(builder, lo, c, deg):
     cheb = Chebyshev.interpolate(
         lambda xs: qsvtpoly._vec(target, np.atleast_1d(xs)), deg, domain=[lo, hi]
     )
-    exact = qsvtpoly._certified_error(cheb, target, lo, hi, deg)
+    exact = qsvtpoly._certify(cheb, target, lo, hi, deg)[0]
     assert abs(est - exact) <= slack / 1000
 
 
@@ -467,3 +467,16 @@ def test_wrong_estimate_never_reaches_the_certificate(monkeypatch):
     want = reference_cheb_fit(*args, **kwargs)
     assert want.degree > 0
     assert_same_fit(cheb_fit(*args, **kwargs), want)
+
+
+def test_fit_keeps_its_checks_on_a_handed_over_certificate():
+    fit = approx_log(0.2, 0.05)
+    fields = dict(coeffs=fit.coeffs, degree=fit.degree, domain=fit.domain, target_tag=fit.target_tag,
+                  eps=fit.eps, target_fn=fit.target_fn, subnorm_factor=fit.subnorm_factor)
+    lo, hi = fit.domain
+    err, values = qsvtpoly._certify(fit._cheb(), fit.target_fn, lo, hi, fit.degree)
+    PolyApprox(**fields, _certificate=(err, values))
+    with pytest.raises(ValueError, match="certification failed"):
+        PolyApprox(**fields, _certificate=(2 * fit.eps, values))
+    with pytest.raises(ValueError, match=r"\|P\(x\)\| <= 1"):
+        PolyApprox(**fields, _certificate=(err, values * 3))

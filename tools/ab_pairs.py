@@ -1,0 +1,112 @@
+"""Alternating A/B pairs of the benchmark: a base commit against this tree.
+
+    python tools/ab_pairs.py BASE_REF --workload sweep-int --pairs 10 --seed 1 --seconds 5
+
+Checks BASE_REF out as a detached `git worktree` in a temporary directory,
+then runs `bench/run.py --trace 0` from the base tree and from this tree
+once per pair with the same workload, seed and run length, alternating
+which side goes first so drift in the host's speed falls on both sides.
+The worktree is removed afterwards, also when a run fails.
+
+Prints each pair's end-to-end metrics (those `BENCHMARK.json` lists under
+`end_to_end`), then per metric each side's median and quartiles and the
+pairs this tree wins: a win is a strictly better value in the metric's
+`better` direction.  The last line of stdout is one JSON object with the
+same summary.  Exit code 0 when every bench run exited 0, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN_TIMEOUT_S = 300.0  # a bench run exits within 180 s by its own deadline
+
+
+def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
+    """End-to-end metric values of one `bench/run.py` run from `tree`."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise RuntimeError(f"bench run in {tree} exited {done.returncode}: {done.stderr.strip()[-2000:]}")
+    result = json.loads(lines[-1])
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def spread(values: list[float]) -> dict[str, float]:
+    """Median and quartiles (one value is its own quartiles)."""
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", help="git revision to compare this tree against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    done = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{args.base}^{{commit}}"], cwd=ROOT,
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        print(f"error: {args.base!r} names no commit", file=sys.stderr)
+        return 1
+    sha = done.stdout.strip()
+    values: dict[str, dict[str, list[float]]] = {side: {name: [] for name in better} for side in ("base", "change")}
+    pairs = 0
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
+        base_tree = Path(tmp) / "base"
+        subprocess.run(["git", "worktree", "add", "--detach", str(base_tree), sha], cwd=ROOT,
+                       check=True, capture_output=True)
+        try:
+            for i in range(args.pairs):
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                got = {}
+                for side in order:
+                    tree = base_tree if side == "base" else ROOT
+                    got[side] = bench(tree, args.workload, args.seed, args.seconds)
+                for side, metrics in got.items():
+                    for name in better:
+                        values[side][name].append(metrics[name])
+                pairs += 1
+                cells = "  ".join(f"{name} {got['base'][name]:.6g} -> {got['change'][name]:.6g}" for name in better)
+                print(f"pair {i + 1} ({order[0]} first): {cells}", flush=True)
+        except (RuntimeError, subprocess.TimeoutExpired) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            ok = False
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", str(base_tree)], cwd=ROOT, capture_output=True)
+
+    summary = {"base": sha, "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+               "pairs": pairs, "metrics": {}}
+    if pairs:
+        for name, direction in better.items():
+            base, change = values["base"][name], values["change"][name]
+            sign = 1.0 if direction == "lower" else -1.0
+            wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+            row = {"better": direction, "base": spread(base), "change": spread(change), "wins": wins}
+            summary["metrics"][name] = row
+            b, c = row["base"], row["change"]
+            print(f"{name:12s} base {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}]  "
+                  f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  wins {wins}/{pairs} ({direction} is better)")
+    print(json.dumps(summary))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
