@@ -161,7 +161,7 @@ def delta_budget(
         # the recovery multiplies the raw statistic by the dimension
         measure_delta = delta / (2.0 * meta.dim if method == "ae" else 4.0 * meta.dim)
     shots = shots_for("amplitude_estimation" if method == "ae" else "bernoulli", measure_delta, c_shots)
-    predicted = predicted_samples(regime, eps, meta, d=meta.dim, method=method)
+    predicted = predicted_samples(regime, eps, meta, method=method)
     return Budget(delta=delta, shots=shots, predicted_samples=predicted, measure_delta=measure_delta)
 
 
@@ -174,7 +174,6 @@ def predicted_samples(
     regime: RegimeDecomposition,
     eps: float,
     meta: StateMeta,
-    d: int,
     method: str = "sampling",
 ) -> int:
     """Evaluate the protocol's cost formula for this regime.
@@ -184,15 +183,15 @@ def predicted_samples(
     count outside the float range raises ValueError.
     """
     try:
-        return int(math.ceil(_cost_formula(regime, eps, meta, d, method)))
+        return int(math.ceil(_cost_formula(regime, eps, meta, method)))
     except (OverflowError, ZeroDivisionError) as exc:
         raise ValueError(
             f"predicted sample count for order {regime.alpha} at eps={eps:.3e} is outside the float range"
         ) from exc
 
 
-def _cost_formula(regime: RegimeDecomposition, eps: float, meta: StateMeta, d: int, method: str) -> float:
-    a, r = regime.alpha, meta.rank
+def _cost_formula(regime: RegimeDecomposition, eps: float, meta: StateMeta, method: str) -> float:
+    a, r, d = regime.alpha, meta.rank, meta.dim
     rmin = meta.rho_min
     p2 = meta.purity
     one = abs(1.0 - a)

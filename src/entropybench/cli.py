@@ -102,6 +102,8 @@ class ExperimentConfig:
                 problems.append(f"sweep variable {self.var!r}")
             if len(self.grid) < 3:
                 problems.append(f"grid needs >= 3 points, got {len(self.grid)}")
+            elif len(set(self.grid)) < 2:
+                problems.append(f"grid {self.grid} needs >= 2 distinct values")
             if self.var == "eps" and not all(_positive(v) for v in self.grid):
                 problems.append(f"eps grid {self.grid} (need finite values > 0)")
             if self.var == "rank" and not all(float(v).is_integer() and 1 <= v <= self.d for v in self.grid):
@@ -117,11 +119,29 @@ def _trial_seed(master: int, grid_index: int, trial: int) -> int:
     return spawn_seed(master, (grid_index, trial))
 
 
-def _build_state(cfg: ExperimentConfig) -> DensityMatrix:
-    if cfg.spectrum is not None:
-        return from_spectrum(cfg.spectrum, cfg.d)
+# A grid point: (state, order, eps in the report's units, von Neumann approach).
+_Point = tuple[DensityMatrix, float, float, str]
+
+
+def _points(cfg: ExperimentConfig) -> list[_Point]:
+    """The run's grid points in order: a `renyi` or `vonneumann` run is a
+    one-point grid, `validate` its 16 fixture points, a sweep its grid.
+    Each distinct state is built once."""
+    if cfg.mode == "validate":
+        # pure and maximally mixed states across every branch, then a
+        # statistical block on a fixed three-level spectrum
+        fixtures = (from_spectrum([1.0], 4), from_spectrum([0.25] * 4, 4))
+        diag = from_spectrum([0.5, 0.3, 0.2], 8)
+        block = [(diag, a, 0.1, approach) for a, approach in ((2.0, "qsvt"), (1.5, "qsvt"), (1.0, "qsvt"), (1.0, "poly"))]
+        return [(rho, a, 0.1, cfg.approach) for rho in fixtures for a in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)] + block
+    alpha = 1.0 if cfg.mode == "vonneumann" else cfg.alpha
     # the state itself is fixed across trials; only measurements vary
-    return random_density(cfg.d, cfg.rank, _trial_seed(cfg.seed, 0, 0))
+    random_state = functools.cache(lambda rank: random_density(cfg.d, rank, _trial_seed(cfg.seed, 0, 0)))
+    if cfg.mode == "sweep" and cfg.var == "rank":
+        return [(random_state(int(v)), alpha, cfg.eps, cfg.approach) for v in cfg.grid]
+    rho = from_spectrum(cfg.spectrum, cfg.d) if cfg.spectrum is not None else random_state(cfg.rank)
+    eps_values = [float(v) for v in cfg.grid] if cfg.mode == "sweep" else [cfg.eps]
+    return [(rho, alpha, eps, cfg.approach) for eps in eps_values]
 
 
 def _scale(value: Optional[float], log_base: str) -> Optional[float]:
@@ -153,39 +173,40 @@ def _row(report: EstimateReport, log_base: str, eps_report: float, fixed: dict) 
     }
 
 
-def _point_rows(rho: DensityMatrix, alpha: float, grid_index: int, cfg: ExperimentConfig) -> list[dict]:
-    """CSV rows of `cfg.trials` estimates at one grid point, each on its
-    own seed; the route is chosen once for the point, not per trial.
-    `cfg.eps` is in the report's units, so the estimators, which work in
+def _point_rows(point: _Point, grid_index: int, trials: int, cfg: ExperimentConfig) -> list[dict]:
+    """CSV rows of `trials` estimates at one grid point, each on its own
+    seed; the route is chosen once for the point, not per trial.  The
+    point's eps is in the report's units, so the estimators, which work in
     nats, get it converted."""
+    rho, alpha, eps, approach = point
     mode = "ideal" if cfg.ideal else "noisy"
-    eps_internal = cfg.eps * math.log(2.0) if cfg.log_base == "2" else cfg.eps
+    eps_internal = eps * math.log(2.0) if cfg.log_base == "2" else eps
     branch = decompose_alpha(alpha).branch
-    method = cfg.approach if branch == "von_neumann" else cfg.method if branch == "sub_one" else None
-    fixed = {"d": rho.dim, "rank": rho.meta.rank, "eps": repr(float(cfg.eps))}
+    method = approach if branch == "von_neumann" else cfg.method if branch == "sub_one" else None
+    fixed = {"d": rho.dim, "rank": rho.meta.rank, "eps": repr(float(eps))}
     rows = []
-    for t in range(cfg.trials):
+    for t in range(trials):
         seed = _trial_seed(cfg.seed, grid_index, t)
         rep = estimate(
             rho, alpha, eps_internal, seed=seed, mode=mode, method=method, blind=cfg.blind, c_shots=cfg.c_shots
         )
-        rows.append(_row(rep, cfg.log_base, cfg.eps, fixed))
+        rows.append(_row(rep, cfg.log_base, eps, fixed))
     return rows
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], str]:
-    """Execute the configured experiment; returns (csv rows, summary text)."""
+    """Execute the configured experiment; returns (csv rows, summary text).
+    Every mode runs the same loop over its grid points, numbered from 1."""
     cfg.validate()
-    if cfg.mode == "validate":
-        return _run_validate(cfg)
+    trials = (3 if cfg.quick else 10) if cfg.mode == "validate" else cfg.trials
+    by_point = [_point_rows(point, gi, trials, cfg) for gi, point in enumerate(_points(cfg), 1)]
+    rows = [row for point_rows in by_point for row in point_rows]
+    lines = [_summarize(rows)]
     if cfg.mode == "sweep":
-        return sweep(cfg)
-
-    rho = _build_state(cfg)
-    alpha = 1.0 if cfg.mode == "vonneumann" else cfg.alpha
-    rows = _point_rows(rho, alpha, 1, cfg)
-    summary = _summarize(rows)
-    return rows, summary
+        lines += _slope_lines(cfg, by_point)
+    elif cfg.mode == "validate":
+        lines.append(f"validate: {'PASS' if _coverage(rows) >= 0.9 else 'FAIL'} (threshold 0.9)")
+    return rows, "\n".join(lines)
 
 
 def _median(values: list[float]) -> float:
@@ -193,6 +214,10 @@ def _median(values: list[float]) -> float:
     s = sorted(values)
     mid = len(s) // 2
     return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2.0
+
+
+def _coverage(rows: list[dict]) -> float:
+    return sum(r["pass"] for r in rows) / len(rows)
 
 
 def _summarize(rows: list[dict]) -> str:
@@ -213,72 +238,26 @@ def _summarize(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def _fit_slope(x: list[float], y: list[float]) -> tuple[float, float]:
-    """Least-squares slope of y against x with its standard error."""
-    xs, ys = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    coef, cov = np.polyfit(xs, ys, 1, cov=True)
-    return float(coef[0]), float(math.sqrt(max(cov[0][0], 0.0)))
-
-
-def sweep(cfg: ExperimentConfig) -> tuple[list[dict], str]:
-    """Grid sweep with scaling-exponent fits of the cost columns."""
-    cfg.validate()
-    rows: list[dict] = []
-    # per-point means of the cost columns, in the order the summary fits them
-    means: dict[str, list[float]] = {"shots": [], "ledger_samples": [], "predicted_samples": []}
-    xs: list[float] = []
-    for gi, value in enumerate(cfg.grid):
-        sub = ExperimentConfig(**{**cfg.__dict__})
-        sub.mode = "vonneumann" if abs(cfg.alpha - 1.0) < 1e-12 else "renyi"
-        if cfg.var == "eps":
-            sub.eps = float(value)
-            xs.append(math.log(1.0 / float(value)))
-        else:
-            sub.rank = int(value)
-            sub.spectrum = None
-            xs.append(math.log(float(value)))
-        rho = _build_state(sub)
-        alpha = 1.0 if sub.mode == "vonneumann" else sub.alpha
-        point = _point_rows(rho, alpha, gi + 1, sub)
-        rows.extend(point)
-        for column, by_point in means.items():
-            by_point.append(float(np.mean([r[column] for r in point])))
-
-    var_name = "log(1/eps)" if cfg.var == "eps" else "log(rank)"
-    lines = [_summarize(rows)]
-    for column, by_point in means.items():
-        slope, err = _fit_slope(xs, [math.log(v) for v in by_point])
+def _slope_lines(cfg: ExperimentConfig, by_point: list[list[dict]]) -> list[str]:
+    """Least-squares slopes, with standard errors, of the log of each cost
+    column's per-point mean against the log of the grid variable."""
+    if cfg.var == "eps":
+        var_name, xs = "log(1/eps)", [math.log(1.0 / float(v)) for v in cfg.grid]
+    else:
+        var_name, xs = "log(rank)", [math.log(float(v)) for v in cfg.grid]
+    lines = []
+    for column in ("shots", "ledger_samples", "predicted_samples"):
+        means = [float(np.mean([r[column] for r in point_rows])) for point_rows in by_point]
+        if 0.0 in means:  # a route that measures nothing, as vn_poly on a pure state
+            lines.append(f"slope of log({column}) vs {var_name}: undefined (a grid point's mean is 0)")
+            continue
+        coef, cov = np.polyfit(np.asarray(xs), np.asarray([math.log(m) for m in means]), 1, cov=True)
+        slope, err = float(coef[0]), float(math.sqrt(max(cov[0][0], 0.0)))
         # predicted_samples evaluates the accountant's cost formula, the
         # reference the measured columns are read against
         note = " (reference: cost formula)" if column == "predicted_samples" else ""
         lines.append(f"slope of log({column}) vs {var_name}: {slope:.3f} +/- {err:.3f}{note}")
-    return rows, "\n".join(lines)
-
-
-def _run_validate(cfg: ExperimentConfig) -> tuple[list[dict], str]:
-    """Fixture suite: pure and maximally mixed states across every branch,
-    plus a statistical block on a fixed three-level spectrum."""
-    fixed = ExperimentConfig(**{**cfg.__dict__, "eps": 0.1, "trials": 3 if cfg.quick else 10})
-    rows: list[dict] = []
-    fixtures = [
-        ("pure", from_spectrum([1.0], 4)),
-        ("mixed", from_spectrum([0.25] * 4, 4)),
-    ]
-    alphas = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-    gi = 0
-    for _, rho in fixtures:
-        for alpha in alphas:
-            gi += 1
-            rows += _point_rows(rho, alpha, gi, fixed)
-    diag = from_spectrum([0.5, 0.3, 0.2], 8)
-    for alpha, approach in ((2.0, "qsvt"), (1.5, "qsvt"), (1.0, "qsvt"), (1.0, "poly")):
-        gi += 1
-        sub_cfg = ExperimentConfig(**{**fixed.__dict__, "approach": approach})
-        rows += _point_rows(diag, alpha, gi, sub_cfg)
-    summary = _summarize(rows)
-    coverage = sum(r["pass"] for r in rows) / len(rows)
-    summary += f"\nvalidate: {'PASS' if coverage >= 0.9 else 'FAIL'} (threshold 0.9)"
-    return rows, summary
+    return lines
 
 
 def rows_to_csv(rows: list[dict]) -> str:
@@ -286,11 +265,6 @@ def rows_to_csv(rows: list[dict]) -> str:
     for r in rows:
         lines.append(",".join(str(r[c]) for c in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(rows_to_csv(rows))
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -366,10 +340,20 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _floats(raw: str) -> list[float]:
+    """A comma-separated list of numbers; empty items are skipped."""
+    return [float(v) for v in raw.split(",") if v]
+
+
 _BOOL_KEYS = {"ideal", "blind", "quick"}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-_FLOAT_KEYS = {"alpha", "eps", "c_shots"}
-_INT_KEYS = {"d", "rank", "trials", "seed"}
+_LIST_KEYS = {"grid", "spectrum"}
+# how a config-file value is read, by key; other keys keep the string
+_FILE_TYPES = {
+    **dict.fromkeys(("alpha", "eps", "c_shots"), float),
+    **dict.fromkeys(("d", "rank", "trials", "seed"), int),
+    **dict.fromkeys(_LIST_KEYS, _floats),
+}
 
 
 def config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
@@ -386,25 +370,11 @@ def config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
             if raw.lower() not in _BOOL_WORDS:
                 raise UsageError(f"config key {key!r}: expected 1/true/yes or 0/false/no, got {raw!r}")
             setattr(cfg, key, _BOOL_WORDS[raw.lower()])
-        elif key in _FLOAT_KEYS:
-            setattr(cfg, key, float(raw))
-        elif key in _INT_KEYS:
-            setattr(cfg, key, int(raw))
-        elif key == "grid":
-            cfg.grid = [float(v) for v in raw.split(",") if v]
-        elif key == "spectrum":
-            cfg.spectrum = [float(v) for v in raw.split(",") if v]
         else:
-            setattr(cfg, key, raw)
+            setattr(cfg, key, _FILE_TYPES.get(key, str)(raw))
     for key, value in vars(ns).items():
-        if key in ("mode", "config") or value is None:
-            continue
-        if key == "grid":
-            cfg.grid = [float(v) for v in str(value).split(",") if v]
-        elif key == "spectrum":
-            cfg.spectrum = [float(v) for v in str(value).split(",") if v]
-        else:
-            setattr(cfg, key, value)
+        if key not in ("mode", "config") and value is not None:
+            setattr(cfg, key, _floats(value) if key in _LIST_KEYS else value)
     if getattr(ns, "seed", None) is None and "seed" not in file_values:
         env = os.environ.get("ENTROPYBENCH_SEED")
         if env is not None:
@@ -430,16 +400,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     if cfg.out:
         try:
-            write_csv(rows, cfg.out)
+            with open(cfg.out, "w", newline="\n") as fh:
+                fh.write(rows_to_csv(rows))
         except OSError as exc:
             print(f"error: cannot write CSV to {cfg.out}: {exc.strerror or exc}", file=sys.stderr)
             return 1
     print(summary)
-    if cfg.mode == "validate":
-        coverage = sum(r["pass"] for r in rows) / len(rows)
-        if coverage < 0.9:
-            return 2
-    return 0
+    return 2 if cfg.mode == "validate" and _coverage(rows) < 0.9 else 0
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ class HermMatrix:
     """
 
     mat: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.mat, dtype=np.complex128)

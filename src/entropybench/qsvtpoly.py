@@ -496,7 +496,7 @@ def apply_poly(be: BlockEncoding, p: PolyApprox) -> BlockEncoding:
     )
 
 
-def to_monomial(p: PolyApprox, tol_check: float = TOL.monomial_eval) -> MonomialPoly:
+def to_monomial(p: PolyApprox) -> MonomialPoly:
     """Plain-power coefficients of subnorm_factor * P(x).
 
     For the scaled-log family this is the expansion of log(1/x) itself
@@ -517,6 +517,6 @@ def to_monomial(p: PolyApprox, tol_check: float = TOL.monomial_eval) -> Monomial
     lo, hi = p.domain
     grid = np.linspace(lo, hi, 10 * max(p.degree, 1) + 11)
     dev = float(np.max(np.abs(mono(grid) - factor * p(grid))))
-    if dev > tol_check:
-        raise ValueError(f"monomial conversion error {dev:.3e} exceeds {tol_check:g}")
+    if dev > TOL.monomial_eval:
+        raise ValueError(f"monomial conversion error {dev:.3e} exceeds {TOL.monomial_eval:g}")
     return mono

@@ -83,23 +83,23 @@ def test_budget_shot_rules():
 
 def test_predicted_fractional_row_evaluation():
     meta = StateMeta(rank=2, rho_min=0.2, rho_max=0.8, purity=0.68, dim=8)
-    got = predicted_samples(decompose_alpha(1.5), 0.1, meta, d=8)
+    got = predicted_samples(decompose_alpha(1.5), 0.1, meta)
     lead = (1 / 0.04) * (8 / 1e-3) * math.log(2 / (0.2 * 0.1)) ** 5
     assert got == math.ceil(lead + math.log(8))
 
 
 def test_predicted_sub_one_uses_dim_squared():
     meta = StateMeta(rank=2, rho_min=0.3, rho_max=0.7, purity=0.58, dim=4)
-    small = predicted_samples(decompose_alpha(0.5), 0.1, meta, d=4)
+    small = predicted_samples(decompose_alpha(0.5), 0.1, meta)
     metab = StateMeta(rank=2, rho_min=0.3, rho_max=0.7, purity=0.58, dim=8)
-    big = predicted_samples(decompose_alpha(0.5), 0.1, metab, d=8)
+    big = predicted_samples(decompose_alpha(0.5), 0.1, metab)
     assert big > small
     assert big / small > 3.0  # leading d^2 plus log growth
 
 
 def test_predicted_von_neumann_paths():
-    q = predicted_samples(decompose_alpha(1.0), 0.05, META, d=8, method="qsvt")
-    p = predicted_samples(decompose_alpha(1.0), 0.05, META, d=8, method="poly")
+    q = predicted_samples(decompose_alpha(1.0), 0.05, META, method="qsvt")
+    p = predicted_samples(decompose_alpha(1.0), 0.05, META, method="poly")
     assert q > p  # 1/eps^4 dominates 1/eps^2 at eps = 0.05
     # explicit evaluation of the direct-transform cost
     num = math.log(4 / (math.pi * 0.2))
@@ -144,17 +144,17 @@ def test_predicted_monotonicity():
     regime = decompose_alpha(3.5)
     base = StateMeta(rank=3, rho_min=0.1, rho_max=0.6, purity=0.4, dim=8)
     eps_grid = [0.05, 0.1, 0.2]
-    vals = [predicted_samples(regime, e, base, d=8) for e in eps_grid]
+    vals = [predicted_samples(regime, e, base) for e in eps_grid]
     assert vals == sorted(vals, reverse=True)
     rmin_grid = [0.02, 0.05, 0.1]
     vals = [
-        predicted_samples(regime, 0.1, StateMeta(rank=3, rho_min=rm, rho_max=0.6, purity=0.4, dim=8), d=8)
+        predicted_samples(regime, 0.1, StateMeta(rank=3, rho_min=rm, rho_max=0.6, purity=0.4, dim=8))
         for rm in rmin_grid
     ]
     assert vals == sorted(vals, reverse=True)
     rank_grid = [2, 3, 4]
     vals = [
-        predicted_samples(regime, 0.1, StateMeta(rank=r, rho_min=0.05, rho_max=0.6, purity=1 / r + 0.05, dim=8), d=8)
+        predicted_samples(regime, 0.1, StateMeta(rank=r, rho_min=0.05, rho_max=0.6, purity=1 / r + 0.05, dim=8))
         for r in rank_grid
     ]
     assert vals == sorted(vals)
@@ -218,4 +218,4 @@ def test_delta_budget_uses_the_shared_shot_rule():
 @pytest.mark.parametrize("eps", [1e300, 1e-300])
 def test_predicted_samples_out_of_range_is_value_error(alpha, eps):
     with pytest.raises(ValueError, match="outside the float range"):
-        predicted_samples(decompose_alpha(alpha), eps, META, d=8)
+        predicted_samples(decompose_alpha(alpha), eps, META)

@@ -263,6 +263,8 @@ _SWEEP = ("sweep", "--alpha", "2", "--dim", "4")
             ("--alpha", "1e6", "error: accuracy budget for order 1000000.0", _RENYI2),
             ("--grid", "0,0.1,0.2", "invalid config fields: eps grid", (*_SWEEP, "--var", "eps")),
             ("--grid", "2,2.5,9", "invalid config fields: rank grid", (*_SWEEP, "--var", "rank")),
+            ("--grid", "0.1,0.1,0.1", "invalid config fields: grid [0.1, 0.1, 0.1] needs >= 2 distinct values",
+             (*_SWEEP, "--var", "eps")),
             ("--seed", "-1", "error: expected non-negative integer", _RENYI2),
         ]
     ],
@@ -307,6 +309,54 @@ def test_sweep_budgets_each_point_once(monkeypatch):
     rows, _ = run_experiment(cfg)
     assert len(rows) == 15
     assert len(calls) == 3  # one budget per grid point, shared by its trials
+
+
+def test_sweep_with_a_repeated_grid_value_still_runs():
+    cfg = ExperimentConfig(mode="sweep", var="eps", grid=[0.2, 0.1, 0.1], alpha=2.0, d=4, rank=2, trials=2, seed=4)
+    rows, summary = run_experiment(cfg)
+    assert len(rows) == 6
+    assert "slope of log(shots) vs log(1/eps): " in summary
+
+
+def test_sweep_summary_with_a_zero_cost_mean(tmp_path, capsys):
+    # vn_poly on a pure state fits a constant and measures nothing, so the
+    # rank-1 point's ledger mean is 0 and its log slope has no value
+    out = tmp_path / "poly.csv"
+    argv = ["sweep", "--var", "rank", "--grid", "1,2,3", "--alpha", "1", "--dim", "4", "--approach", "poly",
+            "--trials", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(out.read_text().splitlines()) == 1 + 3 * 2
+    summary = capsys.readouterr().out
+    assert "slope of log(ledger_samples) vs log(rank): undefined (a grid point's mean is 0)\n" in summary
+    assert "slope of log(predicted_samples) vs log(rank): " in summary
+
+
+def test_eps_sweep_builds_its_state_once(monkeypatch):
+    calls = []
+    real = cli.random_density
+    monkeypatch.setattr(cli, "random_density", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    cfg = ExperimentConfig(mode="sweep", var="eps", grid=[0.2, 0.1, 0.05, 0.025], alpha=2.0, d=4, rank=3, seed=2)
+    rows, _ = run_experiment(cfg)
+    assert len(rows) == 4
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "cfg,indices",
+    [
+        (ExperimentConfig(mode="renyi", alpha=2.0, spectrum=[0.6, 0.4], d=2, trials=3), {1}),
+        (ExperimentConfig(mode="validate", quick=True), set(range(1, 17))),
+        (ExperimentConfig(mode="sweep", var="eps", grid=[0.2, 0.1, 0.05, 0.025], alpha=2.0, spectrum=[0.6, 0.4], d=2),
+         {1, 2, 3, 4}),
+    ],
+    ids=["renyi", "validate", "sweep"],
+)
+def test_grid_points_are_numbered_from_one(monkeypatch, cfg, indices):
+    seen = set()
+    real = cli._trial_seed
+    monkeypatch.setattr(cli, "_trial_seed", lambda master, gi, t: seen.add(gi) or real(master, gi, t))
+    run_experiment(cfg)
+    assert seen == indices
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,6 +78,16 @@ def test_mat_fun_rejects_undefined():
     a = HermMatrix(np.diag([0.5, 0.0]).astype(complex))
     with pytest.raises(ValueError, match="eigenvalue"):
         mat_fun(a, lambda x: 1.0 / x if x != 0 else float("nan"))
+
+
+def test_replace_decomposes_the_new_matrix():
+    # the cached spectrum is not an init field, so a copy does not share it
+    h = HermMatrix(np.diag([1.0, 0.0]).astype(complex))
+    assert np.allclose(h.spectrum.eigenvalues, [1.0, 0.0])
+    moved = dataclasses.replace(h, mat=np.diag([0.3, 0.2]).astype(complex))
+    assert np.allclose(moved.spectrum.eigenvalues, [0.3, 0.2])
+    with pytest.raises(TypeError):
+        HermMatrix(h.mat, {"spec": "junk"})
 
 
 def test_op_norm_dist_examples():
