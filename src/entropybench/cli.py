@@ -17,13 +17,15 @@ import functools
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .accountant import C_SHOTS, decompose_alpha
-from .estimators import EstimateReport, EstimationFailure, estimate
+from . import seeding
+from .estimators import EstimateReport, EstimationFailure, estimate, trial_children
 from .qsvtpoly import DegreeCapExceeded
 from .seeding import spawn_seed
 from .states import DensityMatrix, from_spectrum, random_density
@@ -119,6 +121,21 @@ def _trial_seed(master: int, grid_index: int, trial: int) -> int:
     return spawn_seed(master, (grid_index, trial))
 
 
+def _trial_seeds(master: int, grid_index: int, trials: int, children: tuple[int, ...]) -> Iterator[int]:
+    """The seeds of a grid point's trials in order.  They are derived
+    `seeding.BATCH_TRIALS` at a time, each batch together with the
+    `children` every trial reads (see `seeding.batch`), and a batch runs
+    only while its trials do; a batch smaller than `seeding.MIN_BATCH`
+    would not pay for itself, so its seeds are derived one at a time."""
+    for start in range(0, trials, seeding.BATCH_TRIALS):
+        chunk = range(start, min(trials, start + seeding.BATCH_TRIALS))
+        if len(chunk) < seeding.MIN_BATCH:
+            yield from (_trial_seed(master, grid_index, t) for t in chunk)
+            continue
+        with seeding.batch(master, (grid_index,), chunk, children) as seeds:
+            yield from seeds
+
+
 # A grid point: (state, order, eps in the report's units, von Neumann approach).
 _Point = tuple[DensityMatrix, float, float, str]
 
@@ -185,8 +202,7 @@ def _point_rows(point: _Point, grid_index: int, trials: int, cfg: ExperimentConf
     method = approach if branch == "von_neumann" else cfg.method if branch == "sub_one" else None
     fixed = {"d": rho.dim, "rank": rho.meta.rank, "eps": repr(float(eps))}
     rows = []
-    for t in range(trials):
-        seed = _trial_seed(cfg.seed, grid_index, t)
+    for seed in _trial_seeds(cfg.seed, grid_index, trials, trial_children(branch, method)):
         rep = estimate(
             rho, alpha, eps_internal, seed=seed, mode=mode, method=method, blind=cfg.blind, c_shots=cfg.c_shots
         )

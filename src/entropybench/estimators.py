@@ -132,9 +132,28 @@ class MinEigResult:
 
 
 # An estimate's seed has numbered children (`_child_seed(seed, i)`): 0 feeds
-# the blind-mode probes, then each branch numbers its build stages, and its
-# measurement comes last.  A child is derived where it is used, so unused
-# ones cost nothing.
+# the blind-mode probes, then each branch numbers its build stages from
+# `_BUILD_CHILD`, and its measurement comes last.  `trial_children` names
+# the ones a route reads on every trial, so that a caller running many
+# trials can derive them in one batch (`seeding.batch`); the others are
+# derived where they are used, so unused ones cost nothing.
+_BUILD_CHILD = 1
+_MEASURE_CHILD = {"integer": 1, "odd_floor": 2, "even_floor": 3, "sub_one": 2, "von_neumann": 2}
+
+
+def trial_children(branch: str, method: Optional[str] = None) -> tuple[int, ...]:
+    """The children of an estimate's seed that every trial of the route
+    `estimate(..., method=method)` takes on `branch` reads: the measurement
+    child and, on the encoded branches, the first build child.  `vn_poly`
+    reads only child 1, the parent of its term seeds; blind mode also
+    reads child 0."""
+    if branch == "integer":
+        return (_MEASURE_CHILD[branch],)
+    if method == "poly":
+        return (_BUILD_CHILD,)
+    return (_BUILD_CHILD, _MEASURE_CHILD[branch])
+
+
 def _child_seeds(seed: int, n: int) -> list[int]:
     return [_child_seed(seed, i) for i in range(n)]
 
@@ -362,7 +381,6 @@ def _pipeline(
     invert: Callable[[float, _Built, Budget], float],
     *,
     method: str,
-    measure_child: int,
     need_rho_min: bool = True,
     copies_per_shot: int = 1,
     blind_flags: tuple[str, ...] = (),
@@ -371,8 +389,8 @@ def _pipeline(
 
     Gathers the spectral inputs (oracle or blind) and budgets the run;
     `build(inputs, budget, oracle)` returns the branch's `_Built`; p0 is
-    then read exactly (ideal mode) or measured on child `measure_child`
-    of the seed, Bernoulli or, for method "ae", by amplitude estimation;
+    then read exactly (ideal mode) or measured on the branch's measurement
+    child of the seed, Bernoulli or, for method "ae", by amplitude estimation;
     `invert(p0_hat, built, budget)` turns it into the entropy.
     """
     inputs = _gather_inputs(rho, blind, mode, seed, c_shots, need_rho_min)
@@ -383,7 +401,7 @@ def _pipeline(
     p0_hat = built.pair[0]
     if mode != "ideal":
         model = MeasurementModel(p0=p0_hat, mode="amplitude_estimation" if ae else "bernoulli")
-        p0_hat = measure_p0(model, budget.measure_delta, _child_seed(seed, measure_child), c_shots)
+        p0_hat = measure_p0(model, budget.measure_delta, _child_seed(seed, _MEASURE_CHILD[regime.branch]), c_shots)
     estimate = invert(p0_hat, built, budget)
     be = built.be
     return _report(
@@ -444,7 +462,7 @@ def renyi_integer(
 
     return _pipeline(
         rho, decompose_alpha(float(alpha)), eps, mode, seed, blind, c_shots, build, invert,
-        method="integer", measure_child=1, need_rho_min=False, copies_per_shot=alpha,
+        method="integer", need_rho_min=False, copies_per_shot=alpha,
     )
 
 
@@ -476,7 +494,7 @@ def renyi_case_odd(
         kappa = 4.0 / (math.pi * inputs.rho_min_lower)
         fit = approx_pos_power(c / 2.0, kappa, _poly_budget(delta, mode))
         enc_budget = _clamp_encoding_budget(min(fit.input_precision, delta))
-        s_build = _child_seed(seed, 1)
+        s_build = _child_seed(seed, _BUILD_CHILD)
         be = rescale(apply_poly(encode_density(rho, enc_budget, _child_seed(s_build, 0), noiseless), fit), 2.0)
         if k > 0:
             powers = be_power(rho, k, _clamp_encoding_budget(delta / k), _child_seed(s_build, 1), noiseless)
@@ -486,7 +504,7 @@ def renyi_case_odd(
     def invert(p0_hat, built, budget):
         return (math.log(_nonzero(p0_hat) * math.pi / 4.0) - alpha * LOG_PI_OVER_4) / (1.0 - alpha)
 
-    return _pipeline(rho, regime, eps, mode, seed, blind, c_shots, build, invert, method="odd_floor", measure_child=2)
+    return _pipeline(rho, regime, eps, mode, seed, blind, c_shots, build, invert, method="odd_floor")
 
 
 def renyi_case_even(
@@ -520,8 +538,8 @@ def renyi_case_even(
         kappa = 1.0 / inputs.rho_min_lower
         fit = approx_neg_power(abs(c) / 2.0, kappa, _poly_budget(delta, mode))
         enc_budget = _clamp_encoding_budget(min(fit.input_precision, delta))
-        neg_branch = apply_poly(encode_state_side(work, enc_budget, _child_seed(seed, 1), noiseless), fit)
-        powers = be_power(work, k, _clamp_encoding_budget(delta / k), _child_seed(seed, 2), noiseless)
+        neg_branch = apply_poly(encode_state_side(work, enc_budget, _child_seed(seed, _BUILD_CHILD), noiseless), fit)
+        powers = be_power(work, k, _clamp_encoding_budget(delta / k), _child_seed(seed, _BUILD_CHILD + 1), noiseless)
         be = be_product(powers, neg_branch)
         rho_min_used = 1.0 / kappa
         return _Built(_p0_pair(be, work.matrix.mat), be, rho_min_used, c / ((1.0 - alpha) * rho_min_used))
@@ -530,7 +548,7 @@ def renyi_case_even(
         prefactor = 0.25 * (math.pi / 4.0) ** (2 * k) * built.rho_min_used ** (-c)
         return (math.log(_nonzero(p0_hat)) - math.log(prefactor)) / (1.0 - alpha)
 
-    return _pipeline(work, regime, eps, mode, seed, blind, c_shots, build, invert, method="even_floor", measure_child=3)
+    return _pipeline(work, regime, eps, mode, seed, blind, c_shots, build, invert, method="even_floor")
 
 
 def renyi_sub_one(
@@ -567,7 +585,7 @@ def renyi_sub_one(
         exponent = alpha / 2.0 if method == "sampling" else alpha
         fit = approx_pos_power(exponent, kappa, _poly_budget(delta_meas, mode))
         enc_budget = _clamp_encoding_budget(min(fit.input_precision, delta_meas))
-        be = apply_poly(encode_density(rho, enc_budget, _child_seed(seed, 1), mode == "ideal"), fit)
+        be = apply_poly(encode_density(rho, enc_budget, _child_seed(seed, _BUILD_CHILD), mode == "ideal"), fit)
         mixed = np.eye(d, dtype=np.complex128) / d
         if method == "sampling":
             return _Built(_p0_pair(be, mixed), be, inputs.rho_min_lower)
@@ -585,7 +603,7 @@ def renyi_sub_one(
 
     return _pipeline(
         rho, regime, eps, mode, seed, blind, c_shots, build, invert,
-        method=method, measure_child=2, blind_flags=("budget_from_estimated_purity",),
+        method=method, blind_flags=("budget_from_estimated_purity",),
     )
 
 
@@ -623,7 +641,7 @@ def vn_qsvt(
         log_fit = approx_log(beta, stage_eps)
         slope = max(1.0, log_fit.lipschitz_bound())
         enc_budget = _clamp_encoding_budget(stage_eps / (2.0 * slope))
-        b1 = apply_poly(encode_density(work, enc_budget, _child_seed(seed, 1), mode == "ideal"), log_fit)
+        b1 = apply_poly(encode_density(work, enc_budget, _child_seed(seed, _BUILD_CHILD), mode == "ideal"), log_fit)
         sqrt_fit = approx_pos_power(0.5, 1.0 / floor2, stage_eps)
         b2 = rescale(apply_poly(b1, sqrt_fit), 2.0)
         return _Built(_p0_pair(b2, work.matrix.mat), b2, inputs.rho_min_lower)
@@ -638,9 +656,7 @@ def vn_qsvt(
             )
         return (p0_hat - floor2) / gamma
 
-    return _pipeline(
-        work, decompose_alpha(1.0), eps, mode, seed, blind, c_shots, build, invert, method="qsvt", measure_child=2
-    )
+    return _pipeline(work, decompose_alpha(1.0), eps, mode, seed, blind, c_shots, build, invert, method="qsvt")
 
 
 def vn_poly(
@@ -682,7 +698,7 @@ def vn_poly(
     coeffs = mono.coeffs  # of log(1/x) on [beta, 1]
 
     oracle_powers = {i: exact_entropies(rho, float(i + 1)).tr_pow_alpha for i in range(1, len(coeffs))}
-    s_meas = _child_seed(seed, 1)
+    s_meas = _child_seed(seed, _BUILD_CHILD)
     estimate = float(coeffs[0]) if len(coeffs) else 0.0
     shots_total = 0
     ledger = inputs.extra_cost

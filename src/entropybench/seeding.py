@@ -15,15 +15,23 @@ word is shared by every sibling and cached.  A generator is
 `Generator(PCG64(...))` on the four 64-bit words `generate_state(4,
 np.uint64)` would return, hashed here from the pool.
 
+`batch` derives the seeds that many trials of one grid point read in one
+vectorized pass: the trial seeds, the children each trial reads, their
+pools and their generators' state words.  While its block runs,
+`spawn_seed` and `rng` read them from its tables; every other seed still
+starts from numpy's own `SeedSequence`, which stays the reference.
+
 numpy.random is imported on first use, so importing the package does
 not load it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import operator
 import struct
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -92,12 +100,24 @@ def _spawn_point(seed: int, head: tuple[int, ...]) -> tuple[int, int, int]:
     return (pool0, *_hashmix_consts(k))
 
 
+# Filled by `batch` while its block runs: pool word 0 of each seed it
+# derived, and the PCG64 state words of each child it derived.
+_batch_pool0: dict[int, int] = {}
+_batch_words: dict[int, np.ndarray] = {}
+# `_spawn_point` constants of a one-word seed's first spawn word; the
+# seeds `batch` derives are all one word long
+_FIRST_SPAWN = _hashmix_consts(_POOL_HASHES)
+
+
 def spawn_seed(seed: int, key: tuple[int, ...]) -> int:
     """`int(SeedSequence(seed, spawn_key=key).generate_state(1)[0])` for a
     non-empty key of 32-bit words: hashmix the last word, mix it into the
     shared pool word 0, and hash that into output word 0."""
     *head, last = key
-    pool0, x, m = _spawn_point(seed, tuple(head))
+    if not head and seed in _batch_pool0:
+        pool0, (x, m) = _batch_pool0[seed], _FIRST_SPAWN
+    else:
+        pool0, x, m = _spawn_point(seed, tuple(head))
     if not 0 <= last <= _MASK:
         raise ValueError(f"spawn key words must be 32-bit, got {key!r}")
     h = (last ^ x) * m & _MASK
@@ -128,9 +148,121 @@ class _Words:
 def rng(seed: int) -> "np.random.Generator":
     """`np.random.default_rng(seed)` for an integer seed."""
     np_random = _numpy_random()
-    hashed = [(w ^ x) * m & _MASK for w, (x, m) in zip(_pool(seed) * 2, _OUT)]
-    # generate_state(4, np.uint64) reads its eight uint32 words as four
-    # little-endian uint64 words, then converts them to native order
-    packed = _PACK_OUTPUT(*[v ^ v >> 16 for v in hashed])
-    words = np.frombuffer(packed, dtype="<u8").astype(np.uint64)
+    words = _batch_words.get(seed)
+    if words is None:
+        hashed = [(w ^ x) * m & _MASK for w, (x, m) in zip(_pool(seed) * 2, _OUT)]
+        # generate_state(4, np.uint64) reads its eight uint32 words as four
+        # little-endian uint64 words, then converts them to native order
+        packed = _PACK_OUTPUT(*[v ^ v >> 16 for v in hashed])
+        words = np.frombuffer(packed, dtype="<u8").astype(np.uint64)
     return np_random.Generator(np_random.PCG64(_Words(words)))
+
+
+# The batch kernel: the same hashes on uint32 arrays, whose products wrap
+# mod 2^32 as the masks above do.  A constant column (n, 1) applies one
+# hash per row, so each step below is one numpy operation over all rows.
+_U32 = np.uint32
+_SHIFT = _U32(16)
+_ML, _MR = _U32(_MIX_L), _U32(_MIX_R)
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=_U32)[:, None]
+
+
+def _hash_rows(v: np.ndarray, x, m) -> np.ndarray:
+    v = (v ^ x) * m
+    return v ^ v >> _SHIFT
+
+
+def _mix_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    r = a * _ML - b * _MR
+    return r ^ r >> _SHIFT
+
+
+# A one-word seed's pool: pool word 0 is its hashed word, words 1-3 hashed
+# zeros.  Then each source word in turn is hashed once for every other
+# word and mixed into it: hashmix calls 4..15, in numpy's order.  One pass
+# hashes and mixes all four rows at once; the source row's constants are
+# placeholders, and the row is put back unchanged.
+_INIT_X, _INIT_M = (_U32(c) for c in _hashmix_consts(0))
+_ZEROS = _column([0] + [_hashmix_consts(k)[0] * _hashmix_consts(k)[1] & _MASK for k in (1, 2, 3)])
+_ZEROS ^= _ZEROS >> _SHIFT
+
+
+def _cross_pass(s: int) -> tuple[np.ndarray, np.ndarray]:
+    consts = [(0, 0)] * _POOL_SIZE
+    others = [d for d in range(_POOL_SIZE) if d != s]
+    for j, d in enumerate(others):
+        consts[d] = _hashmix_consts(_POOL_SIZE + len(others) * s + j)
+    return _column([x for x, _ in consts]), _column([m for _, m in consts])
+
+
+_CROSS = [_cross_pass(s) for s in range(_POOL_SIZE)]
+# output words 0..7 of `generate_state`, hashed from pool words 0..3, 0..3
+_OUT_X, _OUT_M = _column([x for x, _ in _OUT]), _column([m for _, m in _OUT])
+
+
+def _pools(seeds: np.ndarray) -> np.ndarray:
+    """numpy's mixed pools, (4, n), of `SeedSequence(s)` for n one-word seeds."""
+    pool = np.repeat(_ZEROS, seeds.size, axis=1)
+    pool[0] = _hash_rows(seeds, _INIT_X, _INIT_M)
+    for s, (x, m) in enumerate(_CROSS):
+        mixed = _mix_rows(pool, _hash_rows(pool[s], x, m))
+        mixed[s] = pool[s]
+        pool = mixed
+    return pool
+
+
+def _first_output(mixed: np.ndarray) -> np.ndarray:
+    """Output word 0 of pools whose word 0 is `mixed`: a child seed."""
+    return _hash_rows(mixed, _OUT_X[0], _OUT_M[0])
+
+
+# Trials derived in one batch at most, so a batch's arrays stay small
+# whatever the trial count.
+BATCH_TRIALS = 256
+# Fewer trials than this take the scalar path: a batch costs a fixed
+# ~0.15 ms of numpy calls, which the seeds it saves repay from about here.
+MIN_BATCH = 8
+
+
+@contextlib.contextmanager
+def _derived(parents: np.ndarray, children: tuple[int, ...]) -> Iterator[None]:
+    """While the block runs, `child_seed(p, i)` for each one-word seed p in
+    `parents` and i in `children`, every child of those children, and the
+    generators `rng` makes for them cost only their last hashes: one
+    vectorized pass derives the parents' and children's pools and the
+    children's generator state words, and the tables hold them."""
+    pool0 = _pools(parents)[0]
+    spawned = _hash_rows(_column(children), *(_U32(c) for c in _FIRST_SPAWN))
+    kids = _first_output(_mix_rows(pool0, spawned)).ravel()
+    kid_pools = _pools(kids)
+    hashed = _hash_rows(np.concatenate([kid_pools, kid_pools]), _OUT_X, _OUT_M)
+    # each child's eight output words, read as four little-endian uint64
+    state = np.ascontiguousarray(hashed.T).view("<u8").astype(np.uint64, copy=False)
+    kids = kids.tolist()
+    _batch_pool0.update(zip(parents.tolist(), pool0.tolist()))
+    _batch_pool0.update(zip(kids, kid_pools[0].tolist()))
+    _batch_words.update(zip(kids, state))
+    try:
+        yield
+    finally:
+        _batch_pool0.clear()
+        _batch_words.clear()
+
+
+@contextlib.contextmanager
+def batch(seed: int, head: tuple[int, ...], trials: range, children: tuple[int, ...]) -> Iterator[list[int]]:
+    """Yield the trial seeds `spawn_seed(seed, (*head, t))` for t in
+    `trials`, derived in one vectorized pass.  While the block runs, each
+    trial's `children` (`child_seed(trial, i)` for i in `children`), their
+    own children and their generators are read from what a second pass
+    derived for all trials at once (see `_derived`)."""
+    if trials.stop > _MASK + 1:
+        raise ValueError(f"spawn key words must be 32-bit, got {(*head, trials.stop - 1)!r}")
+    pool0, x, m = _spawn_point(seed, head)
+    words = np.arange(trials.start, trials.stop, dtype=_U32)
+    seeds = _first_output(_mix_rows(np.array([pool0], _U32), _hash_rows(words, _U32(x), _U32(m))))
+    with _derived(seeds, children):
+        yield seeds.tolist()

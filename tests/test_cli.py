@@ -1,13 +1,16 @@
+import importlib.util
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entropybench import accountant, cli
+from entropybench import accountant, cli, seeding
+from entropybench.estimators import estimate
 
 from entropybench.cli import (
     CSV_COLUMNS,
@@ -21,6 +24,11 @@ from entropybench.cli import (
     run_experiment,
 )
 from entropybench.qsvtpoly import DegreeCapExceeded
+
+_GOLDEN = Path(__file__).parents[1] / "tools" / "golden_digest.py"
+_spec = importlib.util.spec_from_file_location("golden_digest", _GOLDEN)
+golden_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden_digest)
 
 
 def test_csv_schema_and_pass_column():
@@ -357,6 +365,74 @@ def test_grid_points_are_numbered_from_one(monkeypatch, cfg, indices):
     monkeypatch.setattr(cli, "_trial_seed", lambda master, gi, t: seen.add(gi) or real(master, gi, t))
     run_experiment(cfg)
     assert seen == indices
+
+
+@pytest.mark.parametrize("mode", [(), ("--ideal",), ("--blind",)], ids=["noisy", "ideal", "blind"])
+@pytest.mark.parametrize("route", golden_digest.ROUTES, ids=lambda route: "-".join(w.lstrip("-") for w in route))
+def test_cli_rows_equal_per_trial_estimates(monkeypatch, route, mode):
+    # batches of at most 2 trials, so the 5 trials run as two batches and
+    # one scalar trial
+    monkeypatch.setattr(seeding, "BATCH_TRIALS", 2, raising=False)
+    monkeypatch.setattr(seeding, "MIN_BATCH", 2, raising=False)
+    argv = [*route, "--dim", "8", "--spectrum", "0.5,0.3,0.2", "--eps", "0.1", "--trials", "5", "--seed", "3", *mode]
+    cfg = config_from_args(build_parser().parse_args(argv))
+    rho, alpha, eps, approach = cli._points(cfg)[0]
+    method = approach if cfg.mode == "vonneumann" else cfg.method
+    fixed = {"d": 8, "rank": 3, "eps": repr(eps)}
+    expected = [
+        cli._row(estimate(rho, alpha, eps, seed=cli._trial_seed(3, 1, t), mode="ideal" if cfg.ideal else "noisy",
+                          method=method, blind=cfg.blind), "e", eps, fixed)
+        for t in range(5)
+    ]
+    assert run_experiment(cfg)[0] == expected
+
+
+def test_a_point_derives_its_seeds_in_one_batch(monkeypatch):
+    import numpy.random
+
+    made = []
+    real = numpy.random.SeedSequence
+    monkeypatch.setattr(numpy.random, "SeedSequence", lambda *a, **kw: made.append(a) or real(*a, **kw))
+    seeding._spawn_point.cache_clear()
+    argv = ["renyi", "--alpha", "2", "--dim", "8", "--spectrum", "0.5,0.3,0.2", "--trials", "50", "--seed", "3"]
+    assert main(argv) == 0
+    assert len(made) <= 3  # one trial and one generator each would make 101
+
+
+def test_batched_rows_equal_unbatched_rows(monkeypatch):
+    cfg = ExperimentConfig(mode="renyi", alpha=1.5, d=4, rank=3, eps=0.1, trials=2 * 8 + 1, seed=6)
+    monkeypatch.setattr(seeding, "MIN_BATCH", cfg.trials + 1)
+    unbatched, _ = run_experiment(cfg)
+    sizes = []
+    real = seeding.batch
+    monkeypatch.setattr(seeding, "batch", lambda seed, head, trials, children: sizes.append(len(trials)) or real(
+        seed, head, trials, children))
+    monkeypatch.setattr(seeding, "BATCH_TRIALS", 8)
+    monkeypatch.setattr(seeding, "MIN_BATCH", 8)
+    assert run_experiment(cfg)[0] == unbatched
+    assert sizes == [8, 8]  # the 17th trial alone would not repay a batch
+
+
+def test_a_huge_trial_count_is_derived_in_bounded_batches(monkeypatch):
+    class Stop(Exception):
+        pass
+
+    sizes, done = [], []
+    real_batch, real_estimate = seeding.batch, cli.estimate
+    monkeypatch.setattr(seeding, "batch", lambda seed, head, trials, children: sizes.append(len(trials)) or real_batch(
+        seed, head, trials, children))
+
+    def estimate_20(*args, **kw):
+        if len(done) == 20:
+            raise Stop
+        done.append(1)
+        return real_estimate(*args, **kw)
+
+    monkeypatch.setattr(cli, "estimate", estimate_20)
+    cfg = ExperimentConfig(mode="renyi", alpha=2.0, d=8, spectrum=[0.5, 0.3, 0.2], trials=10**11, seed=1)
+    with pytest.raises(Stop):
+        run_experiment(cfg)
+    assert sizes == [seeding.BATCH_TRIALS]
 
 
 @settings(max_examples=50, deadline=None)

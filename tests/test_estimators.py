@@ -515,14 +515,43 @@ def _numpy_seed(seed, key):
 @given(
     drawn=st.integers(0, 2**1024 - 1),
     words=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+    parents=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+    k=st.integers(0, 3),
 )
-def test_child_seeds_equal_spawned_children(seed, drawn, words):
+def test_child_seeds_equal_spawned_children(seed, drawn, words, parents, k):
     for n in range(1, 9):
         assert estimators._child_seeds(seed, n) == _spawned(seed, n)
     for s in (seed, drawn):
         assert estimators._child_seed(s, words[0]) == _numpy_seed(s, words[:1])
         assert cli._trial_seed(s, *words) == _numpy_seed(s, words)
         assert seeding.rng(s).bit_generator.state == np.random.default_rng(s).bit_generator.state
+    # the batch kernel, on one-word seeds and on the trial seeds of a master
+    # seed of any length; the tables prove the batch, not the scalar path,
+    # answered
+    parents = [0, 2**32 - 1, *parents]
+    with seeding._derived(np.array(parents, np.uint32), (k,)):
+        for p in parents:
+            assert p in seeding._batch_pool0
+            child = seeding.child_seed(p, k)
+            assert child == _numpy_seed(p, (k,)) and child in seeding._batch_words
+            assert seeding.rng(child).bit_generator.state == np.random.default_rng(child).bit_generator.state
+            assert seeding.child_seed(child, 0) == _numpy_seed(child, (0,))
+    trials = range(words[1] % 1000, words[1] % 1000 + 3)
+    with seeding.batch(seed, words[:1], trials, (k,)) as trial_seeds:
+        assert trial_seeds == [_numpy_seed(seed, (words[0], t)) for t in trials]
+        assert [seeding.child_seed(s, k) for s in trial_seeds] == [_numpy_seed(s, (k,)) for s in trial_seeds]
+    assert not seeding._batch_pool0 and not seeding._batch_words
+
+
+def test_batch_refuses_what_numpy_refuses():
+    # a negative seed reaches numpy's SeedSequence, in a batch as in a
+    # direct estimate, and a trial word must fit in 32 bits
+    with pytest.raises(ValueError, match="negative"):
+        estimate(DIAG, 2.0, 0.1, seed=-1)
+    with pytest.raises(ValueError, match="negative"):
+        seeding.batch(-1, (1,), range(8), (1,)).__enter__()
+    with pytest.raises(ValueError, match="32-bit"):
+        seeding.batch(3, (1,), range(2**32 - 4, 2**32 + 4), (1,)).__enter__()
 
 
 def test_integer_branch_derives_only_the_seeds_it_uses(monkeypatch):
