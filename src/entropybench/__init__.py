@@ -27,16 +27,19 @@ from .estimators import (
     EstimateReport,
     EstimationFailure,
     MeasurementModel,
+    Plan,
     estimate,
     ideal_p0_case1,
     ideal_p0_case2,
     ideal_p0_sub_one,
     measure_p0,
     min_eig_estimate,
+    plan,
     renyi_case_even,
     renyi_case_odd,
     renyi_integer,
     renyi_sub_one,
+    run,
     vn_poly,
     vn_qsvt,
 )
@@ -78,16 +81,19 @@ __all__ = [
     "EstimateReport",
     "EstimationFailure",
     "MeasurementModel",
+    "Plan",
     "estimate",
     "ideal_p0_case1",
     "ideal_p0_case2",
     "ideal_p0_sub_one",
     "measure_p0",
     "min_eig_estimate",
+    "plan",
     "renyi_case_even",
     "renyi_case_odd",
     "renyi_integer",
     "renyi_sub_one",
+    "run",
     "vn_poly",
     "vn_qsvt",
     "HermMatrix",

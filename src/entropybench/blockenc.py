@@ -11,20 +11,43 @@ under-report: op_norm_dist(encoded, target) <= eta always holds.  The
 builders below know that distance, or a bound on it, from how they made
 the pair and carry it as `dist_bound`, so checking the contract costs no
 eigendecomposition; an encoding built without one is checked directly.
+
+An encoding seeded with a sequence of noise seeds is a stack: one
+realized block per seed over the one target, which does not depend on
+the noise, with `eta` and `dist_bound` arrays holding one value per
+trial (NaN where a trial has no carried bound).  Every builder takes a
+stack as it takes a single encoding, and a check that fails raises the
+error of the first failing trial (`numkernel.fail_first`).  The target
+side can be handed in (`target=`) by a caller that computed it once for
+many stacks; the encoding targets and their powers are cached on the
+state.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from . import seeding
 from .config import TOL
-from .numkernel import HermMatrix, herm_with_spectrum, op_norm, op_norm_dist
+from .numkernel import (
+    HermMatrix,
+    adjoint,
+    fail_first,
+    frobenius,
+    herm_with_spectrum,
+    op_norm,
+    op_norm_dist,
+    with_eigenvalues,
+)
 from .states import DensityMatrix
+
+# A noise seed, or one per trial of a stack.
+Seeds = Union[int, Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -33,48 +56,73 @@ class BlockEncoding:
     target: HermMatrix
     subnorm: float = 1.0
     ancillas: int = 1
-    eta: float = 0.0
+    eta: float = 0.0  # for a stack, an array with one value per trial
     sample_cost: int = 0
     # certified upper bound on op_norm_dist(encoded, target) known from the
-    # construction, rounding included; None when the builder has none
+    # construction, rounding included; None when the builder has none (for
+    # a stack, one value per trial, NaN where a trial has none)
     dist_bound: Optional[float] = None
 
     def __post_init__(self):
         if self.encoded.dim != self.target.dim:
             raise ValueError("encoded and target dimensions differ")
+        if self.target.mat.ndim != 2:
+            raise ValueError("the target is one matrix, shared by every trial of a stack")
         if self.subnorm < 1.0 - 1e-12:
             raise ValueError(f"subnormalization {self.subnorm} < 1")
-        if self.eta < 0 or self.sample_cost < 0 or self.ancillas < 0:
+        eta, bound = self.eta, math.nan if self.dist_bound is None else self.dist_bound
+        if self.encoded.mat.ndim == 3:
+            trials = self.encoded.mat.shape[:1]
+            eta = np.broadcast_to(np.asarray(eta, dtype=float), trials)
+            bound = np.broadcast_to(np.asarray(bound, dtype=float), trials)
+            object.__setattr__(self, "dist_bound", bound)
+        else:
+            eta, bound = float(eta), float(bound)
+            object.__setattr__(self, "dist_bound", None if math.isnan(bound) else bound)
+        object.__setattr__(self, "eta", eta)
+        if _any(eta < 0) or self.sample_cost < 0 or self.ancillas < 0:
             raise ValueError("eta, ancillas and sample_cost must be nonnegative")
-        if self.dist_bound is not None and self.dist_bound < 0:
+        if _any(bound < 0):
             raise ValueError("dist_bound must be nonnegative")
         # Frobenius norm upper-bounds the operator norm, so try it first
         # and fall back to the exact spectral check only when needed.
-        fro = float(np.linalg.norm(self.encoded.mat))
-        if fro > 1.0 + TOL.encoding_norm_slack:
-            if op_norm(self.encoded) > 1.0 + TOL.encoding_norm_slack:
-                raise ValueError("encoded block has operator norm > 1")
-        allowed = self.eta + TOL.encoding_err_slack
-        if self.dist_bound is not None and self.dist_bound <= allowed:
+        limit = 1.0 + TOL.encoding_norm_slack
+        big = frobenius(self.encoded.mat) > limit
+        if _any(big):
+            fail_first(big & (op_norm(self.encoded) > limit), lambda i: ValueError("encoded block has operator norm > 1"))
+        allowed = eta + TOL.encoding_err_slack
+        unknown = np.logical_not(bound <= allowed)
+        if not _any(unknown):
             return
         # no carried bound, or one too loose to decide: measure the distance
-        dfro = float(np.linalg.norm(self.encoded.mat - self.target.mat))
-        if dfro > allowed:
-            if op_norm_dist(self.encoded, self.target) > allowed:
-                raise ValueError(
-                    f"realized error exceeds certified bound eta = {self.eta:g}"
-                )
+        far = unknown & (frobenius(self.encoded.mat - self.target.mat) > allowed)
+        if _any(far):
+            fail_first(
+                far & (op_norm_dist(self.encoded, self.target) > allowed),
+                lambda i: ValueError(f"realized error exceeds certified bound eta = {np.atleast_1d(eta)[i]:g}"),
+            )
 
     @property
     def dim(self) -> int:
         return self.target.dim
 
 
-def widen_for_rounding(bound: float, dim: int) -> float:
+def _any(flags) -> bool:
+    """Whether any flag is set: one per trial of a stack, or one."""
+    return bool(flags.any()) if isinstance(flags, np.ndarray) else bool(flags)
+
+
+def widen_for_rounding(bound, dim: int):
     """A distance bound that holds in exact arithmetic, widened to cover
     float rounding: relatively for norms the bound was computed from, and
     absolutely, growing with dimension, for rounding in the matrix entries."""
     return bound * (1.0 + 1e-12) + dim * 1e-15
+
+
+def _carried_bound(be: BlockEncoding):
+    """`be.dist_bound` with NaN for a missing bound, so that bounds derived
+    from it are missing too."""
+    return np.nan if be.dist_bound is None else be.dist_bound
 
 
 def encoding_copy_cost(delta: float) -> int:
@@ -82,48 +130,64 @@ def encoding_copy_cost(delta: float) -> int:
     return int(math.ceil((1.0 / delta) * math.log(1.0 / delta)))
 
 
-def _random_perturbation(dim: int, norm: float, seed: int) -> np.ndarray:
-    """Random Hermitian direction scaled to an exact operator norm."""
-    rng = seeding.rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (g + g.conj().T) / 2
-    cur = float(np.max(np.abs(np.linalg.eigvalsh(h))))
-    if cur == 0.0:
-        h = np.eye(dim, dtype=np.complex128)
-        cur = 1.0
-    return h * (norm / cur)
+def _random_perturbations(dim: int, norm: float, seeds: Sequence[int]) -> np.ndarray:
+    """Random Hermitian directions, one per seed, each scaled to an exact
+    operator norm.  Each seed's generator draws the real and then the
+    imaginary parts of its Gaussian matrix."""
+    z = np.empty((len(seeds), 2, dim, dim))
+    for draws, seed in zip(z, seeds):
+        seeding.rng(seed).standard_normal(out=draws)
+    g = z[:, 0] + 1j * z[:, 1]
+    h = (g + adjoint(g)) / 2
+    cur = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+    flat = cur == 0.0
+    if flat.any():
+        h[flat] = np.eye(dim)
+        cur[flat] = 1.0
+    return h * (norm / cur)[:, None, None]
 
 
-def _perturbed(target: HermMatrix, norm: float, seed: int) -> tuple[HermMatrix, Optional[float]]:
-    """target + P with ||P|| = norm, eigenvalues clipped into [-1, 1].
+def _perturbed(target: HermMatrix, norm: float, noise_seed: Seeds):
+    """target + P with ||P|| = norm, eigenvalues clipped into [-1, 1]; a
+    stack of them, one per seed, for a sequence of seeds.
 
     Returns the realized block and its distance bound.  Clipping only
     engages when the perturbed spectrum pokes above 1 (a unitary corner
     cannot), which ||target|| + norm <= 1 rules out without decomposing
     the sum.  Unclipped, the distance is exactly norm.  Clipped, the
-    bound is None: moving eigenvalues back toward the target never
+    bound is missing: moving eigenvalues back toward the target never
     increases the distance to it, but that is not proven in operator
     norm, so the encoding's own check measures it.
     """
-    if norm == 0.0:
-        return target, 0.0
-    p = _random_perturbation(target.dim, norm, seed)
-    h = HermMatrix(target.mat + p)
+    stacked = np.ndim(noise_seed) == 1
+    p = _random_perturbations(target.dim, norm, noise_seed if stacked else [noise_seed])
+    h = HermMatrix(target.mat + (p if stacked else p[0]))
     bound = widen_for_rounding(norm, target.dim)
     if op_norm(target) + norm <= 1.0:
         return h, bound
     spec = h.spectrum
-    if np.max(np.abs(spec.eigenvalues)) <= 1.0:
+    clipped = np.max(np.abs(spec.eigenvalues), axis=-1) > 1.0
+    if not clipped.any():
         return h, bound
-    w = np.clip(spec.eigenvalues, -1.0, 1.0)
-    clipped = (spec.eigenvectors * w) @ spec.eigenvectors.conj().T
-    return herm_with_spectrum(clipped, w, spec.eigenvectors), None
+    w = np.clip(spec.eigenvalues, -1.0, 1.0)  # leaves unclipped trials as they are
+    mat = np.where(clipped[..., None, None], with_eigenvalues(spec.eigenvectors, w), h.mat)
+    return herm_with_spectrum(mat, w, spec.eigenvectors), np.where(clipped, np.nan, bound)
+
+
+def encoding_target(rho: DensityMatrix, scale: float) -> HermMatrix:
+    """scale * rho with its spectrum: the target of an encoding, cached on
+    the state."""
+    key = ("encoding_target", scale)
+    if key not in rho._cache:
+        spec = rho.spectrum
+        rho._cache[key] = herm_with_spectrum(rho.matrix.mat * scale, spec.eigenvalues * scale, spec.eigenvectors)
+    return rho._cache[key]
 
 
 def _encode(
     rho: DensityMatrix,
     delta: float,
-    noise_seed: int,
+    noise_seed: Seeds,
     noiseless: bool,
     scale: float,
     subnorm: float,
@@ -131,8 +195,7 @@ def _encode(
     """Encoding of scale * rho: the shared body of the two public encoders."""
     if not (0.0 < delta <= 0.5):
         raise ValueError(f"approximation budget must be in (0, 1/2], got {delta}")
-    spec = rho.spectrum
-    target = herm_with_spectrum(rho.matrix.mat * scale, spec.eigenvalues * scale, spec.eigenvectors)
+    target = encoding_target(rho, scale)
     encoded, bound = (target, 0.0) if noiseless else _perturbed(target, delta / 2.0, noise_seed)
     return BlockEncoding(
         encoded=encoded,
@@ -148,7 +211,7 @@ def _encode(
 def encode_density(
     rho: DensityMatrix,
     delta: float,
-    noise_seed: int = 0,
+    noise_seed: Seeds = 0,
     noiseless: bool = False,
 ) -> BlockEncoding:
     """Encoding of (pi/4) * rho with approximation budget delta.
@@ -156,7 +219,9 @@ def encode_density(
     The realized corner is the target plus a seeded random Hermitian
     perturbation of operator norm delta/2 (half the certified budget);
     in noiseless mode the perturbation is dropped and delta is kept as a
-    bound only.  Copy cost is ceil((1/delta) log(1/delta)).
+    bound only, and the encoding is one matrix whatever the seeds.  A
+    sequence of seeds gives a stack, one corner per seed.  Copy cost is
+    ceil((1/delta) log(1/delta)).
     """
     return _encode(rho, delta, noise_seed, noiseless, np.pi / 4.0, 4.0 / np.pi)
 
@@ -164,20 +229,28 @@ def encode_density(
 def encode_state_side(
     rho: DensityMatrix,
     delta: float,
-    noise_seed: int = 0,
+    noise_seed: Seeds = 0,
     noiseless: bool = False,
 ) -> BlockEncoding:
     """Encoding whose corner is rho itself (no pi/4 prefactor).
 
     Model plumbing for the negative-power route, which consumes the
-    state's own spectrum scale.  Noise, eta and copy cost are those of
-    `encode_density`; the perturbation is clipped if it would push the
-    corner norm above 1, as it can for spectra touching 1.
+    state's own spectrum scale.  Noise, eta, copy cost and stacking are
+    those of `encode_density`; the perturbation is clipped if it would
+    push the corner norm above 1, as it can for spectra touching 1.
     """
     return _encode(rho, delta, noise_seed, noiseless, 1.0, 1.0)
 
 
-def be_product(be1: BlockEncoding, be2: BlockEncoding) -> BlockEncoding:
+def product_target(t1: HermMatrix, t2: HermMatrix) -> HermMatrix:
+    """The target of `be_product`: the Hermitian part of t1 t2."""
+    if t1.dim != t2.dim:
+        raise ValueError(f"dimension mismatch: {t1.dim} vs {t2.dim}")
+    tprod = t1.mat @ t2.mat
+    return HermMatrix((tprod + adjoint(tprod)) / 2)
+
+
+def be_product(be1: BlockEncoding, be2: BlockEncoding, target: Optional[HermMatrix] = None) -> BlockEncoding:
     """Composition encoding the operator product.
 
     The corner product of two perturbed Hermitian blocks is not exactly
@@ -186,82 +259,95 @@ def be_product(be1: BlockEncoding, be2: BlockEncoding) -> BlockEncoding:
     certifies the realized block).  The same algebra carries the
     distance bounds: E1 E2 - T1 T2 = (E1 - T1) E2 + T1 (E2 - T2), where
     ||E2|| <= 1 + slack was checked when be2 was built and
-    ||T1|| <= ||E1|| + d1.
+    ||T1|| <= ||E1|| + d1.  `target`, when given, is
+    `product_target(be1.target, be2.target)`.
     """
     if be1.dim != be2.dim:
         raise ValueError(f"dimension mismatch: {be1.dim} vs {be2.dim}")
-    tprod = be1.target.mat @ be2.target.mat
     eprod = be1.encoded.mat @ be2.encoded.mat
-    bound = None
-    d1, d2 = be1.dist_bound, be2.dist_bound
-    if d1 is not None and d2 is not None:
-        bound = widen_for_rounding((1.0 + TOL.encoding_norm_slack) * (d1 + d2) + d1 * d2, be1.dim)
+    d1, d2 = _carried_bound(be1), _carried_bound(be2)
     return BlockEncoding(
-        encoded=HermMatrix((eprod + eprod.conj().T) / 2),
-        target=HermMatrix((tprod + tprod.conj().T) / 2),
+        encoded=HermMatrix((eprod + adjoint(eprod)) / 2),
+        target=product_target(be1.target, be2.target) if target is None else target,
         subnorm=be1.subnorm * be2.subnorm,
         ancillas=be1.ancillas + be2.ancillas,
         eta=be1.eta + be2.eta + be1.eta * be2.eta,
         sample_cost=be1.sample_cost + be2.sample_cost,
-        dist_bound=bound,
+        dist_bound=widen_for_rounding((1.0 + TOL.encoding_norm_slack) * (d1 + d2) + d1 * d2, be1.dim),
     )
+
+
+def power_target(rho: DensityMatrix, k: int) -> HermMatrix:
+    """The target of `be_power(rho, k, ...)`, cached on the state."""
+    key = ("power_target", k)
+    if key not in rho._cache:
+        base = encoding_target(rho, np.pi / 4.0)
+        rho._cache[key] = base if k == 1 else product_target(power_target(rho, k - 1), base)
+    return rho._cache[key]
 
 
 def be_power(
     rho: DensityMatrix,
     k: int,
     per_factor_delta: float,
-    noise_seed: int = 0,
+    noise_seed: Seeds = 0,
     noiseless: bool = False,
 ) -> BlockEncoding:
-    """k-fold product of fresh encodings of (pi/4) rho, one noise seed each."""
+    """k-fold product of fresh encodings of (pi/4) rho, factor j seeded
+    with noise_seed + j (each seed + j for a stack)."""
     if k < 1:
         raise ValueError("power must be >= 1")
     out = encode_density(rho, per_factor_delta, noise_seed, noiseless)
     for j in range(1, k):
-        out = be_product(out, encode_density(rho, per_factor_delta, noise_seed + j, noiseless))
+        seeds = noise_seed + j if np.ndim(noise_seed) == 0 else [s + j for s in noise_seed]
+        factor = encode_density(rho, per_factor_delta, seeds, noiseless)
+        out = be_product(out, factor, power_target(rho, j + 1))
     return out
 
 
-def rescale(be: BlockEncoding, factor: float) -> BlockEncoding:
+def rescaled_target(t: HermMatrix, factor: float) -> HermMatrix:
+    """The target of `rescale`, which must stay a valid corner."""
+    if factor <= 0:
+        raise ValueError("scale factor must be positive")
+    tspec = t.spectrum
+    tw = tspec.eigenvalues * factor
+    if float(np.max(np.abs(tw), initial=0.0)) > 1.0 + TOL.encoding_norm_slack:
+        raise ValueError("rescaled target would exceed operator norm 1")
+    return herm_with_spectrum(t.mat * factor, tw, tspec.eigenvectors)
+
+
+def rescale(be: BlockEncoding, factor: float, target: Optional[HermMatrix] = None) -> BlockEncoding:
     """Multiply the encoded block by a known scalar (subnormalization removal).
 
     Both ledgers scale with the block; if the amplified corner pokes
     above norm 1 by no more than the scaled error budget it is clipped
     back (the target itself must stay a valid corner).  Clipping moves
     each eigenvalue by at most the overshoot, so a carried distance d
-    becomes factor * d + overshoot.
+    becomes factor * d + overshoot.  `target`, when given, is
+    `rescaled_target(be.target, factor)`.
     """
-    if factor <= 0:
-        raise ValueError("scale factor must be positive")
-    tspec = be.target.spectrum
-    tw = tspec.eigenvalues * factor
-    if float(np.max(np.abs(tw), initial=0.0)) > 1.0 + TOL.encoding_norm_slack:
-        raise ValueError("rescaled target would exceed operator norm 1")
-    target = herm_with_spectrum(be.target.mat * factor, tw, tspec.eigenvectors)
+    if target is None:
+        target = rescaled_target(be.target, factor)
     eta = be.eta * factor
     espec = be.encoded.spectrum
     ew = espec.eigenvalues * factor
-    overshoot = float(np.max(np.abs(ew), initial=0.0)) - 1.0
-    if overshoot > eta + TOL.encoding_norm_slack:
-        raise ValueError("rescaled encoding exceeds operator norm 1 beyond its error budget")
-    if overshoot > 0:
-        ew = np.clip(ew, -1.0, 1.0)
-        encoded = herm_with_spectrum(
-            (espec.eigenvectors * ew) @ espec.eigenvectors.conj().T, ew, espec.eigenvectors
-        )
-        eta += overshoot  # clipping is a real, ledgered error
-    else:
-        encoded = herm_with_spectrum(be.encoded.mat * factor, ew, espec.eigenvectors)
-    bound = None
-    if be.dist_bound is not None:
-        bound = widen_for_rounding(factor * be.dist_bound + max(overshoot, 0.0), be.dim)
+    overshoot = np.max(np.abs(ew), axis=-1, initial=0.0) - 1.0
+    fail_first(
+        overshoot > eta + TOL.encoding_norm_slack,
+        lambda i: ValueError("rescaled encoding exceeds operator norm 1 beyond its error budget"),
+    )
+    mat = be.encoded.mat * factor
+    clipped = overshoot > 0
+    if clipped.any():
+        ew = np.clip(ew, -1.0, 1.0)  # leaves unclipped trials as they are
+        mat = np.where(clipped[..., None, None], with_eigenvalues(espec.eigenvectors, ew), mat)
+        eta = np.where(clipped, eta + overshoot, eta)  # clipping is a real, ledgered error
     return BlockEncoding(
-        encoded=encoded,
+        encoded=herm_with_spectrum(mat, ew, espec.eigenvectors),
         target=target,
         subnorm=max(1.0, be.subnorm / factor),
         ancillas=be.ancillas,
         eta=eta,
         sample_cost=be.sample_cost,
-        dist_bound=bound,
+        dist_bound=widen_for_rounding(factor * _carried_bound(be) + np.maximum(overshoot, 0.0), be.dim),
     )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .accountant import C_SHOTS, decompose_alpha
 from . import seeding
-from .estimators import EstimateReport, EstimationFailure, estimate, trial_children
+from .estimators import EstimateReport, EstimationFailure, plan, run
 from .qsvtpoly import DegreeCapExceeded
 from .seeding import spawn_seed
 from .states import DensityMatrix, from_spectrum, random_density
@@ -121,19 +121,20 @@ def _trial_seed(master: int, grid_index: int, trial: int) -> int:
     return spawn_seed(master, (grid_index, trial))
 
 
-def _trial_seeds(master: int, grid_index: int, trials: int, children: tuple[int, ...]) -> Iterator[int]:
-    """The seeds of a grid point's trials in order.  They are derived
-    `seeding.BATCH_TRIALS` at a time, each batch together with the
-    `children` every trial reads (see `seeding.batch`), and a batch runs
-    only while its trials do; a batch smaller than `seeding.MIN_BATCH`
-    would not pay for itself, so its seeds are derived one at a time."""
+def _trial_seeds(master: int, grid_index: int, trials: int, children: tuple[int, ...]) -> Iterator[list[int]]:
+    """The seeds of a grid point's trials in order, in lists of at most
+    `seeding.BATCH_TRIALS`.  Each list is derived in one batch together
+    with the `children` every trial reads (see `seeding.batch`), and the
+    batch stays open while its trials run; a batch smaller than
+    `seeding.MIN_BATCH` would not pay for itself, so its seeds are
+    derived one at a time."""
     for start in range(0, trials, seeding.BATCH_TRIALS):
         chunk = range(start, min(trials, start + seeding.BATCH_TRIALS))
         if len(chunk) < seeding.MIN_BATCH:
-            yield from (_trial_seed(master, grid_index, t) for t in chunk)
+            yield [_trial_seed(master, grid_index, t) for t in chunk]
             continue
         with seeding.batch(master, (grid_index,), chunk, children) as seeds:
-            yield from seeds
+            yield seeds
 
 
 # A grid point: (state, order, eps in the report's units, von Neumann approach).
@@ -192,21 +193,24 @@ def _row(report: EstimateReport, log_base: str, eps_report: float, fixed: dict) 
 
 def _point_rows(point: _Point, grid_index: int, trials: int, cfg: ExperimentConfig) -> list[dict]:
     """CSV rows of `trials` estimates at one grid point, each on its own
-    seed; the route is chosen once for the point, not per trial.  The
-    point's eps is in the report's units, so the estimators, which work in
-    nats, get it converted."""
+    seed: the point is planned once and its trials run in batches.  Blind
+    mode draws its probes per trial, so it plans every trial.  The point's
+    eps is in the report's units, so the estimators, which work in nats,
+    get it converted."""
     rho, alpha, eps, approach = point
-    mode = "ideal" if cfg.ideal else "noisy"
     eps_internal = eps * math.log(2.0) if cfg.log_base == "2" else eps
     branch = decompose_alpha(alpha).branch
     method = approach if branch == "von_neumann" else cfg.method if branch == "sub_one" else None
+    settings = dict(mode="ideal" if cfg.ideal else "noisy", method=method, c_shots=cfg.c_shots)
+    shared = None if cfg.blind else plan(rho, alpha, eps_internal, **settings)
     fixed = {"d": rho.dim, "rank": rho.meta.rank, "eps": repr(float(eps))}
     rows = []
-    for seed in _trial_seeds(cfg.seed, grid_index, trials, trial_children(branch, method)):
-        rep = estimate(
-            rho, alpha, eps_internal, seed=seed, mode=mode, method=method, blind=cfg.blind, c_shots=cfg.c_shots
-        )
-        rows.append(_row(rep, cfg.log_base, eps, fixed))
+    for seeds in _trial_seeds(cfg.seed, grid_index, trials, shared.children if shared else ()):
+        if shared:
+            reports = run(shared, seeds)
+        else:
+            reports = [run(plan(rho, alpha, eps_internal, blind=True, seed=s, **settings), [s])[0] for s in seeds]
+        rows += [_row(rep, cfg.log_base, eps, fixed) for rep in reports]
     return rows
 
 

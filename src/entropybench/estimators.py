@@ -1,13 +1,27 @@
-"""Entropy estimation pipelines driven by block encodings and ancilla statistics.
+"""Entropy estimation: a plan per grid point, then its trials as stacked runs.
 
 Every estimator follows the same skeleton: build the branch-appropriate
 transformed encoding A of the state, read off the exact ancilla-outcome
 probability p0 = Tr(A rho A) it induces, simulate the measurement of p0
 at the budgeted accuracy, and invert the branch's closed-form relation
-between p0 and the entropy.  One private driver, `_pipeline`, runs that
-skeleton; each public branch supplies only its build and inversion
-steps.  `vn_poly` measures many trace powers instead of one p0, so it
-runs its own loop and shares only the report constructor, `_report`.
+between p0 and the entropy.  `vn_poly` measures many trace powers
+instead of one p0.
+
+The skeleton runs in two steps.  `plan` does, once per grid point, all
+that does not depend on the trial seed: the regime, the spectral inputs,
+the budget, the oracle, the fits and encoding budgets, the target side of
+the encoding chain with its exact p0, `vn_poly`'s term table, and the
+child indices of a trial seed that every trial reads.  `run(plan, seeds)`
+does the seeded work.  It hands chunks of trials to the route's branch
+function, which builds the realized encodings of a chunk as one stack
+(each trial's noise from its own generator), transforms the stack with
+stacked kernels, and measures and inverts trial by trial.  A chunk holds
+at most `STACK_BYTES` per stacked array.  When a check fails, the run
+raises the error of the first failing trial, the one a trial-by-trial
+run would have met first.  `estimate` and the branch functions called on
+a state run one trial.  Blind mode draws its probes per trial, so it
+plans every trial.
+
 Reports carry the realized and exact p0, the certified operator-error
 ledger, a p0-level deviation bound, and the copy-count bookkeeping.
 
@@ -20,7 +34,9 @@ estimates obtained through the protocols themselves.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -33,11 +49,23 @@ from .blockenc import (
     be_product,
     encode_density,
     encode_state_side,
+    encoding_target,
+    power_target,
+    product_target,
     rescale,
+    rescaled_target,
 )
 from .config import TOL
-from .numkernel import op_norm
-from .qsvtpoly import MONOMIAL_DEGREE_CAP, apply_poly, approx_log, approx_neg_power, approx_pos_power
+from .numkernel import HermMatrix, frobenius, op_norm
+from .qsvtpoly import (
+    MONOMIAL_DEGREE_CAP,
+    PolyApprox,
+    apply_poly,
+    approx_log,
+    approx_neg_power,
+    approx_pos_power,
+    poly_target,
+)
 from . import seeding
 from .seeding import child_seed as _child_seed
 from .states import DensityMatrix, EntropyRecord, StateMeta, exact_entropies
@@ -48,6 +76,9 @@ LOG_PI_OVER_4 = math.log(math.pi / 4.0)
 BLIND_THETA = 0.02
 # polynomial sup error used by ideal-mode pipelines
 IDEAL_POLY_EPS = 1e-8
+# bytes one stacked array of a run's chunk may hold: d x d complex128
+# matrices, so 32 trials at d = 64 and 2048 at d = 8
+STACK_BYTES = 2 << 20
 
 
 class EstimationFailure(RuntimeError):
@@ -131,53 +162,17 @@ class MinEigResult:
     sample_cost: int
 
 
-# An estimate's seed has numbered children (`_child_seed(seed, i)`): 0 feeds
-# the blind-mode probes, then each branch numbers its build stages from
-# `_BUILD_CHILD`, and its measurement comes last.  `trial_children` names
-# the ones a route reads on every trial, so that a caller running many
-# trials can derive them in one batch (`seeding.batch`); the others are
-# derived where they are used, so unused ones cost nothing.
-_BUILD_CHILD = 1
-_MEASURE_CHILD = {"integer": 1, "odd_floor": 2, "even_floor": 3, "sub_one": 2, "von_neumann": 2}
-
-
-def trial_children(branch: str, method: Optional[str] = None) -> tuple[int, ...]:
-    """The children of an estimate's seed that every trial of the route
-    `estimate(..., method=method)` takes on `branch` reads: the measurement
-    child and, on the encoded branches, the first build child.  `vn_poly`
-    reads only child 1, the parent of its term seeds; blind mode also
-    reads child 0."""
-    if branch == "integer":
-        return (_MEASURE_CHILD[branch],)
-    if method == "poly":
-        return (_BUILD_CHILD,)
-    return (_BUILD_CHILD, _MEASURE_CHILD[branch])
-
-
 def _child_seeds(seed: int, n: int) -> list[int]:
     return [_child_seed(seed, i) for i in range(n)]
 
 
-def _op_norm_cap(h) -> float:
-    """Cheap upper bound on the operator norm: cached spectrum if present,
-    else min(1 + slack, Frobenius norm); corners never exceed 1."""
+def _op_norm_cap(h: HermMatrix):
+    """Cheap upper bound on the operator norm, per matrix of a stack:
+    cached spectrum if present, else min(1 + slack, Frobenius norm);
+    corners never exceed 1."""
     if "spec" in h._cache:
         return op_norm(h)
-    return min(1.0 + TOL.encoding_norm_slack, float(np.linalg.norm(h.mat)))
-
-
-def _p0_pair(be: BlockEncoding, rho_mat: np.ndarray) -> tuple[float, float, float]:
-    """(realized p0, exact-operator p0, certified deviation bound).
-
-    |Tr(E rho E) - Tr(T rho T)| <= ||E - T|| (||E|| + ||T||) Tr rho, so
-    the p0-level ledger is eta times the summed norm caps.
-    """
-    e = be.encoded.mat
-    t = be.target.mat
-    p_noisy = float(np.real(np.trace(e @ rho_mat @ e)))
-    p_exact = float(np.real(np.trace(t @ rho_mat @ t)))
-    bound = be.eta * (_op_norm_cap(be.encoded) + _op_norm_cap(be.target))
-    return min(1.0, max(0.0, p_noisy)), min(1.0, max(0.0, p_exact)), bound
+    return np.minimum(1.0 + TOL.encoding_norm_slack, frobenius(h.mat))
 
 
 def _poly_budget(delta: float, mode: str) -> float:
@@ -260,7 +255,7 @@ def ideal_p0_sub_one(rho: DensityMatrix, alpha: float) -> float:
     return math.pi**alpha / (4.0 ** (alpha + 1.0) * rho.dim) * t
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Inputs:
     """Spectral inputs a run uses: oracle values or blind estimates."""
 
@@ -313,112 +308,311 @@ def _gather_inputs(
     return _Inputs(meta=blind_meta, rho_min_lower=rho_min_lower, extra_cost=cost, flags=tuple(flags))
 
 
-@dataclass
-class _Built:
-    """A branch's build step: its p0 pair (realized, exact-operator,
-    deviation bound), the encoding behind it (None when the route needs
-    none), and the smallest eigenvalue the construction assumed."""
+@dataclass(frozen=True)
+class Plan:
+    """What every trial of one grid point shares: built by `plan`, read by
+    `run` and the branch functions."""
 
-    pair: tuple[float, float, float]
-    be: Optional[BlockEncoding] = None
+    state: DensityMatrix  # the state the route encodes: its support for logs and negative powers
+    regime: RegimeDecomposition
+    method: str  # the route, as reports name it
+    eps: float
+    mode: str
+    c_shots: float
+    inputs: _Inputs
+    budget: Budget
+    oracle: EntropyRecord
+    # the children of a trial seed every trial reads, the measurement last
+    children: tuple[int, ...]
+    flags: tuple[str, ...] = ()
+    fits: tuple[PolyApprox, ...] = ()
+    # budget of the first encoding, then of the power factors'
+    enc_budgets: tuple[float, ...] = ()
+    # target of each transform of the chain after the first encoding
+    targets: tuple[HermMatrix, ...] = ()
+    # the input the ancilla measures: the state's own matrix, or I/d
+    probe: Optional[np.ndarray] = None
+    # exact-operator p0 and the operator-norm cap of the final target
+    p0_exact: float = 0.0
+    target_cap: float = 0.0
     rho_min_used: Optional[float] = None
     sensitivity: Optional[float] = None
+    # vn_poly: (coefficient a_i, shots, Tr rho^(i+1)) of terms 0..K, term 0
+    # known exactly, and the fit's error in entropy units
+    terms: tuple[tuple[float, int, float], ...] = ()
+    eta: float = 0.0
+
+    @property
+    def noiseless(self) -> bool:
+        return self.mode == "ideal"
+
+    @property
+    def chunk(self) -> int:
+        """Trials one stacked call takes at most."""
+        return max(1, STACK_BYTES // (16 * self.state.dim**2))
+
+
+# Each branch numbers the children of a trial seed: 0 feeds the blind-mode
+# probes, then come the build stages, and the measurement last.
+_CHILDREN = {"integer": (1,), "odd_floor": (1, 2), "even_floor": (1, 2, 3), "sub_one": (1, 2), "von_neumann": (1, 2)}
+
+
+def plan(
+    rho: DensityMatrix,
+    alpha: float,
+    eps: float,
+    mode: str = "noisy",
+    method: Optional[str] = None,
+    blind: bool = False,
+    c_shots: float = C_SHOTS,
+    seed: int = 0,
+) -> Plan:
+    """The plan of `estimate(rho, alpha, eps, seed, mode, method, blind,
+    c_shots)`: everything but the seeded work.  `seed` matters in blind
+    mode only, whose probes draw from the trial seed's child 0."""
+    regime = decompose_alpha(alpha)
+    branch = regime.branch
+    if branch == "integer":
+        regime = decompose_alpha(float(round(alpha)))
+        method = "integer"
+    elif branch == "sub_one":
+        method = method or "sampling"
+        if method not in ("sampling", "ae"):
+            raise ValueError(f"unknown method {method!r}")
+        if method == "ae" and 2 ** int(round(math.log2(rho.dim))) != rho.dim:
+            raise ValueError(f"amplitude-estimation route needs a power-of-2 dimension, got {rho.dim}")
+    elif branch == "von_neumann":
+        regime = decompose_alpha(1.0)
+        if method not in (None, "qsvt", "poly"):
+            raise ValueError(f"unknown von Neumann method {method!r}")
+        method = method or "qsvt"
+    else:
+        method = branch
+    state = rho.project_to_support() if method in ("even_floor", "qsvt") else rho
+    inputs = _gather_inputs(state, blind, mode, seed, c_shots, need_rho_min=method != "integer")
+    budget = delta_budget(regime, eps, inputs.meta, method="ae" if method == "ae" else "sampling", c_shots=c_shots)
+    fields = dict(state=state, regime=regime, method=method, eps=eps, mode=mode, c_shots=c_shots,
+                  inputs=inputs, budget=budget, flags=inputs.flags)
+    if method == "poly":
+        fields.update(oracle=exact_entropies(state, 1.0), children=(1,))
+        fields.update(_poly_table(state, eps, mode, c_shots, inputs.rho_min_lower, budget))
+    else:
+        fields.update(oracle=exact_entropies(state, regime.alpha), children=_CHILDREN[branch])
+        if blind and branch == "sub_one":
+            fields["flags"] += ("budget_from_estimated_purity",)
+        if method != "integer":
+            fields.update(_chain(state, regime, method, mode, inputs.rho_min_lower, budget))
+    return Plan(**fields)
+
+
+def _chain(
+    state: DensityMatrix, regime: RegimeDecomposition, method: str, mode: str, rho_min: float, budget: Budget
+) -> dict:
+    """The fits, encoding budgets, target chain and exact p0 of an encoded
+    route, as `Plan` fields."""
+    delta, k, c = budget.delta, regime.k, regime.c
+    if method == "odd_floor":
+        # ((pi/4) rho)^(k + c/2), subnormalization folded out
+        fit = approx_pos_power(c / 2.0, 4.0 / (math.pi * rho_min), _poly_budget(delta, mode))
+        fits = (fit,)
+        budgets = (_clamp_encoding_budget(min(fit.input_precision, delta)),)
+        if k > 0:
+            budgets += (_clamp_encoding_budget(delta / k),)
+        targets = [poly_target(encoding_target(state, math.pi / 4.0), fit)]
+        targets.append(rescaled_target(targets[-1], 2.0))
+        if k > 0:
+            targets.append(product_target(power_target(state, k), targets[-1]))
+        used, sensitivity = rho_min, None
+    elif method == "even_floor":
+        kappa = 1.0 / rho_min
+        fit = approx_neg_power(abs(c) / 2.0, kappa, _poly_budget(delta, mode))
+        fits = (fit,)
+        budgets = (_clamp_encoding_budget(min(fit.input_precision, delta)), _clamp_encoding_budget(delta / k))
+        targets = [poly_target(encoding_target(state, 1.0), fit)]
+        targets.append(product_target(power_target(state, k), targets[-1]))
+        used = 1.0 / kappa
+        sensitivity = c / ((1.0 - regime.alpha) * used)
+    elif method in ("sampling", "ae"):
+        delta_meas = budget.measure_delta  # dimension-rescaled: the recovery scales by d
+        exponent = regime.alpha / 2.0 if method == "sampling" else regime.alpha
+        fit = approx_pos_power(exponent, 4.0 / (math.pi * rho_min), _poly_budget(delta_meas, mode))
+        fits = (fit,)
+        budgets = (_clamp_encoding_budget(min(fit.input_precision, delta_meas)),)
+        targets = [poly_target(encoding_target(state, math.pi / 4.0), fit)]
+        used, sensitivity = rho_min, None
+    else:  # qsvt
+        beta, _, floor2 = _vn_scale(rho_min)
+        stage_eps = IDEAL_POLY_EPS if mode == "ideal" else max(min(5e-4, delta / 32.0), 1e-12)
+        log_fit = approx_log(beta, stage_eps)
+        slope = max(1.0, log_fit.lipschitz_bound())
+        budgets = (_clamp_encoding_budget(stage_eps / (2.0 * slope)),)
+        sqrt_fit = approx_pos_power(0.5, 1.0 / floor2, stage_eps)
+        fits = (log_fit, sqrt_fit)
+        targets = [poly_target(encoding_target(state, math.pi / 4.0), log_fit)]
+        targets.append(poly_target(targets[-1], sqrt_fit))
+        targets.append(rescaled_target(targets[-1], 2.0))
+        used, sensitivity = rho_min, None
+    final = targets[-1].mat
+    probe = np.eye(state.dim, dtype=np.complex128) / state.dim if regime.branch == "sub_one" else state.matrix.mat
+    if method == "ae":  # amplitude estimation reads the overlap Tr(A I/d)
+        exact = float(np.real(np.trace(final @ probe)))
+    else:
+        exact = min(1.0, max(0.0, float(np.real(np.trace(final @ probe @ final)))))
+    return dict(fits=fits, enc_budgets=budgets, targets=tuple(targets), probe=probe, p0_exact=exact,
+                target_cap=float(_op_norm_cap(targets[-1])), rho_min_used=used, sensitivity=sensitivity)
+
+
+def _poly_table(state: DensityMatrix, eps: float, mode: str, c_shots: float, rho_min: float, budget: Budget) -> dict:
+    """`vn_poly`'s fit and term table, as `Plan` fields: Tr rho^(i+1) is
+    measured at shots n_i for the monomial coefficient a_i of log(1/x)."""
+    beta = min(rho_min, 0.9)
+    log_scale = math.log(1.0 / beta)
+    log_fit = approx_log(beta, min(0.5, eps / (2.0 * log_scale)))
+    k_deg = log_fit.degree
+    if k_deg > MONOMIAL_DEGREE_CAP:
+        raise ValueError(
+            f"expansion degree {k_deg} exceeds the stable conversion cap "
+            f"{MONOMIAL_DEGREE_CAP}; use the direct-transform estimator instead"
+        )
+    coeffs = log_fit.monomial().coeffs  # of log(1/x) on [beta, 1]
+    terms = [(float(coeffs[0]), 0, 1.0)]
+    for i in range(1, len(coeffs)):
+        a_i = float(coeffs[i])
+        delta_i = min(0.49, eps / (2.0 * max(1, k_deg) * max(log_scale, abs(a_i))))
+        try:
+            # ideal mode draws nothing, so its count is only reported
+            n_i = shots_for("bernoulli", delta_i, c_shots, limit=math.inf if mode == "ideal" else MAX_SHOTS)
+        except ValueError as exc:
+            raise ValueError(
+                f"term {i} of the plain-power expansion (coefficient {a_i:.3e}): {exc}; the expansion "
+                "is too ill-conditioned for this state, use the direct-transform estimator (vn_qsvt) instead"
+            ) from None
+        terms.append((a_i, n_i, exact_entropies(state, float(i + 1)).tr_pow_alpha))
+    shots = sum(n for _, n, _ in terms)
+    budget = replace(budget, delta=eps / (2.0 * max(1, k_deg) * log_scale), shots=max(1, shots))
+    return dict(budget=budget, fits=(log_fit,), terms=tuple(terms), eta=log_scale * 2.0 * log_fit.eps,
+                rho_min_used=rho_min)
+
+
+def run(p: Plan, seeds: Sequence[int]) -> list[EstimateReport]:
+    """One report per trial seed, in order, each as `estimate` would give
+    it on that seed.  Trials run `p.chunk` at a time through the route's
+    branch function.  A failing trial raises its own error, and only once
+    every trial before it has run without one."""
+    out: list[EstimateReport] = []
+    for start in range(0, len(seeds), p.chunk):
+        out += _chunk(p, list(seeds[start:start + p.chunk]))
+    return out
+
+
+def _chunk(p: Plan, seeds: list[int]) -> list[EstimateReport]:
+    try:
+        if p.method == "integer":
+            return renyi_integer(p, seeds)
+        if p.method == "odd_floor":
+            return renyi_case_odd(p, seeds)
+        if p.method == "even_floor":
+            return renyi_case_even(p, seeds)
+        if p.method in ("sampling", "ae"):
+            return renyi_sub_one(p, seeds)
+        if p.method == "qsvt":
+            return vn_qsvt(p, seeds)
+        return vn_poly(p, seeds)
+    except (ValueError, RuntimeError) as exc:
+        # trial `exc.trial` failed first at its stage of the stacked
+        # chain; a trial before it may still fail at a later stage
+        if getattr(exc, "trial", 0):
+            _chunk(p, seeds[: exc.trial])
+        raise
+
+
+def _kids(seeds, i: int):
+    """Child i of each seed: one seed for a run of one trial, whose
+    encodings are single matrices, and a list for a stack."""
+    if isinstance(seeds, int):
+        return _child_seed(seeds, i)
+    if len(seeds) == 1:
+        return _child_seed(seeds[0], i)
+    return [_child_seed(s, i) for s in seeds]
+
+
+def _per_trial(x, n: int) -> list[float]:
+    """A chain's value per trial: a noiseless chain has one for all."""
+    values = np.ravel(x).tolist()
+    return values * n if len(values) == 1 else values
+
+
+def _trials(p: Plan, seeds: list[int], be: Optional[BlockEncoding], invert: Callable) -> list[EstimateReport]:
+    """Measure and invert each trial of a built chain, in order.  The
+    chain's p0 is read exactly in ideal mode and otherwise measured on the
+    trial's measurement child, Bernoulli or, for method "ae", by amplitude
+    estimation; `invert(p0_hat, pair)` turns it into the entropy."""
+    n = len(seeds)
+    if be is None:  # integer orders read the oracle's trace power
+        p0 = (1.0 + p.oracle.tr_pow_alpha) / 2.0
+        realized, bounds, etas, ledger = [p0] * n, [0.0] * n, [0.0] * n, int(p.regime.alpha) * p.budget.shots
+        exact = p0
+    else:
+        e = be.encoded.mat
+        if p.method == "ae":
+            realized = np.real(np.trace(e @ p.probe, axis1=-2, axis2=-1))
+            bounds = be.eta
+        else:
+            realized = np.real(np.trace(e @ p.probe @ e, axis1=-2, axis2=-1))
+            bounds = be.eta * (_op_norm_cap(be.encoded) + p.target_cap)
+        realized, bounds, etas = (_per_trial(x, n) for x in (realized, bounds, be.eta))
+        ledger, exact = be.sample_cost + p.budget.shots, p.p0_exact
+    ae = p.method == "ae"
+    reports = []
+    for i, seed in enumerate(seeds):
+        pair = (min(1.0, max(0.0, realized[i])), exact, bounds[i])
+        try:
+            p0_hat = pair[0]
+            if not p.noiseless:
+                model = MeasurementModel(p0=p0_hat, mode="amplitude_estimation" if ae else "bernoulli")
+                p0_hat = measure_p0(model, p.budget.measure_delta, _child_seed(seed, p.children[-1]), p.c_shots)
+            value = invert(p0_hat, pair)
+        except (ValueError, RuntimeError) as exc:
+            exc.trial = i
+            raise
+        reports.append(_report(p, seed, value, int(ledger) + p.inputs.extra_cost, p0_hat, pair, etas[i]))
+    return reports
 
 
 def _report(
-    regime: RegimeDecomposition,
-    oracle: EntropyRecord,
-    eps: float,
-    budget: Budget,
-    estimate: float,
-    method: str,
+    p: Plan,
     seed: int,
+    estimate: float,
     ledger: int,
-    flags: tuple[str, ...],
     p0_measured: Optional[float] = None,
     pair: tuple = (None, None, 0.0),
     eta: float = 0.0,
-    rho_min_used: Optional[float] = None,
-    sensitivity: Optional[float] = None,
 ) -> EstimateReport:
     """The one report constructor: the oracle gives the quantity and the
     exact value, the regime the order and branch, the budget delta and
     the shot counts."""
     return EstimateReport(
-        quantity_tag=oracle.quantity,
+        quantity_tag=p.oracle.quantity,
         estimate=float(estimate),
-        target_eps=eps,
-        shots_used=budget.shots,
+        target_eps=p.eps,
+        shots_used=p.budget.shots,
         sample_cost_total=int(ledger),
-        method=method,
+        method=p.method,
         seed=seed,
-        predicted_budget=budget.predicted_samples,
-        alpha=regime.alpha,
-        branch=regime.branch,
-        delta=budget.delta,
-        exact_value=oracle.entropy,
-        within_eps=bool(abs(estimate - oracle.entropy) <= eps),
+        predicted_budget=p.budget.predicted_samples,
+        alpha=p.regime.alpha,
+        branch=p.regime.branch,
+        delta=p.budget.delta,
+        exact_value=p.oracle.entropy,
+        within_eps=bool(abs(estimate - p.oracle.entropy) <= p.eps),
         p0_measured=p0_measured,
         p0_realized=pair[0],
         p0_operator_exact=pair[1],
         eta_operator=eta,
         p0_error_bound=pair[2],
-        rho_min_used=rho_min_used,
-        sensitivity_rho_min=sensitivity,
-        flags=flags,
-    )
-
-
-def _pipeline(
-    rho: DensityMatrix,
-    regime: RegimeDecomposition,
-    eps: float,
-    mode: str,
-    seed: int,
-    blind: bool,
-    c_shots: float,
-    build: Callable[[_Inputs, Budget, EntropyRecord], _Built],
-    invert: Callable[[float, _Built, Budget], float],
-    *,
-    method: str,
-    need_rho_min: bool = True,
-    copies_per_shot: int = 1,
-    blind_flags: tuple[str, ...] = (),
-) -> EstimateReport:
-    """The skeleton every encoded estimator shares.
-
-    Gathers the spectral inputs (oracle or blind) and budgets the run;
-    `build(inputs, budget, oracle)` returns the branch's `_Built`; p0 is
-    then read exactly (ideal mode) or measured on the branch's measurement
-    child of the seed, Bernoulli or, for method "ae", by amplitude estimation;
-    `invert(p0_hat, built, budget)` turns it into the entropy.
-    """
-    inputs = _gather_inputs(rho, blind, mode, seed, c_shots, need_rho_min)
-    ae = method == "ae"
-    budget = delta_budget(regime, eps, inputs.meta, method="ae" if ae else "sampling", c_shots=c_shots)
-    oracle = exact_entropies(rho, regime.alpha)
-    built = build(inputs, budget, oracle)
-    p0_hat = built.pair[0]
-    if mode != "ideal":
-        model = MeasurementModel(p0=p0_hat, mode="amplitude_estimation" if ae else "bernoulli")
-        p0_hat = measure_p0(model, budget.measure_delta, _child_seed(seed, _MEASURE_CHILD[regime.branch]), c_shots)
-    estimate = invert(p0_hat, built, budget)
-    be = built.be
-    return _report(
-        regime,
-        oracle,
-        eps,
-        budget,
-        estimate,
-        method,
-        seed,
-        ledger=(be.sample_cost if be else 0) + copies_per_shot * budget.shots + inputs.extra_cost,
-        flags=inputs.flags + (blind_flags if blind else ()),
-        p0_measured=p0_hat,
-        pair=built.pair,
-        eta=be.eta if be else 0.0,
-        rho_min_used=built.rho_min_used,
-        sensitivity=built.sensitivity,
+        rho_min_used=p.rho_min_used,
+        sensitivity_rho_min=p.sensitivity,
+        flags=p.flags,
     )
 
 
@@ -428,6 +622,7 @@ def _nonzero(p0_hat: float, what: str = "measured ancilla probability", budget: 
     return p0_hat
 
 
+@functools.singledispatch
 def renyi_integer(
     rho: DensityMatrix,
     alpha: int,
@@ -441,31 +636,34 @@ def renyi_integer(
 
     Simulated as a Bernoulli source with success probability
     (1 + Tr rho^alpha)/2, the ancilla statistics of a controlled cyclic
-    shift across alpha copies; each shot consumes alpha copies.
+    shift across alpha copies; each shot consumes alpha copies.  Called
+    as `renyi_integer(plan, seeds)`, runs a plan's trials.
     """
     if int(alpha) != alpha or alpha < 2:
         raise ValueError(f"order must be an integer >= 2, got {alpha}")
-    alpha = int(alpha)
+    return estimate(rho, float(alpha), eps, seed, mode, blind=blind, c_shots=c_shots)
 
-    def build(inputs, budget, oracle):
-        p = (1.0 + oracle.tr_pow_alpha) / 2.0
-        return _Built((p, p, 0.0))
 
-    def invert(p_hat, built, budget):
+@renyi_integer.register(Plan)
+def _integer_trials(p: Plan, seeds: list[int]) -> list[EstimateReport]:
+    def invert(p_hat, pair):
         t_hat = 2.0 * p_hat - 1.0
         if t_hat <= 0.0:
             raise EstimationFailure(
                 f"trace-power estimate {t_hat:.3e} is not positive; "
                 "increase the shot budget (smaller eps or larger c_shots)"
             )
-        return math.log(t_hat) / (1.0 - alpha)
+        return math.log(t_hat) / (1.0 - p.regime.alpha)
 
-    return _pipeline(
-        rho, decompose_alpha(float(alpha)), eps, mode, seed, blind, c_shots, build, invert,
-        method="integer", need_rho_min=False, copies_per_shot=alpha,
-    )
+    return _trials(p, seeds, None, invert)
 
 
+def _require(alpha: float, branch: str, what: str) -> None:
+    if decompose_alpha(alpha).branch != branch:
+        raise ValueError(f"order {alpha} is not {what}")
+
+
+@functools.singledispatch
 def renyi_case_odd(
     rho: DensityMatrix,
     alpha: float,
@@ -480,33 +678,28 @@ def renyi_case_odd(
     Decomposes alpha = 2k+1+c with c > 0, realizes ((pi/4) rho)^(k+c/2),
     measures p0 = (pi/4)^(alpha-1) Tr rho^alpha on the ancilla, and
     recovers S_alpha = [log(p0 * pi/4) - alpha log(pi/4)] / (1 - alpha).
+    Called as `renyi_case_odd(plan, seeds)`, runs a plan's trials.
     """
-    regime = decompose_alpha(alpha)
-    if regime.branch != "odd_floor":
-        raise ValueError(f"order {alpha} is not fractional with odd floor")
-    k, c = regime.k, regime.c
-
-    def build(inputs, budget, oracle):
-        # ((pi/4) rho)^(k + c/2), subnormalization folded out: the fractional
-        # power and the k plain factors draw noise from children of child 1
-        delta = budget.delta
-        noiseless = mode == "ideal"
-        kappa = 4.0 / (math.pi * inputs.rho_min_lower)
-        fit = approx_pos_power(c / 2.0, kappa, _poly_budget(delta, mode))
-        enc_budget = _clamp_encoding_budget(min(fit.input_precision, delta))
-        s_build = _child_seed(seed, _BUILD_CHILD)
-        be = rescale(apply_poly(encode_density(rho, enc_budget, _child_seed(s_build, 0), noiseless), fit), 2.0)
-        if k > 0:
-            powers = be_power(rho, k, _clamp_encoding_budget(delta / k), _child_seed(s_build, 1), noiseless)
-            be = be_product(powers, be)
-        return _Built(_p0_pair(be, rho.matrix.mat), be, inputs.rho_min_lower)
-
-    def invert(p0_hat, built, budget):
-        return (math.log(_nonzero(p0_hat) * math.pi / 4.0) - alpha * LOG_PI_OVER_4) / (1.0 - alpha)
-
-    return _pipeline(rho, regime, eps, mode, seed, blind, c_shots, build, invert, method="odd_floor")
+    _require(alpha, "odd_floor", "fractional with odd floor")
+    return estimate(rho, alpha, eps, seed, mode, blind=blind, c_shots=c_shots)
 
 
+@renyi_case_odd.register(Plan)
+def _odd_trials(p: Plan, seeds: list[int]) -> list[EstimateReport]:
+    # the fractional power and the k plain factors draw noise from children
+    # of the build child
+    build = _kids(seeds, 1)
+    be = encode_density(p.state, p.enc_budgets[0], _kids(build, 0), p.noiseless)
+    be = rescale(apply_poly(be, p.fits[0], p.targets[0]), 2.0, p.targets[1])
+    if p.regime.k > 0:
+        powers = be_power(p.state, p.regime.k, p.enc_budgets[1], _kids(build, 1), p.noiseless)
+        be = be_product(powers, be, p.targets[2])
+    alpha = p.regime.alpha
+    return _trials(p, seeds, be, lambda p0, pair: (
+        math.log(_nonzero(p0) * math.pi / 4.0) - alpha * LOG_PI_OVER_4) / (1.0 - alpha))
+
+
+@functools.singledispatch
 def renyi_case_even(
     rho: DensityMatrix,
     alpha: float,
@@ -524,33 +717,25 @@ def renyi_case_even(
     same rho_min the construction used (its exact division is what makes
     the recovery self-consistent; the report carries the sensitivity).
     Negative powers are undefined at eigenvalue 0, so a rank-deficient
-    state is restricted to its support first.
+    state is restricted to its support first.  Called as
+    `renyi_case_even(plan, seeds)`, runs a plan's trials.
     """
-    regime = decompose_alpha(alpha)
-    if regime.branch != "even_floor":
-        raise ValueError(f"order {alpha} is not fractional above 2 with even floor")
-    work = rho.project_to_support()
-    k, c = regime.k, regime.c
-
-    def build(inputs, budget, oracle):
-        delta = budget.delta
-        noiseless = mode == "ideal"
-        kappa = 1.0 / inputs.rho_min_lower
-        fit = approx_neg_power(abs(c) / 2.0, kappa, _poly_budget(delta, mode))
-        enc_budget = _clamp_encoding_budget(min(fit.input_precision, delta))
-        neg_branch = apply_poly(encode_state_side(work, enc_budget, _child_seed(seed, _BUILD_CHILD), noiseless), fit)
-        powers = be_power(work, k, _clamp_encoding_budget(delta / k), _child_seed(seed, _BUILD_CHILD + 1), noiseless)
-        be = be_product(powers, neg_branch)
-        rho_min_used = 1.0 / kappa
-        return _Built(_p0_pair(be, work.matrix.mat), be, rho_min_used, c / ((1.0 - alpha) * rho_min_used))
-
-    def invert(p0_hat, built, budget):
-        prefactor = 0.25 * (math.pi / 4.0) ** (2 * k) * built.rho_min_used ** (-c)
-        return (math.log(_nonzero(p0_hat)) - math.log(prefactor)) / (1.0 - alpha)
-
-    return _pipeline(work, regime, eps, mode, seed, blind, c_shots, build, invert, method="even_floor")
+    _require(alpha, "even_floor", "fractional above 2 with even floor")
+    return estimate(rho, alpha, eps, seed, mode, blind=blind, c_shots=c_shots)
 
 
+@renyi_case_even.register(Plan)
+def _even_trials(p: Plan, seeds: list[int]) -> list[EstimateReport]:
+    neg_branch = encode_state_side(p.state, p.enc_budgets[0], _kids(seeds, 1), p.noiseless)
+    neg_branch = apply_poly(neg_branch, p.fits[0], p.targets[0])
+    powers = be_power(p.state, p.regime.k, p.enc_budgets[1], _kids(seeds, 2), p.noiseless)
+    be = be_product(powers, neg_branch, p.targets[1])
+    alpha, k, c = p.regime.alpha, p.regime.k, p.regime.c
+    prefactor = 0.25 * (math.pi / 4.0) ** (2 * k) * p.rho_min_used ** (-c)
+    return _trials(p, seeds, be, lambda p0, pair: (math.log(_nonzero(p0)) - math.log(prefactor)) / (1.0 - alpha))
+
+
+@functools.singledispatch
 def renyi_sub_one(
     rho: DensityMatrix,
     alpha: float,
@@ -568,43 +753,28 @@ def renyi_sub_one(
     ae: realize (1/2)((pi/4) rho)^alpha, estimate its overlap with the
     maximally entangled purification to additive delta at ~1/delta query
     cost (d must be a power of 2 for that preparation).  Either way the
-    budget follows the purity, which blind mode estimates.
+    budget follows the purity, which blind mode estimates.  Called as
+    `renyi_sub_one(plan, seeds)`, runs a plan's trials.
     """
-    regime = decompose_alpha(alpha)
-    if regime.branch != "sub_one":
-        raise ValueError(f"order {alpha} is not in (0, 1)")
+    _require(alpha, "sub_one", "in (0, 1)")
     if method not in ("sampling", "ae"):
         raise ValueError(f"unknown method {method!r}")
-    d = rho.dim
-    if method == "ae" and 2 ** int(round(math.log2(d))) != d:
-        raise ValueError(f"amplitude-estimation route needs a power-of-2 dimension, got {d}")
+    return estimate(rho, alpha, eps, seed, mode, method, blind, c_shots)
 
-    def build(inputs, budget, oracle):
-        delta_meas = budget.measure_delta  # dimension-rescaled: the recovery scales by d
-        kappa = 4.0 / (math.pi * inputs.rho_min_lower)
-        exponent = alpha / 2.0 if method == "sampling" else alpha
-        fit = approx_pos_power(exponent, kappa, _poly_budget(delta_meas, mode))
-        enc_budget = _clamp_encoding_budget(min(fit.input_precision, delta_meas))
-        be = apply_poly(encode_density(rho, enc_budget, _child_seed(seed, _BUILD_CHILD), mode == "ideal"), fit)
-        mixed = np.eye(d, dtype=np.complex128) / d
-        if method == "sampling":
-            return _Built(_p0_pair(be, mixed), be, inputs.rho_min_lower)
-        # amplitude estimation reads the overlap Tr(A I/d), off by at most eta
-        q_noisy = min(1.0, max(0.0, float(np.real(np.trace(be.encoded.mat @ mixed)))))
-        q_exact = float(np.real(np.trace(be.target.mat @ mixed)))
-        return _Built((q_noisy, q_exact, be.eta), be, inputs.rho_min_lower)
 
-    def invert(p0_hat, built, budget):
-        if method == "sampling":
+@renyi_sub_one.register(Plan)
+def _sub_one_trials(p: Plan, seeds: list[int]) -> list[EstimateReport]:
+    be = apply_poly(encode_density(p.state, p.enc_budgets[0], _kids(seeds, 1), p.noiseless), p.fits[0], p.targets[0])
+    alpha, d = p.regime.alpha, p.state.dim
+
+    def invert(p0_hat, pair):
+        if p.method == "sampling":
             tr_quarter = 4.0 * d * _nonzero(p0_hat)  # Tr ((pi/4) rho)^alpha
         else:
             tr_quarter = 2.0 * d * _nonzero(p0_hat, "overlap estimate", "query")
         return (math.log(tr_quarter) - alpha * LOG_PI_OVER_4) / (1.0 - alpha)
 
-    return _pipeline(
-        rho, regime, eps, mode, seed, blind, c_shots, build, invert,
-        method=method, blind_flags=("budget_from_estimated_purity",),
-    )
+    return _trials(p, seeds, be, invert)
 
 
 def _vn_scale(rho_min_lower: float) -> tuple[float, float, float]:
@@ -615,6 +785,7 @@ def _vn_scale(rho_min_lower: float) -> tuple[float, float, float]:
     return beta, gamma, gamma * math.log(4.0 / math.pi)
 
 
+@functools.singledispatch
 def vn_qsvt(
     rho: DensityMatrix,
     eps: float,
@@ -630,25 +801,21 @@ def vn_qsvt(
     gamma = 1/(2 log(4/(pi rho_min))), take the half power, fold out the
     1/2.  The ancilla gives p0 = gamma log(4/pi) + gamma S_v; shots are
     budgeted at delta = eps * gamma.  A rank-deficient state is
-    restricted to its support, where the logarithm is defined.
+    restricted to its support, where the logarithm is defined.  Called
+    as `vn_qsvt(plan, seeds)`, runs a plan's trials.
     """
-    work = rho.project_to_support()
+    return estimate(rho, 1.0, eps, seed, mode, "qsvt", blind, c_shots)
 
-    def build(inputs, budget, oracle):
-        delta = budget.delta
-        beta, _, floor2 = _vn_scale(inputs.rho_min_lower)
-        stage_eps = IDEAL_POLY_EPS if mode == "ideal" else max(min(5e-4, delta / 32.0), 1e-12)
-        log_fit = approx_log(beta, stage_eps)
-        slope = max(1.0, log_fit.lipschitz_bound())
-        enc_budget = _clamp_encoding_budget(stage_eps / (2.0 * slope))
-        b1 = apply_poly(encode_density(work, enc_budget, _child_seed(seed, _BUILD_CHILD), mode == "ideal"), log_fit)
-        sqrt_fit = approx_pos_power(0.5, 1.0 / floor2, stage_eps)
-        b2 = rescale(apply_poly(b1, sqrt_fit), 2.0)
-        return _Built(_p0_pair(b2, work.matrix.mat), b2, inputs.rho_min_lower)
 
-    def invert(p0_hat, built, budget):
-        _, gamma, floor2 = _vn_scale(built.rho_min_used)
-        margin = 4.0 * budget.delta + built.pair[2]
+@vn_qsvt.register(Plan)
+def _qsvt_trials(p: Plan, seeds: list[int]) -> list[EstimateReport]:
+    log_fit, sqrt_fit = p.fits
+    b1 = apply_poly(encode_density(p.state, p.enc_budgets[0], _kids(seeds, 1), p.noiseless), log_fit, p.targets[0])
+    b2 = rescale(apply_poly(b1, sqrt_fit, p.targets[1]), 2.0, p.targets[2])
+    _, gamma, floor2 = _vn_scale(p.rho_min_used)
+
+    def invert(p0_hat, pair):
+        margin = 4.0 * p.budget.delta + pair[2]
         if p0_hat < floor2 - margin:
             raise EstimationFailure(
                 f"ancilla probability {p0_hat:.4f} sits below the zero-entropy floor "
@@ -656,9 +823,10 @@ def vn_qsvt(
             )
         return (p0_hat - floor2) / gamma
 
-    return _pipeline(work, decompose_alpha(1.0), eps, mode, seed, blind, c_shots, build, invert, method="qsvt")
+    return _trials(p, seeds, b2, invert)
 
 
+@functools.singledispatch
 def vn_poly(
     rho: DensityMatrix,
     eps: float,
@@ -676,67 +844,29 @@ def vn_poly(
     projection is needed).  Per-term accuracy is eps/(2K max(log(1/beta),
     |a_i|)); the coefficient-aware denominator keeps the statistical
     error within budget even when the plain-power basis inflates the
-    coefficients.  There is no single p0, so the terms are measured here
-    rather than by `_pipeline`.
+    coefficients.  There is no single p0: term i measures on child i-1
+    of the trial seed's child 1.  Called as `vn_poly(plan, seeds)`, runs
+    a plan's trials.
     """
-    regime = decompose_alpha(1.0)
-    inputs = _gather_inputs(rho, blind, mode, seed, c_shots)
-    budget = delta_budget(regime, eps, inputs.meta, c_shots=c_shots)
-    noiseless = mode == "ideal"
+    return estimate(rho, 1.0, eps, seed, mode, "poly", blind, c_shots)
 
-    beta = min(inputs.rho_min_lower, 0.9)
-    log_scale = math.log(1.0 / beta)
-    fit_eps = min(0.5, eps / (2.0 * log_scale))
-    log_fit = approx_log(beta, fit_eps)
-    k_deg = log_fit.degree
-    if k_deg > MONOMIAL_DEGREE_CAP:
-        raise ValueError(
-            f"expansion degree {k_deg} exceeds the stable conversion cap "
-            f"{MONOMIAL_DEGREE_CAP}; use the direct-transform estimator instead"
-        )
-    mono = log_fit.monomial()
-    coeffs = mono.coeffs  # of log(1/x) on [beta, 1]
 
-    oracle_powers = {i: exact_entropies(rho, float(i + 1)).tr_pow_alpha for i in range(1, len(coeffs))}
-    s_meas = _child_seed(seed, _BUILD_CHILD)
-    estimate = float(coeffs[0]) if len(coeffs) else 0.0
-    shots_total = 0
-    ledger = inputs.extra_cost
-    for i in range(1, len(coeffs)):
-        a_i = float(coeffs[i])
-        t_i = oracle_powers[i]
-        denom = 2.0 * max(1, k_deg) * max(log_scale, abs(a_i))
-        delta_i = min(0.49, eps / denom)
-        try:
-            # ideal mode draws nothing, so its count is only reported
-            n_i = shots_for("bernoulli", delta_i, c_shots, limit=math.inf if noiseless else MAX_SHOTS)
-        except ValueError as exc:
-            raise ValueError(
-                f"term {i} of the plain-power expansion (coefficient {a_i:.3e}): {exc}; the expansion "
-                "is too ill-conditioned for this state, use the direct-transform estimator (vn_qsvt) instead"
-            ) from None
-        if noiseless:
-            t_hat = t_i
-        else:
-            rng = seeding.rng(_child_seed(s_meas, i - 1))
-            t_hat = 2.0 * rng.binomial(n_i, (1.0 + t_i) / 2.0) / n_i - 1.0
-        estimate += a_i * t_hat
-        shots_total += n_i
-        ledger += (i + 1) * n_i
-    report_delta = eps / (2.0 * max(1, k_deg) * log_scale)
-    return _report(
-        regime,
-        exact_entropies(rho, 1.0),
-        eps,
-        replace(budget, delta=report_delta, shots=max(1, shots_total)),
-        estimate,
-        "poly",
-        seed,
-        ledger,
-        inputs.flags,
-        eta=log_scale * 2.0 * log_fit.eps,
-        rho_min_used=inputs.rho_min_lower,
-    )
+@vn_poly.register(Plan)
+def _poly_trials(p: Plan, seeds: list[int]) -> list[EstimateReport]:
+    ledger = p.inputs.extra_cost + sum((i + 1) * n_i for i, (_, n_i, _) in enumerate(p.terms))
+    reports = []
+    for seed in seeds:
+        s_meas = _child_seed(seed, p.children[-1])
+        value = p.terms[0][0]  # a_0 Tr rho, exactly
+        for i, (a_i, n_i, t_i) in enumerate(p.terms[1:], 1):
+            if p.noiseless:
+                t_hat = t_i
+            else:
+                rng = seeding.rng(_child_seed(s_meas, i - 1))
+                t_hat = 2.0 * rng.binomial(n_i, (1.0 + t_i) / 2.0) / n_i - 1.0
+            value += a_i * t_hat
+        reports.append(_report(p, seed, value, ledger, eta=p.eta))
+    return reports
 
 
 def estimate(
@@ -749,23 +879,10 @@ def estimate(
     blind: bool = False,
     c_shots: float = C_SHOTS,
 ) -> EstimateReport:
-    """Dispatch to the branch-appropriate pipeline for this order.
+    """One estimate on the branch-appropriate route for this order.
 
     `method` picks the route where a branch has two: "sampling" (default)
     or "ae" below order 1, "qsvt" (default) or "poly" at order 1; other
-    branches ignore it.
+    branches ignore it.  The same as `run(plan(...), [seed])[0]`.
     """
-    regime = decompose_alpha(alpha)
-    if regime.branch == "integer":
-        return renyi_integer(rho, int(round(alpha)), eps, seed, mode, blind, c_shots)
-    if regime.branch == "odd_floor":
-        return renyi_case_odd(rho, alpha, eps, mode, seed, blind, c_shots)
-    if regime.branch == "even_floor":
-        return renyi_case_even(rho, alpha, eps, mode, seed, blind, c_shots)
-    if regime.branch == "sub_one":
-        return renyi_sub_one(rho, alpha, eps, method or "sampling", mode, seed, blind, c_shots)
-    if method == "poly":
-        return vn_poly(rho, eps, seed, mode, blind, c_shots)
-    if method not in (None, "qsvt"):
-        raise ValueError(f"unknown von Neumann method {method!r}")
-    return vn_qsvt(rho, eps, mode, seed, blind, c_shots)
+    return run(plan(rho, alpha, eps, mode, method, blind, c_shots, seed), [seed])[0]

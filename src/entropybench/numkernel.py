@@ -5,6 +5,14 @@ Spectral kernel: `hermitian_eig` is LAPACK's Hermitian eigensolver
 matrix function in the package is realized through it.  Each validated
 matrix caches its decomposition, so an operator is diagonalized at most
 once however many functions are taken of it.
+
+A `HermMatrix` is one matrix or a stack of them with one leading axis,
+one matrix per trial, and every function here takes either.  A stacked
+run equals a trial-by-trial one bit for bit only while numpy's stacked
+`eigh`, `eigvalsh` and matmul give each matrix of a stack the bits a
+call on it alone gives.  numpy does not promise that, so
+`tests/test_numkernel.py` checks it on the installed numpy for every
+stacked kernel the package uses.
 """
 
 from __future__ import annotations
@@ -28,13 +36,38 @@ class NonHermitianError(ValueError):
         )
 
 
+def adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def frobenius(m: np.ndarray):
+    """Frobenius norm of a matrix (a float) or of each matrix of a stack;
+    a matrix gets the same bits alone as in any stack."""
+    out = np.sqrt(np.add.reduce((m.conj() * m).real, axis=(-2, -1)))
+    return float(out) if out.ndim == 0 else out
+
+
+def fail_first(bad, error: Callable[[int], Exception]) -> None:
+    """Raise `error(i)` for the first trial i whose check failed, with
+    `trial = i` set on it.  `bad` holds one flag per matrix of a stack, or
+    one flag for a single matrix, which is trial 0."""
+    bad = np.atleast_1d(bad)
+    if bad.any():
+        i = int(bad.argmax())
+        exc = error(i)
+        exc.trial = i
+        raise exc
+
+
 @dataclass(frozen=True)
 class HermMatrix:
-    """A validated Hermitian matrix of dimension <= 64.
+    """A validated Hermitian matrix of dimension <= 64, or a stack of them.
 
-    Entries are stored as a read-only complex128 array.  The spectrum is
-    computed lazily and cached, so repeated matrix functions on the same
-    operator cost one eigendecomposition.
+    Entries are stored as a read-only complex128 array of shape (d, d),
+    or (n, d, d) for a stack of n.  The spectrum is computed lazily and
+    cached, so repeated matrix functions on the same operator cost one
+    eigendecomposition (one stacked call for a stack).
     """
 
     mat: np.ndarray
@@ -42,21 +75,22 @@ class HermMatrix:
 
     def __post_init__(self):
         m = np.array(self.mat, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if m.shape[0] < 1 or m.shape[0] > MAX_DIM:
-            raise ValueError(f"dimension {m.shape[0]} outside [1, {MAX_DIM}]")
-        asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+        if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+            raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+        if m.shape[-1] < 1 or m.shape[-1] > MAX_DIM:
+            raise ValueError(f"dimension {m.shape[-1]} outside [1, {MAX_DIM}]")
+        m_h = adjoint(m)
+        asym = float(np.max(np.abs(m - m_h))) if m.size else 0.0
         if asym > TOL.herm:
             raise NonHermitianError(asym)
         # exact symmetrization removes representation noise below tolerance
-        m = (m + m.conj().T) / 2.0
+        m = (m + m_h) / 2.0
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
     @property
     def spectrum(self) -> "Spectrum":
@@ -67,14 +101,19 @@ class HermMatrix:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (real, descending) and orthonormal eigenvector columns."""
+    """Eigenvalues (real, descending) and orthonormal eigenvector columns,
+    with a leading axis for a stack."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return with_eigenvalues(self.eigenvectors, self.eigenvalues)
+
+
+def with_eigenvalues(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """V diag(w) V^dagger, for one matrix or each of a stack."""
+    return (v * w[..., None, :]) @ adjoint(v)
 
 
 def hermitian_eig(a: HermMatrix) -> Spectrum:
@@ -82,12 +121,18 @@ def hermitian_eig(a: HermMatrix) -> Spectrum:
 
     The order is stable, so equal eigenvalues keep the order LAPACK
     returned them in; both arrays are read-only, like every cached
-    spectrum.
+    spectrum.  A stack is decomposed in one call.
     """
-    eigs, vecs = np.linalg.eigh(a.mat)
-    order = np.argsort(-eigs, kind="stable")
-    eigs = eigs[order]
-    vecs = vecs[:, order]
+    return _descending(*np.linalg.eigh(a.mat))
+
+
+def _descending(eigs: np.ndarray, vecs: np.ndarray) -> Spectrum:
+    """The read-only spectrum with eigenvalues reordered descending, stably."""
+    order = np.argsort(-eigs, axis=-1, kind="stable")
+    if eigs.ndim == 1:
+        eigs, vecs = eigs[order], vecs[:, order]
+    else:
+        eigs, vecs = np.take_along_axis(eigs, order, -1), np.take_along_axis(vecs, order[..., None, :], -1)
     eigs.flags.writeable = False
     vecs.flags.writeable = False
     return Spectrum(eigenvalues=eigs, eigenvectors=vecs)
@@ -100,12 +145,7 @@ def herm_with_spectrum(mat: np.ndarray, eigenvalues: np.ndarray, eigenvectors: n
     spectrum can be reused instead of rediagonalizing.
     """
     h = HermMatrix(mat)
-    order = np.argsort(-np.asarray(eigenvalues), kind="stable")
-    eigs = np.asarray(eigenvalues, dtype=float)[order].copy()
-    vecs = np.asarray(eigenvectors, dtype=np.complex128)[:, order].copy()
-    eigs.flags.writeable = False
-    vecs.flags.writeable = False
-    h._cache["spec"] = Spectrum(eigenvalues=eigs, eigenvectors=vecs)
+    h._cache["spec"] = _descending(np.asarray(eigenvalues, dtype=float), np.asarray(eigenvectors, dtype=np.complex128))
     return h
 
 
@@ -124,14 +164,16 @@ def mat_fun(a: HermMatrix, f: Callable[[float], float]) -> HermMatrix:
     return herm_with_spectrum((out + out.conj().T) / 2.0, w, v)
 
 
-def op_norm(a: HermMatrix) -> float:
-    """Operator norm = largest |eigenvalue| (Hermitian input)."""
-    eigs = a.spectrum.eigenvalues
-    return float(np.max(np.abs(eigs))) if eigs.size else 0.0
+def op_norm(a: HermMatrix):
+    """Operator norm = largest |eigenvalue| (Hermitian input): a float, or
+    an array with one norm per matrix of a stack."""
+    out = np.max(np.abs(a.spectrum.eigenvalues), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
-def op_norm_dist(a: HermMatrix, b: HermMatrix) -> float:
-    """Operator-norm distance ||a - b||, via the spectrum of the difference."""
+def op_norm_dist(a: HermMatrix, b: HermMatrix):
+    """Operator-norm distance ||a - b||, via the spectrum of the difference;
+    one distance per matrix when either side is a stack."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return op_norm(HermMatrix(a.mat - b.mat))

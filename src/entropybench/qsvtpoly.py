@@ -34,7 +34,7 @@ from numpy.polynomial.chebyshev import chebpts1
 
 from .config import TOL
 from .blockenc import BlockEncoding, widen_for_rounding
-from .numkernel import herm_with_spectrum, op_norm_dist
+from .numkernel import HermMatrix, fail_first, herm_with_spectrum, op_norm_dist, with_eigenvalues
 
 # multiplied onto the grid maximum so the recorded bound also covers
 # excursions between certification nodes
@@ -113,14 +113,22 @@ class PolyApprox:
     def __call__(self, x):
         return self._cheb()(x)
 
-    def lipschitz_bound(self, widen: float = 0.0) -> float:
-        """max |P'| on the domain enlarged by `widen` on both sides."""
-        key = ("lip", widen)
+    def lipschitz_bound(self, widen=0.0):
+        """max |P'| on the domain enlarged by `widen` on both sides.  An
+        array of widths gives an array of bounds, one per width, each the
+        bits its width alone gives; a single width's bound is cached."""
+        widen = np.asarray(widen, dtype=float)
+        if widen.ndim and not np.all(widen == widen[0]):
+            return self._max_slope(widen)
+        key = ("lip", float(widen.flat[0]))
         if key not in self._cache:
-            lo, hi = self.domain
-            span = np.linspace(lo - widen, hi + widen, 10 * max(self.degree, 1) + 21)
-            self._cache[key] = float(np.max(np.abs(self._cheb().deriv()(span))))
-        return self._cache[key]
+            self._cache[key] = float(self._max_slope(key[1]))
+        return self._cache[key] if widen.ndim == 0 else np.full(widen.shape, self._cache[key])
+
+    def _max_slope(self, widen: np.ndarray):
+        lo, hi = self.domain
+        span = np.linspace(lo - widen, hi + widen, 10 * max(self.degree, 1) + 21, axis=-1)
+        return np.max(np.abs(self._cheb().deriv()(span)), axis=-1)
 
     def monomial(self) -> "MonomialPoly":
         """`to_monomial(self)`, converted once per fit."""
@@ -422,20 +430,17 @@ def approx_neg_power(c: float, kappa: float, eps: float) -> PolyApprox:
     )
 
 
-def apply_poly(be: BlockEncoding, p: PolyApprox) -> BlockEncoding:
-    """Transform a block encoding by a certified polynomial.
+# eigenvalues this close outside a fit's domain still count as inside it
+_DOMAIN_TOL = 1e-9
 
-    The exact ledger (`target`) moves by the target function, the
-    realized ledger (`encoded`) by the polynomial itself; the new error
-    bound is p.eps + L * eta with L the certified slope of the fit on an
-    eta-enlarged domain.  Copy cost scales with 2 * degree, the number
-    of encoding uses one polynomial application needs.
-    """
+
+def poly_target(t: HermMatrix, p: PolyApprox) -> HermMatrix:
+    """The target side of `apply_poly`: the fit's target function on the
+    target's spectrum (clamped into the domain, and the zero extension at
+    a zero eigenvalue where the fit has one)."""
     lo, hi = p.domain
-    eta = be.eta
-    tol = 1e-9
-
-    tspec = be.target.spectrum
+    tol = _DOMAIN_TOL
+    tspec = t.spectrum
     for lam in tspec.eigenvalues:
         if lo - tol <= lam <= hi + tol:
             continue
@@ -453,41 +458,58 @@ def apply_poly(be: BlockEncoding, p: PolyApprox) -> BlockEncoding:
         return p.target_fn(min(max(x, lo), hi))
 
     tw = np.asarray([f_ext(float(x)) for x in tspec.eigenvalues])
-    new_target = herm_with_spectrum(
-        (tspec.eigenvectors * tw) @ tspec.eigenvectors.conj().T, tw, tspec.eigenvectors
-    )
+    return herm_with_spectrum(with_eigenvalues(tspec.eigenvectors, tw), tw, tspec.eigenvectors)
+
+
+def apply_poly(be: BlockEncoding, p: PolyApprox, target: Optional[HermMatrix] = None) -> BlockEncoding:
+    """Transform a block encoding by a certified polynomial.
+
+    The exact ledger (`target`) moves by the target function, the
+    realized ledger (`encoded`) by the polynomial itself; the new error
+    bound is p.eps + L * eta with L the certified slope of the fit on an
+    eta-enlarged domain.  Copy cost scales with 2 * degree, the number
+    of encoding uses one polynomial application needs.  A stack is
+    transformed trial by trial in stacked calls; `target`, when given, is
+    `poly_target(be.target, p)`.
+    """
+    lo, hi = p.domain
+    eta = be.eta
+    if target is None:
+        target = poly_target(be.target, p)
 
     espec = be.encoded.spectrum
     mus = espec.eigenvalues
-    reach = eta + tol
+    reach = np.asarray(eta + _DOMAIN_TOL)[..., None]
     inside = (lo - reach <= mus) & (mus <= hi + reach)
     at_zero = ~inside & (np.abs(mus) <= reach) & (p.zero_extension is not None)
     stray = ~(inside | at_zero)
-    if stray.any():
-        raise ValueError(
-            f"encoded eigenvalue {float(mus[stray][0])!r} lies outside the fit domain "
-            f"[{lo}, {hi}] by more than the error budget {eta:g}"
-        )
+    fail_first(
+        stray.any(axis=-1),
+        lambda i: ValueError(
+            f"encoded eigenvalue {float(np.atleast_2d(mus)[i][np.atleast_2d(stray)[i]][0])!r} lies outside "
+            f"the fit domain [{lo}, {hi}] by more than the error budget {np.atleast_1d(eta)[i]:g}"
+        ),
+    )
     ew = p(mus)
     if at_zero.any():
         ew[at_zero] = p.zero_extension
-    new_encoded = herm_with_spectrum(
-        (espec.eigenvectors * ew) @ espec.eigenvectors.conj().T, ew, espec.eigenvectors
-    )
+    new_encoded = herm_with_spectrum(with_eigenvalues(espec.eigenvectors, ew), ew, espec.eigenvectors)
 
-    lip = p.lipschitz_bound(widen=eta) if eta > 0 else 0.0
-    new_eta = p.eps + lip * eta
-    bound = None
-    if eta > 0 and not np.array_equal(be.encoded.mat, be.target.mat):
-        # the scalar slope bound does not always transfer to a
-        # non-commuting perturbation (the operator Lipschitz constant of
-        # a polynomial can exceed max |p'|); the realized distance is
-        # available here, and the ledger must never under-report
-        bound = widen_for_rounding(op_norm_dist(new_encoded, new_target), be.dim)
-        new_eta = max(new_eta, bound)
+    positive = np.asarray(eta) > 0
+    new_eta = p.eps + np.where(positive, p.lipschitz_bound(widen=eta), 0.0) * eta
+    bound = np.nan
+    # the scalar slope bound does not always transfer to a non-commuting
+    # perturbation (the operator Lipschitz constant of a polynomial can
+    # exceed max |p'|); the realized distance is available here, and the
+    # ledger must never under-report
+    measured = positive & ~np.all(be.encoded.mat == be.target.mat, axis=(-2, -1))
+    if measured.any():
+        dist = widen_for_rounding(op_norm_dist(new_encoded, target), be.dim)
+        bound = np.where(measured, dist, np.nan)
+        new_eta = np.where(measured, np.maximum(new_eta, dist), new_eta)
     return BlockEncoding(
         encoded=new_encoded,
-        target=new_target,
+        target=target,
         subnorm=max(1.0, p.subnorm_factor),
         ancillas=be.ancillas + 1,
         eta=new_eta,

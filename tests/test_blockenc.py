@@ -6,10 +6,12 @@ from entropybench.blockenc import (
     be_power,
     be_product,
     encode_density,
+    encode_state_side,
     encoding_copy_cost,
     rescale,
 )
 from entropybench.numkernel import HermMatrix, mat_fun, op_norm, op_norm_dist
+from entropybench.qsvtpoly import apply_poly, approx_pos_power
 from entropybench.states import from_spectrum, random_density
 
 
@@ -139,3 +141,52 @@ def test_three_fold_budget_split():
     be = be_power(rho, 3, eps / 3, noise_seed=5)
     assert be.eta <= eps + eps**2
     assert op_norm_dist(be.encoded, be.target) <= be.eta
+
+
+def _trial(be, i):
+    """Trial i of a stacked encoding, as (encoded bits, cached spectrum bits, eta, dist_bound)."""
+    spec = be.encoded._cache.get("spec")
+    eigs = None if spec is None else (spec.eigenvalues[i].tobytes(), spec.eigenvectors[i].tobytes())
+    bound = None if np.isnan(be.dist_bound[i]) else float(be.dist_bound[i])
+    return be.encoded.mat[i].tobytes(), eigs, float(be.eta[i]), bound
+
+
+def _single(be):
+    spec = be.encoded._cache.get("spec")
+    eigs = None if spec is None else (spec.eigenvalues.tobytes(), spec.eigenvectors.tobytes())
+    return be.encoded.mat.tobytes(), eigs, be.eta, be.dist_bound
+
+
+def test_a_stack_equals_its_trials_built_one_by_one():
+    # seeds a stack of encodings, each trial from its own generator, and
+    # runs it through every builder; a pure state's corner sits at norm 1,
+    # so some of its perturbations are clipped and carry no bound
+    seeds = [3, 17, 2**32 - 1, 40]
+    pure = from_spectrum([1.0], 2)
+    rho = random_density(4, 3, seed=8)
+    fit = approx_pos_power(0.5, 4 / (np.pi * rho.meta.rho_min), 1e-3)
+
+    def chain(seed):
+        side = encode_state_side(pure, 0.2, seed)
+        be = rescale(apply_poly(encode_density(rho, 0.01, seed), fit), 2.0)
+        return side, be_product(be_power(rho, 2, 0.02, seed), be)
+
+    stacks = chain(seeds)
+    bounds = stacks[0].dist_bound
+    assert np.isnan(bounds).any() and not np.isnan(bounds).all()
+    for i, seed in enumerate(seeds):
+        for stacked, one in zip(stacks, chain(seed)):
+            assert _trial(stacked, i) == _single(one)
+            assert stacked.target is one.target or stacked.target.mat.tobytes() == one.target.mat.tobytes()
+            assert stacked.sample_cost == one.sample_cost
+
+
+def test_one_seed_draws_its_noise_as_two_gaussian_matrices():
+    # the real and then the imaginary part of the perturbation direction
+    rho = random_density(4, 3, seed=8)
+    rng = np.random.default_rng(17)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = (g + g.conj().T) / 2
+    p = h * (0.025 / float(np.max(np.abs(np.linalg.eigvalsh(h)))))
+    be = encode_density(rho, 0.05, 17)
+    assert be.encoded.mat.tobytes() == HermMatrix(be.target.mat + p).mat.tobytes()

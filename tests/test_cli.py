@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entropybench import accountant, cli, seeding
-from entropybench.estimators import estimate
+from entropybench import accountant, cli, estimators, numkernel, seeding
+from entropybench.estimators import EstimationFailure, estimate
 
 from entropybench.cli import (
     CSV_COLUMNS,
@@ -418,17 +418,16 @@ def test_a_huge_trial_count_is_derived_in_bounded_batches(monkeypatch):
         pass
 
     sizes, done = [], []
-    real_batch, real_estimate = seeding.batch, cli.estimate
+    real_batch, real_run = seeding.batch, cli.run
     monkeypatch.setattr(seeding, "batch", lambda seed, head, trials, children: sizes.append(len(trials)) or real_batch(
         seed, head, trials, children))
 
-    def estimate_20(*args, **kw):
-        if len(done) == 20:
+    def run_20(plan, seeds):
+        done.extend(real_run(plan, seeds))
+        if len(done) >= 20:
             raise Stop
-        done.append(1)
-        return real_estimate(*args, **kw)
 
-    monkeypatch.setattr(cli, "estimate", estimate_20)
+    monkeypatch.setattr(cli, "run", run_20)
     cfg = ExperimentConfig(mode="renyi", alpha=2.0, d=8, spectrum=[0.5, 0.3, 0.2], trials=10**11, seed=1)
     with pytest.raises(Stop):
         run_experiment(cfg)
@@ -441,25 +440,26 @@ def test_summary_median_equals_numpy(values):
     assert cli._median(values).hex() == float(np.median(values)).hex()
 
 
-def test_run_builds_one_runtime_config_and_routes_through_estimate(monkeypatch):
-    seen = []
-    real = cli.estimate
+def test_run_builds_one_runtime_config_and_routes_through_plan_and_run(monkeypatch):
+    planned, ran = [], []
+    real_plan, real_run = cli.plan, cli.run
 
-    def spy(rho, alpha, eps, **kw):
-        seen.append((kw["method"], kw["c_shots"]))
-        return real(rho, alpha, eps, **kw)
+    def plan_spy(rho, alpha, eps, **kw):
+        planned.append((kw["method"], kw["c_shots"]))
+        return real_plan(rho, alpha, eps, **kw)
 
-    monkeypatch.setattr(cli, "estimate", spy)
+    monkeypatch.setattr(cli, "plan", plan_spy)
+    monkeypatch.setattr(cli, "run", lambda plan, seeds: ran.extend(seeds) or real_run(plan, seeds))
     for cfg, method in (
         (ExperimentConfig(mode="renyi", alpha=2.0, d=4, rank=4, trials=4, c_shots=1.0), None),
         (ExperimentConfig(mode="renyi", alpha=0.5, d=4, rank=4, trials=3, method="ae"), "ae"),
         (ExperimentConfig(mode="vonneumann", spectrum=[0.5, 0.5], d=2, trials=3, approach="poly"), "poly"),
     ):
-        seen.clear()
-        run_experiment(cfg)
-        assert len(seen) == cfg.trials
-        assert {m for m, _ in seen} == {method}
-        assert {c for _, c in seen} == {cfg.c_shots}
+        planned.clear()
+        ran.clear()
+        rows, _ = run_experiment(cfg)
+        assert planned == [(method, cfg.c_shots)]  # one plan for the grid point
+        assert ran == [row["seed"] for row in rows] and len(ran) == cfg.trials
 
 
 def test_cli_degree_cap_is_estimation_failure(monkeypatch, capsys):
@@ -495,3 +495,45 @@ def test_main_reuses_its_parser_without_leaking_flags(tmp_path, capsys):
     shared = [run(i, argv, "shared") for i, argv in enumerate(requests)]
     assert cli._parser.cache_info().misses == 1  # built once for both
     assert shared == lone
+
+
+# One stacked chunk of 40 trials in which trial 30 is the first whose
+# measured p0 is zero.
+LATE_FAILURE = ["renyi", "--alpha", "3.5", "--dim", "4", "--rank", "4", "--c-shots", "0.0001", "--trials", "40",
+                "--seed", "3"]
+
+
+def _first_failure_one_by_one(argv):
+    cfg = config_from_args(build_parser().parse_args(argv))
+    rho, alpha, eps, _ = cli._points(cfg)[0]
+    for t in range(cfg.trials):
+        try:
+            estimate(rho, alpha, eps, seed=cli._trial_seed(cfg.seed, 1, t), c_shots=cfg.c_shots)
+        except EstimationFailure as exc:
+            return t, str(exc)
+
+
+def test_a_later_trial_failing_fails_the_run_with_its_error(capsys):
+    trial, message = _first_failure_one_by_one(LATE_FAILURE)
+    assert trial == 30
+    assert main(LATE_FAILURE) == 1
+    assert capsys.readouterr() == ("", f"estimation failed: {message}\n")
+
+
+@pytest.mark.parametrize("broken", [35, 20])
+def test_the_first_failing_trial_wins_whatever_its_stage(monkeypatch, capsys, broken):
+    # a made-up failure inside the stacked chain at trial `broken`, against
+    # trial 30's failure at the measurement after the chain: the run raises
+    # the error of the earlier trial, as a trial-by-trial run would
+    _, message = _first_failure_one_by_one(LATE_FAILURE)
+    real = estimators.apply_poly
+
+    def apply_poly(be, p, target=None):
+        trials = len(be.encoded.mat) if be.encoded.mat.ndim == 3 else 1
+        numkernel.fail_first(np.arange(trials) == broken, lambda i: ValueError(f"chain failed at trial {i}"))
+        return real(be, p, target)
+
+    monkeypatch.setattr(estimators, "apply_poly", apply_poly)
+    assert main(LATE_FAILURE) == 1
+    expected = f"estimation failed: {message}" if broken > 30 else f"error: chain failed at trial {broken}"
+    assert capsys.readouterr().err == expected + "\n"

@@ -1,5 +1,6 @@
 import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -586,3 +587,47 @@ def test_blind_inputs_and_measurement_keep_their_seeds(monkeypatch):
 def test_estimate_rejects_unknown_von_neumann_method():
     with pytest.raises(ValueError, match="unknown von Neumann method"):
         estimate(DIAG, 1.0, 0.1, method="ae")
+
+
+def _outcome(call):
+    """The reports of a call, field for field and bit for bit, or its error."""
+    try:
+        return [repr(report) for report in call()]
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    route=st.sampled_from([(alpha, method) for alpha, method, _ in BLIND_ROUTES]),
+    # so few shots that some trials measure p0 = 0 and fail
+    c_shots=st.sampled_from([4.0, 1e-4]),
+    mode=st.sampled_from(["noisy", "ideal", "blind"]),
+    d_exp=st.integers(1, 4),
+    rank=st.integers(1, 4),
+    state_seed=st.integers(0, 2**31 - 1),
+    master=st.integers(0, 2**32 - 1),
+    trials=st.integers(1, 12),
+    chunk=st.integers(1, 12),
+)
+def test_a_batch_of_trials_equals_its_trials_run_one_by_one(
+    route, c_shots, mode, d_exp, rank, state_seed, master, trials, chunk
+):
+    # one grid point's trials run as stacks of at most `chunk` trials give
+    # the reports (or the first failing trial's error) of the same trials
+    # run one estimate at a time
+    d = 2**d_exp
+    rho = random_density(d, min(rank, d), state_seed)
+    assume(rho.meta.rho_min >= 0.02)
+    alpha, method = route
+    seeds = [cli._trial_seed(master, 1, t) for t in range(trials)]
+    kw = dict(mode="ideal" if mode == "ideal" else "noisy", method=method, c_shots=c_shots)
+
+    def batch():
+        if mode == "blind":  # blind mode plans every trial
+            return [estimators.run(estimators.plan(rho, alpha, 0.1, blind=True, seed=s, **kw), [s])[0] for s in seeds]
+        with mock.patch.object(estimators, "STACK_BYTES", chunk * 16 * d * d):
+            return estimators.run(estimators.plan(rho, alpha, 0.1, **kw), seeds)
+
+    one_by_one = lambda: [estimate(rho, alpha, 0.1, seed=s, blind=mode == "blind", **kw) for s in seeds]
+    assert _outcome(batch) == _outcome(one_by_one)

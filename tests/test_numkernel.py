@@ -161,3 +161,65 @@ def test_op_norm_dist_metric(seed):
     c = random_hermitian(5, seed + 2)
     assert op_norm_dist(a, b) == pytest.approx(op_norm_dist(b, a), abs=1e-12)
     assert op_norm_dist(a, c) <= op_norm_dist(a, b) + op_norm_dist(b, c) + 1e-12
+
+
+# A run stacks its trials' matrices and decomposes, multiplies and reduces
+# them in single numpy calls; its output is bit-identical to a trial-by-trial
+# run only while each stacked kernel gives every matrix the bits a call on it
+# alone gives.  numpy does not promise that, so it is checked here on the
+# installed numpy, for every stacked kernel the package uses.
+def _bits(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 8, 32, 64])
+def test_stacked_kernels_equal_per_matrix_calls(d):
+    rng = np.random.default_rng(d)
+    n = 5
+    g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    stack = HermMatrix((g + numkernel.adjoint(g)) / 2)
+    other = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    rho = random_hermitian(d, seed=d).mat
+    spec = hermitian_eig(stack)
+    eigvals = np.linalg.eigvalsh(stack.mat)
+    rebuilt = numkernel.with_eigenvalues(spec.eigenvectors, spec.eigenvalues)
+    product = stack.mat @ other
+    sandwich = stack.mat @ rho @ stack.mat
+    traces = np.trace(sandwich, axis1=-2, axis2=-1)
+    overlaps = np.trace(stack.mat @ rho, axis1=-2, axis2=-1)
+    norms = numkernel.frobenius(stack.mat)
+    for i in range(n):
+        one = HermMatrix(stack.mat[i])
+        alone = hermitian_eig(one)  # eigh, then the stable descending reorder
+        assert _bits(alone.eigenvalues) == _bits(spec.eigenvalues[i])
+        assert _bits(alone.eigenvectors) == _bits(spec.eigenvectors[i])
+        assert _bits(np.linalg.eigvalsh(one.mat)) == _bits(eigvals[i])
+        v, w = alone.eigenvectors, alone.eigenvalues
+        assert _bits((v * w) @ v.conj().T) == _bits(rebuilt[i])
+        assert _bits(one.mat @ other[i]) == _bits(product[i])
+        assert _bits(one.mat @ rho @ one.mat) == _bits(sandwich[i])
+        assert _bits(np.trace(one.mat @ rho @ one.mat)) == _bits(traces[i])
+        assert _bits(np.trace(one.mat @ rho)) == _bits(overlaps[i])
+        assert _bits(numkernel.frobenius(one.mat)) == _bits(norms[i])
+        assert _bits(numkernel.frobenius(stack.mat[i : i + 1])) == _bits(norms[i])
+
+
+def test_stack_functions_take_one_matrix_or_a_stack():
+    a, b = random_hermitian(4, seed=1), random_hermitian(4, seed=2)
+    stack = HermMatrix(np.stack([a.mat, b.mat]))
+    assert stack.dim == 4
+    np.testing.assert_array_equal(op_norm(stack), [op_norm(a), op_norm(b)])
+    np.testing.assert_array_equal(op_norm_dist(stack, a), [0.0, op_norm_dist(b, a)])
+    assert isinstance(op_norm(a), float) and isinstance(numkernel.frobenius(a.mat), float)
+    with pytest.raises(ValueError, match="square matrix or a stack"):
+        HermMatrix(np.zeros((2, 2, 3, 3), dtype=complex))
+
+
+def test_fail_first_raises_the_first_failing_trial():
+    with pytest.raises(ValueError, match="trial 2") as info:
+        numkernel.fail_first(np.array([False, False, True, True]), lambda i: ValueError(f"trial {i}"))
+    assert info.value.trial == 2
+    numkernel.fail_first(np.array([False, False]), lambda i: ValueError(f"trial {i}"))
+    with pytest.raises(ValueError) as info:
+        numkernel.fail_first(np.bool_(True), lambda i: ValueError(f"trial {i}"))  # one matrix is trial 0
+    assert info.value.trial == 0

@@ -480,3 +480,13 @@ def test_fit_keeps_its_checks_on_a_handed_over_certificate():
         PolyApprox(**fields, _certificate=(2 * fit.eps, values))
     with pytest.raises(ValueError, match=r"\|P\(x\)\| <= 1"):
         PolyApprox(**fields, _certificate=(err, values * 3))
+
+
+def test_lipschitz_bounds_of_many_widths_equal_each_alone():
+    # a stack's trials carry different error budgets into the next fit
+    fit = approx_pos_power(0.5, 10.0, 1e-4)
+    widths = np.array([1e-3, 0.0, 2.5e-4, 1e-3])
+    many = fit.lipschitz_bound(widths)
+    alone = np.array([replace(fit).lipschitz_bound(float(w)) for w in widths])
+    assert many.tobytes() == alone.tobytes()
+    assert fit.lipschitz_bound(np.full(3, 1e-3)).tobytes() == np.full(3, alone[0]).tobytes()

@@ -10,8 +10,11 @@ to keep behaviour byte-identical must print the same digest as its parent:
 The list covers `validate` (full, quick, quick in bits), every route in
 noisy, ideal and blind mode on one random and one explicit-spectrum state,
 a non-default shot multiplier, one eps sweep, one rank sweep and four
-error exits.  Only flags that every version of the CLI accepts are used,
-so old and new code run the same list.
+error exits.  It also covers the batched runs: every encoded route with
+more trials than one stacked chunk holds at d = 64, an integer order
+with more trials than one seed batch, and a run whose first failing
+trial is not its first.  Only flags that every version of the CLI
+accepts are used, so old and new code run the same list.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ ROUTES = [
     ("vonneumann", "--approach", "qsvt"),
     ("vonneumann", "--approach", "poly"),
 ]
+# the routes that build block encodings
+ENCODED = [route for route in ROUTES if route[2] not in ("2", "3") and route[-1] != "poly"]
 STATES = [
     ("--dim", "4", "--rank", "4", "--seed", "11"),
     ("--dim", "8", "--spectrum", "0.5,0.3,0.2", "--seed", "5"),
@@ -61,6 +66,16 @@ def runs() -> list[list[str]]:
         ["sweep", "--var", "eps", "--grid", "0.1,0.05", "--alpha", "2"],
         ["renyi", "--alpha", "2", "--c-shots", "nan"],
         ["renyi", "--alpha", "0.5", "--method", "ae", "--dim", "6", "--rank", "3"],
+    ]
+    # 40 trials on a full-rank d = 64 spectrum: more than the 32 one
+    # stacked chunk holds there
+    spread = ",".join(repr((64 + i) / 6112) for i in range(64))
+    out += [[*route, "--dim", "64", "--spectrum", spread, "--trials", "40", "--seed", "4"] for route in ENCODED]
+    out += [
+        # more trials than one seed batch (`seeding.BATCH_TRIALS` = 256)
+        ["renyi", "--alpha", "2", "--dim", "4", "--rank", "2", "--trials", "300", "--seed", "6"],
+        # trial 30 is the first whose measured p0 is zero
+        ["renyi", "--alpha", "3.5", "--dim", "4", "--rank", "4", "--c-shots", "0.0001", "--trials", "40", "--seed", "3"],
     ]
     return out
 
