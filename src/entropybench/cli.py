@@ -5,9 +5,14 @@ Emits one CSV row per (grid point, trial) with the fixed column set
     seed,alpha,branch,d,rank,eps,delta,method,shots,ledger_samples,
     predicted_samples,estimate,exact,abs_err,pass
 
-plus a human-readable summary on stdout.  Identical configuration and
-seed produce byte-identical CSV.  Exit codes: 0 success, 1 usage error,
-2 validation failure.
+plus a human-readable summary on stdout.  A grid point is planned once,
+and the fields its plan fixes (all but seed, ledger_samples, estimate,
+abs_err and pass) are formatted once for its trials; each chunk of trials
+adds its ledger, and each trial, read from the columns of
+`estimators.run_columns`, formats only its seed, estimate, abs_err and
+pass.  Blind mode plans, so formats, every trial alone.  Identical
+configuration and seed produce byte-identical CSV.  Exit codes: 0
+success, 1 usage error, 2 validation failure.
 """
 
 from __future__ import annotations
@@ -15,9 +20,10 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import operator
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,7 +31,7 @@ import numpy as np
 
 from .accountant import C_SHOTS, decompose_alpha
 from . import seeding
-from .estimators import EstimateReport, EstimationFailure, plan, run
+from .estimators import EstimationFailure, Plan, plan, run_columns
 from .qsvtpoly import DegreeCapExceeded
 from .seeding import spawn_seed
 from .states import DensityMatrix, from_spectrum, random_density
@@ -162,35 +168,6 @@ def _points(cfg: ExperimentConfig) -> list[_Point]:
     return [(rho, alpha, eps, cfg.approach) for eps in eps_values]
 
 
-def _scale(value: Optional[float], log_base: str) -> Optional[float]:
-    if value is None:
-        return None
-    return value / math.log(2.0) if log_base == "2" else value
-
-
-def _row(report: EstimateReport, log_base: str, eps_report: float, fixed: dict) -> dict:
-    """One CSV row; `fixed` holds the fields every trial of the grid point
-    shares, formatted once for the point."""
-    est = _scale(report.estimate, log_base)
-    exact = _scale(report.exact_value, log_base)
-    abs_err = abs(est - exact) if exact is not None else float("nan")
-    return {
-        **fixed,
-        "seed": report.seed,
-        "alpha": repr(float(report.alpha)),
-        "branch": report.branch,
-        "delta": repr(float(report.delta)),
-        "method": report.method,
-        "shots": report.shots_used,
-        "ledger_samples": report.sample_cost_total,
-        "predicted_samples": report.predicted_budget,
-        "estimate": repr(float(est)),
-        "exact": repr(float(exact)) if exact is not None else "",
-        "abs_err": repr(float(abs_err)),
-        "pass": int(abs_err <= eps_report),
-    }
-
-
 def _point_rows(point: _Point, grid_index: int, trials: int, cfg: ExperimentConfig) -> list[dict]:
     """CSV rows of `trials` estimates at one grid point, each on its own
     seed: the point is planned once and its trials run in batches.  Blind
@@ -198,19 +175,36 @@ def _point_rows(point: _Point, grid_index: int, trials: int, cfg: ExperimentConf
     eps is in the report's units, so the estimators, which work in nats,
     get it converted."""
     rho, alpha, eps, approach = point
-    eps_internal = eps * math.log(2.0) if cfg.log_base == "2" else eps
+    scale = math.log(2.0) if cfg.log_base == "2" else 1.0  # nats per report unit
     branch = decompose_alpha(alpha).branch
     method = approach if branch == "von_neumann" else cfg.method if branch == "sub_one" else None
     settings = dict(mode="ideal" if cfg.ideal else "noisy", method=method, c_shots=cfg.c_shots)
-    shared = None if cfg.blind else plan(rho, alpha, eps_internal, **settings)
     fixed = {"d": rho.dim, "rank": rho.meta.rank, "eps": repr(float(eps))}
+    if cfg.blind:
+        return [row for seeds in _trial_seeds(cfg.seed, grid_index, trials, ()) for s in seeds for row in
+                _rows(plan(rho, alpha, eps * scale, blind=True, seed=s, **settings), [[s]], fixed, scale, eps)]
+    shared = plan(rho, alpha, eps * scale, **settings)
+    return _rows(shared, _trial_seeds(cfg.seed, grid_index, trials, shared.children), fixed, scale, eps)
+
+
+def _rows(p: Plan, batches: Iterable[list[int]], fixed: dict, scale: float, eps: float) -> list[dict]:
+    """The rows of a plan's trials, batch by batch of seeds.  The fields
+    the plan fixes are formatted once; a trial's row adds its seed, its
+    estimate and error in report units, and whether that error is within
+    eps."""
+    exact = p.oracle.entropy / scale
+    fixed = {**fixed, "alpha": repr(float(p.regime.alpha)), "branch": p.regime.branch,
+             "delta": repr(float(p.budget.delta)), "method": p.method, "shots": p.budget.shots,
+             "predicted_samples": p.budget.predicted_samples, "exact": repr(float(exact))}
     rows = []
-    for seeds in _trial_seeds(cfg.seed, grid_index, trials, shared.children if shared else ()):
-        if shared:
-            reports = run(shared, seeds)
-        else:
-            reports = [run(plan(rho, alpha, eps_internal, blind=True, seed=s, **settings), [s])[0] for s in seeds]
-        rows += [_row(rep, cfg.log_base, eps, fixed) for rep in reports]
+    for seeds in batches:
+        for c in run_columns(p, seeds):
+            chunk = {**fixed, "ledger_samples": c.ledger}
+            for seed, estimate in zip(c.seeds, c.estimates):
+                est = estimate / scale
+                abs_err = abs(est - exact)
+                rows.append({**chunk, "seed": seed, "estimate": repr(est), "abs_err": repr(abs_err),
+                             "pass": int(abs_err <= eps)})
     return rows
 
 
@@ -281,10 +275,8 @@ def _slope_lines(cfg: ExperimentConfig, by_point: list[list[dict]]) -> list[str]
 
 
 def rows_to_csv(rows: list[dict]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        lines.append(",".join(str(r[c]) for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    fields = operator.itemgetter(*CSV_COLUMNS)
+    return "\n".join([",".join(CSV_COLUMNS), *(",".join(map(str, fields(r))) for r in rows)]) + "\n"
 
 
 def parse_config_file(path: str) -> dict[str, str]:

@@ -11,16 +11,21 @@ The skeleton runs in two steps.  `plan` does, once per grid point, all
 that does not depend on the trial seed: the regime, the spectral inputs,
 the budget, the oracle, the fits and encoding budgets, the target side of
 the encoding chain with its exact p0, `vn_poly`'s term table, and the
-child indices of a trial seed that every trial reads.  `run(plan, seeds)`
-does the seeded work.  It hands chunks of trials to the route's branch
-function, which builds the realized encodings of a chunk as one stack
-(each trial's noise from its own generator), transforms the stack with
-stacked kernels, and measures and inverts trial by trial.  A chunk holds
-at most `STACK_BYTES` per stacked array.  When a check fails, the run
-raises the error of the first failing trial, the one a trial-by-trial
-run would have met first.  `estimate` and the branch functions called on
-a state run one trial.  Blind mode draws its probes per trial, so it
-plans every trial.
+child indices of a trial seed that every trial reads.  `run_columns(plan,
+seeds)` does the seeded work.  It hands chunks of trials to the route's
+branch function, which builds the realized encodings of a chunk as one
+stack (each trial's noise from its own generator) and transforms the
+stack with stacked kernels.  One `measure_p0` call per chunk checks the
+accuracy and counts the shots once, then draws each trial's p0 from the
+trial's own generator; each trial is inverted in turn.  The chunk comes
+back as `Columns`: a list per trial field (seed, estimate, measured and
+realized p0, bound, eta) beside the ledger and exact p0 the plan fixes.
+`run(plan, seeds)` makes a report of each trial from them; the CLI makes
+rows of them.  A chunk holds at most `STACK_BYTES` per stacked array.
+When a check fails, the run raises the error of the first failing trial,
+the one a trial-by-trial run would have met first.  `estimate` and the
+branch functions called on a state run one trial.  Blind mode draws its
+probes per trial, so it plans every trial.
 
 Reports carry the realized and exact p0, the certified operator-error
 ledger, a p0-level deviation bound, and the copy-count bookkeeping.
@@ -38,7 +43,7 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -56,7 +61,7 @@ from .blockenc import (
     rescaled_target,
 )
 from .config import TOL
-from .numkernel import HermMatrix, frobenius, op_norm
+from .numkernel import HermMatrix, fail_first, frobenius, op_norm
 from .qsvtpoly import (
     MONOMIAL_DEGREE_CAP,
     PolyApprox,
@@ -87,39 +92,46 @@ class EstimationFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """Ancilla-outcome probability plus the measurement mechanism."""
+    """Ancilla-outcome probability plus the measurement mechanism: one p0
+    for every trial measured, or a list of one p0 per trial."""
 
-    p0: float
+    p0: Union[float, list[float]]
     mode: str = "bernoulli"  # or "amplitude_estimation"
 
     def __post_init__(self):
         if self.mode not in ("bernoulli", "amplitude_estimation"):
             raise ValueError(f"unknown measurement mode {self.mode!r}")
-        if not (-1e-12 <= self.p0 <= 1.0 + 1e-12):
-            raise ValueError(f"probability {self.p0!r} outside [0, 1]")
-        object.__setattr__(self, "p0", float(min(1.0, max(0.0, self.p0))))
+        p0s = self.p0 if isinstance(self.p0, list) else [self.p0]
+        fail_first([not (-1e-12 <= p0 <= 1.0 + 1e-12) for p0 in p0s],
+                   lambda k: ValueError(f"probability {p0s[k]!r} outside [0, 1]"))
+        clamped = [float(min(1.0, max(0.0, p0))) for p0 in p0s]
+        object.__setattr__(self, "p0", clamped if p0s is self.p0 else clamped[0])
 
 
-def measure_p0(
-    model: MeasurementModel,
-    delta: float,
-    seed: int,
-    c_shots: float = C_SHOTS,
-) -> float:
-    """Simulated estimate of p0 at accuracy parameter delta.
+def measure_p0(model: MeasurementModel, delta: float, seed: Union[int, Sequence[int]],
+               c_shots: float = C_SHOTS) -> Union[float, list[float]]:
+    """Simulated estimate of p0 at accuracy parameter delta, for one seed
+    or, as a list, for each of a sequence of seeds (trial k measures
+    p0[k] when the model holds one p0 per trial).
 
     Bernoulli mode draws ceil(c_shots/delta^2) coin flips (one binomial
     variate, identical in law); the amplitude-estimation model returns
     p0 plus uniform noise in [-delta, delta] at ceil(c_shots/delta)
-    query cost.  Deterministic per seed.
+    query cost.  Deterministic per seed: each trial draws from its own
+    seed's generator, so a batch equals its one-seed calls, and delta and
+    the shot count are checked once, before any draw.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"accuracy parameter must be in (0, 1), got {delta}")
-    rng = seeding.rng(seed)
     n = shots_for(model.mode, delta, c_shots)
+    seeds = seed if isinstance(seed, Sequence) else [seed]
+    p0s = model.p0 if isinstance(model.p0, list) else [model.p0] * len(seeds)
+    rng = seeding.rng
     if model.mode == "bernoulli":
-        return float(rng.binomial(n, model.p0) / n)
-    return float(model.p0 + rng.uniform(-delta, delta))
+        out = [float(rng(s).binomial(n, p0) / n) for s, p0 in zip(seeds, p0s)]
+    else:
+        out = [float(p0 + rng(s).uniform(-delta, delta)) for s, p0 in zip(seeds, p0s)]
+    return out if seeds is seed else out[0]
 
 
 @dataclass(frozen=True)
@@ -153,6 +165,22 @@ class EstimateReport:
     def __post_init__(self):
         if self.shots_used < 1:
             raise ValueError("shots_used must be >= 1")
+
+
+class Columns(NamedTuple):
+    """A chunk of one plan's trials as columns, one entry per trial in
+    seed order: what `run` makes reports of and the CLI writes as rows.
+    The ledger and the exact p0 are the plan's, shared by every trial;
+    a route that measures no single p0 (`vn_poly`) has None entries."""
+
+    seeds: list[int]
+    estimates: list[float]
+    ledger: int
+    p0_measured: list[Optional[float]]
+    p0_realized: list[Optional[float]]
+    p0_exact: Optional[float]
+    bounds: list[float]
+    etas: list[float]
 
 
 @dataclass(frozen=True)
@@ -496,16 +524,19 @@ def _poly_table(state: DensityMatrix, eps: float, mode: str, c_shots: float, rho
 
 def run(p: Plan, seeds: Sequence[int]) -> list[EstimateReport]:
     """One report per trial seed, in order, each as `estimate` would give
-    it on that seed.  Trials run `p.chunk` at a time through the route's
-    branch function.  A failing trial raises its own error, and only once
-    every trial before it has run without one."""
-    out: list[EstimateReport] = []
-    for start in range(0, len(seeds), p.chunk):
-        out += _chunk(p, list(seeds[start:start + p.chunk]))
-    return out
+    it on that seed: the reports of `run_columns(p, seeds)`."""
+    return [report for c in run_columns(p, seeds) for report in _reports(p, c)]
 
 
-def _chunk(p: Plan, seeds: list[int]) -> list[EstimateReport]:
+def run_columns(p: Plan, seeds: Sequence[int]) -> list[Columns]:
+    """The trials of `run(p, seeds)` as columns, one `Columns` per chunk of
+    at most `p.chunk` trials, each run through the route's branch
+    function.  A failing trial raises its own error, and only once every
+    trial before it has run without one."""
+    return [_chunk(p, list(seeds[start:start + p.chunk])) for start in range(0, len(seeds), p.chunk)]
+
+
+def _chunk(p: Plan, seeds: list[int]) -> Columns:
     try:
         if p.method == "integer":
             return renyi_integer(p, seeds)
@@ -519,8 +550,8 @@ def _chunk(p: Plan, seeds: list[int]) -> list[EstimateReport]:
             return vn_qsvt(p, seeds)
         return vn_poly(p, seeds)
     except (ValueError, RuntimeError) as exc:
-        # trial `exc.trial` failed first at its stage of the stacked
-        # chain; a trial before it may still fail at a later stage
+        # trial `exc.trial` failed first at its stage of the chunk; a
+        # trial before it may still fail at a later stage
         if getattr(exc, "trial", 0):
             _chunk(p, seeds[: exc.trial])
         raise
@@ -542,16 +573,17 @@ def _per_trial(x, n: int) -> list[float]:
     return values * n if len(values) == 1 else values
 
 
-def _trials(p: Plan, seeds: list[int], be: Optional[BlockEncoding], invert: Callable) -> list[EstimateReport]:
-    """Measure and invert each trial of a built chain, in order.  The
-    chain's p0 is read exactly in ideal mode and otherwise measured on the
-    trial's measurement child, Bernoulli or, for method "ae", by amplitude
-    estimation; `invert(p0_hat, pair)` turns it into the entropy."""
+def _trials(p: Plan, seeds: list[int], be: Optional[BlockEncoding], invert: Callable) -> Columns:
+    """Measure and invert the trials of a built chain, as columns.  The
+    chain's p0 is read exactly in ideal mode and otherwise measured in one
+    `measure_p0` call on each trial's measurement child, Bernoulli or, for
+    method "ae", by amplitude estimation; `invert(p0_hat, bound)` turns a
+    trial's p0 into the entropy."""
     n = len(seeds)
-    if be is None:  # integer orders read the oracle's trace power
-        p0 = (1.0 + p.oracle.tr_pow_alpha) / 2.0
-        realized, bounds, etas, ledger = [p0] * n, [0.0] * n, [0.0] * n, int(p.regime.alpha) * p.budget.shots
-        exact = p0
+    if be is None:  # integer orders read the oracle's trace power, one p0 for all
+        exact = (1.0 + p.oracle.tr_pow_alpha) / 2.0
+        realized, bounds, etas = [min(1.0, max(0.0, exact))] * n, [0.0] * n, [0.0] * n
+        ledger = int(p.regime.alpha) * p.budget.shots
     else:
         e = be.encoded.mat
         if p.method == "ae":
@@ -560,60 +592,41 @@ def _trials(p: Plan, seeds: list[int], be: Optional[BlockEncoding], invert: Call
         else:
             realized = np.real(np.trace(e @ p.probe @ e, axis1=-2, axis2=-1))
             bounds = be.eta * (_op_norm_cap(be.encoded) + p.target_cap)
-        realized, bounds, etas = (_per_trial(x, n) for x in (realized, bounds, be.eta))
+        realized = [min(1.0, max(0.0, x)) for x in _per_trial(realized, n)]
+        bounds, etas = _per_trial(bounds, n), _per_trial(be.eta, n)
         ledger, exact = be.sample_cost + p.budget.shots, p.p0_exact
-    ae = p.method == "ae"
-    reports = []
-    for i, seed in enumerate(seeds):
-        pair = (min(1.0, max(0.0, realized[i])), exact, bounds[i])
-        try:
-            p0_hat = pair[0]
-            if not p.noiseless:
-                model = MeasurementModel(p0=p0_hat, mode="amplitude_estimation" if ae else "bernoulli")
-                p0_hat = measure_p0(model, p.budget.measure_delta, _child_seed(seed, p.children[-1]), p.c_shots)
-            value = invert(p0_hat, pair)
-        except (ValueError, RuntimeError) as exc:
-            exc.trial = i
-            raise
-        reports.append(_report(p, seed, value, int(ledger) + p.inputs.extra_cost, p0_hat, pair, etas[i]))
-    return reports
+    measured = realized
+    if not p.noiseless:
+        model = MeasurementModel(p0=realized[0] if be is None else realized,
+                                 mode="amplitude_estimation" if p.method == "ae" else "bernoulli")
+        kids = [_child_seed(s, p.children[-1]) for s in seeds]
+        measured = measure_p0(model, p.budget.measure_delta, kids, p.c_shots)
+    estimates = []
+    try:
+        for p0_hat, bound in zip(measured, bounds):
+            estimates.append(float(invert(p0_hat, bound)))
+    except (ValueError, RuntimeError) as exc:
+        exc.trial = len(estimates)
+        raise
+    return Columns(seeds, estimates, int(ledger) + p.inputs.extra_cost, measured, realized, exact, bounds, etas)
 
 
-def _report(
-    p: Plan,
-    seed: int,
-    estimate: float,
-    ledger: int,
-    p0_measured: Optional[float] = None,
-    pair: tuple = (None, None, 0.0),
-    eta: float = 0.0,
-) -> EstimateReport:
-    """The one report constructor: the oracle gives the quantity and the
-    exact value, the regime the order and branch, the budget delta and
-    the shot counts."""
-    return EstimateReport(
-        quantity_tag=p.oracle.quantity,
-        estimate=float(estimate),
-        target_eps=p.eps,
-        shots_used=p.budget.shots,
-        sample_cost_total=int(ledger),
-        method=p.method,
-        seed=seed,
-        predicted_budget=p.budget.predicted_samples,
-        alpha=p.regime.alpha,
-        branch=p.regime.branch,
-        delta=p.budget.delta,
-        exact_value=p.oracle.entropy,
-        within_eps=bool(abs(estimate - p.oracle.entropy) <= p.eps),
-        p0_measured=p0_measured,
-        p0_realized=pair[0],
-        p0_operator_exact=pair[1],
-        eta_operator=eta,
-        p0_error_bound=pair[2],
-        rho_min_used=p.rho_min_used,
-        sensitivity_rho_min=p.sensitivity,
-        flags=p.flags,
-    )
+def _reports(p: Plan, c: Columns) -> list[EstimateReport]:
+    """The one report constructor: the plan gives the fields every trial
+    shares (the oracle the quantity and the exact value, the regime the
+    order and branch, the budget delta and the shot counts), the columns
+    the rest."""
+    entropy = p.oracle.entropy
+    shared = dict(quantity_tag=p.oracle.quantity, target_eps=p.eps, shots_used=p.budget.shots, method=p.method,
+                  sample_cost_total=c.ledger, predicted_budget=p.budget.predicted_samples, alpha=p.regime.alpha,
+                  branch=p.regime.branch, delta=p.budget.delta, exact_value=entropy, p0_operator_exact=c.p0_exact,
+                  rho_min_used=p.rho_min_used, sensitivity_rho_min=p.sensitivity, flags=p.flags)
+    return [
+        EstimateReport(seed=seed, estimate=est, within_eps=bool(abs(est - entropy) <= p.eps), p0_measured=measured,
+                       p0_realized=realized, eta_operator=eta, p0_error_bound=bound, **shared)
+        for seed, est, measured, realized, bound, eta in zip(
+            c.seeds, c.estimates, c.p0_measured, c.p0_realized, c.bounds, c.etas)
+    ]
 
 
 def _nonzero(p0_hat: float, what: str = "measured ancilla probability", budget: str = "shot") -> float:
@@ -637,7 +650,7 @@ def renyi_integer(
     Simulated as a Bernoulli source with success probability
     (1 + Tr rho^alpha)/2, the ancilla statistics of a controlled cyclic
     shift across alpha copies; each shot consumes alpha copies.  Called
-    as `renyi_integer(plan, seeds)`, runs a plan's trials.
+    as `renyi_integer(plan, seeds)`, returns a chunk's columns.
     """
     if int(alpha) != alpha or alpha < 2:
         raise ValueError(f"order must be an integer >= 2, got {alpha}")
@@ -645,8 +658,8 @@ def renyi_integer(
 
 
 @renyi_integer.register(Plan)
-def _integer_trials(p: Plan, seeds: list[int]) -> list[EstimateReport]:
-    def invert(p_hat, pair):
+def _integer_trials(p: Plan, seeds: list[int]) -> Columns:
+    def invert(p_hat, bound):
         t_hat = 2.0 * p_hat - 1.0
         if t_hat <= 0.0:
             raise EstimationFailure(
@@ -678,14 +691,14 @@ def renyi_case_odd(
     Decomposes alpha = 2k+1+c with c > 0, realizes ((pi/4) rho)^(k+c/2),
     measures p0 = (pi/4)^(alpha-1) Tr rho^alpha on the ancilla, and
     recovers S_alpha = [log(p0 * pi/4) - alpha log(pi/4)] / (1 - alpha).
-    Called as `renyi_case_odd(plan, seeds)`, runs a plan's trials.
+    Called as `renyi_case_odd(plan, seeds)`, returns a chunk's columns.
     """
     _require(alpha, "odd_floor", "fractional with odd floor")
     return estimate(rho, alpha, eps, seed, mode, blind=blind, c_shots=c_shots)
 
 
 @renyi_case_odd.register(Plan)
-def _odd_trials(p: Plan, seeds: list[int]) -> list[EstimateReport]:
+def _odd_trials(p: Plan, seeds: list[int]) -> Columns:
     # the fractional power and the k plain factors draw noise from children
     # of the build child
     build = _kids(seeds, 1)
@@ -695,7 +708,7 @@ def _odd_trials(p: Plan, seeds: list[int]) -> list[EstimateReport]:
         powers = be_power(p.state, p.regime.k, p.enc_budgets[1], _kids(build, 1), p.noiseless)
         be = be_product(powers, be, p.targets[2])
     alpha = p.regime.alpha
-    return _trials(p, seeds, be, lambda p0, pair: (
+    return _trials(p, seeds, be, lambda p0, bound: (
         math.log(_nonzero(p0) * math.pi / 4.0) - alpha * LOG_PI_OVER_4) / (1.0 - alpha))
 
 
@@ -718,21 +731,21 @@ def renyi_case_even(
     the recovery self-consistent; the report carries the sensitivity).
     Negative powers are undefined at eigenvalue 0, so a rank-deficient
     state is restricted to its support first.  Called as
-    `renyi_case_even(plan, seeds)`, runs a plan's trials.
+    `renyi_case_even(plan, seeds)`, returns a chunk's columns.
     """
     _require(alpha, "even_floor", "fractional above 2 with even floor")
     return estimate(rho, alpha, eps, seed, mode, blind=blind, c_shots=c_shots)
 
 
 @renyi_case_even.register(Plan)
-def _even_trials(p: Plan, seeds: list[int]) -> list[EstimateReport]:
+def _even_trials(p: Plan, seeds: list[int]) -> Columns:
     neg_branch = encode_state_side(p.state, p.enc_budgets[0], _kids(seeds, 1), p.noiseless)
     neg_branch = apply_poly(neg_branch, p.fits[0], p.targets[0])
     powers = be_power(p.state, p.regime.k, p.enc_budgets[1], _kids(seeds, 2), p.noiseless)
     be = be_product(powers, neg_branch, p.targets[1])
     alpha, k, c = p.regime.alpha, p.regime.k, p.regime.c
     prefactor = 0.25 * (math.pi / 4.0) ** (2 * k) * p.rho_min_used ** (-c)
-    return _trials(p, seeds, be, lambda p0, pair: (math.log(_nonzero(p0)) - math.log(prefactor)) / (1.0 - alpha))
+    return _trials(p, seeds, be, lambda p0, bound: (math.log(_nonzero(p0)) - math.log(prefactor)) / (1.0 - alpha))
 
 
 @functools.singledispatch
@@ -754,7 +767,7 @@ def renyi_sub_one(
     maximally entangled purification to additive delta at ~1/delta query
     cost (d must be a power of 2 for that preparation).  Either way the
     budget follows the purity, which blind mode estimates.  Called as
-    `renyi_sub_one(plan, seeds)`, runs a plan's trials.
+    `renyi_sub_one(plan, seeds)`, returns a chunk's columns.
     """
     _require(alpha, "sub_one", "in (0, 1)")
     if method not in ("sampling", "ae"):
@@ -763,11 +776,11 @@ def renyi_sub_one(
 
 
 @renyi_sub_one.register(Plan)
-def _sub_one_trials(p: Plan, seeds: list[int]) -> list[EstimateReport]:
+def _sub_one_trials(p: Plan, seeds: list[int]) -> Columns:
     be = apply_poly(encode_density(p.state, p.enc_budgets[0], _kids(seeds, 1), p.noiseless), p.fits[0], p.targets[0])
     alpha, d = p.regime.alpha, p.state.dim
 
-    def invert(p0_hat, pair):
+    def invert(p0_hat, bound):
         if p.method == "sampling":
             tr_quarter = 4.0 * d * _nonzero(p0_hat)  # Tr ((pi/4) rho)^alpha
         else:
@@ -802,20 +815,20 @@ def vn_qsvt(
     1/2.  The ancilla gives p0 = gamma log(4/pi) + gamma S_v; shots are
     budgeted at delta = eps * gamma.  A rank-deficient state is
     restricted to its support, where the logarithm is defined.  Called
-    as `vn_qsvt(plan, seeds)`, runs a plan's trials.
+    as `vn_qsvt(plan, seeds)`, returns a chunk's columns.
     """
     return estimate(rho, 1.0, eps, seed, mode, "qsvt", blind, c_shots)
 
 
 @vn_qsvt.register(Plan)
-def _qsvt_trials(p: Plan, seeds: list[int]) -> list[EstimateReport]:
+def _qsvt_trials(p: Plan, seeds: list[int]) -> Columns:
     log_fit, sqrt_fit = p.fits
     b1 = apply_poly(encode_density(p.state, p.enc_budgets[0], _kids(seeds, 1), p.noiseless), log_fit, p.targets[0])
     b2 = rescale(apply_poly(b1, sqrt_fit, p.targets[1]), 2.0, p.targets[2])
     _, gamma, floor2 = _vn_scale(p.rho_min_used)
 
-    def invert(p0_hat, pair):
-        margin = 4.0 * p.budget.delta + pair[2]
+    def invert(p0_hat, bound):
+        margin = 4.0 * p.budget.delta + bound
         if p0_hat < floor2 - margin:
             raise EstimationFailure(
                 f"ancilla probability {p0_hat:.4f} sits below the zero-entropy floor "
@@ -845,16 +858,15 @@ def vn_poly(
     |a_i|)); the coefficient-aware denominator keeps the statistical
     error within budget even when the plain-power basis inflates the
     coefficients.  There is no single p0: term i measures on child i-1
-    of the trial seed's child 1.  Called as `vn_poly(plan, seeds)`, runs
-    a plan's trials.
+    of the trial seed's child 1.  Called as `vn_poly(plan, seeds)`,
+    returns a chunk's columns.
     """
     return estimate(rho, 1.0, eps, seed, mode, "poly", blind, c_shots)
 
 
 @vn_poly.register(Plan)
-def _poly_trials(p: Plan, seeds: list[int]) -> list[EstimateReport]:
-    ledger = p.inputs.extra_cost + sum((i + 1) * n_i for i, (_, n_i, _) in enumerate(p.terms))
-    reports = []
+def _poly_trials(p: Plan, seeds: list[int]) -> Columns:
+    estimates = []
     for seed in seeds:
         s_meas = _child_seed(seed, p.children[-1])
         value = p.terms[0][0]  # a_0 Tr rho, exactly
@@ -865,8 +877,10 @@ def _poly_trials(p: Plan, seeds: list[int]) -> list[EstimateReport]:
                 rng = seeding.rng(_child_seed(s_meas, i - 1))
                 t_hat = 2.0 * rng.binomial(n_i, (1.0 + t_i) / 2.0) / n_i - 1.0
             value += a_i * t_hat
-        reports.append(_report(p, seed, value, ledger, eta=p.eta))
-    return reports
+        estimates.append(float(value))
+    n = len(seeds)
+    ledger = p.inputs.extra_cost + sum((i + 1) * n_i for i, (_, n_i, _) in enumerate(p.terms))
+    return Columns(seeds, estimates, ledger, [None] * n, [None] * n, None, [0.0] * n, [p.eta] * n)
 
 
 def estimate(

@@ -367,7 +367,38 @@ def test_grid_points_are_numbered_from_one(monkeypatch, cfg, indices):
     assert seen == indices
 
 
-@pytest.mark.parametrize("mode", [(), ("--ideal",), ("--blind",)], ids=["noisy", "ideal", "blind"])
+def _reference_row(report, log_base: str, eps_report: float, fixed: dict) -> dict:
+    """One CSV row formatted from an `estimate` report, field by field as
+    the CLI wrote rows when it built a report per trial."""
+    scale = lambda value: value / math.log(2.0) if log_base == "2" else value
+    est = scale(report.estimate)
+    exact = scale(report.exact_value)
+    abs_err = abs(est - exact) if exact is not None else float("nan")
+    return {
+        **fixed,
+        "seed": report.seed,
+        "alpha": repr(float(report.alpha)),
+        "branch": report.branch,
+        "delta": repr(float(report.delta)),
+        "method": report.method,
+        "shots": report.shots_used,
+        "ledger_samples": report.sample_cost_total,
+        "predicted_samples": report.predicted_budget,
+        "estimate": repr(float(est)),
+        "exact": repr(float(exact)) if exact is not None else "",
+        "abs_err": repr(float(abs_err)),
+        "pass": int(abs_err <= eps_report),
+    }
+
+
+_MODES = [(), ("--ideal",), ("--blind",)]
+
+
+@pytest.mark.parametrize(
+    "mode",
+    _MODES + [(*mode, "--log-base", "2") for mode in _MODES],
+    ids=["noisy", "ideal", "blind", "noisy-bits", "ideal-bits", "blind-bits"],
+)
 @pytest.mark.parametrize("route", golden_digest.ROUTES, ids=lambda route: "-".join(w.lstrip("-") for w in route))
 def test_cli_rows_equal_per_trial_estimates(monkeypatch, route, mode):
     # batches of at most 2 trials, so the 5 trials run as two batches and
@@ -378,10 +409,12 @@ def test_cli_rows_equal_per_trial_estimates(monkeypatch, route, mode):
     cfg = config_from_args(build_parser().parse_args(argv))
     rho, alpha, eps, approach = cli._points(cfg)[0]
     method = approach if cfg.mode == "vonneumann" else cfg.method
+    eps_nats = eps * math.log(2.0) if cfg.log_base == "2" else eps
     fixed = {"d": 8, "rank": 3, "eps": repr(eps)}
     expected = [
-        cli._row(estimate(rho, alpha, eps, seed=cli._trial_seed(3, 1, t), mode="ideal" if cfg.ideal else "noisy",
-                          method=method, blind=cfg.blind), "e", eps, fixed)
+        _reference_row(estimate(rho, alpha, eps_nats, seed=cli._trial_seed(3, 1, t),
+                                mode="ideal" if cfg.ideal else "noisy", method=method, blind=cfg.blind),
+                       cfg.log_base, eps, fixed)
         for t in range(5)
     ]
     assert run_experiment(cfg)[0] == expected
@@ -418,16 +451,16 @@ def test_a_huge_trial_count_is_derived_in_bounded_batches(monkeypatch):
         pass
 
     sizes, done = [], []
-    real_batch, real_run = seeding.batch, cli.run
+    real_batch, real_run = seeding.batch, cli.run_columns
     monkeypatch.setattr(seeding, "batch", lambda seed, head, trials, children: sizes.append(len(trials)) or real_batch(
         seed, head, trials, children))
 
     def run_20(plan, seeds):
-        done.extend(real_run(plan, seeds))
+        done.extend(s for columns in real_run(plan, seeds) for s in columns.seeds)
         if len(done) >= 20:
             raise Stop
 
-    monkeypatch.setattr(cli, "run", run_20)
+    monkeypatch.setattr(cli, "run_columns", run_20)
     cfg = ExperimentConfig(mode="renyi", alpha=2.0, d=8, spectrum=[0.5, 0.3, 0.2], trials=10**11, seed=1)
     with pytest.raises(Stop):
         run_experiment(cfg)
@@ -442,14 +475,14 @@ def test_summary_median_equals_numpy(values):
 
 def test_run_builds_one_runtime_config_and_routes_through_plan_and_run(monkeypatch):
     planned, ran = [], []
-    real_plan, real_run = cli.plan, cli.run
+    real_plan, real_run = cli.plan, cli.run_columns
 
     def plan_spy(rho, alpha, eps, **kw):
         planned.append((kw["method"], kw["c_shots"]))
         return real_plan(rho, alpha, eps, **kw)
 
     monkeypatch.setattr(cli, "plan", plan_spy)
-    monkeypatch.setattr(cli, "run", lambda plan, seeds: ran.extend(seeds) or real_run(plan, seeds))
+    monkeypatch.setattr(cli, "run_columns", lambda plan, seeds: ran.extend(seeds) or real_run(plan, seeds))
     for cfg, method in (
         (ExperimentConfig(mode="renyi", alpha=2.0, d=4, rank=4, trials=4, c_shots=1.0), None),
         (ExperimentConfig(mode="renyi", alpha=0.5, d=4, rank=4, trials=3, method="ae"), "ae"),

@@ -69,6 +69,55 @@ def test_measure_p0_rejects_bad_delta():
         measure_p0(MeasurementModel(p0=0.5), 1.5, seed=0)
 
 
+_BITS = lambda values: [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("mode", ["bernoulli", "amplitude_estimation"])
+@pytest.mark.parametrize("p0", [0.0, 1.0, 0.37])
+def test_measure_p0_batch_equals_one_seed_calls(mode, p0):
+    seeds = [0, 1, 7, 99, 2**31 - 1, 2**32 - 1, 12345678901]
+    one_by_one = [measure_p0(MeasurementModel(p0=p0, mode=mode), 0.05, s) for s in seeds]
+    assert _BITS(measure_p0(MeasurementModel(p0=p0, mode=mode), 0.05, seeds)) == _BITS(one_by_one)
+    # one p0 per trial: trial k measures its own
+    p0s = [p0, 0.0, 1.0, 0.37, p0, 0.5, 1e-9]
+    one_by_one = [measure_p0(MeasurementModel(p0=q, mode=mode), 0.05, s) for q, s in zip(p0s, seeds)]
+    assert _BITS(measure_p0(MeasurementModel(p0=p0s, mode=mode), 0.05, seeds)) == _BITS(one_by_one)
+    assert _BITS(measure_p0(MeasurementModel(p0=p0, mode=mode), 0.05, seeds[:1])) == _BITS(one_by_one[:1])
+
+
+def test_measure_p0_checks_delta_before_any_draw(monkeypatch):
+    drawn = []
+    real = seeding.rng
+    monkeypatch.setattr(seeding, "rng", lambda seed: drawn.append(seed) or real(seed))
+    for delta in (1.5, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="accuracy parameter must be in"):
+            measure_p0(MeasurementModel(p0=[0.2, 0.4]), delta, [3, 4])
+    assert drawn == []
+    measure_p0(MeasurementModel(p0=[0.2, 0.4]), 0.5, [3, 4])
+    assert drawn == [3, 4]
+
+
+def test_measure_p0_names_the_trial_of_an_out_of_range_p0():
+    for p0s, k, bad in (([0.2, 0.5, 1.5, -0.3], 2, 1.5), ([-0.1, 0.5], 0, -0.1), ([0.5, float("nan")], 1, float("nan"))):
+        with pytest.raises(ValueError, match=rf"probability {bad!r} outside \[0, 1\]") as exc:
+            measure_p0(MeasurementModel(p0=p0s), 0.1, list(range(len(p0s))))
+        assert exc.value.trial == k
+    # within rounding of the interval, a p0 is clamped to it, per trial
+    assert MeasurementModel(p0=[-1e-13, 1.0 + 1e-13, 0.5]).p0 == [0.0, 1.0, 0.5]
+
+
+def test_a_chunk_measures_its_trials_in_one_call(monkeypatch):
+    calls = []
+    real = estimators.measure_p0
+    monkeypatch.setattr(estimators, "measure_p0", lambda *a: calls.append(a[2]) or real(*a))
+    seeds = [cli._trial_seed(5, 1, t) for t in range(30)]
+    for alpha, method in ((2.0, None), (1.5, None), (0.5, "ae")):
+        calls.clear()
+        p = estimators.plan(DIAG8, alpha, 0.1, method=method)
+        assert [r.seed for r in estimators.run(p, seeds)] == seeds
+        assert calls == [[estimators._child_seed(s, p.children[-1]) for s in seeds]]
+
+
 def test_shot_rules():
     assert shots_for("bernoulli", 0.01, 1.0) == 10_000
     assert shots_for("amplitude_estimation", 0.01, 1.0) == 100

@@ -12,8 +12,10 @@ noisy, ideal and blind mode on one random and one explicit-spectrum state,
 a non-default shot multiplier, one eps sweep, one rank sweep and four
 error exits.  It also covers the batched runs: every encoded route with
 more trials than one stacked chunk holds at d = 64, an integer order
-with more trials than one seed batch, and a run whose first failing
-trial is not its first.  Only flags that every version of the CLI
+with more trials than one seed batch and with one trial below and at
+the smallest batch, a run whose first failing trial is not its first,
+a base-2 sweep of 100-trial points, 10-trial blind runs (a plan per
+trial) and a measurement accuracy that fails only when measured.  Only flags that every version of the CLI
 accepts are used, so old and new code run the same list.
 """
 
@@ -76,6 +78,19 @@ def runs() -> list[list[str]]:
         ["renyi", "--alpha", "2", "--dim", "4", "--rank", "2", "--trials", "300", "--seed", "6"],
         # trial 30 is the first whose measured p0 is zero
         ["renyi", "--alpha", "3.5", "--dim", "4", "--rank", "4", "--c-shots", "0.0001", "--trials", "40", "--seed", "3"],
+        # a grid point's fields formatted once for its trials, in bits
+        ["sweep", "--var", "eps", "--grid", "0.2,0.1,0.05", "--alpha", "2", "--dim", "8", "--spectrum", "0.5,0.3,0.2",
+         "--log-base", "2", "--trials", "100", "--seed", "7"],
+        # blind trials are each their own plan, with its own budget and ledger
+        ["renyi", "--alpha", "2", "--dim", "4", "--rank", "3", "--blind", "--trials", "10", "--seed", "8"],
+        ["renyi", "--alpha", "0.5", "--dim", "4", "--rank", "3", "--blind", "--trials", "10", "--seed", "8"],
+        # one trial below and at `seeding.MIN_BATCH` = 8
+        ["renyi", "--alpha", "3", "--dim", "8", "--rank", "4", "--trials", "7", "--seed", "9"],
+        ["renyi", "--alpha", "3", "--dim", "8", "--rank", "4", "--trials", "8", "--seed", "9"],
+        # a measurement accuracy outside (0, 1): the noisy run fails when it
+        # measures, the ideal run measures nothing
+        ["renyi", "--alpha", "2", "--dim", "4", "--rank", "2", "--eps", "40", "--trials", "2"],
+        ["renyi", "--alpha", "2", "--dim", "4", "--rank", "2", "--eps", "40", "--trials", "2", "--ideal"],
     ]
     return out
 
