@@ -35,13 +35,7 @@ from .estimators import (
     measure_p0,
     min_eig_estimate,
     plan,
-    renyi_case_even,
-    renyi_case_odd,
-    renyi_integer,
-    renyi_sub_one,
     run,
-    vn_poly,
-    vn_qsvt,
 )
 from .numkernel import HermMatrix, Spectrum, hermitian_eig, mat_fun, op_norm, op_norm_dist
 from .qsvtpoly import (
@@ -89,13 +83,7 @@ __all__ = [
     "measure_p0",
     "min_eig_estimate",
     "plan",
-    "renyi_case_even",
-    "renyi_case_odd",
-    "renyi_integer",
-    "renyi_sub_one",
     "run",
-    "vn_poly",
-    "vn_qsvt",
     "HermMatrix",
     "Spectrum",
     "hermitian_eig",

@@ -13,19 +13,19 @@ the budget, the oracle, the fits and encoding budgets, the target side of
 the encoding chain with its exact p0, `vn_poly`'s term table, and the
 child indices of a trial seed that every trial reads.  `run_columns(plan,
 seeds)` does the seeded work.  It hands chunks of trials to the route's
-branch function, which builds the realized encodings of a chunk as one
-stack (each trial's noise from its own generator) and transforms the
-stack with stacked kernels.  One `measure_p0` call per chunk checks the
-accuracy and counts the shots once, then draws each trial's p0 from the
-trial's own generator; each trial is inverted in turn.  The chunk comes
-back as `Columns`: a list per trial field (seed, estimate, measured and
-realized p0, bound, eta) beside the ledger and exact p0 the plan fixes.
+function (`renyi_integer(plan, seeds)` and so on, one per route), which
+builds the realized encodings of a chunk as one stack (each trial's
+noise from its own generator) and transforms the stack with stacked
+kernels.  One `measure_p0` call per chunk checks the accuracy and counts
+the shots once, then draws each trial's p0 from the trial's own
+generator; each trial is inverted in turn.  The chunk comes back as
+`Columns`: a list per trial field (seed, estimate, measured and realized
+p0, bound, eta) beside the ledger and exact p0 the plan fixes.
 `run(plan, seeds)` makes a report of each trial from them; the CLI makes
 rows of them.  A chunk holds at most `STACK_BYTES` per stacked array.
 When a check fails, the run raises the error of the first failing trial,
-the one a trial-by-trial run would have met first.  `estimate` and the
-branch functions called on a state run one trial.  Blind mode draws its
-probes per trial, so it plans every trial.
+the one a trial-by-trial run would have met first.  `estimate` runs one
+trial.  Blind mode draws its probes per trial, so it plans every trial.
 
 Reports carry the realized and exact p0, the certified operator-error
 ledger, a p0-level deviation bound, and the copy-count bookkeeping.
@@ -39,7 +39,6 @@ estimates obtained through the protocols themselves.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -108,11 +107,11 @@ class MeasurementModel:
         object.__setattr__(self, "p0", clamped if p0s is self.p0 else clamped[0])
 
 
-def measure_p0(model: MeasurementModel, delta: float, seed: Union[int, Sequence[int]],
+def measure_p0(model: MeasurementModel, delta: float, seed: Union[int, Sequence[int], np.ndarray],
                c_shots: float = C_SHOTS) -> Union[float, list[float]]:
     """Simulated estimate of p0 at accuracy parameter delta, for one seed
-    or, as a list, for each of a sequence of seeds (trial k measures
-    p0[k] when the model holds one p0 per trial).
+    or, as a list, for each of a sequence or 1-D array of seeds (trial k
+    measures p0[k] when the model holds one p0 per trial).
 
     Bernoulli mode draws ceil(c_shots/delta^2) coin flips (one binomial
     variate, identical in law); the amplitude-estimation model returns
@@ -124,6 +123,8 @@ def measure_p0(model: MeasurementModel, delta: float, seed: Union[int, Sequence[
     if not (0.0 < delta < 1.0):
         raise ValueError(f"accuracy parameter must be in (0, 1), got {delta}")
     n = shots_for(model.mode, delta, c_shots)
+    if isinstance(seed, np.ndarray) and seed.ndim == 1:
+        seed = seed.tolist()
     seeds = seed if isinstance(seed, Sequence) else [seed]
     p0s = model.p0 if isinstance(model.p0, list) else [model.p0] * len(seeds)
     rng = seeding.rng
@@ -339,7 +340,7 @@ def _gather_inputs(
 @dataclass(frozen=True)
 class Plan:
     """What every trial of one grid point shares: built by `plan`, read by
-    `run` and the branch functions."""
+    `run` and the route functions."""
 
     state: DensityMatrix  # the state the route encodes: its support for logs and negative powers
     regime: RegimeDecomposition
@@ -398,6 +399,8 @@ def plan(
     """The plan of `estimate(rho, alpha, eps, seed, mode, method, blind,
     c_shots)`: everything but the seeded work.  `seed` matters in blind
     mode only, whose probes draw from the trial seed's child 0."""
+    if mode not in ("noisy", "ideal"):
+        raise ValueError(f"unknown mode {mode!r}; expected 'noisy' or 'ideal'")
     regime = decompose_alpha(alpha)
     branch = regime.branch
     if branch == "integer":
@@ -530,13 +533,15 @@ def run(p: Plan, seeds: Sequence[int]) -> list[EstimateReport]:
 
 def run_columns(p: Plan, seeds: Sequence[int]) -> list[Columns]:
     """The trials of `run(p, seeds)` as columns, one `Columns` per chunk of
-    at most `p.chunk` trials, each run through the route's branch
-    function.  A failing trial raises its own error, and only once every
-    trial before it has run without one."""
+    at most `p.chunk` trials, each run through the route's function.  A
+    failing trial raises its own error, and only once every trial before
+    it has run without one."""
     return [_chunk(p, list(seeds[start:start + p.chunk])) for start in range(0, len(seeds), p.chunk)]
 
 
 def _chunk(p: Plan, seeds: list[int]) -> Columns:
+    # each route function is reached through its module global, so a
+    # wrapper put there (a tracer's) sees every chunk
     try:
         if p.method == "integer":
             return renyi_integer(p, seeds)
@@ -635,30 +640,14 @@ def _nonzero(p0_hat: float, what: str = "measured ancilla probability", budget: 
     return p0_hat
 
 
-@functools.singledispatch
-def renyi_integer(
-    rho: DensityMatrix,
-    alpha: int,
-    eps: float,
-    seed: int = 0,
-    mode: str = "noisy",
-    blind: bool = False,
-    c_shots: float = C_SHOTS,
-) -> EstimateReport:
+def renyi_integer(p: Plan, seeds: list[int]) -> Columns:
     """Integer-order estimate from joint measurements on alpha copies.
 
     Simulated as a Bernoulli source with success probability
     (1 + Tr rho^alpha)/2, the ancilla statistics of a controlled cyclic
-    shift across alpha copies; each shot consumes alpha copies.  Called
-    as `renyi_integer(plan, seeds)`, returns a chunk's columns.
+    shift across alpha copies; each shot consumes alpha copies.
     """
-    if int(alpha) != alpha or alpha < 2:
-        raise ValueError(f"order must be an integer >= 2, got {alpha}")
-    return estimate(rho, float(alpha), eps, seed, mode, blind=blind, c_shots=c_shots)
 
-
-@renyi_integer.register(Plan)
-def _integer_trials(p: Plan, seeds: list[int]) -> Columns:
     def invert(p_hat, bound):
         t_hat = 2.0 * p_hat - 1.0
         if t_hat <= 0.0:
@@ -671,34 +660,13 @@ def _integer_trials(p: Plan, seeds: list[int]) -> Columns:
     return _trials(p, seeds, None, invert)
 
 
-def _require(alpha: float, branch: str, what: str) -> None:
-    if decompose_alpha(alpha).branch != branch:
-        raise ValueError(f"order {alpha} is not {what}")
-
-
-@functools.singledispatch
-def renyi_case_odd(
-    rho: DensityMatrix,
-    alpha: float,
-    eps: float,
-    mode: str = "noisy",
-    seed: int = 0,
-    blind: bool = False,
-    c_shots: float = C_SHOTS,
-) -> EstimateReport:
+def renyi_case_odd(p: Plan, seeds: list[int]) -> Columns:
     """Fractional order with odd floor: positive-power route.
 
     Decomposes alpha = 2k+1+c with c > 0, realizes ((pi/4) rho)^(k+c/2),
     measures p0 = (pi/4)^(alpha-1) Tr rho^alpha on the ancilla, and
     recovers S_alpha = [log(p0 * pi/4) - alpha log(pi/4)] / (1 - alpha).
-    Called as `renyi_case_odd(plan, seeds)`, returns a chunk's columns.
     """
-    _require(alpha, "odd_floor", "fractional with odd floor")
-    return estimate(rho, alpha, eps, seed, mode, blind=blind, c_shots=c_shots)
-
-
-@renyi_case_odd.register(Plan)
-def _odd_trials(p: Plan, seeds: list[int]) -> Columns:
     # the fractional power and the k plain factors draw noise from children
     # of the build child
     build = _kids(seeds, 1)
@@ -712,16 +680,7 @@ def _odd_trials(p: Plan, seeds: list[int]) -> Columns:
         math.log(_nonzero(p0) * math.pi / 4.0) - alpha * LOG_PI_OVER_4) / (1.0 - alpha))
 
 
-@functools.singledispatch
-def renyi_case_even(
-    rho: DensityMatrix,
-    alpha: float,
-    eps: float,
-    mode: str = "noisy",
-    seed: int = 0,
-    blind: bool = False,
-    c_shots: float = C_SHOTS,
-) -> EstimateReport:
+def renyi_case_even(p: Plan, seeds: list[int]) -> Columns:
     """Fractional order above 2 with even floor: negative-power route.
 
     Decomposes alpha = 2k+1+c with c < 0 and realizes
@@ -730,15 +689,8 @@ def renyi_case_even(
     same rho_min the construction used (its exact division is what makes
     the recovery self-consistent; the report carries the sensitivity).
     Negative powers are undefined at eigenvalue 0, so a rank-deficient
-    state is restricted to its support first.  Called as
-    `renyi_case_even(plan, seeds)`, returns a chunk's columns.
+    state is restricted to its support first.
     """
-    _require(alpha, "even_floor", "fractional above 2 with even floor")
-    return estimate(rho, alpha, eps, seed, mode, blind=blind, c_shots=c_shots)
-
-
-@renyi_case_even.register(Plan)
-def _even_trials(p: Plan, seeds: list[int]) -> Columns:
     neg_branch = encode_state_side(p.state, p.enc_budgets[0], _kids(seeds, 1), p.noiseless)
     neg_branch = apply_poly(neg_branch, p.fits[0], p.targets[0])
     powers = be_power(p.state, p.regime.k, p.enc_budgets[1], _kids(seeds, 2), p.noiseless)
@@ -748,17 +700,7 @@ def _even_trials(p: Plan, seeds: list[int]) -> Columns:
     return _trials(p, seeds, be, lambda p0, bound: (math.log(_nonzero(p0)) - math.log(prefactor)) / (1.0 - alpha))
 
 
-@functools.singledispatch
-def renyi_sub_one(
-    rho: DensityMatrix,
-    alpha: float,
-    eps: float,
-    method: str = "sampling",
-    mode: str = "noisy",
-    seed: int = 0,
-    blind: bool = False,
-    c_shots: float = C_SHOTS,
-) -> EstimateReport:
+def renyi_sub_one(p: Plan, seeds: list[int]) -> Columns:
     """Order in (0, 1): half-power transform against the maximally mixed input.
 
     sampling: realize (1/2)((pi/4) rho)^(alpha/2), feed I/d, measure
@@ -766,17 +708,8 @@ def renyi_sub_one(
     ae: realize (1/2)((pi/4) rho)^alpha, estimate its overlap with the
     maximally entangled purification to additive delta at ~1/delta query
     cost (d must be a power of 2 for that preparation).  Either way the
-    budget follows the purity, which blind mode estimates.  Called as
-    `renyi_sub_one(plan, seeds)`, returns a chunk's columns.
+    budget follows the purity, which blind mode estimates.
     """
-    _require(alpha, "sub_one", "in (0, 1)")
-    if method not in ("sampling", "ae"):
-        raise ValueError(f"unknown method {method!r}")
-    return estimate(rho, alpha, eps, seed, mode, method, blind, c_shots)
-
-
-@renyi_sub_one.register(Plan)
-def _sub_one_trials(p: Plan, seeds: list[int]) -> Columns:
     be = apply_poly(encode_density(p.state, p.enc_budgets[0], _kids(seeds, 1), p.noiseless), p.fits[0], p.targets[0])
     alpha, d = p.regime.alpha, p.state.dim
 
@@ -798,15 +731,7 @@ def _vn_scale(rho_min_lower: float) -> tuple[float, float, float]:
     return beta, gamma, gamma * math.log(4.0 / math.pi)
 
 
-@functools.singledispatch
-def vn_qsvt(
-    rho: DensityMatrix,
-    eps: float,
-    mode: str = "noisy",
-    seed: int = 0,
-    blind: bool = False,
-    c_shots: float = C_SHOTS,
-) -> EstimateReport:
+def vn_qsvt(p: Plan, seeds: list[int]) -> Columns:
     """Von Neumann entropy by direct spectral transformation.
 
     Chain: encode (pi/4) rho, apply the scaled-log fit on
@@ -814,14 +739,8 @@ def vn_qsvt(
     gamma = 1/(2 log(4/(pi rho_min))), take the half power, fold out the
     1/2.  The ancilla gives p0 = gamma log(4/pi) + gamma S_v; shots are
     budgeted at delta = eps * gamma.  A rank-deficient state is
-    restricted to its support, where the logarithm is defined.  Called
-    as `vn_qsvt(plan, seeds)`, returns a chunk's columns.
+    restricted to its support, where the logarithm is defined.
     """
-    return estimate(rho, 1.0, eps, seed, mode, "qsvt", blind, c_shots)
-
-
-@vn_qsvt.register(Plan)
-def _qsvt_trials(p: Plan, seeds: list[int]) -> Columns:
     log_fit, sqrt_fit = p.fits
     b1 = apply_poly(encode_density(p.state, p.enc_budgets[0], _kids(seeds, 1), p.noiseless), log_fit, p.targets[0])
     b2 = rescale(apply_poly(b1, sqrt_fit, p.targets[1]), 2.0, p.targets[2])
@@ -839,15 +758,7 @@ def _qsvt_trials(p: Plan, seeds: list[int]) -> Columns:
     return _trials(p, seeds, b2, invert)
 
 
-@functools.singledispatch
-def vn_poly(
-    rho: DensityMatrix,
-    eps: float,
-    seed: int = 0,
-    mode: str = "noisy",
-    blind: bool = False,
-    c_shots: float = C_SHOTS,
-) -> EstimateReport:
+def vn_poly(p: Plan, seeds: list[int]) -> Columns:
     """Von Neumann entropy from a plain-power expansion of log(1/x).
 
     Converts the scaled-log fit on [rho_min, 1] to monomial coefficients
@@ -858,14 +769,8 @@ def vn_poly(
     |a_i|)); the coefficient-aware denominator keeps the statistical
     error within budget even when the plain-power basis inflates the
     coefficients.  There is no single p0: term i measures on child i-1
-    of the trial seed's child 1.  Called as `vn_poly(plan, seeds)`,
-    returns a chunk's columns.
+    of the trial seed's child 1.
     """
-    return estimate(rho, 1.0, eps, seed, mode, "poly", blind, c_shots)
-
-
-@vn_poly.register(Plan)
-def _poly_trials(p: Plan, seeds: list[int]) -> Columns:
     estimates = []
     for seed in seeds:
         s_meas = _child_seed(seed, p.children[-1])

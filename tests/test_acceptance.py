@@ -17,11 +17,6 @@ from entropybench.estimators import (
     ideal_p0_case1,
     ideal_p0_case2,
     ideal_p0_sub_one,
-    renyi_case_odd,
-    renyi_integer,
-    renyi_sub_one,
-    vn_poly,
-    vn_qsvt,
 )
 from entropybench.qsvtpoly import approx_log, approx_neg_power, approx_pos_power
 from entropybench.states import exact_entropies, from_spectrum, random_density
@@ -71,7 +66,7 @@ def test_criterion_1_ideal_pipeline_exactness(announce):
                 closed = ideal_p0_case2(rho, regime.k, regime.c, assume_support=True)
             worst_p0 = max(worst_p0, abs(rep.p0_realized - closed))
         # the sub-one closed form, through the sampling pipeline
-        rep = renyi_sub_one(rho, 0.5, 0.1, mode="ideal", seed=i)
+        rep = estimate(rho, 0.5, 0.1, mode="ideal", seed=i)
         worst_p0 = max(worst_p0, abs(rep.p0_realized - ideal_p0_sub_one(rho, 0.5)))
     elapsed = time.time() - t0
     assert worst_s <= 1e-5, f"entropy deviation {worst_s:.3e}"
@@ -116,10 +111,10 @@ def test_criterion_3_statistical_coverage(announce):
     t0 = time.time()
     eps = 0.05
     runs = {
-        "S_2": (lambda s: renyi_integer(DIAG8, 2, eps, seed=s), S2_EXACT, 0.96758),
-        "S_1.5": (lambda s: renyi_case_odd(DIAG8, 1.5, eps, seed=s), S15_EXACT, 1.000336),
-        "S_v qsvt": (lambda s: vn_qsvt(DIAG8, eps, seed=s), SV_EXACT, 1.029653),
-        "S_v poly": (lambda s: vn_poly(DIAG8, eps, seed=s), SV_EXACT, 1.029653),
+        "S_2": (lambda s: estimate(DIAG8, 2.0, eps, seed=s), S2_EXACT, 0.96758),
+        "S_1.5": (lambda s: estimate(DIAG8, 1.5, eps, seed=s), S15_EXACT, 1.000336),
+        "S_v qsvt": (lambda s: estimate(DIAG8, 1.0, eps, seed=s, method="qsvt"), SV_EXACT, 1.029653),
+        "S_v poly": (lambda s: estimate(DIAG8, 1.0, eps, seed=s, method="poly"), SV_EXACT, 1.029653),
     }
     lines = []
     for name, (fn, exact, printed) in runs.items():
@@ -154,7 +149,7 @@ def test_criterion_4_shot_scaling_slopes(announce):
     assert abs(bern_slope - 2.0) <= 0.3, bern_slope
     # amplitude-estimation path: sub-one order, power-of-2 dimension
     mixed = from_spectrum([0.4, 0.3, 0.2, 0.1], 4)
-    shots_ae = [renyi_sub_one(mixed, 0.5, e, method="ae", mode="ideal", seed=3).shots_used for e in grid]
+    shots_ae = [estimate(mixed, 0.5, e, method="ae", mode="ideal", seed=3).shots_used for e in grid]
     ae_slope = float(np.polyfit(x, [math.log(s) for s in shots_ae], 1)[0])
     assert abs(ae_slope - 1.0) <= 0.3, ae_slope
     announce(
@@ -195,8 +190,8 @@ def test_criterion_6_pure_and_maximally_mixed_fixtures(announce):
         for rho, target, tag in ((pure, 0.0, "pure"), (mixed, math.log(4), "mixed")):
             if alpha == 1.0:
                 reps = [
-                    vn_qsvt(rho, eps, seed=42),
-                    vn_poly(rho, eps, seed=42),
+                    estimate(rho, 1.0, eps, seed=42, method="qsvt"),
+                    estimate(rho, 1.0, eps, seed=42, method="poly"),
                 ]
             else:
                 reps = [estimate(rho, alpha, eps, seed=42)]

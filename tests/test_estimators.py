@@ -18,13 +18,7 @@ from entropybench.estimators import (
     ideal_p0_sub_one,
     measure_p0,
     min_eig_estimate,
-    renyi_case_even,
-    renyi_case_odd,
-    renyi_integer,
-    renyi_sub_one,
     shots_for,
-    vn_poly,
-    vn_qsvt,
 )
 from entropybench.numkernel import op_norm_dist
 from entropybench.states import exact_entropies, from_spectrum, random_density
@@ -83,6 +77,8 @@ def test_measure_p0_batch_equals_one_seed_calls(mode, p0):
     one_by_one = [measure_p0(MeasurementModel(p0=q, mode=mode), 0.05, s) for q, s in zip(p0s, seeds)]
     assert _BITS(measure_p0(MeasurementModel(p0=p0s, mode=mode), 0.05, seeds)) == _BITS(one_by_one)
     assert _BITS(measure_p0(MeasurementModel(p0=p0, mode=mode), 0.05, seeds[:1])) == _BITS(one_by_one[:1])
+    # a 1-D numpy array of seeds is a sequence of seeds too
+    assert _BITS(measure_p0(MeasurementModel(p0=p0s, mode=mode), 0.05, np.array(seeds))) == _BITS(one_by_one)
 
 
 def test_measure_p0_checks_delta_before_any_draw(monkeypatch):
@@ -168,7 +164,7 @@ def test_ideal_p0_sub_one_pure():
 
 def test_integer_pure_state_exact():
     pure = from_spectrum([1], 4)
-    r = renyi_integer(pure, 2, 0.05, seed=3)
+    r = estimate(pure, 2.0, 0.05, seed=3)
     assert r.estimate == 0.0  # Tr rho^2 = 1 makes every shot deterministic
     assert r.exact_value == pytest.approx(0.0)
 
@@ -177,13 +173,13 @@ def test_integer_statistical_d8():
     target = -math.log(0.38)
     hits = 0
     for s in range(40):
-        r = renyi_integer(DIAG8, 2, 0.05, seed=s)
+        r = estimate(DIAG8, 2.0, 0.05, seed=s)
         hits += abs(r.estimate - target) <= 0.05
     assert hits >= 38
 
 
 def test_integer_mixed_ideal():
-    r = renyi_integer(MIXED4, 3, 0.05, mode="ideal", seed=0)
+    r = estimate(MIXED4, 3.0, 0.05, mode="ideal", seed=0)
     assert r.estimate == pytest.approx(math.log(4), abs=1e-12)
 
 
@@ -199,13 +195,8 @@ def test_integer_unbiased():
 
 
 def test_integer_ledger_counts_alpha_copies():
-    r = renyi_integer(DIAG8, 3, 0.1, mode="ideal", seed=0)
+    r = estimate(DIAG8, 3.0, 0.1, mode="ideal", seed=0)
     assert r.sample_cost_total == 3 * r.shots_used
-
-
-def test_integer_rejects_non_integer():
-    with pytest.raises(ValueError):
-        renyi_integer(DIAG, 2.5, 0.05)
 
 
 def test_integer_failure_advises_more_shots():
@@ -213,7 +204,7 @@ def test_integer_failure_advises_more_shots():
     raised = False
     for s in range(60):
         try:
-            renyi_integer(rho, 3, 3.0, seed=s)
+            estimate(rho, 3.0, 3.0, seed=s)
         except EstimationFailure as exc:
             raised = True
             assert "shot budget" in str(exc)
@@ -225,7 +216,7 @@ def test_integer_failure_advises_more_shots():
 
 
 def test_odd_ideal_matches_oracle():
-    r = renyi_case_odd(DIAG, 1.5, 0.05, mode="ideal", seed=1)
+    r = estimate(DIAG, 1.5, 0.05, mode="ideal", seed=1)
     assert abs(r.estimate - r.exact_value) <= 1e-7
     assert r.exact_value == pytest.approx(
         math.log(0.5**1.5 + 0.3**1.5 + 0.2**1.5) / (1 - 1.5)
@@ -233,13 +224,13 @@ def test_odd_ideal_matches_oracle():
 
 
 def test_odd_pipeline_p0_matches_closed_form():
-    r = renyi_case_odd(DIAG, 1.5, 0.05, mode="ideal", seed=1)
+    r = estimate(DIAG, 1.5, 0.05, mode="ideal", seed=1)
     assert r.p0_realized == pytest.approx(ideal_p0_case1(DIAG, 0, 0.5), abs=1e-6)
 
 
 def test_odd_pure_state():
     pure = from_spectrum([1], 2)
-    r = renyi_case_odd(pure, 1.5, 0.05, mode="ideal", seed=1)
+    r = estimate(pure, 1.5, 0.05, mode="ideal", seed=1)
     assert abs(r.estimate) <= 1e-7
     assert r.p0_realized == pytest.approx((math.pi / 4) ** 0.5, abs=1e-6)
 
@@ -248,41 +239,36 @@ def test_odd_statistical():
     exact = exact_entropies(DIAG8, 1.5).entropy
     hits = 0
     for s in range(20):
-        r = renyi_case_odd(DIAG8, 1.5, 0.05, seed=s)
+        r = estimate(DIAG8, 1.5, 0.05, seed=s)
         hits += abs(r.estimate - exact) <= 0.05
     assert hits >= 19
-
-
-def test_odd_rejects_wrong_branch():
-    with pytest.raises(ValueError):
-        renyi_case_odd(DIAG, 2.5, 0.05)
 
 
 # ----------------------------------------------------------- even-floor path
 
 
 def test_even_ideal_matches_oracle():
-    r = renyi_case_even(DIAG, 4.5, 0.05, mode="ideal", seed=2)
+    r = estimate(DIAG, 4.5, 0.05, mode="ideal", seed=2)
     assert abs(r.estimate - r.exact_value) <= 1e-7
 
 
 def test_even_pipeline_p0_matches_closed_form():
-    r = renyi_case_even(DIAG, 4.5, 0.05, mode="ideal", seed=2)
+    r = estimate(DIAG, 4.5, 0.05, mode="ideal", seed=2)
     assert r.p0_realized == pytest.approx(ideal_p0_case2(DIAG, 2, -0.5), abs=1e-6)
 
 
 def test_even_maximally_mixed():
-    r = renyi_case_even(MIXED4, 2.5, 0.05, mode="ideal", seed=2)
+    r = estimate(MIXED4, 2.5, 0.05, mode="ideal", seed=2)
     assert r.estimate == pytest.approx(math.log(4), abs=1e-7)
 
 
 def test_even_rank_deficient_projects():
-    r = renyi_case_even(DIAG8, 2.5, 0.05, mode="ideal", seed=2)
+    r = estimate(DIAG8, 2.5, 0.05, mode="ideal", seed=2)
     assert abs(r.estimate - exact_entropies(DIAG, 2.5).entropy) <= 1e-8
 
 
 def test_even_reports_sensitivity():
-    r = renyi_case_even(DIAG, 4.5, 0.05, mode="ideal", seed=2)
+    r = estimate(DIAG, 4.5, 0.05, mode="ideal", seed=2)
     assert r.sensitivity_rho_min == pytest.approx(-0.5 / ((1 - 4.5) * 0.2))
 
 
@@ -290,13 +276,13 @@ def test_even_reports_sensitivity():
 
 
 def test_sub_one_pure_eq_value():
-    r = renyi_sub_one(PURE4, 0.5, 0.1, mode="ideal", seed=3)
+    r = estimate(PURE4, 0.5, 0.1, mode="ideal", seed=3)
     assert r.p0_realized == pytest.approx(math.sqrt(math.pi) / 32, abs=1e-7)
     assert abs(r.estimate) <= 1e-6
 
 
 def test_sub_one_maximally_mixed():
-    r = renyi_sub_one(MIXED4, 0.5, 0.1, mode="ideal", seed=3)
+    r = estimate(MIXED4, 0.5, 0.1, mode="ideal", seed=3)
     assert r.estimate == pytest.approx(math.log(4), abs=1e-7)
     assert exact_entropies(MIXED4, 0.5).tr_pow_alpha == pytest.approx(2.0)
 
@@ -320,15 +306,15 @@ def test_sub_one_ae_cost_versus_sampling():
 
 def test_sub_one_ae_requires_power_of_two():
     with pytest.raises(ValueError, match="power-of-2"):
-        renyi_sub_one(DIAG, 0.5, 0.1, method="ae")
+        estimate(DIAG, 0.5, 0.1, method="ae")
 
 
 def test_sub_one_statistical():
     exact = exact_entropies(MIXED4, 0.5).entropy
     for s in range(10):
-        r = renyi_sub_one(MIXED4, 0.5, 0.1, seed=s)
+        r = estimate(MIXED4, 0.5, 0.1, seed=s)
         assert abs(r.estimate - exact) <= 0.1
-        ra = renyi_sub_one(MIXED4, 0.5, 0.1, method="ae", seed=s)
+        ra = estimate(MIXED4, 0.5, 0.1, method="ae", seed=s)
         assert abs(ra.estimate - exact) <= 0.1
         assert ra.shots_used <= r.shots_used
 
@@ -337,30 +323,30 @@ def test_sub_one_statistical():
 
 
 def test_vn_qsvt_pure():
-    r = vn_qsvt(PURE4, 0.05, mode="ideal", seed=4)
+    r = estimate(PURE4, 1.0, 0.05, mode="ideal", seed=4, method="qsvt")
     assert abs(r.estimate) <= 1e-6
     gamma = 1 / (2 * math.log(4 / math.pi))
     assert r.p0_realized == pytest.approx(gamma * math.log(4 / math.pi), abs=1e-6)
 
 
 def test_vn_qsvt_ideal_diag():
-    r = vn_qsvt(DIAG8, 0.05, mode="ideal", seed=4)
+    r = estimate(DIAG8, 1.0, 0.05, mode="ideal", seed=4, method="qsvt")
     assert abs(r.estimate - 1.0296530140645737) <= 2 * estimators.IDEAL_POLY_EPS * 100
     assert abs(r.estimate - r.exact_value) <= 1e-6
 
 
 def test_vn_qsvt_maximally_mixed():
-    r = vn_qsvt(MIXED2, 0.05, mode="ideal", seed=4)
+    r = estimate(MIXED2, 1.0, 0.05, mode="ideal", seed=4, method="qsvt")
     assert r.estimate == pytest.approx(math.log(2), abs=1e-6)
 
 
 def test_vn_poly_pure():
-    r = vn_poly(PURE4, 0.05, seed=5)
+    r = estimate(PURE4, 1.0, 0.05, seed=5, method="poly")
     assert abs(r.estimate) <= 0.05
 
 
 def test_vn_poly_maximally_mixed():
-    r = vn_poly(MIXED2, 0.05, seed=5)
+    r = estimate(MIXED2, 1.0, 0.05, seed=5, method="poly")
     assert abs(r.estimate - math.log(2)) <= 0.05
 
 
@@ -368,8 +354,8 @@ def test_vn_paths_agree_ideal():
     for s in (1, 2, 3):
         rho = random_density(6, 6, seed=s)
         eps = 0.05
-        q = vn_qsvt(rho, eps, mode="ideal", seed=s)
-        p = vn_poly(rho, eps, mode="ideal", seed=s)
+        q = estimate(rho, 1.0, eps, mode="ideal", seed=s, method="qsvt")
+        p = estimate(rho, 1.0, eps, mode="ideal", seed=s, method="poly")
         assert abs(q.estimate - p.estimate) <= 2 * eps
 
 
@@ -410,7 +396,7 @@ def test_regime_consistency_near_boundaries():
 
 
 def test_monotone_shot_cost():
-    shots = [renyi_integer(DIAG8, 2, eps, mode="ideal", seed=0).shots_used for eps in (0.025, 0.05, 0.1, 0.2)]
+    shots = [estimate(DIAG8, 2.0, eps, mode="ideal", seed=0).shots_used for eps in (0.025, 0.05, 0.1, 0.2)]
     assert shots == sorted(shots, reverse=True)
 
 
@@ -462,13 +448,13 @@ def test_error_propagation_inequality_sampled():
 def test_vn_poly_degree_cap_suggests_alternative():
     rho = from_spectrum([0.994, 0.005, 0.001], 3)
     with pytest.raises(ValueError, match="direct-transform"):
-        vn_poly(rho, 0.05, seed=1)
+        estimate(rho, 1.0, 0.05, seed=1, method="poly")
 
 
 def test_vn_poly_shot_overflow_refused_before_drawing():
     # one term's coefficient is so large its shot count exceeds int64
     with pytest.raises(ValueError, match="term .*vn_qsvt"):
-        vn_poly(random_density(8, 4, 16), 0.05, seed=1)
+        estimate(random_density(8, 4, 16), 1.0, 0.05, seed=1, method="poly")
 
 
 # ------------------------------------------------- construction-certified bounds
@@ -481,7 +467,7 @@ BRANCH_CALLS = [
     lambda rho, seed: estimate(rho, 2.5, 0.1, seed=seed),
     lambda rho, seed: estimate(rho, 0.5, 0.1, seed=seed),
     lambda rho, seed: estimate(rho, 0.5, 0.1, seed=seed, method="ae"),
-    lambda rho, seed: vn_qsvt(rho, 0.1, seed=seed),
+    lambda rho, seed: estimate(rho, 1.0, 0.1, seed=seed, method="qsvt"),
 ]
 
 
@@ -609,10 +595,10 @@ def test_integer_branch_derives_only_the_seeds_it_uses(monkeypatch):
     real = estimators._child_seed
     monkeypatch.setattr(estimators, "_child_seed", lambda seed, i: derived.append(i) or real(seed, i))
     rho = from_spectrum([0.5, 0.3, 0.2], 4)
-    renyi_integer(rho, 2, 0.1, seed=3)
+    estimate(rho, 2.0, 0.1, seed=3)
     assert derived == [1]  # the measurement seed; blind inputs would use child 0
     derived.clear()
-    renyi_integer(rho, 2, 0.1, seed=3, mode="ideal")
+    estimate(rho, 2.0, 0.1, seed=3, mode="ideal")
     assert derived == []
 
 
@@ -626,7 +612,7 @@ def test_blind_inputs_and_measurement_keep_their_seeds(monkeypatch):
 
     monkeypatch.setattr(estimators, "_estimate_purity", spy)
     rho = random_density(4, 2, seed=1)
-    r = renyi_integer(rho, 2, 0.1, seed=9, blind=True)
+    r = estimate(rho, 2.0, 0.1, seed=9, blind=True)
     s_in, s_meas = _spawned(9, 2)
     assert seen == [_spawned(s_in, 3)[0]]
     model = MeasurementModel(p0=(1.0 + exact_entropies(rho, 2.0).tr_pow_alpha) / 2.0)
@@ -636,6 +622,44 @@ def test_blind_inputs_and_measurement_keep_their_seeds(monkeypatch):
 def test_estimate_rejects_unknown_von_neumann_method():
     with pytest.raises(ValueError, match="unknown von Neumann method"):
         estimate(DIAG, 1.0, 0.1, method="ae")
+
+
+@pytest.mark.parametrize("mode", ["idael", "Ideal", 3])
+@pytest.mark.parametrize("entry", [estimators.plan, estimate])
+def test_unknown_mode_refused_before_any_work(monkeypatch, entry, mode):
+    # a misspelt mode used to run the noisy pipeline silently
+    monkeypatch.setattr(estimators, "decompose_alpha", mock.Mock(side_effect=AssertionError("work began")))
+    with pytest.raises(ValueError, match="unknown mode"):
+        entry(DIAG, 2.0, 0.1, mode=mode)
+
+
+# (route function, order, method): the function each route's chunks run through
+ROUTE_FUNCTIONS = [
+    ("renyi_integer", 2.0, None),
+    ("renyi_case_odd", 1.5, None),
+    ("renyi_case_even", 2.5, None),
+    ("renyi_sub_one", 0.5, "ae"),
+    ("vn_qsvt", 1.0, "qsvt"),
+    ("vn_poly", 1.0, "poly"),
+]
+
+
+@pytest.mark.parametrize("name,alpha,method", ROUTE_FUNCTIONS)
+def test_chunks_reach_the_route_function_by_its_module_name(monkeypatch, name, alpha, method):
+    # a tracer replaces `estimators.<route>` and must see every chunk, so
+    # the run reaches each route function through its module global
+    rho = from_spectrum([0.4, 0.3, 0.2, 0.1], 4)
+    chunks = []
+    real = getattr(estimators, name)
+    monkeypatch.setattr(estimators, name, lambda p, seeds: chunks.append(len(seeds)) or real(p, seeds))
+    monkeypatch.setattr(estimators, "STACK_BYTES", 2 * 16 * rho.dim**2)
+    p = estimators.plan(rho, alpha, 0.1, method=method)
+    assert p.chunk == 2
+    columns = estimators.run_columns(p, list(range(5)))
+    assert chunks == [2, 2, 1] and [len(c.seeds) for c in columns] == chunks
+    chunks.clear()
+    estimate(rho, alpha, 0.1, seed=3, method=method)
+    assert chunks == [1]
 
 
 def _outcome(call):

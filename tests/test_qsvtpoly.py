@@ -9,7 +9,7 @@ from numpy.polynomial import Chebyshev
 
 from entropybench import qsvtpoly
 from entropybench.blockenc import BlockEncoding, encode_density
-from entropybench.estimators import vn_qsvt
+from entropybench.estimators import estimate
 from entropybench.numkernel import HermMatrix, op_norm_dist
 from entropybench.qsvtpoly import (
     DegreeCapExceeded,
@@ -278,16 +278,16 @@ def c_log(monkeypatch):
 def test_memo_fits_once_across_trials(cheb_fit_calls):
     rho = from_spectrum([0.4, 0.3, 0.2, 0.1], 8)
     for seed in range(20):
-        vn_qsvt(rho, 0.05, seed=seed)
+        estimate(rho, 1.0, 0.05, seed=seed, method="qsvt")
     assert sorted(cheb_fit_calls) == ["log_scaled", "pos_power"]
 
 
 def test_memo_shares_fits_across_shot_multipliers(cheb_fit_calls):
     # the shot multiplier moves no fit, so it is no part of a fit's key
     rho = from_spectrum([0.4, 0.3, 0.2, 0.1], 8)
-    vn_qsvt(rho, 0.05, seed=1, c_shots=4.0)
+    estimate(rho, 1.0, 0.05, seed=1, c_shots=4.0, method="qsvt")
     assert sorted(cheb_fit_calls) == ["log_scaled", "pos_power"]
-    vn_qsvt(rho, 0.05, seed=1, c_shots=8.0)
+    estimate(rho, 1.0, 0.05, seed=1, c_shots=8.0, method="qsvt")
     assert sorted(cheb_fit_calls) == ["log_scaled", "pos_power"]
 
 
