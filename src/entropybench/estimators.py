@@ -403,10 +403,7 @@ def plan(
         raise ValueError(f"unknown mode {mode!r}; expected 'noisy' or 'ideal'")
     regime = decompose_alpha(alpha)
     branch = regime.branch
-    if branch == "integer":
-        regime = decompose_alpha(float(round(alpha)))
-        method = "integer"
-    elif branch == "sub_one":
+    if branch == "sub_one":
         method = method or "sampling"
         if method not in ("sampling", "ae"):
             raise ValueError(f"unknown method {method!r}")
@@ -417,8 +414,12 @@ def plan(
         if method not in (None, "qsvt", "poly"):
             raise ValueError(f"unknown von Neumann method {method!r}")
         method = method or "qsvt"
-    else:
+    else:  # one route, named by its branch
+        if method not in (None, branch):
+            raise ValueError(f"unknown method {method!r} for order {alpha}; its only route is {branch!r}")
         method = branch
+        if branch == "integer":
+            regime = decompose_alpha(float(round(alpha)))
     state = rho.project_to_support() if method in ("even_floor", "qsvt") else rho
     inputs = _gather_inputs(state, blind, mode, seed, c_shots, need_rho_min=method != "integer")
     budget = delta_budget(regime, eps, inputs.meta, method="ae" if method == "ae" else "sampling", c_shots=c_shots)
@@ -801,7 +802,9 @@ def estimate(
     """One estimate on the branch-appropriate route for this order.
 
     `method` picks the route where a branch has two: "sampling" (default)
-    or "ae" below order 1, "qsvt" (default) or "poly" at order 1; other
-    branches ignore it.  The same as `run(plan(...), [seed])[0]`.
+    or "ae" below order 1, "qsvt" (default) or "poly" at order 1.  The
+    other branches have one route each and take None or its name
+    ("integer", "odd_floor", "even_floor"); any other method is refused.
+    The same as `run(plan(...), [seed])[0]`.
     """
     return run(plan(rho, alpha, eps, mode, method, blind, c_shots, seed), [seed])[0]

@@ -7,12 +7,16 @@ Three target families are built in: the scaled logarithm
 log(1/x)/(2 log(1/beta)), positive powers x^c/2, and negative powers
 x^(-c)/(2 kappa^c), each on a domain bounded away from zero.
 
-The search for the smallest passing degree is steered by FFT estimates
-of the error, each with a rigorous slack: a degree is interpolated and
+The search for the smallest passing degree is steered by estimates of
+the error, each with a rigorous slack: a degree is interpolated and
 certified exactly only when its estimate cannot decide pass or fail.
-The returned fit is interpolated from the scalar `math` target and
-certified on the full grid exactly as before, so the chosen degree,
-coefficients and recorded eps are those of the all-exact search.
+Up to degree `_OPERATOR_DEGREE_CUTOFF` (16) an estimate is one matmul
+with a cached per-degree operator; above it, two real FFTs, so
+`numpy.fft` is imported only when a fit searches a degree above 16.  The
+returned fit is interpolated from the scalar `math` target and certified
+on the full grid with the arithmetic of `Chebyshev.interpolate` and
+`Chebyshev.__call__`, so the chosen degree, coefficients and recorded eps
+are those of the all-exact search.
 
 The three builders are memoized per process on their argument list: a
 fit is computed once per key and then shared, so its coefficients are
@@ -30,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial
 from numpy.polynomial import polyutils as pu
-from numpy.polynomial.chebyshev import chebpts1
+from numpy.polynomial.chebyshev import chebder, chebpts1, chebval, chebvander
 
 from .config import TOL
 from .blockenc import BlockEncoding, widen_for_rounding
@@ -42,6 +46,15 @@ _CERT_SAFETY = 1.05
 
 # distinct fits each builder keeps; one estimator run needs at most two
 _FIT_CACHE_SIZE = 128
+
+# highest degree whose error estimate runs through a cached per-degree
+# operator (which also holds the degree's interpolation matrix); above it
+# the estimate takes two FFTs and nothing is cached.  An operator costs
+# what 1-3 FFT estimates cost up to degree 32, and every fit searches
+# 0, 1, 2, 4, 8, 16; above 16 most degrees are searched a few times at
+# most, and operators up to 32 held ~0.5 MB more at peak on a pass of
+# d = 64 requests for no measurable time
+_OPERATOR_DEGREE_CUTOFF = 16
 
 # degree caps: log fits may use up to C_LOG * (1/beta) * ln(1/eps), power
 # fits up to C_POWER * kappa * max(1, ln(kappa/eps))
@@ -95,7 +108,7 @@ class PolyApprox:
         object.__setattr__(self, "coeffs", coeffs)
         if _certificate is None:
             lo, hi = self.domain
-            _certificate = _certify(self._cheb(), self.target_fn, lo, hi, self.degree)
+            _certificate = _certify(coeffs, self.target_fn, lo, hi, self.degree)
         err, values = _certificate
         if err > self.eps + 1e-15:
             raise ValueError(
@@ -105,13 +118,8 @@ class PolyApprox:
             if float(np.max(np.abs(values))) > 1.0 + TOL.poly_bound_slack:
                 raise ValueError("scaled-log fit exceeds the |P(x)| <= 1 bound")
 
-    def _cheb(self) -> Chebyshev:
-        if "cheb" not in self._cache:
-            self._cache["cheb"] = Chebyshev(self.coeffs, domain=list(self.domain))
-        return self._cache["cheb"]
-
     def __call__(self, x):
-        return self._cheb()(x)
+        return _cheb_eval(self.coeffs, self.domain, x)
 
     def lipschitz_bound(self, widen=0.0):
         """max |P'| on the domain enlarged by `widen` on both sides.  An
@@ -128,7 +136,10 @@ class PolyApprox:
     def _max_slope(self, widen: np.ndarray):
         lo, hi = self.domain
         span = np.linspace(lo - widen, hi + widen, 10 * max(self.degree, 1) + 21, axis=-1)
-        return np.max(np.abs(self._cheb().deriv()(span)), axis=-1)
+        if "deriv" not in self._cache:  # `Chebyshev.deriv`'s coefficients
+            scale = pu.mapparms(self.domain, Chebyshev.window)[1]
+            self._cache["deriv"] = chebder(self.coeffs, 1, scale)
+        return np.max(np.abs(_cheb_eval(self._cache["deriv"], self.domain, span)), axis=-1)
 
     def monomial(self) -> "MonomialPoly":
         """`to_monomial(self)`, converted once per fit."""
@@ -151,8 +162,15 @@ class MonomialPoly:
         return len(self.coeffs) - 1
 
 
-def _vec(f, xs):
-    return np.asarray([f(float(x)) for x in xs], dtype=float)
+def _vec(f, xs: np.ndarray) -> np.ndarray:
+    """The scalar target at each point of `xs` (no list of its values: at
+    degree 450 one would raise peak memory by ~0.4 MB)."""
+    return np.fromiter(map(f, xs.tolist()), float, len(xs))
+
+
+def _cheb_eval(coeffs: np.ndarray, domain, x):
+    """`Chebyshev(coeffs, domain)(x)`, without building the object."""
+    return chebval(pu.mapdomain(x, domain, Chebyshev.window), coeffs)
 
 
 def _cheb_grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -167,34 +185,84 @@ def _grid_size(degree: int) -> int:
     return max(10 * max(degree, 1), 10)
 
 
-def _certify(cheb: Chebyshev, f, lo: float, hi: float, degree: int) -> tuple[float, np.ndarray]:
-    """Sup error of the fit against the scalar target on the certification
-    grid, and the fit's values there."""
+def _certify(coeffs: np.ndarray, f, lo: float, hi: float, degree: int) -> tuple[float, np.ndarray]:
+    """Sup error of the fit with these coefficients over [lo, hi] against
+    the scalar target on the certification grid, and the fit's values there."""
     grid = _cheb_grid(lo, hi, _grid_size(degree))
-    values = cheb(grid)
+    values = _cheb_eval(coeffs, (lo, hi), grid)
     return float(np.max(np.abs(values - _vec(f, grid)))), values
 
 
-def _estimated_error(f_arr, lo: float, hi: float, degree: int) -> tuple[float, float]:
-    """FFT estimate of `_certify`'s error for the degree-`degree` interpolant,
-    and a slack that bounds its distance from the exact value.
+def _interpolate(f, lo: float, hi: float, degree: int) -> np.ndarray:
+    """Coefficients of `Chebyshev.interpolate` of the scalar target over
+    [lo, hi], by the same arithmetic (`chebinterpolate`'s)."""
+    if degree <= _OPERATOR_DEGREE_CUTOFF:
+        points, vander, _ = _operator(degree)
+        nodes = points[: degree + 1]
+    else:
+        nodes = chebpts1(degree + 1)
+        vander = chebvander(nodes, degree)
+    coeffs = np.dot(vander.T, _vec(f, pu.mapdomain(nodes, Chebyshev.window, [lo, hi])))
+    coeffs[0] /= degree + 1
+    coeffs[1:] /= 0.5 * (degree + 1)
+    return coeffs
 
-    The coefficients come from a DCT-II of the array target at the nodes
-    `Chebyshev.interpolate` samples, the fit's values on the certification
-    grid from a DCT-I of the coefficients, each one real FFT.  The slack
-    is the rounding of the exact path, times 1e3 to spare: the Vandermonde
-    product O(N^3 u max|f|), Clenshaw's sum and the map between domain and
-    window O(N^2 u cond sum|c|); it also covers this path's own rounding and
-    the last-bit difference between the array and the scalar target.
+
+@functools.lru_cache(maxsize=None)  # reached only up to the cutoff degree
+def _operator(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (reference points, node Vandermonde matrix, operator) of
+    the degree-`degree` error estimate on [-1, 1].
+
+    The reference points are the interpolation nodes followed by the
+    certification grid.  The operator maps the target at the nodes to the
+    interpolant's coefficients (the first degree + 1 rows) and to its
+    values on the grid (the rest).
     """
     n = degree + 1
-    y = f_arr(pu.mapdomain(chebpts1(n), Chebyshev.window, [lo, hi]))
-    # chebpts1 ascends, so reversed it is cos((2k+1)pi/2n) for k = 0..n-1
-    spec = np.fft.rfft(np.concatenate((y[::-1], y)))[:n]
-    coeffs = (spec * np.exp(-0.5j * np.pi * np.arange(n) / n)).real / n  # c_0 doubled
+    nodes = chebpts1(n)
     m = _grid_size(degree)
-    grid_f = f_arr(_cheb_grid(lo, hi, m))
-    values = m * np.fft.irfft(coeffs, 2 * m)[: m + 1]  # the fit at cos(pi k/m)
+    grid = np.cos(np.pi * np.arange(m + 1) / m)
+    vander = chebvander(nodes, degree)
+    interp = vander.T * np.where(np.arange(n) == 0, 1.0, 2.0)[:, None] / n
+    operator = np.concatenate((interp, chebvander(grid, degree) @ interp))
+    out = (np.concatenate((nodes, grid)), vander, operator)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _estimated_error(f_arr, lo: float, hi: float, degree: int) -> tuple[float, float]:
+    """Estimate of `_certify`'s error for the degree-`degree` interpolant,
+    and a slack that bounds its distance from the exact value.
+
+    The array target is sampled at the nodes `Chebyshev.interpolate`
+    samples and on the certification grid.  Up to the cutoff degree, one
+    product with the cached `_operator` gives the coefficients and the
+    fit's values on the grid; above it, the coefficients come from a
+    DCT-II of the node samples and the values from a DCT-I of the
+    coefficients, each one real FFT.  The slack is the rounding of the
+    exact path, times 1e3 to spare: the Vandermonde product O(N^3 u max|f|),
+    Clenshaw's sum and the map between domain and window O(N^2 u cond
+    sum|c|); it also covers this path's own rounding and the last-bit
+    difference between the array and the scalar target.
+    """
+    n = degree + 1
+    if degree <= _OPERATOR_DEGREE_CUTOFF:
+        points, _, operator = _operator(degree)
+        samples = f_arr((hi + lo) / 2 + (hi - lo) / 2 * points)
+        y, grid_f = samples[:n], samples[n:]
+        fit = operator @ y
+        coeffs, values = fit[:n], fit[n:]
+    else:
+        from numpy import fft
+
+        y = f_arr(pu.mapdomain(chebpts1(n), Chebyshev.window, [lo, hi]))
+        # chebpts1 ascends, so reversed it is cos((2k+1)pi/2n) for k = 0..n-1
+        spec = fft.rfft(np.concatenate((y[::-1], y)))[:n]
+        coeffs = (spec * np.exp(-0.5j * np.pi * np.arange(n) / n)).real / n  # c_0 doubled
+        m = _grid_size(degree)
+        grid_f = f_arr(_cheb_grid(lo, hi, m))
+        values = m * fft.irfft(coeffs, 2 * m)[: m + 1]  # the fit at cos(pi k/m)
     est = float(abs(values - grid_f).max())
     cond = (hi + lo) / (hi - lo)
     f_max = max(abs(y).max(), abs(grid_f).max())
@@ -222,7 +290,7 @@ def cheb_fit(
     aliasing safety factor over the grid maximum.
 
     With `array_target`, a numpy form of `target`, each pass/fail question
-    of the search is first answered from an FFT estimate of the error with
+    of the search is first answered from an estimate of the error with
     a rigorous slack (`_estimated_error`); only a degree the estimate cannot
     decide is interpolated and certified exactly, so every decision, and
     the result, equal those of the exact search.  The returned fit is
@@ -237,16 +305,14 @@ def cheb_fit(
     if k_cap < 0:
         raise ValueError("degree cap must be nonnegative")
 
-    exact: dict[int, tuple[Chebyshev, tuple[float, np.ndarray]]] = {}
+    exact: dict[int, tuple[np.ndarray, tuple[float, np.ndarray]]] = {}
 
-    def attempt(deg: int) -> tuple[Chebyshev, tuple[float, np.ndarray]]:
-        """The degree-`deg` interpolant and its certificate (error, values)."""
+    def attempt(deg: int) -> tuple[np.ndarray, tuple[float, np.ndarray]]:
+        """The degree-`deg` interpolant's coefficients and its certificate
+        (error, values)."""
         if deg not in exact:
-            # interpolate feeds arrays; targets are scalar functions
-            cheb = Chebyshev.interpolate(
-                lambda xs: _vec(target, np.atleast_1d(xs)), deg, domain=[lo, hi]
-            )
-            exact[deg] = cheb, _certify(cheb, target, lo, hi, deg)
+            coeffs = _interpolate(target, lo, hi, deg)
+            exact[deg] = coeffs, _certify(coeffs, target, lo, hi, deg)
         return exact[deg]
 
     def passes(err: float) -> bool:
@@ -286,7 +352,7 @@ def cheb_fit(
             lo_deg = mid
 
     deg = hi_deg
-    cheb, certificate = attempt(deg)
+    coeffs, certificate = attempt(deg)
     err = certificate[0]
     if not passes(err):  # an estimate was wrong: decide every degree exactly
         return cheb_fit(
@@ -294,7 +360,7 @@ def cheb_fit(
         )
     recorded = min(eps, _CERT_SAFETY * err + 1e-15)
     return PolyApprox(
-        coeffs=cheb.coef,
+        coeffs=coeffs,
         degree=deg,
         domain=(lo, hi),
         target_tag=target_tag,
@@ -532,7 +598,7 @@ def to_monomial(p: PolyApprox) -> MonomialPoly:
             f"{MONOMIAL_DEGREE_CAP} (conversion would be unstable)"
         )
     factor = p.subnorm_factor if p.target_tag in ("log_scaled",) else 1.0
-    plain = (p._cheb() * factor).convert(kind=Polynomial)
+    plain = (Chebyshev(p.coeffs, domain=list(p.domain)) * factor).convert(kind=Polynomial)
     coeffs = np.asarray(plain.coef, dtype=float)
     coeffs.flags.writeable = False  # shared through PolyApprox.monomial
     mono = MonomialPoly(coeffs=coeffs)

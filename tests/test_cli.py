@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entropybench import accountant, cli, estimators, numkernel, seeding
+from entropybench.accountant import decompose_alpha
 from entropybench.estimators import EstimationFailure, estimate
 
 from entropybench.cli import (
@@ -408,7 +409,9 @@ def test_cli_rows_equal_per_trial_estimates(monkeypatch, route, mode):
     argv = [*route, "--dim", "8", "--spectrum", "0.5,0.3,0.2", "--eps", "0.1", "--trials", "5", "--seed", "3", *mode]
     cfg = config_from_args(build_parser().parse_args(argv))
     rho, alpha, eps, approach = cli._points(cfg)[0]
-    method = approach if cfg.mode == "vonneumann" else cfg.method
+    # a method reaches `estimate` only on the branches with two routes, as in `cli._point_rows`
+    branch = decompose_alpha(alpha).branch
+    method = approach if branch == "von_neumann" else cfg.method if branch == "sub_one" else None
     eps_nats = eps * math.log(2.0) if cfg.log_base == "2" else eps
     fixed = {"d": 8, "rank": 3, "eps": repr(eps)}
     expected = [

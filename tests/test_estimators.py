@@ -624,6 +624,26 @@ def test_estimate_rejects_unknown_von_neumann_method():
         estimate(DIAG, 1.0, 0.1, method="ae")
 
 
+# (order, its only route, methods that name no route of it)
+SINGLE_ROUTE_BRANCHES = [
+    (2.0, "integer", ["bogus", "qsvt", "sampling", "odd_floor"]),
+    (1.5, "odd_floor", ["bogus", "ae", "poly", "even_floor"]),
+    (2.5, "even_floor", ["bogus", "sampling", "integer", "odd_floor"]),
+]
+
+
+@pytest.mark.parametrize("alpha,route,foreign", SINGLE_ROUTE_BRANCHES)
+def test_single_route_branches_refuse_a_foreign_method_before_any_work(monkeypatch, alpha, route, foreign):
+    # a foreign method used to be ignored, so method="bogus" ran the branch's route
+    assert estimate(DIAG, alpha, 0.1, method=None).method == route
+    assert estimate(DIAG, alpha, 0.1, method=route).method == route
+    monkeypatch.setattr(estimators, "_gather_inputs", mock.Mock(side_effect=AssertionError("work began")))
+    for entry in (estimators.plan, estimate):
+        for method in foreign:
+            with pytest.raises(ValueError, match=f"unknown method {method!r}"):
+                entry(DIAG, alpha, 0.1, method=method)
+
+
 @pytest.mark.parametrize("mode", ["idael", "Ideal", 3])
 @pytest.mark.parametrize("entry", [estimators.plan, estimate])
 def test_unknown_mode_refused_before_any_work(monkeypatch, entry, mode):

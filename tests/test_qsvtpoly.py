@@ -1,10 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import Chebyshev
 
 from entropybench import qsvtpoly
@@ -24,6 +27,8 @@ from entropybench.qsvtpoly import (
     to_monomial,
 )
 from entropybench.states import from_spectrum, random_density
+
+SRC = os.path.dirname(os.path.dirname(qsvtpoly.__file__))
 
 
 def dense_grid(lo, hi, n=400):
@@ -344,19 +349,37 @@ def test_apply_poly_matches_scalar_loop():
     np.testing.assert_array_equal(np.sort(got), np.sort(expect))
 
 
+def reference_vec(f, xs):
+    return np.asarray([f(float(x)) for x in xs], dtype=float)
+
+
+def reference_interpolate(target, lo, hi, deg):
+    """The degree-`deg` interpolant of the scalar target, built by numpy's
+    own `Chebyshev.interpolate`."""
+    return Chebyshev.interpolate(lambda xs: reference_vec(target, np.atleast_1d(xs)), deg, domain=[lo, hi])
+
+
+def reference_certify(cheb, f, lo, hi, degree):
+    """Sup error of a `Chebyshev` against the scalar target on the
+    certification grid, and its values there, evaluated by the object."""
+    n = max(10 * max(degree, 1), 10)
+    grid = (hi + lo) / 2 + (hi - lo) / 2 * np.cos(np.pi * np.arange(n + 1) / n)
+    values = cheb(grid)
+    return float(np.max(np.abs(values - reference_vec(f, grid)))), values
+
+
 def reference_cheb_fit(
     target, lo, hi, eps, k_cap, target_tag="custom", zero_extension=None,
     subnorm_factor=1.0, input_precision=None, array_target=None,
 ):
     """The all-exact degree search cheb_fit ran before its search was
-    steered by estimates, kept verbatim as the reference; `array_target`
-    is accepted and ignored."""
+    steered by estimates, kept verbatim as the reference with its
+    interpolation and certification inlined; `array_target` is accepted
+    and ignored."""
 
     def attempt(deg: int):
-        cheb = Chebyshev.interpolate(
-            lambda xs: qsvtpoly._vec(target, np.atleast_1d(xs)), deg, domain=[lo, hi]
-        )
-        err = qsvtpoly._certify(cheb, target, lo, hi, deg)[0]
+        cheb = reference_interpolate(target, lo, hi, deg)
+        err = reference_certify(cheb, target, lo, hi, deg)[0]
         return cheb, err
 
     def passes(err: float) -> bool:
@@ -448,16 +471,57 @@ def test_steered_search_degree_cap_reports_exact_best_err(case, c_log):
     assert (got.value.cap, got.value.best_err.hex()) == (want.value.cap, want.value.best_err.hex())
 
 
+def estimate_examples(test):
+    """Each family at degrees 0 and 1 and on both sides of the cutoff, where
+    the estimate moves from the cached operator to the FFT."""
+    cutoff = qsvtpoly._OPERATOR_DEGREE_CUTOFF
+    for builder in (approx_log, approx_pos_power, approx_neg_power):
+        for deg in (0, 1, cutoff, cutoff + 1):
+            test = example(builder=builder, lo=0.01, c=0.3, deg=deg)(test)
+    return test
+
+
 @settings(max_examples=30, deadline=None)
-@given(builder=FAMILIES, lo=LOWER_ENDS, c=EXPONENTS, deg=st.integers(4, 1024))
+@given(builder=FAMILIES, lo=LOWER_ENDS, c=EXPONENTS, deg=st.integers(0, 1024))
+@estimate_examples
 def test_error_estimate_within_a_thousandth_of_its_slack(builder, lo, c, deg):
     (target, lo, hi, *_), kwargs = cheb_fit_call(builder, lo, c, 1e-3)
     est, slack = qsvtpoly._estimated_error(kwargs["array_target"], lo, hi, deg)
-    cheb = Chebyshev.interpolate(
-        lambda xs: qsvtpoly._vec(target, np.atleast_1d(xs)), deg, domain=[lo, hi]
-    )
-    exact = qsvtpoly._certify(cheb, target, lo, hi, deg)[0]
+    exact = reference_certify(reference_interpolate(target, lo, hi, deg), target, lo, hi, deg)[0]
     assert abs(est - exact) <= slack / 1000
+
+
+def test_estimate_operators_are_read_only_and_kept_only_up_to_the_cutoff(monkeypatch):
+    cutoff = qsvtpoly._OPERATOR_DEGREE_CUTOFF
+    searched = set()
+    real = qsvtpoly._estimated_error
+    monkeypatch.setattr(qsvtpoly, "_estimated_error", lambda f, lo, hi, deg: searched.add(deg) or real(f, lo, hi, deg))
+    qsvtpoly._operator.cache_clear()
+    args, kwargs = cheb_fit_call(approx_log, 0.01, None, 1e-6)
+    cheb_fit(*args, **kwargs)
+    assert max(searched) > cutoff
+    assert qsvtpoly._operator.cache_info().currsize == len({deg for deg in searched if deg <= cutoff})
+    for deg in (0, cutoff):
+        for a in qsvtpoly._operator(deg):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+
+def test_low_degree_fits_do_not_import_the_fft():
+    # the doubling search stops below twice the degree it returns, so a fit
+    # of at most half the cutoff searches no degree above it
+    code = (
+        "import sys\n"
+        "from entropybench import qsvtpoly\n"
+        "low = qsvtpoly.approx_log(0.1, 1e-3)\n"
+        "assert low.degree <= qsvtpoly._OPERATOR_DEGREE_CUTOFF // 2, low.degree\n"
+        "assert 'numpy.fft' not in sys.modules\n"
+        "qsvtpoly.approx_log(0.01, 1e-6)\n"
+        "assert 'numpy.fft' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_wrong_estimate_never_reaches_the_certificate(monkeypatch):
@@ -474,7 +538,7 @@ def test_fit_keeps_its_checks_on_a_handed_over_certificate():
     fields = dict(coeffs=fit.coeffs, degree=fit.degree, domain=fit.domain, target_tag=fit.target_tag,
                   eps=fit.eps, target_fn=fit.target_fn, subnorm_factor=fit.subnorm_factor)
     lo, hi = fit.domain
-    err, values = qsvtpoly._certify(fit._cheb(), fit.target_fn, lo, hi, fit.degree)
+    err, values = reference_certify(Chebyshev(fit.coeffs, domain=list(fit.domain)), fit.target_fn, lo, hi, fit.degree)
     PolyApprox(**fields, _certificate=(err, values))
     with pytest.raises(ValueError, match="certification failed"):
         PolyApprox(**fields, _certificate=(2 * fit.eps, values))

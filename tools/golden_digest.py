@@ -17,6 +17,14 @@ the smallest batch, a run whose first failing trial is not its first,
 a base-2 sweep of 100-trial points, 10-trial blind runs (a plan per
 trial) and a measurement accuracy that fails only when measured.  Only flags that every version of the CLI
 accepts are used, so old and new code run the same list.
+
+The CSV shows a fit only through the estimates it moves, so the digest
+also takes one record per fit of a fixed list (`FITS`): its degree,
+coefficient bytes and recorded eps, its slope bound at width 0 and for an
+array of widths, and for log fits of degree <= 30 its monomial
+coefficients; and the (cap, best error) of two fits that exceed their
+degree cap (`CAPPED`).  The fits are made through the public builders and
+`cheb_fit`, which every version has.
 """
 
 from __future__ import annotations
@@ -26,9 +34,12 @@ import hashlib
 import io
 import os
 import sys
+import math
 import tempfile
 
-from entropybench import cli
+import numpy as np
+
+from entropybench import cli, qsvtpoly
 
 # (subcommand and order, route flags) for every estimation route
 ROUTES = [
@@ -95,6 +106,66 @@ def runs() -> list[list[str]]:
     return out
 
 
+# (builder, arguments) of each pinned fit: the three families, degrees 0
+# to 436, among them 16 and 17 on either side of the degree above which
+# the search estimates errors by FFT instead of by cached operators
+FITS = [
+    # (0.02, 1e-3) has degree 16, (0.1, 1e-6) degree 17
+    *[("approx_log", (beta, eps)) for beta in (0.9, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005)
+      for eps in (0.1, 1e-3, 1e-6)],
+    ("approx_log", (0.9, 0.5)),  # degree 0
+    ("approx_log", (0.02, 5e-6)),  # degree 32
+    ("approx_log", (0.02, 4e-6)),  # degree 33
+    ("approx_log", (0.04, 1e-5)),
+    ("approx_log", (0.002, 1e-8)),
+    ("approx_log", (0.001, 1e-6)),
+    ("approx_log", (0.0005, 1e-7)),
+    *[("approx_pos_power", (c, kappa, eps)) for c in (0.25, 0.8)
+      for kappa, eps in ((1.0, 1e-4), (1.5, 1e-4), (4.0, 1e-4), (20.0, 1e-4), (400.0, 1e-3))],
+    ("approx_pos_power", (0.5, 1000.0, 1e-6)),
+    ("approx_pos_power", (0.1, 3000.0, 1e-5)),
+    ("approx_pos_power", (0.05, 10000.0, 1e-6)),
+    *[("approx_neg_power", (c, kappa, eps)) for c in (0.2, 0.6)
+      for kappa, eps in ((1.0, 1e-4), (1.5, 1e-4), (4.0, 1e-4), (20.0, 1e-4), (100.0, 1e-3))],
+    ("approx_neg_power", (0.5, 200.0, 10 ** -2.5)),  # degree 33
+    ("approx_neg_power", (0.3, 300.0, 1e-5)),
+    ("approx_neg_power", (0.9, 2000.0, 1e-5)),
+    ("approx_neg_power", (0.4, 5000.0, 1e-6)),
+]
+# slope-bound widths of one stacked call
+WIDTHS = np.array([1e-3, 0.0, 2.5e-4, 1e-3])
+# (target, array target, lo, hi, eps, degree cap) of fits no degree up to the cap meets
+CAPPED = [
+    (lambda x: math.log(1.0 / x) / (2 * math.log(100.0)), lambda xs: np.log(1.0 / xs) / (2 * math.log(100.0)),
+     0.01, 1.0, 1e-6, 14),
+    # the smallest error of degrees 0, 1, 2, 4, 8, 14 is at degree 1, not at the cap
+    (lambda x: math.sin(40 * x), lambda xs: np.sin(40 * xs), 0.01, 1.0, 1e-6, 14),
+]
+
+
+def fit_records() -> list[bytes]:
+    """One record per fit of `FITS` and per capped fit of `CAPPED`."""
+    out = []
+    for name, args in FITS:
+        p = getattr(qsvtpoly, name).__wrapped__(*args)  # fitted here, not taken from a CLI run's cache
+        parts = [name, repr(args), str(p.degree), p.coeffs.tobytes().hex(), p.eps.hex(),
+                 float(p.lipschitz_bound()).hex(), p.lipschitz_bound(WIDTHS).tobytes().hex()]
+        if name == "approx_log" and p.degree <= 30:
+            try:
+                parts.append(p.monomial().coeffs.tobytes().hex())
+            except ValueError as exc:  # the conversion's own check refused it
+                parts.append(str(exc))
+        out.append("\0".join(parts).encode())
+    for target, array_target, lo, hi, eps, cap in CAPPED:
+        try:
+            qsvtpoly.cheb_fit(target, lo, hi, eps, cap, array_target=array_target)
+        except qsvtpoly.DegreeCapExceeded as exc:
+            out.append(f"capped\0{lo!r}\0{eps!r}\0{exc.cap}\0{exc.best_err.hex()}".encode())
+        else:
+            out.append(f"capped\0{lo!r}\0{eps!r}\0{cap}\0met".encode())
+    return out
+
+
 def run_one(argv: list[str], csv_path: str) -> bytes:
     """argv, exit code, stdout, stderr and CSV of one in-process run."""
     if os.path.exists(csv_path):
@@ -118,6 +189,8 @@ def main() -> int:
         for argv in runs():
             record = run_one(argv, csv_path)
             h.update(len(record).to_bytes(8, "big") + record)
+    for record in fit_records():
+        h.update(len(record).to_bytes(8, "big") + record)
     print(h.hexdigest())
     return 0
 
