@@ -6,13 +6,16 @@ Emits one CSV row per (grid point, trial) with the fixed column set
     predicted_samples,estimate,exact,abs_err,pass
 
 plus a human-readable summary on stdout.  A grid point is planned once,
-and the fields its plan fixes (all but seed, ledger_samples, estimate,
-abs_err and pass) are formatted once for its trials; each chunk of trials
-adds its ledger, and each trial, read from the columns of
-`estimators.run_columns`, formats only its seed, estimate, abs_err and
-pass.  Blind mode plans, so formats, every trial alone.  Identical
-configuration and seed produce byte-identical CSV.  Exit codes: 0
-success, 1 usage error, 2 validation failure.
+and its trials come back as one `PointRows`: each trial's finished CSV
+line, and per trial the pass, shots, ledger_samples and predicted_samples
+columns that the summary, the coverage gate and the sweep slopes read.
+The fields a plan fixes (all but seed, ledger_samples, estimate, abs_err
+and pass) are joined once per point and the ledger once per chunk of
+trials; each trial, read from the columns of `estimators.run_columns`,
+formats only its seed, estimate, abs_err and pass into its line.  Blind
+mode plans every trial alone, and a point's record holds its trials in
+turn.  Identical configuration and seed produce byte-identical CSV.  Exit
+codes: 0 success, 1 usage error, 2 validation failure.
 """
 
 from __future__ import annotations
@@ -20,12 +23,11 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import operator
 import os
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -168,59 +170,79 @@ def _points(cfg: ExperimentConfig) -> list[_Point]:
     return [(rho, alpha, eps, cfg.approach) for eps in eps_values]
 
 
-def _point_rows(point: _Point, grid_index: int, trials: int, cfg: ExperimentConfig) -> list[dict]:
-    """CSV rows of `trials` estimates at one grid point, each on its own
+class PointRows(NamedTuple):
+    """One grid point's trials in row order: each trial's finished CSV
+    line, and per trial the columns the summary reads."""
+
+    lines: list[str]
+    passed: list[int]  # the `pass` column
+    shots: list[int]
+    ledger_samples: list[int]
+    predicted_samples: list[int]
+
+
+def _point_rows(point: _Point, grid_index: int, trials: int, cfg: ExperimentConfig) -> PointRows:
+    """The rows of `trials` estimates at one grid point, each on its own
     seed: the point is planned once and its trials run in batches.  Blind
-    mode draws its probes per trial, so it plans every trial.  The point's
-    eps is in the report's units, so the estimators, which work in nats,
-    get it converted."""
+    mode draws its probes per trial, so it plans every trial and appends
+    each trial's row in turn.  The point's eps is in the report's units,
+    so the estimators, which work in nats, get it converted."""
     rho, alpha, eps, approach = point
     scale = math.log(2.0) if cfg.log_base == "2" else 1.0  # nats per report unit
     branch = decompose_alpha(alpha).branch
     method = approach if branch == "von_neumann" else cfg.method if branch == "sub_one" else None
     settings = dict(mode="ideal" if cfg.ideal else "noisy", method=method, c_shots=cfg.c_shots)
-    fixed = {"d": rho.dim, "rank": rho.meta.rank, "eps": repr(float(eps))}
+    out = PointRows([], [], [], [], [])
     if cfg.blind:
-        return [row for seeds in _trial_seeds(cfg.seed, grid_index, trials, ()) for s in seeds for row in
-                _rows(plan(rho, alpha, eps * scale, blind=True, seed=s, **settings), [[s]], fixed, scale, eps)]
+        for seeds in _trial_seeds(cfg.seed, grid_index, trials, ()):
+            for s in seeds:
+                _rows(plan(rho, alpha, eps * scale, blind=True, seed=s, **settings), [[s]], rho, scale, eps, out)
+        return out
     shared = plan(rho, alpha, eps * scale, **settings)
-    return _rows(shared, _trial_seeds(cfg.seed, grid_index, trials, shared.children), fixed, scale, eps)
+    _rows(shared, _trial_seeds(cfg.seed, grid_index, trials, shared.children), rho, scale, eps, out)
+    return out
 
 
-def _rows(p: Plan, batches: Iterable[list[int]], fixed: dict, scale: float, eps: float) -> list[dict]:
-    """The rows of a plan's trials, batch by batch of seeds.  The fields
-    the plan fixes are formatted once; a trial's row adds its seed, its
-    estimate and error in report units, and whether that error is within
-    eps."""
+def _rows(p: Plan, batches: Iterable[list[int]], rho: DensityMatrix, scale: float, eps: float,
+          out: PointRows) -> None:
+    """Append the rows of a plan's trials to `out`, batch by batch of
+    seeds.  The fields the plan fixes are joined once and the ledger once
+    per chunk; a trial's line adds its seed, its estimate and error in
+    report units, and whether that error is within eps, in the order of
+    `CSV_COLUMNS`."""
     exact = p.oracle.entropy / scale
-    fixed = {**fixed, "alpha": repr(float(p.regime.alpha)), "branch": p.regime.branch,
-             "delta": repr(float(p.budget.delta)), "method": p.method, "shots": p.budget.shots,
-             "predicted_samples": p.budget.predicted_samples, "exact": repr(float(exact))}
-    rows = []
+    budget = p.budget
+    head = (f"{float(p.regime.alpha)!r},{p.regime.branch},{rho.dim},{rho.meta.rank},{float(eps)!r},"
+            f"{float(budget.delta)!r},{p.method},{budget.shots},")
+    exact_field = f",{float(exact)!r},"
     for seeds in batches:
         for c in run_columns(p, seeds):
-            chunk = {**fixed, "ledger_samples": c.ledger}
-            for seed, estimate in zip(c.seeds, c.estimates):
-                est = estimate / scale
-                abs_err = abs(est - exact)
-                rows.append({**chunk, "seed": seed, "estimate": repr(est), "abs_err": repr(abs_err),
-                             "pass": int(abs_err <= eps)})
-    return rows
+            middle = f",{head}{c.ledger},{budget.predicted_samples},"
+            ests = [estimate / scale for estimate in c.estimates]
+            errs = [abs(est - exact) for est in ests]
+            oks = [int(err <= eps) for err in errs]
+            out.lines.extend([f"{seed}{middle}{est!r}{exact_field}{err!r},{ok}"
+                              for seed, est, err, ok in zip(c.seeds, ests, errs, oks)])
+            out.passed.extend(oks)
+            n = len(c.seeds)
+            out.shots.extend([budget.shots] * n)
+            out.ledger_samples.extend([c.ledger] * n)
+            out.predicted_samples.extend([budget.predicted_samples] * n)
 
 
-def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], str]:
-    """Execute the configured experiment; returns (csv rows, summary text).
-    Every mode runs the same loop over its grid points, numbered from 1."""
+def run_experiment(cfg: ExperimentConfig) -> tuple[list[PointRows], str]:
+    """Execute the configured experiment; returns (the rows of each grid
+    point, summary text).  Every mode runs the same loop over its grid
+    points, numbered from 1."""
     cfg.validate()
     trials = (3 if cfg.quick else 10) if cfg.mode == "validate" else cfg.trials
-    by_point = [_point_rows(point, gi, trials, cfg) for gi, point in enumerate(_points(cfg), 1)]
-    rows = [row for point_rows in by_point for row in point_rows]
-    lines = [_summarize(rows)]
+    points = [_point_rows(point, gi, trials, cfg) for gi, point in enumerate(_points(cfg), 1)]
+    lines = [_summarize(points)]
     if cfg.mode == "sweep":
-        lines += _slope_lines(cfg, by_point)
+        lines += _slope_lines(cfg, points)
     elif cfg.mode == "validate":
-        lines.append(f"validate: {'PASS' if _coverage(rows) >= 0.9 else 'FAIL'} (threshold 0.9)")
-    return rows, "\n".join(lines)
+        lines.append(f"validate: {'PASS' if _coverage(points) >= 0.9 else 'FAIL'} (threshold 0.9)")
+    return points, "\n".join(lines)
 
 
 def _median(values: list[float]) -> float:
@@ -230,19 +252,16 @@ def _median(values: list[float]) -> float:
     return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2.0
 
 
-def _coverage(rows: list[dict]) -> float:
-    return sum(r["pass"] for r in rows) / len(rows)
+def _coverage(points: list[PointRows]) -> float:
+    return sum(sum(pt.passed) for pt in points) / sum(len(pt.passed) for pt in points)
 
 
-def _summarize(rows: list[dict]) -> str:
-    n = len(rows)
-    passed = sum(r["pass"] for r in rows)
+def _summarize(points: list[PointRows]) -> str:
+    n = sum(len(pt.passed) for pt in points)
+    passed = sum(sum(pt.passed) for pt in points)
     coverage = passed / n if n else float("nan")
-    ratios = [
-        r["ledger_samples"] / r["predicted_samples"]
-        for r in rows
-        if r["predicted_samples"] > 0
-    ]
+    ratios = [ledger / predicted for pt in points
+              for ledger, predicted in zip(pt.ledger_samples, pt.predicted_samples) if predicted > 0]
     lines = [
         f"rows: {n}",
         f"coverage (abs_err <= eps): {coverage:.3f} ({passed}/{n})",
@@ -252,7 +271,7 @@ def _summarize(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def _slope_lines(cfg: ExperimentConfig, by_point: list[list[dict]]) -> list[str]:
+def _slope_lines(cfg: ExperimentConfig, points: list[PointRows]) -> list[str]:
     """Least-squares slopes, with standard errors, of the log of each cost
     column's per-point mean against the log of the grid variable."""
     if cfg.var == "eps":
@@ -261,7 +280,7 @@ def _slope_lines(cfg: ExperimentConfig, by_point: list[list[dict]]) -> list[str]
         var_name, xs = "log(rank)", [math.log(float(v)) for v in cfg.grid]
     lines = []
     for column in ("shots", "ledger_samples", "predicted_samples"):
-        means = [float(np.mean([r[column] for r in point_rows])) for point_rows in by_point]
+        means = [float(np.mean(getattr(pt, column))) for pt in points]
         if 0.0 in means:  # a route that measures nothing, as vn_poly on a pure state
             lines.append(f"slope of log({column}) vs {var_name}: undefined (a grid point's mean is 0)")
             continue
@@ -274,9 +293,8 @@ def _slope_lines(cfg: ExperimentConfig, by_point: list[list[dict]]) -> list[str]
     return lines
 
 
-def rows_to_csv(rows: list[dict]) -> str:
-    fields = operator.itemgetter(*CSV_COLUMNS)
-    return "\n".join([",".join(CSV_COLUMNS), *(",".join(map(str, fields(r))) for r in rows)]) + "\n"
+def rows_to_csv(points: list[PointRows]) -> str:
+    return "\n".join([",".join(CSV_COLUMNS), *(line for pt in points for line in pt.lines)]) + "\n"
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -403,7 +421,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = config_from_args(ns)
-        rows, summary = run_experiment(cfg)
+        points, summary = run_experiment(cfg)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -413,12 +431,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     if cfg.out:
         try:
             with open(cfg.out, "w", newline="\n") as fh:
-                fh.write(rows_to_csv(rows))
+                fh.write(rows_to_csv(points))
         except OSError as exc:
             print(f"error: cannot write CSV to {cfg.out}: {exc.strerror or exc}", file=sys.stderr)
             return 1
     print(summary)
-    return 2 if cfg.mode == "validate" and _coverage(rows) < 0.9 else 0
+    return 2 if cfg.mode == "validate" and _coverage(points) < 0.9 else 0
 
 
 if __name__ == "__main__":

@@ -71,7 +71,7 @@ from .qsvtpoly import (
     poly_target,
 )
 from . import seeding
-from .seeding import child_seed as _child_seed
+from .seeding import child_seed as _child_seed, each_child as _each_child
 from .states import DensityMatrix, EntropyRecord, StateMeta, exact_entropies
 
 LOG_PI_OVER_4 = math.log(math.pi / 4.0)
@@ -102,7 +102,7 @@ class MeasurementModel:
             raise ValueError(f"unknown measurement mode {self.mode!r}")
         p0s = self.p0 if isinstance(self.p0, list) else [self.p0]
         fail_first([not (-1e-12 <= p0 <= 1.0 + 1e-12) for p0 in p0s],
-                   lambda k: ValueError(f"probability {p0s[k]!r} outside [0, 1]"))
+                   lambda k: ValueError(f"probability {float(p0s[k])!r} outside [0, 1]"))
         clamped = [float(min(1.0, max(0.0, p0))) for p0 in p0s]
         object.__setattr__(self, "p0", clamped if p0s is self.p0 else clamped[0])
 
@@ -568,9 +568,8 @@ def _kids(seeds, i: int):
     encodings are single matrices, and a list for a stack."""
     if isinstance(seeds, int):
         return _child_seed(seeds, i)
-    if len(seeds) == 1:
-        return _child_seed(seeds[0], i)
-    return [_child_seed(s, i) for s in seeds]
+    kids = _each_child(seeds, i)
+    return kids[0] if len(kids) == 1 else kids
 
 
 def _per_trial(x, n: int) -> list[float]:
@@ -605,8 +604,7 @@ def _trials(p: Plan, seeds: list[int], be: Optional[BlockEncoding], invert: Call
     if not p.noiseless:
         model = MeasurementModel(p0=realized[0] if be is None else realized,
                                  mode="amplitude_estimation" if p.method == "ae" else "bernoulli")
-        kids = [_child_seed(s, p.children[-1]) for s in seeds]
-        measured = measure_p0(model, p.budget.measure_delta, kids, p.c_shots)
+        measured = measure_p0(model, p.budget.measure_delta, _each_child(seeds, p.children[-1]), p.c_shots)
     estimates = []
     try:
         for p0_hat, bound in zip(measured, bounds):
@@ -773,8 +771,7 @@ def vn_poly(p: Plan, seeds: list[int]) -> Columns:
     of the trial seed's child 1.
     """
     estimates = []
-    for seed in seeds:
-        s_meas = _child_seed(seed, p.children[-1])
+    for s_meas in _each_child(seeds, p.children[-1]):
         value = p.terms[0][0]  # a_0 Tr rho, exactly
         for i, (a_i, n_i, t_i) in enumerate(p.terms[1:], 1):
             if p.noiseless:

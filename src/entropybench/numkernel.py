@@ -156,7 +156,7 @@ def mat_fun(a: HermMatrix, f: Callable[[float], float]) -> HermMatrix:
     for lam in spec.eigenvalues:
         y = f(float(lam))
         if not np.isfinite(y):
-            raise ValueError(f"function undefined at eigenvalue {lam!r} (got {y!r})")
+            raise ValueError(f"function undefined at eigenvalue {float(lam)!r} (got {y!r})")
         vals.append(float(y))
     v = spec.eigenvectors
     w = np.asarray(vals, dtype=float)

@@ -513,7 +513,7 @@ def poly_target(t: HermMatrix, p: PolyApprox) -> HermMatrix:
         if abs(lam) <= tol and p.zero_extension is not None:
             continue
         raise ValueError(
-            f"target eigenvalue {lam!r} outside fit domain [{lo}, {hi}]"
+            f"target eigenvalue {float(lam)!r} outside fit domain [{lo}, {hi}]"
             + ("" if p.zero_extension is not None else " (no extension through 0)")
         )
 

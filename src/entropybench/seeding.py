@@ -17,12 +17,18 @@ np.uint64)` would return, hashed here from the pool.
 
 `batch` derives the seeds that many trials of one grid point read in one
 vectorized pass: the trial seeds, the children each trial reads, their
-pools and their generators' state words.  While its block runs,
-`spawn_seed` and `rng` read them from its tables; every other seed still
-starts from numpy's own `SeedSequence`, which stays the reference.
+pools and their generators' state words.  While its block runs, it keeps
+one table per child index from each trial seed to that child, which
+`each_child` reads for a whole chunk of trials at once; `spawn_seed` and
+`rng` read the pools and state words.  Every other seed still starts
+from numpy's own `SeedSequence`, which stays the reference.
 
 numpy.random is imported on first use, so importing the package does
-not load it.
+not load it.  The class that hands PCG64 its state words is built then
+as a real subclass of numpy's `ISeedSequence`: PCG64 checks
+`isinstance(seed, ISeedSequence)` on every generator, and CPython's ABC
+cache answers that at once for a subclass, while a class that was only
+registered reruns the subclass check each time.
 """
 
 from __future__ import annotations
@@ -68,19 +74,26 @@ _PACK_OUTPUT = struct.Struct("<8I").pack
 
 @functools.cache
 def _numpy_random():
-    """numpy.random, imported on first use, with `_Words` registered as
-    the `ISeedSequence` a bit generator may be seeded from."""
+    """numpy.random, imported on first use, and the `ISeedSequence`
+    subclass that hands a bit generator fixed state words; PCG64 asks for
+    them once, as `generate_state(4, np.uint64)`."""
     import numpy.random
     from numpy.random.bit_generator import ISeedSequence
 
-    ISeedSequence.register(_Words)
-    return numpy.random
+    class Words(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return numpy.random, Words
 
 
 def _pool(seed: int, key: tuple[int, ...] = ()) -> tuple[int, ...]:
     """numpy's mixed pool of `SeedSequence(seed, spawn_key=key)`; numpy
     refuses a negative seed here, as `default_rng` would."""
-    return tuple(_numpy_random().SeedSequence(seed, spawn_key=key).pool.tolist())
+    return tuple(_numpy_random()[0].SeedSequence(seed, spawn_key=key).pool.tolist())
 
 
 # holds a run's grid points and the parents of one estimate's children
@@ -101,9 +114,11 @@ def _spawn_point(seed: int, head: tuple[int, ...]) -> tuple[int, int, int]:
 
 
 # Filled by `batch` while its block runs: pool word 0 of each seed it
-# derived, and the PCG64 state words of each child it derived.
+# derived, the PCG64 state words of each child it derived, and for each
+# child index i the child i of each trial seed.
 _batch_pool0: dict[int, int] = {}
 _batch_words: dict[int, np.ndarray] = {}
+_batch_kids: dict[int, dict[int, int]] = {}
 # `_spawn_point` constants of a one-word seed's first spawn word; the
 # seeds `batch` derives are all one word long
 _FIRST_SPAWN = _hashmix_consts(_POOL_HASHES)
@@ -132,22 +147,22 @@ def child_seed(seed: int, i: int) -> int:
     return spawn_seed(seed, (i,))
 
 
-class _Words:
-    """An `ISeedSequence` that hands a bit generator fixed state words;
-    PCG64 asks for them once, as `generate_state(4, np.uint64)`."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+def each_child(seeds: list[int], i: int) -> list[int]:
+    """`child_seed(s, i)` for each s in `seeds`: read from the open
+    batch's table of child i when it holds every seed, else derived one
+    by one."""
+    table = _batch_kids.get(i)
+    if table is not None:
+        try:
+            return [table[s] for s in seeds]
+        except KeyError:
+            pass
+    return [child_seed(s, i) for s in seeds]
 
 
 def rng(seed: int) -> "np.random.Generator":
     """`np.random.default_rng(seed)` for an integer seed."""
-    np_random = _numpy_random()
+    np_random, words_class = _numpy_random()
     words = _batch_words.get(seed)
     if words is None:
         hashed = [(w ^ x) * m & _MASK for w, (x, m) in zip(_pool(seed) * 2, _OUT)]
@@ -155,7 +170,7 @@ def rng(seed: int) -> "np.random.Generator":
         # little-endian uint64 words, then converts them to native order
         packed = _PACK_OUTPUT(*[v ^ v >> 16 for v in hashed])
         words = np.frombuffer(packed, dtype="<u8").astype(np.uint64)
-    return np_random.Generator(np_random.PCG64(_Words(words)))
+    return np_random.Generator(np_random.PCG64(words_class(words)))
 
 
 # The batch kernel: the same hashes on uint32 arrays, whose products wrap
@@ -230,19 +245,21 @@ MIN_BATCH = 8
 @contextlib.contextmanager
 def _derived(parents: np.ndarray, children: tuple[int, ...]) -> Iterator[None]:
     """While the block runs, `child_seed(p, i)` for each one-word seed p in
-    `parents` and i in `children`, every child of those children, and the
-    generators `rng` makes for them cost only their last hashes: one
-    vectorized pass derives the parents' and children's pools and the
-    children's generator state words, and the tables hold them."""
+    `parents` and i in `children` is a table lookup (`each_child`), and
+    every child of those children and the generators `rng` makes for them
+    cost only their last hashes: one vectorized pass derives the parents'
+    and children's pools and the children's generator state words, and
+    the tables hold them."""
     pool0 = _pools(parents)[0]
     spawned = _hash_rows(_column(children), *(_U32(c) for c in _FIRST_SPAWN))
-    kids = _first_output(_mix_rows(pool0, spawned)).ravel()
-    kid_pools = _pools(kids)
+    kid_rows = _first_output(_mix_rows(pool0, spawned))  # (len(children), len(parents))
+    kid_pools = _pools(kid_rows.ravel())
     hashed = _hash_rows(np.concatenate([kid_pools, kid_pools]), _OUT_X, _OUT_M)
     # each child's eight output words, read as four little-endian uint64
     state = np.ascontiguousarray(hashed.T).view("<u8").astype(np.uint64, copy=False)
-    kids = kids.tolist()
-    _batch_pool0.update(zip(parents.tolist(), pool0.tolist()))
+    parents, kids = parents.tolist(), kid_rows.ravel().tolist()
+    _batch_pool0.update(zip(parents, pool0.tolist()))
+    _batch_kids.update((i, dict(zip(parents, row))) for i, row in zip(children, kid_rows.tolist()))
     _batch_pool0.update(zip(kids, kid_pools[0].tolist()))
     _batch_words.update(zip(kids, state))
     try:
@@ -250,15 +267,17 @@ def _derived(parents: np.ndarray, children: tuple[int, ...]) -> Iterator[None]:
     finally:
         _batch_pool0.clear()
         _batch_words.clear()
+        _batch_kids.clear()
 
 
 @contextlib.contextmanager
 def batch(seed: int, head: tuple[int, ...], trials: range, children: tuple[int, ...]) -> Iterator[list[int]]:
     """Yield the trial seeds `spawn_seed(seed, (*head, t))` for t in
     `trials`, derived in one vectorized pass.  While the block runs, each
-    trial's `children` (`child_seed(trial, i)` for i in `children`), their
-    own children and their generators are read from what a second pass
-    derived for all trials at once (see `_derived`)."""
+    trial's `children` (`child_seed(trial, i)` for i in `children`, read
+    for a chunk of trials by `each_child`), their own children and their
+    generators are read from what a second pass derived for all trials at
+    once (see `_derived`)."""
     if trials.stop > _MASK + 1:
         raise ValueError(f"spawn key words must be 32-bit, got {(*head, trials.stop - 1)!r}")
     pool0, x, m = _spawn_point(seed, head)

@@ -135,14 +135,14 @@ def test_criterion_3_statistical_coverage(announce):
     )
 
 
-def test_criterion_4_shot_scaling_slopes(announce):
+def test_criterion_4_shot_scaling_slopes(announce, csv_rows):
     grid = [0.2, 0.1, 0.05, 0.025]
     # Bernoulli path: integer order on the reference spectrum
     cfg = ExperimentConfig(
         mode="sweep", var="eps", grid=grid, alpha=2.0, d=8,
         spectrum=[0.5, 0.3, 0.2], trials=1, seed=21,
     )
-    rows, summary = run_experiment(cfg)
+    rows = csv_rows(run_experiment(cfg)[0])
     shots = [float(r["shots"]) for r in rows]
     x = [math.log(1 / e) for e in grid]
     bern_slope = float(np.polyfit(x, [math.log(s) for s in shots], 1)[0])

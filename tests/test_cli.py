@@ -32,11 +32,12 @@ golden_digest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden_digest)
 
 
-def test_csv_schema_and_pass_column():
+def test_csv_schema_and_pass_column(csv_rows):
     cfg = ExperimentConfig(mode="renyi", alpha=2.0, d=4, rank=4, eps=0.1, trials=3, seed=5)
-    rows, summary = run_experiment(cfg)
+    points, summary = run_experiment(cfg)
+    rows = csv_rows(points)
     assert len(rows) == 3
-    csv = rows_to_csv(rows)
+    csv = rows_to_csv(points)
     lines = csv.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     for r in rows:
@@ -58,21 +59,21 @@ def test_different_seeds_differ():
     assert rows_to_csv(run_experiment(a)[0]) != rows_to_csv(run_experiment(b)[0])
 
 
-def test_explicit_spectrum():
+def test_explicit_spectrum(csv_rows):
     cfg = ExperimentConfig(
         mode="renyi", alpha=2.0, d=8, spectrum=[0.5, 0.3, 0.2], eps=0.1, trials=2, seed=3
     )
-    rows, _ = run_experiment(cfg)
+    rows = csv_rows(run_experiment(cfg)[0])
     assert rows[0]["rank"] == 3 and rows[0]["d"] == 8
     assert float(rows[0]["exact"]) == pytest.approx(-math.log(0.38))
 
 
-def test_log_base_2():
+def test_log_base_2(csv_rows):
     cfg = ExperimentConfig(
         mode="renyi", alpha=2.0, d=4, spectrum=[0.25] * 4, eps=0.1, trials=1, seed=3,
         log_base="2", ideal=True,
     )
-    rows, _ = run_experiment(cfg)
+    rows = csv_rows(run_experiment(cfg)[0])
     assert float(rows[0]["estimate"]) == pytest.approx(2.0, abs=1e-9)  # log2(4) bits
 
 
@@ -92,23 +93,24 @@ def test_validate_log_base_2_budgets_in_bits(tmp_path):
     assert float(val["delta"]) == pytest.approx(0.1 * math.log(2.0) * 0.5 / 4.0)
 
 
-def test_vonneumann_modes():
+def test_vonneumann_modes(csv_rows):
     for approach in ("qsvt", "poly"):
         cfg = ExperimentConfig(
             mode="vonneumann", d=4, spectrum=[0.25] * 4, eps=0.1, trials=2, seed=7,
             approach=approach,
         )
-        rows, _ = run_experiment(cfg)
+        rows = csv_rows(run_experiment(cfg)[0])
         assert all(r["branch"] == "von_neumann" for r in rows)
         assert float(rows[0]["exact"]) == pytest.approx(math.log(4))
 
 
-def test_sweep_eps_slope_near_two():
+def test_sweep_eps_slope_near_two(csv_rows):
     cfg = ExperimentConfig(
         mode="sweep", var="eps", grid=[0.2, 0.1, 0.05, 0.025], alpha=2.0,
         d=8, spectrum=[0.5, 0.3, 0.2], trials=2, seed=11,
     )
-    rows, summary = run_experiment(cfg)
+    points, summary = run_experiment(cfg)
+    rows = csv_rows(points)
     assert len(rows) == 8
     slope_line = [l for l in summary.splitlines() if "log(shots)" in l][0]
     slope = float(slope_line.split(":")[1].split("+/-")[0])
@@ -121,9 +123,10 @@ def test_sweep_requires_three_points():
         run_experiment(cfg)
 
 
-def test_validate_quick_passes(tmp_path):
+def test_validate_quick_passes(tmp_path, csv_rows):
     cfg = ExperimentConfig(mode="validate", seed=3, quick=True)
-    rows, summary = run_experiment(cfg)
+    points, summary = run_experiment(cfg)
+    rows = csv_rows(points)
     coverage = sum(r["pass"] for r in rows) / len(rows)
     assert coverage >= 0.9
     assert "PASS" in summary
@@ -203,22 +206,23 @@ def test_config_file_booleans(tmp_path, word, value):
     assert (cfg.blind, cfg.ideal) == (value, value)
 
 
-def test_validate_ideal_pure_rows_exact():
+def test_validate_ideal_pure_rows_exact(csv_rows):
     cfg = ExperimentConfig(mode="validate", seed=12, quick=True, ideal=True)
-    rows, _ = run_experiment(cfg)
+    rows = csv_rows(run_experiment(cfg)[0])
     pure_rows = [r for r in rows if r["rank"] == 1]
     assert pure_rows
     assert all(float(r["abs_err"]) < 1e-6 for r in pure_rows)
     assert sum(r["pass"] for r in rows) == len(rows)  # coverage 1.0
 
 
-def test_sweep_rank_trend_integer_order():
+def test_sweep_rank_trend_integer_order(csv_rows):
     # at integer order 3 the shot ledger tracks rank^(2*3-2) = rank^4
     cfg = ExperimentConfig(
         mode="sweep", var="rank", grid=[2.0, 3.0, 4.0], alpha=3.0,
         d=8, rank=2, trials=1, seed=13, ideal=True,
     )
-    rows, summary = run_experiment(cfg)
+    points, summary = run_experiment(cfg)
+    rows = csv_rows(points)
     xs = [math.log(r) for r in (2, 3, 4)]
     ys = [math.log(float(r["ledger_samples"])) for r in rows]
     slope = float(np.polyfit(xs, ys, 1)[0])
@@ -240,9 +244,8 @@ def test_validate_failure_exit_code(monkeypatch):
     import entropybench.cli as cli
 
     def fake_run(cfg):
-        row = {c: 0 for c in CSV_COLUMNS}
-        row["pass"] = 0
-        return [row] * 10, "forced failure"
+        line = ",".join("0" for _ in CSV_COLUMNS)
+        return [cli.PointRows([line] * 10, [0] * 10, [0] * 10, [0] * 10, [0] * 10)], "forced failure"
 
     monkeypatch.setattr(cli, "run_experiment", fake_run)
     assert cli.main(["validate", "--quick"]) == 2
@@ -309,20 +312,21 @@ def test_sweep_never_imports_numpy_ma(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-def test_sweep_budgets_each_point_once(monkeypatch):
+def test_sweep_budgets_each_point_once(monkeypatch, csv_rows):
     calls = []
     real = accountant.predicted_samples
     monkeypatch.setattr(accountant, "predicted_samples", lambda *a, **kw: calls.append(a) or real(*a, **kw))
     accountant.delta_budget.cache_clear()
     cfg = ExperimentConfig(mode="sweep", var="eps", grid=[0.2, 0.1, 0.05], alpha=2.0, d=4, rank=2, trials=5, seed=4)
-    rows, _ = run_experiment(cfg)
+    rows = csv_rows(run_experiment(cfg)[0])
     assert len(rows) == 15
     assert len(calls) == 3  # one budget per grid point, shared by its trials
 
 
-def test_sweep_with_a_repeated_grid_value_still_runs():
+def test_sweep_with_a_repeated_grid_value_still_runs(csv_rows):
     cfg = ExperimentConfig(mode="sweep", var="eps", grid=[0.2, 0.1, 0.1], alpha=2.0, d=4, rank=2, trials=2, seed=4)
-    rows, summary = run_experiment(cfg)
+    points, summary = run_experiment(cfg)
+    rows = csv_rows(points)
     assert len(rows) == 6
     assert "slope of log(shots) vs log(1/eps): " in summary
 
@@ -340,12 +344,12 @@ def test_sweep_summary_with_a_zero_cost_mean(tmp_path, capsys):
     assert "slope of log(predicted_samples) vs log(rank): " in summary
 
 
-def test_eps_sweep_builds_its_state_once(monkeypatch):
+def test_eps_sweep_builds_its_state_once(monkeypatch, csv_rows):
     calls = []
     real = cli.random_density
     monkeypatch.setattr(cli, "random_density", lambda *a, **kw: calls.append(a) or real(*a, **kw))
     cfg = ExperimentConfig(mode="sweep", var="eps", grid=[0.2, 0.1, 0.05, 0.025], alpha=2.0, d=4, rank=3, seed=2)
-    rows, _ = run_experiment(cfg)
+    rows = csv_rows(run_experiment(cfg)[0])
     assert len(rows) == 4
     assert len(calls) == 1
 
@@ -420,7 +424,10 @@ def test_cli_rows_equal_per_trial_estimates(monkeypatch, route, mode):
                        cfg.log_base, eps, fixed)
         for t in range(5)
     ]
-    assert run_experiment(cfg)[0] == expected
+    # the CSV as the CLI wrote it from per-trial dicts
+    expected_csv = "\n".join([",".join(CSV_COLUMNS), *(",".join(map(str, (row[c] for c in CSV_COLUMNS)))
+                                                      for row in expected)]) + "\n"
+    assert rows_to_csv(run_experiment(cfg)[0]) == expected_csv
 
 
 def test_a_point_derives_its_seeds_in_one_batch(monkeypatch):
@@ -476,7 +483,7 @@ def test_summary_median_equals_numpy(values):
     assert cli._median(values).hex() == float(np.median(values)).hex()
 
 
-def test_run_builds_one_runtime_config_and_routes_through_plan_and_run(monkeypatch):
+def test_run_builds_one_runtime_config_and_routes_through_plan_and_run(monkeypatch, csv_rows):
     planned, ran = [], []
     real_plan, real_run = cli.plan, cli.run_columns
 
@@ -493,7 +500,7 @@ def test_run_builds_one_runtime_config_and_routes_through_plan_and_run(monkeypat
     ):
         planned.clear()
         ran.clear()
-        rows, _ = run_experiment(cfg)
+        rows = csv_rows(run_experiment(cfg)[0])
         assert planned == [(method, cfg.c_shots)]  # one plan for the grid point
         assert ran == [row["seed"] for row in rows] and len(ran) == cfg.trials
 
@@ -531,6 +538,16 @@ def test_main_reuses_its_parser_without_leaking_flags(tmp_path, capsys):
     shared = [run(i, argv, "shared") for i, argv in enumerate(requests)]
     assert cli._parser.cache_info().misses == 1  # built once for both
     assert shared == lone
+
+
+def test_an_error_text_prints_no_numpy_repr(capsys):
+    # a blind run whose estimated minimum eigenvalue leaves a target
+    # eigenvalue outside the fit domain: the message gives plain floats
+    argv = ["renyi", "--alpha", "1.5", "--dim", "8", "--rank", "8", "--blind", "--trials", "20", "--seed", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: target eigenvalue ") and "outside fit domain" in err
+    assert "np.float64(" not in err
 
 
 # One stacked chunk of 40 trials in which trial 30 is the first whose

@@ -592,14 +592,63 @@ def test_batch_refuses_what_numpy_refuses():
 
 def test_integer_branch_derives_only_the_seeds_it_uses(monkeypatch):
     derived = []
-    real = estimators._child_seed
-    monkeypatch.setattr(estimators, "_child_seed", lambda seed, i: derived.append(i) or real(seed, i))
+    real = estimators._each_child
+    monkeypatch.setattr(estimators, "_each_child", lambda seeds, i: derived.append(i) or real(seeds, i))
     rho = from_spectrum([0.5, 0.3, 0.2], 4)
     estimate(rho, 2.0, 0.1, seed=3)
     assert derived == [1]  # the measurement seed; blind inputs would use child 0
     derived.clear()
     estimate(rho, 2.0, 0.1, seed=3, mode="ideal")
     assert derived == []
+
+
+# (order, method) of every route, each with its own `Plan.children`
+_ROUTES = [(2.0, None), (1.5, None), (2.5, None), (0.5, "sampling"), (0.5, "ae"), (1.0, "qsvt"), (1.0, "poly")]
+
+
+@pytest.mark.parametrize("trials", [seeding.MIN_BATCH, 100, seeding.BATCH_TRIALS + 1])
+def test_each_child_in_a_batch_equals_child_seed_outside_it(trials):
+    for alpha, method in _ROUTES:
+        children = estimators.plan(DIAG8, alpha, 0.1, method=method).children
+        seeds = [cli._trial_seed(7, 1, t) for t in range(trials)]
+        expected = {i: [seeding.child_seed(s, i) for s in seeds] for i in children}
+        got = {i: [] for i in children}
+        for batch in cli._trial_seeds(7, 1, trials, children):
+            for i in children:
+                # the batch's table answers for a whole batch and for a chunk of it
+                assert (i in seeding._batch_kids) == (len(batch) >= seeding.MIN_BATCH)
+                assert seeding.each_child(batch[1:4], i) == [seeding.child_seed(s, i) for s in batch[1:4]]
+                got[i] += seeding.each_child(batch, i)
+        assert got == expected
+    assert not seeding._batch_kids
+
+
+def test_an_integer_point_derives_no_seed_per_trial(monkeypatch):
+    calls = []
+    real = seeding.spawn_seed
+    monkeypatch.setattr(seeding, "spawn_seed", lambda seed, key: calls.append(key) or real(seed, key))
+    counts = []
+    for trials in (64, 256):
+        calls.clear()
+        cli.run_experiment(cli.ExperimentConfig(mode="renyi", alpha=2.0, d=8, spectrum=[0.5, 0.3, 0.2],
+                                                trials=trials, seed=3))
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
+
+
+def test_rng_seeds_pcg64_from_an_iseedsequence_subclass():
+    from numpy.random.bit_generator import ISeedSequence
+
+    draws = lambda g: (g.random(3).tolist(), g.binomial(1000, 0.3, 4).tolist())
+    g = seeding.rng(5)
+    assert ISeedSequence in type(g.bit_generator.seed_seq).__mro__
+    for s in (0, 5, 2**32 - 1, 12345678901):  # scalar seeds
+        assert draws(seeding.rng(s)) == draws(np.random.default_rng(s))
+    with seeding.batch(9, (1,), range(seeding.MIN_BATCH), (1, 2)) as trial_seeds:
+        kids = seeding.each_child(trial_seeds, 2)
+        assert all(k in seeding._batch_words for k in kids)  # batch seeds: their state words come from the table
+        for k in kids:
+            assert draws(seeding.rng(k)) == draws(np.random.default_rng(k))
 
 
 def test_blind_inputs_and_measurement_keep_their_seeds(monkeypatch):
