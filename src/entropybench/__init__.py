@@ -13,7 +13,6 @@ from .accountant import (
     decompose_alpha,
     delta_budget,
     predicted_samples,
-    propagate_entropy_error,
 )
 from .blockenc import (
     BlockEncoding,
@@ -22,24 +21,20 @@ from .blockenc import (
     encode_density,
     rescale,
 )
-from .config import TOL, Tolerances
+from .config import TOL
 from .estimators import (
     EstimateReport,
     EstimationFailure,
     MeasurementModel,
     Plan,
     estimate,
-    ideal_p0_case1,
-    ideal_p0_case2,
-    ideal_p0_sub_one,
     measure_p0,
     min_eig_estimate,
     plan,
     run,
 )
-from .numkernel import HermMatrix, Spectrum, hermitian_eig, mat_fun, op_norm, op_norm_dist
+from .numkernel import HermMatrix, Spectrum, hermitian_eig, op_norm, op_norm_dist
 from .qsvtpoly import (
-    MonomialPoly,
     PolyApprox,
     apply_poly,
     approx_log,
@@ -64,22 +59,17 @@ __all__ = [
     "decompose_alpha",
     "delta_budget",
     "predicted_samples",
-    "propagate_entropy_error",
     "BlockEncoding",
     "be_power",
     "be_product",
     "encode_density",
     "rescale",
     "TOL",
-    "Tolerances",
     "EstimateReport",
     "EstimationFailure",
     "MeasurementModel",
     "Plan",
     "estimate",
-    "ideal_p0_case1",
-    "ideal_p0_case2",
-    "ideal_p0_sub_one",
     "measure_p0",
     "min_eig_estimate",
     "plan",
@@ -87,10 +77,8 @@ __all__ = [
     "HermMatrix",
     "Spectrum",
     "hermitian_eig",
-    "mat_fun",
     "op_norm",
     "op_norm_dist",
-    "MonomialPoly",
     "PolyApprox",
     "apply_poly",
     "approx_log",

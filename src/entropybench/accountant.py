@@ -10,16 +10,12 @@ suppressed constant set to 1 and natural logarithms throughout.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 from .states import StateMeta
 
 _INT_TOL = 1e-9
-# distinct arguments each memoized planning step keeps: a sweep needs one
-# per grid point, a blind run one per trial
-_PLAN_CACHE_SIZE = 128
 # the binomial sampler draws counts as 64-bit integers
 MAX_SHOTS = 2**63 - 1
 
@@ -61,7 +57,6 @@ class Budget:
             object.__setattr__(self, "measure_delta", self.delta)
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE, typed=True)
 def decompose_alpha(alpha: float) -> RegimeDecomposition:
     """Classify alpha and extract (k, c) with 2k+1 odd.
 
@@ -69,9 +64,7 @@ def decompose_alpha(alpha: float) -> RegimeDecomposition:
     exists, so k is the largest with 2k+1 < alpha and the exact identity
     alpha = 2k+1+c holds for odd integers and all non-integers only.
     Orders are snapped to a nearby integer n >= 1 only: a tiny positive
-    order is below one, not the integer 0.  Memoized per order, keyed by
-    its type too, since the order is carried into the entropy oracle,
-    where `nz**2` and `nz**2.0` need not round alike.
+    order is below one, not the integer 0.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"order must be positive and finite, got {alpha}")
@@ -135,7 +128,6 @@ def _accuracy(regime: RegimeDecomposition, eps: float, meta: StateMeta) -> float
     return eps * abs(1.0 - a) / (6.0 * r ** (a - 1.0))
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE, typed=True)
 def delta_budget(
     regime: RegimeDecomposition,
     eps: float,
@@ -143,11 +135,7 @@ def delta_budget(
     method: str = "sampling",
     c_shots: float = C_SHOTS,
 ) -> Budget:
-    """Trace-functional accuracy and shot count for a target entropy accuracy.
-
-    Memoized on the arguments, keyed by type as well as value as the fits
-    are, so every trial of a grid point shares one budget; a `Budget` is
-    frozen, so sharing it is safe."""
+    """Trace-functional accuracy and shot count for a target entropy accuracy."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     try:
@@ -234,23 +222,3 @@ def _cost_formula(regime: RegimeDecomposition, eps: float, meta: StateMeta, meth
         val = t1 + t2 + math.log(d)
     return val
 
-
-def propagate_entropy_error(delta: float, alpha: float, meta: StateMeta) -> float:
-    """Entropy-error upper bound induced by a trace-functional error delta.
-
-    Uses the rank form 2 delta r^(alpha-1)/|1-alpha| above order 2, the
-    rank form 2 delta r/|1-alpha| on (1, 2], and the purity form
-    2 delta / (|1-alpha| (Tr rho^2)^(alpha-1)) below order 1.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if abs(alpha - 1.0) <= _INT_TOL:
-        raise ValueError("no propagation bound at order 1 (the prefactor 1/|1-alpha| diverges)")
-    one = abs(1.0 - alpha)
-    if alpha > 2.0:
-        return 2.0 * delta * meta.rank ** (alpha - 1.0) / one
-    if alpha > 1.0:
-        return 2.0 * delta * meta.rank / one
-    if alpha > 0.0:
-        return 2.0 * delta / (one * meta.purity ** (alpha - 1.0))
-    raise ValueError(f"order must be positive, got {alpha}")

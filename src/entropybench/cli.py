@@ -93,6 +93,8 @@ class ExperimentConfig:
             problems.append(f"mode {self.mode!r}")
         if self.trials < 1:
             problems.append(f"trials {self.trials}")
+        elif self.trials > 2**32:
+            problems.append(f"trials {self.trials} (at most 2**32: a trial's seed word is 32-bit)")
         if not _positive(self.eps):
             problems.append(f"eps {self.eps}")
         if self.mode != "validate" and not _positive(self.alpha):
@@ -118,6 +120,8 @@ class ExperimentConfig:
                 problems.append(f"eps grid {self.grid} (need finite values > 0)")
             if self.var == "rank" and not all(float(v).is_integer() and 1 <= v <= self.d for v in self.grid):
                 problems.append(f"rank grid {self.grid} (need integers in [1, {self.d}])")
+            if self.var == "rank" and self.spectrum is not None:
+                problems.append("spectrum with a rank sweep (its points are random states of each rank)")
         if problems:
             raise UsageError("invalid config fields: " + ", ".join(problems))
 

@@ -1,9 +1,11 @@
 """Centralized numerical tolerances.
 
-Every module and every test reads its thresholds from the record below
-so that library and test suite can never disagree about what "close
-enough" means.  The run's one setting, the shot multiplier, is the
-`c_shots` argument of the estimators (default `accountant.C_SHOTS`);
+Every module reads the thresholds the library enforces from the record
+below, so no two of them can disagree about what "close enough" means.
+Bounds that only the tests check (eigendecomposition round trips,
+orthonormality) live beside the tests' reference implementations in
+`tests/reference.py`.  The run's one setting, the shot multiplier, is
+the `c_shots` argument of the estimators (default `accountant.C_SHOTS`);
 every other fixed constant sits beside its only reader.
 """
 
@@ -18,10 +20,6 @@ class Tolerances:
 
     # elementwise Hermitian symmetry check at construction
     herm: float = 1e-12
-    # operator-norm bound for eigendecomposition round trips
-    reconstruction: float = 1e-10
-    # operator-norm bound for orthonormality of eigenvector sets
-    orthonormality: float = 1e-10
     # eigenvalues below this count as zero (rank / support decisions)
     rank_cutoff: float = 1e-12
     # trace-one check for density matrices

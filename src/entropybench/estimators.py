@@ -241,49 +241,6 @@ def min_eig_estimate(be: BlockEncoding, theta: float, seed: int = 0) -> MinEigRe
     return MinEigResult(estimate=val, rho_min=min(1.0, val * 4.0 / math.pi), sample_cost=cost)
 
 
-def ideal_p0_case1(rho: DensityMatrix, k: int, c: float) -> float:
-    """Closed-form ancilla probability for the positive-power route.
-
-    (pi/4)^(alpha-1) * Tr rho^alpha with alpha = 2k+1+c.
-    """
-    alpha = 2 * k + 1 + c
-    if alpha <= 0:
-        raise ValueError("order must be positive")
-    t = exact_entropies(rho, alpha).tr_pow_alpha if alpha != 1 else 1.0
-    return (math.pi / 4.0) ** (alpha - 1.0) * t
-
-
-def ideal_p0_case2(rho: DensityMatrix, k: int, c: float, assume_support: bool = False) -> float:
-    """Closed-form ancilla probability for the negative-power route.
-
-    (1/4) (pi/4)^(2k) (1/rho_min)^c * Tr rho^alpha with alpha = 2k+1+c.
-    Rank-deficient states are rejected unless the caller vouches for a
-    support restriction (negative powers are undefined at 0).
-    """
-    alpha = 2 * k + 1 + c
-    if alpha <= 0:
-        raise ValueError("order must be positive")
-    meta = rho.meta
-    if meta.rank < rho.dim and not assume_support:
-        raise ValueError(
-            "state is rank deficient; project onto its support before taking negative powers"
-        )
-    t = exact_entropies(rho, alpha).tr_pow_alpha if alpha != 1 else 1.0
-    return 0.25 * (math.pi / 4.0) ** (2 * k) * meta.rho_min ** (-c) * t
-
-
-def ideal_p0_sub_one(rho: DensityMatrix, alpha: float) -> float:
-    """Closed-form ancilla probability for orders below one.
-
-    pi^alpha / (4^(alpha+1) * d) * Tr rho^alpha, the outcome of hitting
-    the maximally mixed input with the half-power transform.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"order must be in (0, 1), got {alpha}")
-    t = exact_entropies(rho, alpha).tr_pow_alpha
-    return math.pi**alpha / (4.0 ** (alpha + 1.0) * rho.dim) * t
-
-
 @dataclass(frozen=True)
 class _Inputs:
     """Spectral inputs a run uses: oracle values or blind estimates."""

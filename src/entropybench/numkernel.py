@@ -107,9 +107,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return with_eigenvalues(self.eigenvectors, self.eigenvalues)
-
 
 def with_eigenvalues(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """V diag(w) V^dagger, for one matrix or each of a stack."""
@@ -147,21 +144,6 @@ def herm_with_spectrum(mat: np.ndarray, eigenvalues: np.ndarray, eigenvectors: n
     h = HermMatrix(mat)
     h._cache["spec"] = _descending(np.asarray(eigenvalues, dtype=float), np.asarray(eigenvectors, dtype=np.complex128))
     return h
-
-
-def mat_fun(a: HermMatrix, f: Callable[[float], float]) -> HermMatrix:
-    """Apply a real scalar function to the spectrum: V diag(f(lambda)) V^dagger."""
-    spec = a.spectrum
-    vals = []
-    for lam in spec.eigenvalues:
-        y = f(float(lam))
-        if not np.isfinite(y):
-            raise ValueError(f"function undefined at eigenvalue {float(lam)!r} (got {y!r})")
-        vals.append(float(y))
-    v = spec.eigenvectors
-    w = np.asarray(vals, dtype=float)
-    out = (v * w) @ v.conj().T
-    return herm_with_spectrum((out + out.conj().T) / 2.0, w, v)
 
 
 def op_norm(a: HermMatrix):

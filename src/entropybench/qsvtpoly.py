@@ -157,10 +157,6 @@ class MonomialPoly:
     def __call__(self, x):
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coeffs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
 
 def _vec(f, xs: np.ndarray) -> np.ndarray:
     """The scalar target at each point of `xs` (no list of its values: at

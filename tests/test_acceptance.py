@@ -10,16 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from entropybench.accountant import decompose_alpha, propagate_entropy_error
+from entropybench.accountant import decompose_alpha
 from entropybench.cli import ExperimentConfig, rows_to_csv, run_experiment
-from entropybench.estimators import (
-    estimate,
-    ideal_p0_case1,
-    ideal_p0_case2,
-    ideal_p0_sub_one,
-)
+from entropybench.estimators import estimate
 from entropybench.qsvtpoly import approx_log, approx_neg_power, approx_pos_power
 from entropybench.states import exact_entropies, from_spectrum, random_density
+from reference import ideal_p0_case1, ideal_p0_case2, ideal_p0_sub_one, propagate_entropy_error
 
 @pytest.fixture
 def announce(capsys):

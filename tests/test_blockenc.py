@@ -10,9 +10,10 @@ from entropybench.blockenc import (
     encoding_copy_cost,
     rescale,
 )
-from entropybench.numkernel import HermMatrix, mat_fun, op_norm, op_norm_dist
+from entropybench.numkernel import HermMatrix, op_norm, op_norm_dist
 from entropybench.qsvtpoly import apply_poly, approx_pos_power
 from entropybench.states import from_spectrum, random_density
+from reference import mat_fun
 
 
 def test_encode_pure_noiseless():

@@ -278,6 +278,9 @@ _SWEEP = ("sweep", "--alpha", "2", "--dim", "4")
             ("--grid", "0.1,0.1,0.1", "invalid config fields: grid [0.1, 0.1, 0.1] needs >= 2 distinct values",
              (*_SWEEP, "--var", "eps")),
             ("--seed", "-1", "error: expected non-negative integer", _RENYI2),
+            ("--trials", str(2**32 + 1), "invalid config fields: trials 4294967297", _RENYI2),
+            ("--spectrum", "0.5,0.3,0.2", "invalid config fields: spectrum with a rank sweep",
+             (*_SWEEP, "--var", "rank", "--grid", "1,2,3")),
         ]
     ],
 )
@@ -316,7 +319,6 @@ def test_sweep_budgets_each_point_once(monkeypatch, csv_rows):
     calls = []
     real = accountant.predicted_samples
     monkeypatch.setattr(accountant, "predicted_samples", lambda *a, **kw: calls.append(a) or real(*a, **kw))
-    accountant.delta_budget.cache_clear()
     cfg = ExperimentConfig(mode="sweep", var="eps", grid=[0.2, 0.1, 0.05], alpha=2.0, d=4, rank=2, trials=5, seed=4)
     rows = csv_rows(run_experiment(cfg)[0])
     assert len(rows) == 15
@@ -471,7 +473,7 @@ def test_a_huge_trial_count_is_derived_in_bounded_batches(monkeypatch):
             raise Stop
 
     monkeypatch.setattr(cli, "run_columns", run_20)
-    cfg = ExperimentConfig(mode="renyi", alpha=2.0, d=8, spectrum=[0.5, 0.3, 0.2], trials=10**11, seed=1)
+    cfg = ExperimentConfig(mode="renyi", alpha=2.0, d=8, spectrum=[0.5, 0.3, 0.2], trials=2**32, seed=1)
     with pytest.raises(Stop):
         run_experiment(cfg)
     assert sizes == [seeding.BATCH_TRIALS]

@@ -13,15 +13,13 @@ from entropybench.estimators import (
     EstimationFailure,
     MeasurementModel,
     estimate,
-    ideal_p0_case1,
-    ideal_p0_case2,
-    ideal_p0_sub_one,
     measure_p0,
     min_eig_estimate,
     shots_for,
 )
 from entropybench.numkernel import op_norm_dist
 from entropybench.states import exact_entropies, from_spectrum, random_density
+from reference import ideal_p0_case1, ideal_p0_case2, ideal_p0_sub_one, propagate_entropy_error
 
 DIAG = from_spectrum([0.5, 0.3, 0.2], 3)
 DIAG8 = from_spectrum([0.5, 0.3, 0.2], 8)
@@ -429,8 +427,6 @@ def test_blind_mode_flags_and_recovers():
 
 def test_error_propagation_inequality_sampled():
     # whenever the trace estimate is delta-close, the entropy respects the bound
-    from entropybench.accountant import propagate_entropy_error
-
     rng = np.random.default_rng(77)
     for _ in range(50):
         d = int(rng.integers(2, 9))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entropybench.numkernel import op_norm_dist, HermMatrix
+from entropybench.numkernel import op_norm_dist, HermMatrix, with_eigenvalues
 from entropybench.states import (
     DensityMatrix,
     exact_entropies,
@@ -139,7 +139,7 @@ def test_support_projection():
 def test_spectrum_cache_consistent():
     rho = random_density(8, 3, seed=1)
     spec = rho.spectrum
-    rec = spec.reconstruct()
+    rec = with_eigenvalues(spec.eigenvectors, spec.eigenvalues)
     assert op_norm_dist(HermMatrix(rec), rho.matrix) <= 1e-10
 
 

@@ -15,8 +15,10 @@ more trials than one stacked chunk holds at d = 64, an integer order
 with more trials than one seed batch and with one trial below and at
 the smallest batch, a run whose first failing trial is not its first,
 a base-2 sweep of 100-trial points, 10-trial blind runs (a plan per
-trial) and a measurement accuracy that fails only when measured.  Only flags that every version of the CLI
-accepts are used, so old and new code run the same list.
+trial), a measurement accuracy that fails only when measured, and the
+orders 5.5 and 4.5, whose power chains take more than one step.  Only
+flags that every version of the CLI accepts are used, so old and new
+code run the same list.
 
 The CSV shows a fit only through the estimates it moves, so the digest
 also takes one record per fit of a fixed list (`FITS`): its degree,
@@ -103,6 +105,10 @@ def runs() -> list[list[str]]:
         ["renyi", "--alpha", "2", "--dim", "4", "--rank", "2", "--eps", "40", "--trials", "2"],
         ["renyi", "--alpha", "2", "--dim", "4", "--rank", "2", "--eps", "40", "--trials", "2", "--ideal"],
     ]
+    # orders with k = 2 (odd and even floor), the only runs that enter the
+    # loop body of `be_power`: every other order here has k <= 1
+    out += [["renyi", "--alpha", alpha, "--dim", "4", "--rank", "3", "--trials", "2", *mode]
+            for alpha in ("5.5", "4.5") for mode in ((), ("--ideal",))]
     return out
 
 
