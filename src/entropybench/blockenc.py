@@ -17,10 +17,9 @@ realized block per seed over the one target, which does not depend on
 the noise, with `eta` and `dist_bound` arrays holding one value per
 trial (NaN where a trial has no carried bound).  Every builder takes a
 stack as it takes a single encoding, and a check that fails raises the
-error of the first failing trial (`numkernel.fail_first`).  The target
-side can be handed in (`target=`) by a caller that computed it once for
-many stacks; the encoding targets and their powers are cached on the
-state.
+error of the first failing trial (`numkernel.fail_first`).  Each builder
+makes its target from its inputs' targets; the encoding targets are
+cached on the state.
 """
 
 from __future__ import annotations
@@ -242,48 +241,31 @@ def encode_state_side(
     return _encode(rho, delta, noise_seed, noiseless, 1.0, 1.0)
 
 
-def product_target(t1: HermMatrix, t2: HermMatrix) -> HermMatrix:
-    """The target of `be_product`: the Hermitian part of t1 t2."""
-    if t1.dim != t2.dim:
-        raise ValueError(f"dimension mismatch: {t1.dim} vs {t2.dim}")
-    tprod = t1.mat @ t2.mat
-    return HermMatrix((tprod + adjoint(tprod)) / 2)
-
-
-def be_product(be1: BlockEncoding, be2: BlockEncoding, target: Optional[HermMatrix] = None) -> BlockEncoding:
+def be_product(be1: BlockEncoding, be2: BlockEncoding) -> BlockEncoding:
     """Composition encoding the operator product.
 
     The corner product of two perturbed Hermitian blocks is not exactly
     Hermitian; the Hermitian part is kept (a contraction in operator
     norm, so the composed error bound eta1 + eta2 + eta1*eta2 still
-    certifies the realized block).  The same algebra carries the
-    distance bounds: E1 E2 - T1 T2 = (E1 - T1) E2 + T1 (E2 - T2), where
-    ||E2|| <= 1 + slack was checked when be2 was built and
-    ||T1|| <= ||E1|| + d1.  `target`, when given, is
-    `product_target(be1.target, be2.target)`.
+    certifies the realized block), and so is the target's.  The same
+    algebra carries the distance bounds: E1 E2 - T1 T2 = (E1 - T1) E2 +
+    T1 (E2 - T2), where ||E2|| <= 1 + slack was checked when be2 was
+    built and ||T1|| <= ||E1|| + d1.
     """
     if be1.dim != be2.dim:
         raise ValueError(f"dimension mismatch: {be1.dim} vs {be2.dim}")
     eprod = be1.encoded.mat @ be2.encoded.mat
+    tprod = be1.target.mat @ be2.target.mat
     d1, d2 = _carried_bound(be1), _carried_bound(be2)
     return BlockEncoding(
         encoded=HermMatrix((eprod + adjoint(eprod)) / 2),
-        target=product_target(be1.target, be2.target) if target is None else target,
+        target=HermMatrix((tprod + adjoint(tprod)) / 2),
         subnorm=be1.subnorm * be2.subnorm,
         ancillas=be1.ancillas + be2.ancillas,
         eta=be1.eta + be2.eta + be1.eta * be2.eta,
         sample_cost=be1.sample_cost + be2.sample_cost,
         dist_bound=widen_for_rounding((1.0 + TOL.encoding_norm_slack) * (d1 + d2) + d1 * d2, be1.dim),
     )
-
-
-def power_target(rho: DensityMatrix, k: int) -> HermMatrix:
-    """The target of `be_power(rho, k, ...)`, cached on the state."""
-    key = ("power_target", k)
-    if key not in rho._cache:
-        base = encoding_target(rho, np.pi / 4.0)
-        rho._cache[key] = base if k == 1 else product_target(power_target(rho, k - 1), base)
-    return rho._cache[key]
 
 
 def be_power(
@@ -301,33 +283,25 @@ def be_power(
     for j in range(1, k):
         seeds = noise_seed + j if np.ndim(noise_seed) == 0 else [s + j for s in noise_seed]
         factor = encode_density(rho, per_factor_delta, seeds, noiseless)
-        out = be_product(out, factor, power_target(rho, j + 1))
+        out = be_product(out, factor)
     return out
 
 
-def rescaled_target(t: HermMatrix, factor: float) -> HermMatrix:
-    """The target of `rescale`, which must stay a valid corner."""
-    if factor <= 0:
-        raise ValueError("scale factor must be positive")
-    tspec = t.spectrum
-    tw = tspec.eigenvalues * factor
-    if float(np.max(np.abs(tw), initial=0.0)) > 1.0 + TOL.encoding_norm_slack:
-        raise ValueError("rescaled target would exceed operator norm 1")
-    return herm_with_spectrum(t.mat * factor, tw, tspec.eigenvectors)
-
-
-def rescale(be: BlockEncoding, factor: float, target: Optional[HermMatrix] = None) -> BlockEncoding:
+def rescale(be: BlockEncoding, factor: float) -> BlockEncoding:
     """Multiply the encoded block by a known scalar (subnormalization removal).
 
     Both ledgers scale with the block; if the amplified corner pokes
     above norm 1 by no more than the scaled error budget it is clipped
     back (the target itself must stay a valid corner).  Clipping moves
     each eigenvalue by at most the overshoot, so a carried distance d
-    becomes factor * d + overshoot.  `target`, when given, is
-    `rescaled_target(be.target, factor)`.
+    becomes factor * d + overshoot.
     """
-    if target is None:
-        target = rescaled_target(be.target, factor)
+    if factor <= 0:
+        raise ValueError("scale factor must be positive")
+    tspec = be.target.spectrum
+    tw = tspec.eigenvalues * factor
+    if float(np.max(np.abs(tw), initial=0.0)) > 1.0 + TOL.encoding_norm_slack:
+        raise ValueError("rescaled target would exceed operator norm 1")
     eta = be.eta * factor
     espec = be.encoded.spectrum
     ew = espec.eigenvalues * factor
@@ -344,7 +318,7 @@ def rescale(be: BlockEncoding, factor: float, target: Optional[HermMatrix] = Non
         eta = np.where(clipped, eta + overshoot, eta)  # clipping is a real, ledgered error
     return BlockEncoding(
         encoded=herm_with_spectrum(mat, ew, espec.eigenvectors),
-        target=target,
+        target=herm_with_spectrum(be.target.mat * factor, tw, tspec.eigenvectors),
         subnorm=max(1.0, be.subnorm / factor),
         ancillas=be.ancillas,
         eta=eta,

@@ -398,8 +398,8 @@ def config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
             key = "d"
         if key == "mode":
             raise UsageError("config key 'mode' is not accepted; the subcommand sets the mode")
-        if not hasattr(cfg, key):
-            raise UsageError(f"unknown config key {key!r}")
+        if key == "config" or not hasattr(ns, key):  # only what the subcommand takes as a flag
+            raise UsageError(f"unknown config key {key!r} for {ns.mode}")
         if key in _BOOL_KEYS:
             if raw.lower() not in _BOOL_WORDS:
                 raise UsageError(f"config key {key!r}: expected 1/true/yes or 0/false/no, got {raw!r}")

@@ -9,20 +9,23 @@ instead of one p0.
 
 The skeleton runs in two steps.  `plan` does, once per grid point, all
 that does not depend on the trial seed: the regime, the spectral inputs,
-the budget, the oracle, the fits and encoding budgets, the target side of
-the encoding chain with its exact p0, `vn_poly`'s term table, and the
-child indices of a trial seed that every trial reads.  `run_columns(plan,
-seeds)` does the seeded work.  It hands chunks of trials to the route's
-function (`renyi_integer(plan, seeds)` and so on, one per route), which
-builds the realized encodings of a chunk as one stack (each trial's
-noise from its own generator) and transforms the stack with stacked
-kernels.  One `measure_p0` call per chunk checks the accuracy and counts
-the shots once, then draws each trial's p0 from the trial's own
-generator; each trial is inverted in turn.  The chunk comes back as
-`Columns`: a list per trial field (seed, estimate, measured and realized
-p0, bound, eta) beside the ledger and exact p0 the plan fixes.
-`run(plan, seeds)` makes a report of each trial from them; the CLI makes
-rows of them.  A chunk holds at most `STACK_BYTES` per stacked array.
+the budget, the oracle, the fits and encoding budgets, `vn_poly`'s term
+table, and the child indices of a trial seed that every trial reads.
+`run_columns(plan, seeds)` does the seeded work.  It hands chunks of
+trials to the route's function (`renyi_integer(plan, seeds)` and so on,
+one per route), which writes the route's chain once: it builds the
+realized encodings of a chunk as one stack (each trial's noise from its
+own generator) and transforms the stack with stacked kernels, while each
+builder makes the one exact target from its inputs' targets.  A target
+outside a fit's domain is refused there, by the first chunk.  One
+`measure_p0` call per chunk checks the accuracy and counts the shots
+once, then draws each trial's p0 from the trial's own generator; each
+trial is inverted in turn.  The chunk comes back as `Columns`: a list per
+trial field (seed, estimate, measured and realized p0, bound, eta)
+beside the ledger and the exact p0 of the chain's target, which every
+trial shares.  `run(plan, seeds)` makes a report of each trial from
+them; the CLI makes rows of them.  A chunk holds at most `STACK_BYTES`
+per stacked array.
 When a check fails, the run raises the error of the first failing trial,
 the one a trial-by-trial run would have met first.  `estimate` runs one
 trial.  Blind mode draws its probes per trial, so it plans every trial.
@@ -47,29 +50,10 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .accountant import C_SHOTS, MAX_SHOTS, Budget, RegimeDecomposition, decompose_alpha, delta_budget, shots_for
-from .blockenc import (
-    BlockEncoding,
-    be_power,
-    be_product,
-    encode_density,
-    encode_state_side,
-    encoding_target,
-    power_target,
-    product_target,
-    rescale,
-    rescaled_target,
-)
+from .blockenc import BlockEncoding, be_power, be_product, encode_density, encode_state_side, rescale
 from .config import TOL
 from .numkernel import HermMatrix, fail_first, frobenius, op_norm
-from .qsvtpoly import (
-    MONOMIAL_DEGREE_CAP,
-    PolyApprox,
-    apply_poly,
-    approx_log,
-    approx_neg_power,
-    approx_pos_power,
-    poly_target,
-)
+from .qsvtpoly import MONOMIAL_DEGREE_CAP, PolyApprox, apply_poly, approx_log, approx_neg_power, approx_pos_power
 from . import seeding
 from .seeding import child_seed as _child_seed, each_child as _each_child
 from .states import DensityMatrix, EntropyRecord, StateMeta, exact_entropies
@@ -171,7 +155,7 @@ class EstimateReport:
 class Columns(NamedTuple):
     """A chunk of one plan's trials as columns, one entry per trial in
     seed order: what `run` makes reports of and the CLI writes as rows.
-    The ledger and the exact p0 are the plan's, shared by every trial;
+    The ledger and the exact p0 are shared by every trial;
     a route that measures no single p0 (`vn_poly`) has None entries."""
 
     seeds: list[int]
@@ -314,13 +298,8 @@ class Plan:
     fits: tuple[PolyApprox, ...] = ()
     # budget of the first encoding, then of the power factors'
     enc_budgets: tuple[float, ...] = ()
-    # target of each transform of the chain after the first encoding
-    targets: tuple[HermMatrix, ...] = ()
     # the input the ancilla measures: the state's own matrix, or I/d
     probe: Optional[np.ndarray] = None
-    # exact-operator p0 and the operator-norm cap of the final target
-    p0_exact: float = 0.0
-    target_cap: float = 0.0
     rho_min_used: Optional[float] = None
     sensitivity: Optional[float] = None
     # vn_poly: (coefficient a_i, shots, Tr rho^(i+1)) of terms 0..K, term 0
@@ -397,9 +376,12 @@ def plan(
 def _chain(
     state: DensityMatrix, regime: RegimeDecomposition, method: str, mode: str, rho_min: float, budget: Budget
 ) -> dict:
-    """The fits, encoding budgets, target chain and exact p0 of an encoded
-    route, as `Plan` fields."""
+    """What an encoded route's chain takes beside the trial seeds, as `Plan`
+    fields: the fits, the encoding budgets, the probe the ancilla measures
+    and the rho_min the fits were made for.  The route function builds the
+    chain, targets included, and `_trials` reads its exact p0."""
     delta, k, c = budget.delta, regime.k, regime.c
+    used, sensitivity = rho_min, None
     if method == "odd_floor":
         # ((pi/4) rho)^(k + c/2), subnormalization folded out
         fit = approx_pos_power(c / 2.0, 4.0 / (math.pi * rho_min), _poly_budget(delta, mode))
@@ -407,18 +389,11 @@ def _chain(
         budgets = (_clamp_encoding_budget(min(fit.input_precision, delta)),)
         if k > 0:
             budgets += (_clamp_encoding_budget(delta / k),)
-        targets = [poly_target(encoding_target(state, math.pi / 4.0), fit)]
-        targets.append(rescaled_target(targets[-1], 2.0))
-        if k > 0:
-            targets.append(product_target(power_target(state, k), targets[-1]))
-        used, sensitivity = rho_min, None
     elif method == "even_floor":
         kappa = 1.0 / rho_min
         fit = approx_neg_power(abs(c) / 2.0, kappa, _poly_budget(delta, mode))
         fits = (fit,)
         budgets = (_clamp_encoding_budget(min(fit.input_precision, delta)), _clamp_encoding_budget(delta / k))
-        targets = [poly_target(encoding_target(state, 1.0), fit)]
-        targets.append(product_target(power_target(state, k), targets[-1]))
         used = 1.0 / kappa
         sensitivity = c / ((1.0 - regime.alpha) * used)
     elif method in ("sampling", "ae"):
@@ -427,8 +402,6 @@ def _chain(
         fit = approx_pos_power(exponent, 4.0 / (math.pi * rho_min), _poly_budget(delta_meas, mode))
         fits = (fit,)
         budgets = (_clamp_encoding_budget(min(fit.input_precision, delta_meas)),)
-        targets = [poly_target(encoding_target(state, math.pi / 4.0), fit)]
-        used, sensitivity = rho_min, None
     else:  # qsvt
         beta, _, floor2 = _vn_scale(rho_min)
         stage_eps = IDEAL_POLY_EPS if mode == "ideal" else max(min(5e-4, delta / 32.0), 1e-12)
@@ -437,18 +410,8 @@ def _chain(
         budgets = (_clamp_encoding_budget(stage_eps / (2.0 * slope)),)
         sqrt_fit = approx_pos_power(0.5, 1.0 / floor2, stage_eps)
         fits = (log_fit, sqrt_fit)
-        targets = [poly_target(encoding_target(state, math.pi / 4.0), log_fit)]
-        targets.append(poly_target(targets[-1], sqrt_fit))
-        targets.append(rescaled_target(targets[-1], 2.0))
-        used, sensitivity = rho_min, None
-    final = targets[-1].mat
     probe = np.eye(state.dim, dtype=np.complex128) / state.dim if regime.branch == "sub_one" else state.matrix.mat
-    if method == "ae":  # amplitude estimation reads the overlap Tr(A I/d)
-        exact = float(np.real(np.trace(final @ probe)))
-    else:
-        exact = min(1.0, max(0.0, float(np.real(np.trace(final @ probe @ final)))))
-    return dict(fits=fits, enc_budgets=budgets, targets=tuple(targets), probe=probe, p0_exact=exact,
-                target_cap=float(_op_norm_cap(targets[-1])), rho_min_used=used, sensitivity=sensitivity)
+    return dict(fits=fits, enc_budgets=budgets, probe=probe, rho_min_used=used, sensitivity=sensitivity)
 
 
 def _poly_table(state: DensityMatrix, eps: float, mode: str, c_shots: float, rho_min: float, budget: Budget) -> dict:
@@ -539,7 +502,8 @@ def _trials(p: Plan, seeds: list[int], be: Optional[BlockEncoding], invert: Call
     """Measure and invert the trials of a built chain, as columns.  The
     chain's p0 is read exactly in ideal mode and otherwise measured in one
     `measure_p0` call on each trial's measurement child, Bernoulli or, for
-    method "ae", by amplitude estimation; `invert(p0_hat, bound)` turns a
+    method "ae", by amplitude estimation; the exact p0 and the deviation
+    bound read the chain's target.  `invert(p0_hat, bound)` turns a
     trial's p0 into the entropy."""
     n = len(seeds)
     if be is None:  # integer orders read the oracle's trace power, one p0 for all
@@ -547,16 +511,18 @@ def _trials(p: Plan, seeds: list[int], be: Optional[BlockEncoding], invert: Call
         realized, bounds, etas = [min(1.0, max(0.0, exact))] * n, [0.0] * n, [0.0] * n
         ledger = int(p.regime.alpha) * p.budget.shots
     else:
-        e = be.encoded.mat
-        if p.method == "ae":
+        e, t = be.encoded.mat, be.target.mat
+        if p.method == "ae":  # amplitude estimation reads the overlap Tr(A I/d)
             realized = np.real(np.trace(e @ p.probe, axis1=-2, axis2=-1))
             bounds = be.eta
+            exact = float(np.real(np.trace(t @ p.probe)))
         else:
             realized = np.real(np.trace(e @ p.probe @ e, axis1=-2, axis2=-1))
-            bounds = be.eta * (_op_norm_cap(be.encoded) + p.target_cap)
+            bounds = be.eta * (_op_norm_cap(be.encoded) + _op_norm_cap(be.target))
+            exact = min(1.0, max(0.0, float(np.real(np.trace(t @ p.probe @ t)))))
         realized = [min(1.0, max(0.0, x)) for x in _per_trial(realized, n)]
         bounds, etas = _per_trial(bounds, n), _per_trial(be.eta, n)
-        ledger, exact = be.sample_cost + p.budget.shots, p.p0_exact
+        ledger = be.sample_cost + p.budget.shots
     measured = realized
     if not p.noiseless:
         model = MeasurementModel(p0=realized[0] if be is None else realized,
@@ -627,10 +593,10 @@ def renyi_case_odd(p: Plan, seeds: list[int]) -> Columns:
     # of the build child
     build = _kids(seeds, 1)
     be = encode_density(p.state, p.enc_budgets[0], _kids(build, 0), p.noiseless)
-    be = rescale(apply_poly(be, p.fits[0], p.targets[0]), 2.0, p.targets[1])
+    be = rescale(apply_poly(be, p.fits[0]), 2.0)
     if p.regime.k > 0:
         powers = be_power(p.state, p.regime.k, p.enc_budgets[1], _kids(build, 1), p.noiseless)
-        be = be_product(powers, be, p.targets[2])
+        be = be_product(powers, be)
     alpha = p.regime.alpha
     return _trials(p, seeds, be, lambda p0, bound: (
         math.log(_nonzero(p0) * math.pi / 4.0) - alpha * LOG_PI_OVER_4) / (1.0 - alpha))
@@ -648,9 +614,9 @@ def renyi_case_even(p: Plan, seeds: list[int]) -> Columns:
     state is restricted to its support first.
     """
     neg_branch = encode_state_side(p.state, p.enc_budgets[0], _kids(seeds, 1), p.noiseless)
-    neg_branch = apply_poly(neg_branch, p.fits[0], p.targets[0])
+    neg_branch = apply_poly(neg_branch, p.fits[0])
     powers = be_power(p.state, p.regime.k, p.enc_budgets[1], _kids(seeds, 2), p.noiseless)
-    be = be_product(powers, neg_branch, p.targets[1])
+    be = be_product(powers, neg_branch)
     alpha, k, c = p.regime.alpha, p.regime.k, p.regime.c
     prefactor = 0.25 * (math.pi / 4.0) ** (2 * k) * p.rho_min_used ** (-c)
     return _trials(p, seeds, be, lambda p0, bound: (math.log(_nonzero(p0)) - math.log(prefactor)) / (1.0 - alpha))
@@ -666,7 +632,7 @@ def renyi_sub_one(p: Plan, seeds: list[int]) -> Columns:
     cost (d must be a power of 2 for that preparation).  Either way the
     budget follows the purity, which blind mode estimates.
     """
-    be = apply_poly(encode_density(p.state, p.enc_budgets[0], _kids(seeds, 1), p.noiseless), p.fits[0], p.targets[0])
+    be = apply_poly(encode_density(p.state, p.enc_budgets[0], _kids(seeds, 1), p.noiseless), p.fits[0])
     alpha, d = p.regime.alpha, p.state.dim
 
     def invert(p0_hat, bound):
@@ -698,8 +664,8 @@ def vn_qsvt(p: Plan, seeds: list[int]) -> Columns:
     restricted to its support, where the logarithm is defined.
     """
     log_fit, sqrt_fit = p.fits
-    b1 = apply_poly(encode_density(p.state, p.enc_budgets[0], _kids(seeds, 1), p.noiseless), log_fit, p.targets[0])
-    b2 = rescale(apply_poly(b1, sqrt_fit, p.targets[1]), 2.0, p.targets[2])
+    b1 = apply_poly(encode_density(p.state, p.enc_budgets[0], _kids(seeds, 1), p.noiseless), log_fit)
+    b2 = rescale(apply_poly(b1, sqrt_fit), 2.0)
     _, gamma, floor2 = _vn_scale(p.rho_min_used)
 
     def invert(p0_hat, bound):

@@ -523,21 +523,20 @@ def poly_target(t: HermMatrix, p: PolyApprox) -> HermMatrix:
     return herm_with_spectrum(with_eigenvalues(tspec.eigenvectors, tw), tw, tspec.eigenvectors)
 
 
-def apply_poly(be: BlockEncoding, p: PolyApprox, target: Optional[HermMatrix] = None) -> BlockEncoding:
+def apply_poly(be: BlockEncoding, p: PolyApprox) -> BlockEncoding:
     """Transform a block encoding by a certified polynomial.
 
-    The exact ledger (`target`) moves by the target function, the
+    The exact ledger (`target`) moves by the target function
+    (`poly_target`, which refuses a target outside the fit domain), the
     realized ledger (`encoded`) by the polynomial itself; the new error
     bound is p.eps + L * eta with L the certified slope of the fit on an
     eta-enlarged domain.  Copy cost scales with 2 * degree, the number
     of encoding uses one polynomial application needs.  A stack is
-    transformed trial by trial in stacked calls; `target`, when given, is
-    `poly_target(be.target, p)`.
+    transformed trial by trial in stacked calls.
     """
     lo, hi = p.domain
     eta = be.eta
-    if target is None:
-        target = poly_target(be.target, p)
+    target = poly_target(be.target, p)
 
     espec = be.encoded.spectrum
     mus = espec.eigenvalues

@@ -198,6 +198,29 @@ def test_config_file_rejects_garbage(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+_VN = ("vonneumann", "--spectrum", "0.5,0.3,0.2")
+
+
+@pytest.mark.parametrize(
+    "head,text",
+    [
+        (_VN, "alpha=3\n"),
+        (_VN, "grid=1,2,3\n"),
+        (_VN, "quick=1\n"),
+        (_VN, "var=rank\n"),
+        (("renyi", "--alpha", "1", "--spectrum", "0.5,0.3,0.2"), "approach=poly\n"),
+        (("renyi", "--alpha", "2", "--dim", "4", "--rank", "2"), "config=other.cfg\n"),
+    ],
+)
+def test_a_config_key_the_subcommand_lacks_is_refused(tmp_path, capsys, head, text):
+    # a file may set only what the subcommand takes as a flag
+    path = tmp_path / "extra.cfg"
+    path.write_text(text)
+    assert main([*head, "--config", str(path)]) == 1
+    key = text.partition("=")[0]
+    assert capsys.readouterr() == ("", f"error: unknown config key {key!r} for {head[0]}\n")
+
+
 @pytest.mark.parametrize("word,value", [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("False", False), ("NO", False)])
 def test_config_file_booleans(tmp_path, word, value):
     path = tmp_path / "flags.cfg"
@@ -583,10 +606,10 @@ def test_the_first_failing_trial_wins_whatever_its_stage(monkeypatch, capsys, br
     _, message = _first_failure_one_by_one(LATE_FAILURE)
     real = estimators.apply_poly
 
-    def apply_poly(be, p, target=None):
+    def apply_poly(be, p):
         trials = len(be.encoded.mat) if be.encoded.mat.ndim == 3 else 1
         numkernel.fail_first(np.arange(trials) == broken, lambda i: ValueError(f"chain failed at trial {i}"))
-        return real(be, p, target)
+        return real(be, p)
 
     monkeypatch.setattr(estimators, "apply_poly", apply_poly)
     assert main(LATE_FAILURE) == 1

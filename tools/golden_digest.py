@@ -15,10 +15,12 @@ more trials than one stacked chunk holds at d = 64, an integer order
 with more trials than one seed batch and with one trial below and at
 the smallest batch, a run whose first failing trial is not its first,
 a base-2 sweep of 100-trial points, 10-trial blind runs (a plan per
-trial), a measurement accuracy that fails only when measured, and the
-orders 5.5 and 4.5, whose power chains take more than one step.  Only
-flags that every version of the CLI accepts are used, so old and new
-code run the same list.
+trial), a measurement accuracy that fails only when measured, the
+orders 5.5 and 4.5, whose power chains take more than one step, and a
+`renyi` run and a `sweep` that read a config file (`CONFIG_TEXT`, which
+the tool writes; the digest takes the token `CONFIG` in place of its
+temporary path).  Only flags and config keys that every version of the
+CLI accepts are used, so old and new code run the same list.
 
 The CSV shows a fit only through the estimates it moves, so the digest
 also takes one record per fit of a fixed list (`FITS`): its degree,
@@ -62,6 +64,9 @@ STATES = [
     ("--dim", "8", "--spectrum", "0.5,0.3,0.2", "--seed", "5"),
 ]
 MODES = [(), ("--ideal",), ("--blind",)]
+# the config file of the --config runs, and the token for its path in argv
+CONFIG_TEXT = "# keys every version reads\ndim=4\nrank=3\neps=0.2\ntrials=3\nseed=12\nlog_base=2\nc_shots=2\n"
+CONFIG = "<config>"
 
 
 def runs() -> list[list[str]]:
@@ -109,6 +114,11 @@ def runs() -> list[list[str]]:
     # loop body of `be_power`: every other order here has k <= 1
     out += [["renyi", "--alpha", alpha, "--dim", "4", "--rank", "3", "--trials", "2", *mode]
             for alpha in ("5.5", "4.5") for mode in ((), ("--ideal",))]
+    # settings from a config file, one of them overridden by a flag
+    out += [
+        ["renyi", "--alpha", "1.5", "--config", CONFIG, "--trials", "2"],
+        ["sweep", "--var", "rank", "--grid", "1,2,3", "--alpha", "0.5", "--config", CONFIG],
+    ]
     return out
 
 
@@ -172,13 +182,14 @@ def fit_records() -> list[bytes]:
     return out
 
 
-def run_one(argv: list[str], csv_path: str) -> bytes:
-    """argv, exit code, stdout, stderr and CSV of one in-process run."""
+def run_one(argv: list[str], csv_path: str, config_path: str) -> bytes:
+    """argv, exit code, stdout, stderr and CSV of one in-process run, with
+    `config_path` for the token `CONFIG` in argv."""
     if os.path.exists(csv_path):
         os.remove(csv_path)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([*argv, "--out", csv_path])
+        code = cli.main([*(config_path if a == CONFIG else a for a in argv), "--out", csv_path])
     csv = b""
     if os.path.exists(csv_path):
         with open(csv_path, "rb") as fh:
@@ -191,9 +202,11 @@ def main() -> int:
     os.environ.pop("ENTROPYBENCH_SEED", None)  # runs without --seed use seed 0
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        csv_path = os.path.join(tmp, "rows.csv")
+        csv_path, config_path = os.path.join(tmp, "rows.csv"), os.path.join(tmp, "run.cfg")
+        with open(config_path, "w") as fh:
+            fh.write(CONFIG_TEXT)
         for argv in runs():
-            record = run_one(argv, csv_path)
+            record = run_one(argv, csv_path, config_path)
             h.update(len(record).to_bytes(8, "big") + record)
     for record in fit_records():
         h.update(len(record).to_bytes(8, "big") + record)
