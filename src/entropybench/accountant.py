@@ -46,15 +46,13 @@ class Budget:
     delta: float
     shots: int
     predicted_samples: int
-    measure_delta: float = 0.0
+    measure_delta: float
 
     def __post_init__(self):
         if self.delta <= 0:
             raise ValueError("delta must be positive")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        if self.measure_delta == 0.0:
-            object.__setattr__(self, "measure_delta", self.delta)
 
 
 def decompose_alpha(alpha: float) -> RegimeDecomposition:

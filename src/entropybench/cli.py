@@ -340,7 +340,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="CSV output path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and reused: parsing leaves
+    no state on the parser, and building it costs more than a parse."""
     parser = _Parser(prog="entropybench", description=__doc__)
     sub = parser.add_subparsers(dest="mode", required=True)
 
@@ -365,13 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true", default=None)
     _add_common(p)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """`build_parser()`, built on the first call and reused: parsing leaves
-    no state on the parser, and building it costs more than a parse."""
-    return build_parser()
 
 
 def _floats(raw: str) -> list[float]:
@@ -420,7 +416,7 @@ def config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        ns = _parser().parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -9,23 +9,25 @@ instead of one p0.
 
 The skeleton runs in two steps.  `plan` does, once per grid point, all
 that does not depend on the trial seed: the regime, the spectral inputs,
-the budget, the oracle, the fits and encoding budgets, `vn_poly`'s term
-table, and the child indices of a trial seed that every trial reads.
-`run_columns(plan, seeds)` does the seeded work.  It hands chunks of
-trials to the route's function (`renyi_integer(plan, seeds)` and so on,
-one per route), which writes the route's chain once: it builds the
-realized encodings of a chunk as one stack (each trial's noise from its
-own generator) and transforms the stack with stacked kernels, while each
-builder makes the one exact target from its inputs' targets.  A target
-outside a fit's domain is refused there, by the first chunk.  One
-`measure_p0` call per chunk checks the accuracy and counts the shots
-once, then draws each trial's p0 from the trial's own generator; each
-trial is inverted in turn.  The chunk comes back as `Columns`: a list per
-trial field (seed, estimate, measured and realized p0, bound, eta)
-beside the ledger and the exact p0 of the chain's target, which every
-trial shares.  `run(plan, seeds)` makes a report of each trial from
-them; the CLI makes rows of them.  A chunk holds at most `STACK_BYTES`
-per stacked array.
+the budget, the oracle, the rho_min the route uses, `vn_poly`'s term
+table (its shot counts need its fit), and the child indices of a trial
+seed that every trial reads.  `run_columns(plan, seeds)` does the seeded
+work.  It hands chunks of trials to the route's function
+(`renyi_integer(plan, seeds)` and so on, one per route), which writes the
+route's chain once: it makes its fits and encoding budgets first (a later
+chunk's fits are hits in the fit builders' memo), builds the realized
+encodings of a chunk as one stack (each trial's noise from its own
+generator) and transforms the stack with stacked kernels, while each
+builder makes the one exact target from its inputs' targets.  A fit the
+builders refuse, or a target outside a fit's domain, is refused there,
+by the first chunk.  One `measure_p0` call per chunk checks the accuracy
+and counts the shots once, then draws each trial's p0 from the trial's
+own generator; each trial is inverted in turn.  The chunk comes back as
+`Columns`: a list per trial field (seed, estimate, measured and realized
+p0, bound, eta) beside the ledger and the exact p0 of the chain's target,
+which every trial shares.  `run(plan, seeds)` makes a report of each
+trial from them; the CLI makes rows of them.  A chunk holds at most
+`STACK_BYTES` per stacked array.
 When a check fails, the run raises the error of the first failing trial,
 the one a trial-by-trial run would have met first.  `estimate` runs one
 trial.  Blind mode draws its probes per trial, so it plans every trial.
@@ -53,7 +55,7 @@ from .accountant import C_SHOTS, MAX_SHOTS, Budget, RegimeDecomposition, decompo
 from .blockenc import BlockEncoding, be_power, be_product, encode_density, encode_state_side, rescale
 from .config import TOL
 from .numkernel import HermMatrix, fail_first, frobenius, op_norm
-from .qsvtpoly import MONOMIAL_DEGREE_CAP, PolyApprox, apply_poly, approx_log, approx_neg_power, approx_pos_power
+from .qsvtpoly import MONOMIAL_DEGREE_CAP, apply_poly, approx_log, approx_neg_power, approx_pos_power
 from . import seeding
 from .seeding import child_seed as _child_seed, each_child as _each_child
 from .states import DensityMatrix, EntropyRecord, StateMeta, exact_entropies
@@ -281,7 +283,9 @@ def _gather_inputs(
 @dataclass(frozen=True)
 class Plan:
     """What every trial of one grid point shares: built by `plan`, read by
-    `run` and the route functions."""
+    `run` and the route functions.  It holds what reports and inversions
+    read; an encoded route makes its own fits and encoding budgets from
+    the budget and the rho_min."""
 
     state: DensityMatrix  # the state the route encodes: its support for logs and negative powers
     regime: RegimeDecomposition
@@ -295,11 +299,6 @@ class Plan:
     # the children of a trial seed every trial reads, the measurement last
     children: tuple[int, ...]
     flags: tuple[str, ...] = ()
-    fits: tuple[PolyApprox, ...] = ()
-    # budget of the first encoding, then of the power factors'
-    enc_budgets: tuple[float, ...] = ()
-    # the input the ancilla measures: the state's own matrix, or I/d
-    probe: Optional[np.ndarray] = None
     rho_min_used: Optional[float] = None
     sensitivity: Optional[float] = None
     # vn_poly: (coefficient a_i, shots, Tr rho^(i+1)) of terms 0..K, term 0
@@ -360,7 +359,11 @@ def plan(
     inputs = _gather_inputs(state, blind, mode, seed, c_shots, need_rho_min=method != "integer")
     budget = delta_budget(regime, eps, inputs.meta, method="ae" if method == "ae" else "sampling", c_shots=c_shots)
     fields = dict(state=state, regime=regime, method=method, eps=eps, mode=mode, c_shots=c_shots,
-                  inputs=inputs, budget=budget, flags=inputs.flags)
+                  inputs=inputs, budget=budget, flags=inputs.flags,
+                  rho_min_used=None if method == "integer" else inputs.rho_min_lower)
+    if method == "even_floor":  # it divides by rho_min as its fit's kappa = 1/rho_min gives it back
+        used = 1.0 / (1.0 / inputs.rho_min_lower)
+        fields.update(rho_min_used=used, sensitivity=regime.c / ((1.0 - regime.alpha) * used))
     if method == "poly":
         fields.update(oracle=exact_entropies(state, 1.0), children=(1,))
         fields.update(_poly_table(state, eps, mode, c_shots, inputs.rho_min_lower, budget))
@@ -368,55 +371,13 @@ def plan(
         fields.update(oracle=exact_entropies(state, regime.alpha), children=_CHILDREN[branch])
         if blind and branch == "sub_one":
             fields["flags"] += ("budget_from_estimated_purity",)
-        if method != "integer":
-            fields.update(_chain(state, regime, method, mode, inputs.rho_min_lower, budget))
     return Plan(**fields)
 
 
-def _chain(
-    state: DensityMatrix, regime: RegimeDecomposition, method: str, mode: str, rho_min: float, budget: Budget
-) -> dict:
-    """What an encoded route's chain takes beside the trial seeds, as `Plan`
-    fields: the fits, the encoding budgets, the probe the ancilla measures
-    and the rho_min the fits were made for.  The route function builds the
-    chain, targets included, and `_trials` reads its exact p0."""
-    delta, k, c = budget.delta, regime.k, regime.c
-    used, sensitivity = rho_min, None
-    if method == "odd_floor":
-        # ((pi/4) rho)^(k + c/2), subnormalization folded out
-        fit = approx_pos_power(c / 2.0, 4.0 / (math.pi * rho_min), _poly_budget(delta, mode))
-        fits = (fit,)
-        budgets = (_clamp_encoding_budget(min(fit.input_precision, delta)),)
-        if k > 0:
-            budgets += (_clamp_encoding_budget(delta / k),)
-    elif method == "even_floor":
-        kappa = 1.0 / rho_min
-        fit = approx_neg_power(abs(c) / 2.0, kappa, _poly_budget(delta, mode))
-        fits = (fit,)
-        budgets = (_clamp_encoding_budget(min(fit.input_precision, delta)), _clamp_encoding_budget(delta / k))
-        used = 1.0 / kappa
-        sensitivity = c / ((1.0 - regime.alpha) * used)
-    elif method in ("sampling", "ae"):
-        delta_meas = budget.measure_delta  # dimension-rescaled: the recovery scales by d
-        exponent = regime.alpha / 2.0 if method == "sampling" else regime.alpha
-        fit = approx_pos_power(exponent, 4.0 / (math.pi * rho_min), _poly_budget(delta_meas, mode))
-        fits = (fit,)
-        budgets = (_clamp_encoding_budget(min(fit.input_precision, delta_meas)),)
-    else:  # qsvt
-        beta, _, floor2 = _vn_scale(rho_min)
-        stage_eps = IDEAL_POLY_EPS if mode == "ideal" else max(min(5e-4, delta / 32.0), 1e-12)
-        log_fit = approx_log(beta, stage_eps)
-        slope = max(1.0, log_fit.lipschitz_bound())
-        budgets = (_clamp_encoding_budget(stage_eps / (2.0 * slope)),)
-        sqrt_fit = approx_pos_power(0.5, 1.0 / floor2, stage_eps)
-        fits = (log_fit, sqrt_fit)
-    probe = np.eye(state.dim, dtype=np.complex128) / state.dim if regime.branch == "sub_one" else state.matrix.mat
-    return dict(fits=fits, enc_budgets=budgets, probe=probe, rho_min_used=used, sensitivity=sensitivity)
-
-
 def _poly_table(state: DensityMatrix, eps: float, mode: str, c_shots: float, rho_min: float, budget: Budget) -> dict:
-    """`vn_poly`'s fit and term table, as `Plan` fields: Tr rho^(i+1) is
-    measured at shots n_i for the monomial coefficient a_i of log(1/x)."""
+    """`vn_poly`'s term table, made from its fit, as `Plan` fields: Tr
+    rho^(i+1) is measured at shots n_i for the monomial coefficient a_i of
+    log(1/x)."""
     beta = min(rho_min, 0.9)
     log_scale = math.log(1.0 / beta)
     log_fit = approx_log(beta, min(0.5, eps / (2.0 * log_scale)))
@@ -442,8 +403,7 @@ def _poly_table(state: DensityMatrix, eps: float, mode: str, c_shots: float, rho
         terms.append((a_i, n_i, exact_entropies(state, float(i + 1)).tr_pow_alpha))
     shots = sum(n for _, n, _ in terms)
     budget = replace(budget, delta=eps / (2.0 * max(1, k_deg) * log_scale), shots=max(1, shots))
-    return dict(budget=budget, fits=(log_fit,), terms=tuple(terms), eta=log_scale * 2.0 * log_fit.eps,
-                rho_min_used=rho_min)
+    return dict(budget=budget, terms=tuple(terms), eta=log_scale * 2.0 * log_fit.eps)
 
 
 def run(p: Plan, seeds: Sequence[int]) -> list[EstimateReport]:
@@ -512,14 +472,17 @@ def _trials(p: Plan, seeds: list[int], be: Optional[BlockEncoding], invert: Call
         ledger = int(p.regime.alpha) * p.budget.shots
     else:
         e, t = be.encoded.mat, be.target.mat
+        # the input the ancilla measures: I/d below order 1, else the state
+        d = p.state.dim
+        probe = np.eye(d, dtype=np.complex128) / d if p.regime.branch == "sub_one" else p.state.matrix.mat
         if p.method == "ae":  # amplitude estimation reads the overlap Tr(A I/d)
-            realized = np.real(np.trace(e @ p.probe, axis1=-2, axis2=-1))
+            realized = np.real(np.trace(e @ probe, axis1=-2, axis2=-1))
             bounds = be.eta
-            exact = float(np.real(np.trace(t @ p.probe)))
+            exact = float(np.real(np.trace(t @ probe)))
         else:
-            realized = np.real(np.trace(e @ p.probe @ e, axis1=-2, axis2=-1))
+            realized = np.real(np.trace(e @ probe @ e, axis1=-2, axis2=-1))
             bounds = be.eta * (_op_norm_cap(be.encoded) + _op_norm_cap(be.target))
-            exact = min(1.0, max(0.0, float(np.real(np.trace(t @ p.probe @ t)))))
+            exact = min(1.0, max(0.0, float(np.real(np.trace(t @ probe @ t)))))
         realized = [min(1.0, max(0.0, x)) for x in _per_trial(realized, n)]
         bounds, etas = _per_trial(bounds, n), _per_trial(be.eta, n)
         ledger = be.sample_cost + p.budget.shots
@@ -589,15 +552,18 @@ def renyi_case_odd(p: Plan, seeds: list[int]) -> Columns:
     measures p0 = (pi/4)^(alpha-1) Tr rho^alpha on the ancilla, and
     recovers S_alpha = [log(p0 * pi/4) - alpha log(pi/4)] / (1 - alpha).
     """
+    alpha, k, delta = p.regime.alpha, p.regime.k, p.budget.delta
+    # ((pi/4) rho)^(k + c/2), subnormalization folded out
+    fit = approx_pos_power(p.regime.c / 2.0, 4.0 / (math.pi * p.rho_min_used), _poly_budget(delta, p.mode))
     # the fractional power and the k plain factors draw noise from children
     # of the build child
     build = _kids(seeds, 1)
-    be = encode_density(p.state, p.enc_budgets[0], _kids(build, 0), p.noiseless)
-    be = rescale(apply_poly(be, p.fits[0]), 2.0)
-    if p.regime.k > 0:
-        powers = be_power(p.state, p.regime.k, p.enc_budgets[1], _kids(build, 1), p.noiseless)
+    be = encode_density(p.state, _clamp_encoding_budget(min(fit.input_precision, delta)), _kids(build, 0),
+                        p.noiseless)
+    be = rescale(apply_poly(be, fit), 2.0)
+    if k > 0:
+        powers = be_power(p.state, k, _clamp_encoding_budget(delta / k), _kids(build, 1), p.noiseless)
         be = be_product(powers, be)
-    alpha = p.regime.alpha
     return _trials(p, seeds, be, lambda p0, bound: (
         math.log(_nonzero(p0) * math.pi / 4.0) - alpha * LOG_PI_OVER_4) / (1.0 - alpha))
 
@@ -613,11 +579,14 @@ def renyi_case_even(p: Plan, seeds: list[int]) -> Columns:
     Negative powers are undefined at eigenvalue 0, so a rank-deficient
     state is restricted to its support first.
     """
-    neg_branch = encode_state_side(p.state, p.enc_budgets[0], _kids(seeds, 1), p.noiseless)
-    neg_branch = apply_poly(neg_branch, p.fits[0])
-    powers = be_power(p.state, p.regime.k, p.enc_budgets[1], _kids(seeds, 2), p.noiseless)
+    alpha, k, c, delta = p.regime.alpha, p.regime.k, p.regime.c, p.budget.delta
+    kappa = 1.0 / p.inputs.rho_min_lower  # p.rho_min_used is 1/kappa
+    fit = approx_neg_power(abs(c) / 2.0, kappa, _poly_budget(delta, p.mode))
+    neg_branch = encode_state_side(p.state, _clamp_encoding_budget(min(fit.input_precision, delta)),
+                                   _kids(seeds, 1), p.noiseless)
+    neg_branch = apply_poly(neg_branch, fit)
+    powers = be_power(p.state, k, _clamp_encoding_budget(delta / k), _kids(seeds, 2), p.noiseless)
     be = be_product(powers, neg_branch)
-    alpha, k, c = p.regime.alpha, p.regime.k, p.regime.c
     prefactor = 0.25 * (math.pi / 4.0) ** (2 * k) * p.rho_min_used ** (-c)
     return _trials(p, seeds, be, lambda p0, bound: (math.log(_nonzero(p0)) - math.log(prefactor)) / (1.0 - alpha))
 
@@ -632,8 +601,13 @@ def renyi_sub_one(p: Plan, seeds: list[int]) -> Columns:
     cost (d must be a power of 2 for that preparation).  Either way the
     budget follows the purity, which blind mode estimates.
     """
-    be = apply_poly(encode_density(p.state, p.enc_budgets[0], _kids(seeds, 1), p.noiseless), p.fits[0])
     alpha, d = p.regime.alpha, p.state.dim
+    delta = p.budget.measure_delta  # dimension-rescaled: the recovery scales by d
+    exponent = alpha / 2.0 if p.method == "sampling" else alpha
+    fit = approx_pos_power(exponent, 4.0 / (math.pi * p.rho_min_used), _poly_budget(delta, p.mode))
+    be = encode_density(p.state, _clamp_encoding_budget(min(fit.input_precision, delta)), _kids(seeds, 1),
+                        p.noiseless)
+    be = apply_poly(be, fit)
 
     def invert(p0_hat, bound):
         if p.method == "sampling":
@@ -643,14 +617,6 @@ def renyi_sub_one(p: Plan, seeds: list[int]) -> Columns:
         return (math.log(tr_quarter) - alpha * LOG_PI_OVER_4) / (1.0 - alpha)
 
     return _trials(p, seeds, be, invert)
-
-
-def _vn_scale(rho_min_lower: float) -> tuple[float, float, float]:
-    """beta = pi rho_min/4, the log-stage scale gamma = 1/(2 log(1/beta)),
-    and the zero-entropy floor gamma log(4/pi) of the direct transform."""
-    beta = math.pi * rho_min_lower / 4.0
-    gamma = 1.0 / (2.0 * math.log(1.0 / beta))
-    return beta, gamma, gamma * math.log(4.0 / math.pi)
 
 
 def vn_qsvt(p: Plan, seeds: list[int]) -> Columns:
@@ -663,10 +629,16 @@ def vn_qsvt(p: Plan, seeds: list[int]) -> Columns:
     budgeted at delta = eps * gamma.  A rank-deficient state is
     restricted to its support, where the logarithm is defined.
     """
-    log_fit, sqrt_fit = p.fits
-    b1 = apply_poly(encode_density(p.state, p.enc_budgets[0], _kids(seeds, 1), p.noiseless), log_fit)
+    beta = math.pi * p.rho_min_used / 4.0
+    gamma = 1.0 / (2.0 * math.log(1.0 / beta))
+    floor2 = gamma * math.log(4.0 / math.pi)
+    stage_eps = IDEAL_POLY_EPS if p.noiseless else max(min(5e-4, p.budget.delta / 32.0), 1e-12)
+    log_fit = approx_log(beta, stage_eps)
+    sqrt_fit = approx_pos_power(0.5, 1.0 / floor2, stage_eps)
+    slope = max(1.0, log_fit.lipschitz_bound())
+    b1 = encode_density(p.state, _clamp_encoding_budget(stage_eps / (2.0 * slope)), _kids(seeds, 1), p.noiseless)
+    b1 = apply_poly(b1, log_fit)
     b2 = rescale(apply_poly(b1, sqrt_fit), 2.0)
-    _, gamma, floor2 = _vn_scale(p.rho_min_used)
 
     def invert(p0_hat, bound):
         margin = 4.0 * p.budget.delta + bound

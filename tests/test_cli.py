@@ -557,11 +557,11 @@ def test_main_reuses_its_parser_without_leaking_flags(tmp_path, capsys):
 
     lone = []
     for i, argv in enumerate(requests):
-        cli._parser.cache_clear()  # as in a process that serves one request
+        cli.build_parser.cache_clear()  # as in a process that serves one request
         lone.append(run(i, argv, "lone"))
-    cli._parser.cache_clear()
+    cli.build_parser.cache_clear()
     shared = [run(i, argv, "shared") for i, argv in enumerate(requests)]
-    assert cli._parser.cache_info().misses == 1  # built once for both
+    assert cli.build_parser.cache_info().misses == 1  # built once for both
     assert shared == lone
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import binom
 
-from entropybench import cli, estimators, numkernel, seeding
+from entropybench import cli, estimators, numkernel, qsvtpoly, seeding
 from entropybench.blockenc import BlockEncoding, encode_density, encode_state_side
 from entropybench.estimators import (
     EstimationFailure,
@@ -707,6 +707,9 @@ ROUTE_FUNCTIONS = [
     ("vn_qsvt", 1.0, "qsvt"),
     ("vn_poly", 1.0, "poly"),
 ]
+# certified fits each route makes: vn_qsvt a log and a square root
+FITS = {"renyi_integer": 0, "renyi_case_odd": 1, "renyi_case_even": 1, "renyi_sub_one": 1, "vn_qsvt": 2, "vn_poly": 1}
+FIT_BUILDERS = (qsvtpoly.approx_log, qsvtpoly.approx_pos_power, qsvtpoly.approx_neg_power)
 
 
 @pytest.mark.parametrize("name,alpha,method", ROUTE_FUNCTIONS)
@@ -718,13 +721,40 @@ def test_chunks_reach_the_route_function_by_its_module_name(monkeypatch, name, a
     real = getattr(estimators, name)
     monkeypatch.setattr(estimators, name, lambda p, seeds: chunks.append(len(seeds)) or real(p, seeds))
     monkeypatch.setattr(estimators, "STACK_BYTES", 2 * 16 * rho.dim**2)
+    for builder in FIT_BUILDERS:
+        builder.cache_clear()
+    fits = []
+    real_fit = qsvtpoly.cheb_fit
+    monkeypatch.setattr(qsvtpoly, "cheb_fit", lambda *args, **kw: fits.append(kw.get("target_tag")) or real_fit(*args, **kw))
     p = estimators.plan(rho, alpha, 0.1, method=method)
     assert p.chunk == 2
     columns = estimators.run_columns(p, list(range(5)))
     assert chunks == [2, 2, 1] and [len(c.seeds) for c in columns] == chunks
+    # a later chunk's fits are hits in the builders' memo
+    assert len(fits) == FITS[name], fits
     chunks.clear()
     estimate(rho, alpha, 0.1, seed=3, method=method)
     assert chunks == [1]
+
+
+@pytest.mark.parametrize("mode", ["noisy", "ideal"])
+@pytest.mark.parametrize("alpha,method", [(1.5, None), (2.5, None), (0.5, "sampling"), (0.5, "ae"), (1.0, "qsvt")])
+def test_plan_makes_no_fit(monkeypatch, alpha, method, mode):
+    # an encoded route makes its fits in its route function, so a fit the
+    # builders refuse is refused by the run, not by `plan`, with its text
+    marker = RuntimeError("fit builder reached")
+
+    def refuse(*args):
+        raise marker
+
+    for name in ("approx_log", "approx_pos_power", "approx_neg_power"):
+        monkeypatch.setattr(estimators, name, refuse)
+    rho = from_spectrum([0.4, 0.3, 0.2, 0.1], 4)
+    p = estimators.plan(rho, alpha, 0.1, mode=mode, method=method)
+    for call in (lambda: estimators.run(p, [1, 2, 3]), lambda: estimate(rho, alpha, 0.1, seed=1, mode=mode, method=method)):
+        with pytest.raises(RuntimeError) as info:
+            call()
+        assert info.value is marker
 
 
 def _outcome(call):
