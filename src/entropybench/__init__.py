@@ -25,7 +25,6 @@ from .config import TOL
 from .estimators import (
     EstimateReport,
     EstimationFailure,
-    MeasurementModel,
     Plan,
     estimate,
     measure_p0,
@@ -67,7 +66,6 @@ __all__ = [
     "TOL",
     "EstimateReport",
     "EstimationFailure",
-    "MeasurementModel",
     "Plan",
     "estimate",
     "measure_p0",

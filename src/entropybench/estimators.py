@@ -22,7 +22,10 @@ builder makes the one exact target from its inputs' targets.  A fit the
 builders refuse, or a target outside a fit's domain, is refused there,
 by the first chunk.  One `measure_p0` call per chunk checks the accuracy
 and counts the shots once, then draws each trial's p0 from the trial's
-own generator; each trial is inverted in turn.  The chunk comes back as
+own generator; each trial is inverted in turn.  `measure_p0` is the one
+seeded draw of a run: `vn_poly` measures each term of a chunk in one
+call, and blind mode's purity and minimum-eigenvalue probes take one
+call each.  The chunk comes back as
 `Columns`: a list per trial field (seed, estimate, measured and realized
 p0, bound, eta) beside the ledger and the exact p0 of the chain's target,
 which every trial shares.  `run(plan, seeds)` makes a report of each
@@ -47,7 +50,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -64,6 +67,8 @@ LOG_PI_OVER_4 = math.log(math.pi / 4.0)
 # additive accuracy of the simulated minimum-eigenvalue subroutine when an
 # estimator has to run it (blind mode)
 BLIND_THETA = 0.02
+# accuracy of the blind purity measurement
+BLIND_PURITY_DELTA = 0.05
 # polynomial sup error used by ideal-mode pipelines
 IDEAL_POLY_EPS = 1e-8
 # bytes one stacked array of a run's chunk may hold: d x d complex128
@@ -75,50 +80,32 @@ class EstimationFailure(RuntimeError):
     """A statistical outcome made the recovery formula undefined."""
 
 
-@dataclass(frozen=True)
-class MeasurementModel:
-    """Ancilla-outcome probability plus the measurement mechanism: one p0
-    for every trial measured, or a list of one p0 per trial."""
-
-    p0: Union[float, list[float]]
-    mode: str = "bernoulli"  # or "amplitude_estimation"
-
-    def __post_init__(self):
-        if self.mode not in ("bernoulli", "amplitude_estimation"):
-            raise ValueError(f"unknown measurement mode {self.mode!r}")
-        p0s = self.p0 if isinstance(self.p0, list) else [self.p0]
-        fail_first([not (-1e-12 <= p0 <= 1.0 + 1e-12) for p0 in p0s],
-                   lambda k: ValueError(f"probability {float(p0s[k])!r} outside [0, 1]"))
-        clamped = [float(min(1.0, max(0.0, p0))) for p0 in p0s]
-        object.__setattr__(self, "p0", clamped if p0s is self.p0 else clamped[0])
-
-
-def measure_p0(model: MeasurementModel, delta: float, seed: Union[int, Sequence[int], np.ndarray],
-               c_shots: float = C_SHOTS) -> Union[float, list[float]]:
-    """Simulated estimate of p0 at accuracy parameter delta, for one seed
-    or, as a list, for each of a sequence or 1-D array of seeds (trial k
-    measures p0[k] when the model holds one p0 per trial).
+def measure_p0(p0s: list[float], delta: float, seeds: list[int], c_shots: float = C_SHOTS,
+               mode: str = "bernoulli") -> list[float]:
+    """Simulated estimates of the ancilla probabilities `p0s` at accuracy
+    parameter delta: trial k measures p0s[k] with the generator of
+    seeds[k].  This is the package's one seeded draw.
 
     Bernoulli mode draws ceil(c_shots/delta^2) coin flips (one binomial
-    variate, identical in law); the amplitude-estimation model returns
-    p0 plus uniform noise in [-delta, delta] at ceil(c_shots/delta)
-    query cost.  Deterministic per seed: each trial draws from its own
-    seed's generator, so a batch equals its one-seed calls, and delta and
-    the shot count are checked once, before any draw.
+    variate, identical in law); the "amplitude_estimation" model returns
+    p0 plus uniform noise in [-delta, delta] at ceil(c_shots/delta) query
+    cost.  Each trial draws from its own seed's generator, so a list
+    equals its one-element calls.  Before any draw, a p0 outside [0, 1]
+    is refused naming its trial (one within 1e-12 of it is clamped to
+    it), then delta and the shot count are checked.
     """
+    if mode not in ("bernoulli", "amplitude_estimation"):
+        raise ValueError(f"unknown measurement mode {mode!r}")
+    fail_first([not (-1e-12 <= p0 <= 1.0 + 1e-12) for p0 in p0s],
+               lambda k: ValueError(f"probability {float(p0s[k])!r} outside [0, 1]"))
+    p0s = [float(min(1.0, max(0.0, p0))) for p0 in p0s]
     if not (0.0 < delta < 1.0):
         raise ValueError(f"accuracy parameter must be in (0, 1), got {delta}")
-    n = shots_for(model.mode, delta, c_shots)
-    if isinstance(seed, np.ndarray) and seed.ndim == 1:
-        seed = seed.tolist()
-    seeds = seed if isinstance(seed, Sequence) else [seed]
-    p0s = model.p0 if isinstance(model.p0, list) else [model.p0] * len(seeds)
+    n = shots_for(mode, delta, c_shots)
     rng = seeding.rng
-    if model.mode == "bernoulli":
-        out = [float(rng(s).binomial(n, p0) / n) for s, p0 in zip(seeds, p0s)]
-    else:
-        out = [float(p0 + rng(s).uniform(-delta, delta)) for s, p0 in zip(seeds, p0s)]
-    return out if seeds is seed else out[0]
+    if mode == "bernoulli":
+        return [float(rng(s).binomial(n, p0) / n) for s, p0 in zip(seeds, p0s)]
+    return [float(p0 + rng(s).uniform(-delta, delta)) for s, p0 in zip(seeds, p0s)]
 
 
 @dataclass(frozen=True)
@@ -203,9 +190,11 @@ def _clamp_encoding_budget(x: float) -> float:
 def min_eig_estimate(be: BlockEncoding, theta: float, seed: int = 0) -> MinEigResult:
     """Smallest nonzero eigenvalue of the encoded block, up to additive theta.
 
-    theta = 0 returns the exact value at zero ledger cost; otherwise
-    seeded uniform noise in [-theta, theta] is added, the result clamped
-    positive, and the ledger charged (T_A/theta)(ln(1/theta) + ln(d)/2).
+    theta = 0 returns the exact value at zero ledger cost; otherwise the
+    value is measured as an amplitude estimate to additive theta (uniform
+    noise in [-theta, theta] from `measure_p0`'s generator for `seed`),
+    the result clamped positive, and the ledger charged
+    (T_A/theta)(ln(1/theta) + ln(d)/2).
     Eigenvalues within the encoding's own error budget of zero are
     treated as kernel directions, not as the minimum.
     """
@@ -219,8 +208,7 @@ def min_eig_estimate(be: BlockEncoding, theta: float, seed: int = 0) -> MinEigRe
     val = float(nz[-1])
     cost = 0
     if theta > 0.0:
-        rng = seeding.rng(seed)
-        val = val + float(rng.uniform(-theta, theta))
+        (val,) = measure_p0([val], theta, [seed], mode="amplitude_estimation")
         val = max(val, TOL.rank_cutoff)
         d = be.dim
         cost = int(math.ceil((be.sample_cost / theta) * (math.log(1.0 / theta) + math.log(d) / 2.0)))
@@ -237,15 +225,6 @@ class _Inputs:
     flags: tuple[str, ...] = ()
 
 
-def _estimate_purity(rho: DensityMatrix, seed: int, c_shots: float, delta: float = 0.05) -> tuple[float, int]:
-    """Preliminary order-2 trace estimate used by blind budgets."""
-    t2 = rho.meta.purity
-    n = shots_for("bernoulli", delta, c_shots)
-    rng = seeding.rng(seed)
-    t2_hat = 2.0 * rng.binomial(n, (1.0 + t2) / 2.0) / n - 1.0
-    return float(min(1.0, max(t2_hat, 1.0 / rho.dim))), 2 * n
-
-
 def _gather_inputs(
     rho: DensityMatrix,
     blind: bool,
@@ -255,12 +234,15 @@ def _gather_inputs(
     need_rho_min: bool = True,
 ) -> _Inputs:
     """`seed` is the estimate's own seed: blind probes draw from its
-    child 0, which is derived only when they run."""
+    child 0, which is derived only when they run.  The purity is measured
+    as the integer route measures order 2, on two copies per shot."""
     meta = rho.meta
     if not blind:
         return _Inputs(meta=meta, rho_min_lower=meta.rho_min)
     s_pur, s_min, s_enc = _child_seeds(_child_seed(seed, 0), 3)
-    t2_hat, cost = _estimate_purity(rho, s_pur, c_shots)
+    (p_hat,) = measure_p0([(1.0 + meta.purity) / 2.0], BLIND_PURITY_DELTA, [s_pur], c_shots)
+    t2_hat = float(min(1.0, max(2.0 * p_hat - 1.0, 1.0 / rho.dim)))
+    cost = 2 * shots_for("bernoulli", BLIND_PURITY_DELTA, c_shots)
     r_hat = max(1, min(rho.dim, int(math.ceil(1.0 / t2_hat - 1e-9))))
     flags = ["blind_rank", "blind_purity"]
     rho_min_lower = meta.rho_min
@@ -301,9 +283,9 @@ class Plan:
     flags: tuple[str, ...] = ()
     rho_min_used: Optional[float] = None
     sensitivity: Optional[float] = None
-    # vn_poly: (coefficient a_i, shots, Tr rho^(i+1)) of terms 0..K, term 0
-    # known exactly, and the fit's error in entropy units
-    terms: tuple[tuple[float, int, float], ...] = ()
+    # vn_poly: (coefficient a_i, accuracy delta_i, shots, Tr rho^(i+1)) of
+    # terms 0..K, term 0 known exactly, and the fit's error in entropy units
+    terms: tuple[tuple[float, float, int, float], ...] = ()
     eta: float = 0.0
 
     @property
@@ -376,8 +358,8 @@ def plan(
 
 def _poly_table(state: DensityMatrix, eps: float, mode: str, c_shots: float, rho_min: float, budget: Budget) -> dict:
     """`vn_poly`'s term table, made from its fit, as `Plan` fields: Tr
-    rho^(i+1) is measured at shots n_i for the monomial coefficient a_i of
-    log(1/x)."""
+    rho^(i+1) is measured at accuracy delta_i, so shots n_i, for the
+    monomial coefficient a_i of log(1/x)."""
     beta = min(rho_min, 0.9)
     log_scale = math.log(1.0 / beta)
     log_fit = approx_log(beta, min(0.5, eps / (2.0 * log_scale)))
@@ -388,7 +370,7 @@ def _poly_table(state: DensityMatrix, eps: float, mode: str, c_shots: float, rho
             f"{MONOMIAL_DEGREE_CAP}; use the direct-transform estimator instead"
         )
     coeffs = log_fit.monomial().coeffs  # of log(1/x) on [beta, 1]
-    terms = [(float(coeffs[0]), 0, 1.0)]
+    terms = [(float(coeffs[0]), 0.0, 0, 1.0)]
     for i in range(1, len(coeffs)):
         a_i = float(coeffs[i])
         delta_i = min(0.49, eps / (2.0 * max(1, k_deg) * max(log_scale, abs(a_i))))
@@ -400,8 +382,8 @@ def _poly_table(state: DensityMatrix, eps: float, mode: str, c_shots: float, rho
                 f"term {i} of the plain-power expansion (coefficient {a_i:.3e}): {exc}; the expansion "
                 "is too ill-conditioned for this state, use the direct-transform estimator (vn_qsvt) instead"
             ) from None
-        terms.append((a_i, n_i, exact_entropies(state, float(i + 1)).tr_pow_alpha))
-    shots = sum(n for _, n, _ in terms)
+        terms.append((a_i, delta_i, n_i, exact_entropies(state, float(i + 1)).tr_pow_alpha))
+    shots = sum(n for _, _, n, _ in terms)
     budget = replace(budget, delta=eps / (2.0 * max(1, k_deg) * log_scale), shots=max(1, shots))
     return dict(budget=budget, terms=tuple(terms), eta=log_scale * 2.0 * log_fit.eps)
 
@@ -488,9 +470,8 @@ def _trials(p: Plan, seeds: list[int], be: Optional[BlockEncoding], invert: Call
         ledger = be.sample_cost + p.budget.shots
     measured = realized
     if not p.noiseless:
-        model = MeasurementModel(p0=realized[0] if be is None else realized,
-                                 mode="amplitude_estimation" if p.method == "ae" else "bernoulli")
-        measured = measure_p0(model, p.budget.measure_delta, _each_child(seeds, p.children[-1]), p.c_shots)
+        measured = measure_p0(realized, p.budget.measure_delta, _each_child(seeds, p.children[-1]), p.c_shots,
+                              "amplitude_estimation" if p.method == "ae" else "bernoulli")
     estimates = []
     try:
         for p0_hat, bound in zip(measured, bounds):
@@ -656,28 +637,26 @@ def vn_poly(p: Plan, seeds: list[int]) -> Columns:
     """Von Neumann entropy from a plain-power expansion of log(1/x).
 
     Converts the scaled-log fit on [rho_min, 1] to monomial coefficients
-    a_i of log(1/x) itself and estimates each Tr rho^(i+1) with the
-    integer-order machinery: S_v ~ a_0 + sum_i a_i Tr rho^(i+1) (the
+    a_i of log(1/x) itself and measures each Tr rho^(i+1) as the integer
+    route measures it, p0 = (1 + Tr rho^(i+1))/2 by Bernoulli sampling
+    in `measure_p0`: S_v ~ a_0 + sum_i a_i Tr rho^(i+1) (the
     x * P(x) structure makes zero eigenvalues harmless, so no support
     projection is needed).  Per-term accuracy is eps/(2K max(log(1/beta),
     |a_i|)); the coefficient-aware denominator keeps the statistical
     error within budget even when the plain-power basis inflates the
-    coefficients.  There is no single p0: term i measures on child i-1
-    of the trial seed's child 1.
+    coefficients.  There is no single p0: term i measures the chunk in
+    one call, each trial on child i-1 of its seed's child 1.
     """
-    estimates = []
-    for s_meas in _each_child(seeds, p.children[-1]):
-        value = p.terms[0][0]  # a_0 Tr rho, exactly
-        for i, (a_i, n_i, t_i) in enumerate(p.terms[1:], 1):
-            if p.noiseless:
-                t_hat = t_i
-            else:
-                rng = seeding.rng(_child_seed(s_meas, i - 1))
-                t_hat = 2.0 * rng.binomial(n_i, (1.0 + t_i) / 2.0) / n_i - 1.0
-            value += a_i * t_hat
-        estimates.append(float(value))
     n = len(seeds)
-    ledger = p.inputs.extra_cost + sum((i + 1) * n_i for i, (_, n_i, _) in enumerate(p.terms))
+    estimates = [p.terms[0][0]] * n  # a_0 Tr rho, exactly
+    meas = _each_child(seeds, p.children[-1])
+    for i, (a_i, delta_i, _, t_i) in enumerate(p.terms[1:], 1):
+        t_hats = [t_i] * n
+        if not p.noiseless:
+            p0s = measure_p0([(1.0 + t_i) / 2.0] * n, delta_i, _each_child(meas, i - 1), p.c_shots)
+            t_hats = [2.0 * p0 - 1.0 for p0 in p0s]
+        estimates = [value + a_i * t_hat for value, t_hat in zip(estimates, t_hats)]
+    ledger = p.inputs.extra_cost + sum((i + 1) * n_i for i, (_, _, n_i, _) in enumerate(p.terms))
     return Columns(seeds, estimates, ledger, [None] * n, [None] * n, None, [0.0] * n, [p.eta] * n)
 
 

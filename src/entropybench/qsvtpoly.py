@@ -62,6 +62,10 @@ C_LOG = 8.0
 C_POWER = 8.0
 # monomial conversion refuses degrees above this (ill-conditioned)
 MONOMIAL_DEGREE_CAP = 30
+# no search goes above this degree, whatever a builder's cap: an exact
+# interpolation at degree N holds an (N + 1)^2 matrix, 134 MB here and
+# 8.6 GB at degree 32768, which a power fit's cap reaches at kappa ~1e7
+MAX_FIT_DEGREE = 4096
 
 _MACHINE_EPS = float(np.finfo(float).eps)
 
@@ -283,7 +287,9 @@ def cheb_fit(
 
     Degrees are doubled until certification succeeds, then binary search
     finds the smallest passing degree.  The recorded eps carries a small
-    aliasing safety factor over the grid maximum.
+    aliasing safety factor over the grid maximum.  The search stops at
+    `k_cap` or at `MAX_FIT_DEGREE`, whichever is lower, and raises
+    `DegreeCapExceeded` naming that degree.
 
     With `array_target`, a numpy form of `target`, each pass/fail question
     of the search is first answered from an estimate of the error with
@@ -300,6 +306,7 @@ def cheb_fit(
         raise ValueError("eps must be positive")
     if k_cap < 0:
         raise ValueError("degree cap must be nonnegative")
+    k_cap = min(k_cap, MAX_FIT_DEGREE)
 
     exact: dict[int, tuple[np.ndarray, tuple[float, np.ndarray]]] = {}
 

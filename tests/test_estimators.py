@@ -11,7 +11,6 @@ from entropybench import cli, estimators, numkernel, qsvtpoly, seeding
 from entropybench.blockenc import BlockEncoding, encode_density, encode_state_side
 from entropybench.estimators import (
     EstimationFailure,
-    MeasurementModel,
     estimate,
     measure_p0,
     min_eig_estimate,
@@ -32,8 +31,8 @@ PURE4 = from_spectrum([1], 4)
 
 
 def test_measure_p0_degenerate_probabilities():
-    assert measure_p0(MeasurementModel(p0=0.0), 0.1, seed=1) == 0.0
-    assert measure_p0(MeasurementModel(p0=1.0), 0.1, seed=1) == 1.0
+    assert measure_p0([0.0], 0.1, [1]) == [0.0]
+    assert measure_p0([1.0], 0.1, [1]) == [1.0]
 
 
 def test_measure_p0_bernoulli_coverage():
@@ -43,22 +42,18 @@ def test_measure_p0_bernoulli_coverage():
     lo = binom.cdf(math.floor((0.38 - 0.03) * n), n, 0.38)
     hi = binom.sf(math.ceil((0.38 + 0.03) * n) - 1, n, 0.38)
     assert lo + hi < 0.01
-    hits = 0
-    for s in range(1000):
-        est = measure_p0(MeasurementModel(p0=0.38), delta, seed=s)
-        hits += abs(est - 0.38) <= 0.03
+    hits = sum(abs(est - 0.38) <= 0.03 for est in measure_p0([0.38] * 1000, delta, list(range(1000))))
     assert hits >= 990
 
 
 def test_measure_p0_ae_bounded_noise():
-    mm = MeasurementModel(p0=0.4, mode="amplitude_estimation")
-    for s in range(50):
-        assert abs(measure_p0(mm, 0.05, seed=s) - 0.4) <= 0.05
+    for est in measure_p0([0.4] * 50, 0.05, list(range(50)), mode="amplitude_estimation"):
+        assert abs(est - 0.4) <= 0.05
 
 
 def test_measure_p0_rejects_bad_delta():
     with pytest.raises(ValueError):
-        measure_p0(MeasurementModel(p0=0.5), 1.5, seed=0)
+        measure_p0([0.5], 1.5, [0])
 
 
 _BITS = lambda values: [float(v).hex() for v in values]
@@ -68,15 +63,12 @@ _BITS = lambda values: [float(v).hex() for v in values]
 @pytest.mark.parametrize("p0", [0.0, 1.0, 0.37])
 def test_measure_p0_batch_equals_one_seed_calls(mode, p0):
     seeds = [0, 1, 7, 99, 2**31 - 1, 2**32 - 1, 12345678901]
-    one_by_one = [measure_p0(MeasurementModel(p0=p0, mode=mode), 0.05, s) for s in seeds]
-    assert _BITS(measure_p0(MeasurementModel(p0=p0, mode=mode), 0.05, seeds)) == _BITS(one_by_one)
+    one_by_one = [measure_p0([p0], 0.05, [s], mode=mode)[0] for s in seeds]
+    assert _BITS(measure_p0([p0] * len(seeds), 0.05, seeds, mode=mode)) == _BITS(one_by_one)
     # one p0 per trial: trial k measures its own
     p0s = [p0, 0.0, 1.0, 0.37, p0, 0.5, 1e-9]
-    one_by_one = [measure_p0(MeasurementModel(p0=q, mode=mode), 0.05, s) for q, s in zip(p0s, seeds)]
-    assert _BITS(measure_p0(MeasurementModel(p0=p0s, mode=mode), 0.05, seeds)) == _BITS(one_by_one)
-    assert _BITS(measure_p0(MeasurementModel(p0=p0, mode=mode), 0.05, seeds[:1])) == _BITS(one_by_one[:1])
-    # a 1-D numpy array of seeds is a sequence of seeds too
-    assert _BITS(measure_p0(MeasurementModel(p0=p0s, mode=mode), 0.05, np.array(seeds))) == _BITS(one_by_one)
+    one_by_one = [measure_p0([q], 0.05, [s], mode=mode)[0] for q, s in zip(p0s, seeds)]
+    assert _BITS(measure_p0(p0s, 0.05, seeds, mode=mode)) == _BITS(one_by_one)
 
 
 def test_measure_p0_checks_delta_before_any_draw(monkeypatch):
@@ -85,19 +77,26 @@ def test_measure_p0_checks_delta_before_any_draw(monkeypatch):
     monkeypatch.setattr(seeding, "rng", lambda seed: drawn.append(seed) or real(seed))
     for delta in (1.5, 0.0, float("nan")):
         with pytest.raises(ValueError, match="accuracy parameter must be in"):
-            measure_p0(MeasurementModel(p0=[0.2, 0.4]), delta, [3, 4])
+            measure_p0([0.2, 0.4], delta, [3, 4])
+    with pytest.raises(ValueError, match="unknown measurement mode 'bernouli'"):
+        measure_p0([0.2, 0.4], 0.5, [3, 4], mode="bernouli")
     assert drawn == []
-    measure_p0(MeasurementModel(p0=[0.2, 0.4]), 0.5, [3, 4])
+    measure_p0([0.2, 0.4], 0.5, [3, 4])
     assert drawn == [3, 4]
 
 
 def test_measure_p0_names_the_trial_of_an_out_of_range_p0():
     for p0s, k, bad in (([0.2, 0.5, 1.5, -0.3], 2, 1.5), ([-0.1, 0.5], 0, -0.1), ([0.5, float("nan")], 1, float("nan"))):
         with pytest.raises(ValueError, match=rf"probability {bad!r} outside \[0, 1\]") as exc:
-            measure_p0(MeasurementModel(p0=p0s), 0.1, list(range(len(p0s))))
+            measure_p0(p0s, 0.1, list(range(len(p0s))))
         assert exc.value.trial == k
+    # the p0 check comes before the delta check
+    with pytest.raises(ValueError, match="probability 1.5 outside"):
+        measure_p0([0.5, 1.5], 1.5, [0, 1])
     # within rounding of the interval, a p0 is clamped to it, per trial
-    assert MeasurementModel(p0=[-1e-13, 1.0 + 1e-13, 0.5]).p0 == [0.0, 1.0, 0.5]
+    assert measure_p0([-1e-13, 1.0 + 1e-13], 0.1, [0, 1]) == [0.0, 1.0]
+    ae = lambda p0s: _BITS(measure_p0(p0s, 0.1, [0, 1, 2], mode="amplitude_estimation"))
+    assert ae([-1e-13, 1.0 + 1e-13, 0.5]) == ae([0.0, 1.0, 0.5])
 
 
 def test_a_chunk_measures_its_trials_in_one_call(monkeypatch):
@@ -649,19 +648,33 @@ def test_rng_seeds_pcg64_from_an_iseedsequence_subclass():
 
 def test_blind_inputs_and_measurement_keep_their_seeds(monkeypatch):
     seen = []
-    real = estimators._estimate_purity
-
-    def spy(rho, seed, c_shots, delta=0.05):
-        seen.append(seed)
-        return real(rho, seed, c_shots, delta)
-
-    monkeypatch.setattr(estimators, "_estimate_purity", spy)
+    real = estimators.measure_p0
+    monkeypatch.setattr(estimators, "measure_p0", lambda *a, **kw: seen.append(a[2]) or real(*a, **kw))
     rho = random_density(4, 2, seed=1)
     r = estimate(rho, 2.0, 0.1, seed=9, blind=True)
     s_in, s_meas = _spawned(9, 2)
-    assert seen == [_spawned(s_in, 3)[0]]
-    model = MeasurementModel(p0=(1.0 + exact_entropies(rho, 2.0).tr_pow_alpha) / 2.0)
-    assert r.p0_measured == measure_p0(model, r.delta, s_meas)
+    assert seen == [[_spawned(s_in, 3)[0]], [s_meas]]
+    p0 = (1.0 + exact_entropies(rho, 2.0).tr_pow_alpha) / 2.0
+    assert [r.p0_measured] == measure_p0([p0], r.delta, [s_meas])
+
+
+def test_every_draw_goes_through_measure_p0(monkeypatch):
+    calls = []
+    real = estimators.measure_p0
+    monkeypatch.setattr(estimators, "measure_p0", lambda *a, **kw: calls.append(a[2]) or real(*a, **kw))
+    # noisy vn_poly: one call per measured term i >= 1, on child i - 1 of
+    # each trial's measurement child
+    seeds = [11, 12, 13]
+    p = estimators.plan(DIAG, 1.0, 0.1, method="poly")
+    estimators.run(p, seeds)
+    assert len(p.terms) > 2
+    s_meas = [_numpy_seed(s, (1,)) for s in seeds]
+    assert calls == [[_numpy_seed(m, (i - 1,)) for m in s_meas] for i in range(1, len(p.terms))]
+    # blind odd floor: the purity, then the minimum eigenvalue, then the measurement
+    calls.clear()
+    estimate(DIAG, 1.5, 0.1, seed=9, blind=True)
+    s_pur, s_min, _ = _spawned(_numpy_seed(9, (0,)), 3)
+    assert calls == [[s_pur], [s_min], [_numpy_seed(9, (2,))]]
 
 
 def test_estimate_rejects_unknown_von_neumann_method():

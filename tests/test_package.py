@@ -16,7 +16,6 @@ PUBLIC = [
     "TOL",
     "EstimateReport",
     "EstimationFailure",
-    "MeasurementModel",
     "Plan",
     "estimate",
     "measure_p0",

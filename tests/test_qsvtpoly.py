@@ -60,6 +60,15 @@ def test_fit_cap_exceeded_reports_best():
     assert exc.value.best_err > 0
 
 
+def test_fit_search_stops_at_max_fit_degree(monkeypatch):
+    target = lambda x: math.log(1 / x)
+    assert cheb_fit(target, 0.001, 1.0, 1e-6, 10_000).degree == 199
+    monkeypatch.setattr(qsvtpoly, "MAX_FIT_DEGREE", 64)  # below the fit's own cap of 10000
+    with pytest.raises(DegreeCapExceeded, match="no Chebyshev fit up to degree 64 met") as exc:
+        cheb_fit(target, 0.001, 1.0, 1e-6, 10_000)
+    assert exc.value.cap == 64
+
+
 def test_approx_log_rejects_degenerate():
     with pytest.raises(ValueError):
         approx_log(1.0, 0.01)
