@@ -27,7 +27,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, TextIO
 
 import numpy as np
 
@@ -133,11 +133,11 @@ def _trial_seed(master: int, grid_index: int, trial: int) -> int:
     return spawn_seed(master, (grid_index, trial))
 
 
-def _trial_seeds(master: int, grid_index: int, trials: int, children: tuple[int, ...]) -> Iterator[list[int]]:
+def _trial_seeds(master: int, grid_index: int, trials: int) -> Iterator[list[int]]:
     """The seeds of a grid point's trials in order, in lists of at most
-    `seeding.BATCH_TRIALS`.  Each list is derived in one batch together
-    with the `children` every trial reads (see `seeding.batch`), and the
-    batch stays open while its trials run; a batch smaller than
+    `seeding.BATCH_TRIALS`.  Each list is derived in one batch, which
+    stays open while its trials run, so the routes derive the children
+    they read in batches too (see `seeding.batch`); a batch smaller than
     `seeding.MIN_BATCH` would not pay for itself, so its seeds are
     derived one at a time."""
     for start in range(0, trials, seeding.BATCH_TRIALS):
@@ -145,7 +145,7 @@ def _trial_seeds(master: int, grid_index: int, trials: int, children: tuple[int,
         if len(chunk) < seeding.MIN_BATCH:
             yield [_trial_seed(master, grid_index, t) for t in chunk]
             continue
-        with seeding.batch(master, (grid_index,), chunk, children) as seeds:
+        with seeding.batch(master, (grid_index,), chunk) as seeds:
             yield seeds
 
 
@@ -198,12 +198,12 @@ def _point_rows(point: _Point, grid_index: int, trials: int, cfg: ExperimentConf
     settings = dict(mode="ideal" if cfg.ideal else "noisy", method=method, c_shots=cfg.c_shots)
     out = PointRows([], [], [], [], [])
     if cfg.blind:
-        for seeds in _trial_seeds(cfg.seed, grid_index, trials, ()):
+        for seeds in _trial_seeds(cfg.seed, grid_index, trials):
             for s in seeds:
                 _rows(plan(rho, alpha, eps * scale, blind=True, seed=s, **settings), [[s]], rho, scale, eps, out)
         return out
     shared = plan(rho, alpha, eps * scale, **settings)
-    _rows(shared, _trial_seeds(cfg.seed, grid_index, trials, shared.children), rho, scale, eps, out)
+    _rows(shared, _trial_seeds(cfg.seed, grid_index, trials), rho, scale, eps, out)
     return out
 
 
@@ -297,8 +297,11 @@ def _slope_lines(cfg: ExperimentConfig, points: list[PointRows]) -> list[str]:
     return lines
 
 
-def rows_to_csv(points: list[PointRows]) -> str:
-    return "\n".join([",".join(CSV_COLUMNS), *(line for pt in points for line in pt.lines)]) + "\n"
+def write_csv(points: list[PointRows], fh: TextIO) -> None:
+    """Write the header line, then each point's trial lines, into `fh`."""
+    fh.write(",".join(CSV_COLUMNS) + "\n")
+    for pt in points:
+        fh.writelines(f"{line}\n" for line in pt.lines)
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -431,7 +434,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if cfg.out:
         try:
             with open(cfg.out, "w", newline="\n") as fh:
-                fh.write(rows_to_csv(points))
+                write_csv(points, fh)
         except OSError as exc:
             print(f"error: cannot write CSV to {cfg.out}: {exc.strerror or exc}", file=sys.stderr)
             return 1

@@ -9,10 +9,9 @@ instead of one p0.
 
 The skeleton runs in two steps.  `plan` does, once per grid point, all
 that does not depend on the trial seed: the regime, the spectral inputs,
-the budget, the oracle, the rho_min the route uses, `vn_poly`'s term
-table (its shot counts need its fit), and the child indices of a trial
-seed that every trial reads.  `run_columns(plan, seeds)` does the seeded
-work.  It hands chunks of trials to the route's function
+the budget, the oracle, the rho_min the route uses, and `vn_poly`'s
+term table (its shot counts need its fit).  `run_columns(plan, seeds)`
+does the seeded work.  It hands chunks of trials to the route's function
 (`renyi_integer(plan, seeds)` and so on, one per route), which writes the
 route's chain once: it makes its fits and encoding budgets first (a later
 chunk's fits are hits in the fit builders' memo), builds the realized
@@ -278,8 +277,6 @@ class Plan:
     inputs: _Inputs
     budget: Budget
     oracle: EntropyRecord
-    # the children of a trial seed every trial reads, the measurement last
-    children: tuple[int, ...]
     flags: tuple[str, ...] = ()
     rho_min_used: Optional[float] = None
     sensitivity: Optional[float] = None
@@ -296,11 +293,6 @@ class Plan:
     def chunk(self) -> int:
         """Trials one stacked call takes at most."""
         return max(1, STACK_BYTES // (16 * self.state.dim**2))
-
-
-# Each branch numbers the children of a trial seed: 0 feeds the blind-mode
-# probes, then come the build stages, and the measurement last.
-_CHILDREN = {"integer": (1,), "odd_floor": (1, 2), "even_floor": (1, 2, 3), "sub_one": (1, 2), "von_neumann": (1, 2)}
 
 
 def plan(
@@ -347,10 +339,10 @@ def plan(
         used = 1.0 / (1.0 / inputs.rho_min_lower)
         fields.update(rho_min_used=used, sensitivity=regime.c / ((1.0 - regime.alpha) * used))
     if method == "poly":
-        fields.update(oracle=exact_entropies(state, 1.0), children=(1,))
+        fields.update(oracle=exact_entropies(state, 1.0))
         fields.update(_poly_table(state, eps, mode, c_shots, inputs.rho_min_lower, budget))
     else:
-        fields.update(oracle=exact_entropies(state, regime.alpha), children=_CHILDREN[branch])
+        fields.update(oracle=exact_entropies(state, regime.alpha))
         if blind and branch == "sub_one":
             fields["flags"] += ("budget_from_estimated_purity",)
     return Plan(**fields)
@@ -440,13 +432,15 @@ def _per_trial(x, n: int) -> list[float]:
     return values * n if len(values) == 1 else values
 
 
-def _trials(p: Plan, seeds: list[int], be: Optional[BlockEncoding], invert: Callable) -> Columns:
+def _trials(p: Plan, seeds: list[int], child: int, be: Optional[BlockEncoding], invert: Callable) -> Columns:
     """Measure and invert the trials of a built chain, as columns.  The
     chain's p0 is read exactly in ideal mode and otherwise measured in one
-    `measure_p0` call on each trial's measurement child, Bernoulli or, for
+    `measure_p0` call on each trial's child `child`, Bernoulli or, for
     method "ae", by amplitude estimation; the exact p0 and the deviation
     bound read the chain's target.  `invert(p0_hat, bound)` turns a
-    trial's p0 into the entropy."""
+    trial's p0 into the entropy.  Each route numbers a trial seed's
+    children: 0 feeds blind mode's probes, then come its build stages,
+    and `child` is its measurement, the last."""
     n = len(seeds)
     if be is None:  # integer orders read the oracle's trace power, one p0 for all
         exact = (1.0 + p.oracle.tr_pow_alpha) / 2.0
@@ -470,7 +464,7 @@ def _trials(p: Plan, seeds: list[int], be: Optional[BlockEncoding], invert: Call
         ledger = be.sample_cost + p.budget.shots
     measured = realized
     if not p.noiseless:
-        measured = measure_p0(realized, p.budget.measure_delta, _each_child(seeds, p.children[-1]), p.c_shots,
+        measured = measure_p0(realized, p.budget.measure_delta, _each_child(seeds, child), p.c_shots,
                               "amplitude_estimation" if p.method == "ae" else "bernoulli")
     estimates = []
     try:
@@ -523,7 +517,7 @@ def renyi_integer(p: Plan, seeds: list[int]) -> Columns:
             )
         return math.log(t_hat) / (1.0 - p.regime.alpha)
 
-    return _trials(p, seeds, None, invert)
+    return _trials(p, seeds, 1, None, invert)
 
 
 def renyi_case_odd(p: Plan, seeds: list[int]) -> Columns:
@@ -545,7 +539,7 @@ def renyi_case_odd(p: Plan, seeds: list[int]) -> Columns:
     if k > 0:
         powers = be_power(p.state, k, _clamp_encoding_budget(delta / k), _kids(build, 1), p.noiseless)
         be = be_product(powers, be)
-    return _trials(p, seeds, be, lambda p0, bound: (
+    return _trials(p, seeds, 2, be, lambda p0, bound: (
         math.log(_nonzero(p0) * math.pi / 4.0) - alpha * LOG_PI_OVER_4) / (1.0 - alpha))
 
 
@@ -569,7 +563,7 @@ def renyi_case_even(p: Plan, seeds: list[int]) -> Columns:
     powers = be_power(p.state, k, _clamp_encoding_budget(delta / k), _kids(seeds, 2), p.noiseless)
     be = be_product(powers, neg_branch)
     prefactor = 0.25 * (math.pi / 4.0) ** (2 * k) * p.rho_min_used ** (-c)
-    return _trials(p, seeds, be, lambda p0, bound: (math.log(_nonzero(p0)) - math.log(prefactor)) / (1.0 - alpha))
+    return _trials(p, seeds, 3, be, lambda p0, bound: (math.log(_nonzero(p0)) - math.log(prefactor)) / (1.0 - alpha))
 
 
 def renyi_sub_one(p: Plan, seeds: list[int]) -> Columns:
@@ -597,7 +591,7 @@ def renyi_sub_one(p: Plan, seeds: list[int]) -> Columns:
             tr_quarter = 2.0 * d * _nonzero(p0_hat, "overlap estimate", "query")
         return (math.log(tr_quarter) - alpha * LOG_PI_OVER_4) / (1.0 - alpha)
 
-    return _trials(p, seeds, be, invert)
+    return _trials(p, seeds, 2, be, invert)
 
 
 def vn_qsvt(p: Plan, seeds: list[int]) -> Columns:
@@ -630,7 +624,7 @@ def vn_qsvt(p: Plan, seeds: list[int]) -> Columns:
             )
         return (p0_hat - floor2) / gamma
 
-    return _trials(p, seeds, b2, invert)
+    return _trials(p, seeds, 2, b2, invert)
 
 
 def vn_poly(p: Plan, seeds: list[int]) -> Columns:
@@ -649,7 +643,7 @@ def vn_poly(p: Plan, seeds: list[int]) -> Columns:
     """
     n = len(seeds)
     estimates = [p.terms[0][0]] * n  # a_0 Tr rho, exactly
-    meas = _each_child(seeds, p.children[-1])
+    meas = _each_child(seeds, 1)
     for i, (a_i, delta_i, _, t_i) in enumerate(p.terms[1:], 1):
         t_hats = [t_i] * n
         if not p.noiseless:

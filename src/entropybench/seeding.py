@@ -15,13 +15,14 @@ word is shared by every sibling and cached.  A generator is
 `Generator(PCG64(...))` on the four 64-bit words `generate_state(4,
 np.uint64)` would return, hashed here from the pool.
 
-`batch` derives the seeds that many trials of one grid point read in one
-vectorized pass: the trial seeds, the children each trial reads, their
-pools and their generators' state words.  While its block runs, it keeps
-one table per child index from each trial seed to that child, which
-`each_child` reads for a whole chunk of trials at once; `spawn_seed` and
-`rng` read the pools and state words.  Every other seed still starts
-from numpy's own `SeedSequence`, which stays the reference.
+`batch` derives the trial seeds of many trials of one grid point in one
+vectorized pass and keeps, while its block runs, pool word 0 of each.
+Inside it, `each_child` derives the children of a chunk of at least
+`MIN_BATCH` of those seeds in one more pass and keeps each child's pool
+word 0 and generator state words, so the children's own children (the
+same pass again) and their generators (`rng`) skip numpy's
+`SeedSequence` too; `spawn_seed` reads the pools.  Every other seed still
+starts from numpy's own `SeedSequence`, which stays the reference.
 
 numpy.random is imported on first use, so importing the package does
 not load it.  The class that hands PCG64 its state words is built then
@@ -113,12 +114,11 @@ def _spawn_point(seed: int, head: tuple[int, ...]) -> tuple[int, int, int]:
     return (pool0, *_hashmix_consts(k))
 
 
-# Filled by `batch` while its block runs: pool word 0 of each seed it
-# derived, the PCG64 state words of each child it derived, and for each
-# child index i the child i of each trial seed.
+# Filled while a `batch` block runs: pool word 0 of each seed `batch` or
+# `each_child` derived, and the PCG64 state words of each child
+# `each_child` derived.
 _batch_pool0: dict[int, int] = {}
 _batch_words: dict[int, np.ndarray] = {}
-_batch_kids: dict[int, dict[int, int]] = {}
 # `_spawn_point` constants of a one-word seed's first spawn word; the
 # seeds `batch` derives are all one word long
 _FIRST_SPAWN = _hashmix_consts(_POOL_HASHES)
@@ -148,16 +148,25 @@ def child_seed(seed: int, i: int) -> int:
 
 
 def each_child(seeds: list[int], i: int) -> list[int]:
-    """`child_seed(s, i)` for each s in `seeds`: read from the open
-    batch's table of child i when it holds every seed, else derived one
-    by one."""
-    table = _batch_kids.get(i)
-    if table is not None:
-        try:
-            return [table[s] for s in seeds]
-        except KeyError:
-            pass
-    return [child_seed(s, i) for s in seeds]
+    """`child_seed(s, i)` for each s in `seeds`.  At least `MIN_BATCH`
+    seeds whose pool word 0 the open batch holds are derived in one
+    vectorized pass, which keeps each child's pool word 0 and generator
+    state words for its own children and its `rng`; other calls derive
+    the children one by one."""
+    if len(seeds) < MIN_BATCH or not all(s in _batch_pool0 for s in seeds):
+        return [child_seed(s, i) for s in seeds]
+    pool0 = np.array([_batch_pool0[s] for s in seeds], _U32)
+    # a one-element array, not a scalar: numpy warns on a scalar's wraparound
+    spawned = _hash_rows(np.array([i], _U32), *_SPAWN_CONSTS)
+    kids = _first_output(_mix_rows(pool0, spawned))
+    kid_pools = _pools(kids)
+    hashed = _hash_rows(np.concatenate([kid_pools, kid_pools]), _OUT_X, _OUT_M)
+    # each child's eight output words, read as four little-endian uint64
+    state = np.ascontiguousarray(hashed.T).view("<u8").astype(np.uint64, copy=False)
+    kids = kids.tolist()
+    _batch_pool0.update(zip(kids, kid_pools[0].tolist()))
+    _batch_words.update(zip(kids, state))
+    return kids
 
 
 def rng(seed: int) -> "np.random.Generator":
@@ -214,6 +223,7 @@ def _cross_pass(s: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _CROSS = [_cross_pass(s) for s in range(_POOL_SIZE)]
+_SPAWN_CONSTS = tuple(_U32(c) for c in _FIRST_SPAWN)
 # output words 0..7 of `generate_state`, hashed from pool words 0..3, 0..3
 _OUT_X, _OUT_M = _column([x for x, _ in _OUT]), _column([m for _, m in _OUT])
 
@@ -237,51 +247,27 @@ def _first_output(mixed: np.ndarray) -> np.ndarray:
 # Trials derived in one batch at most, so a batch's arrays stay small
 # whatever the trial count.
 BATCH_TRIALS = 256
-# Fewer trials than this take the scalar path: a batch costs a fixed
-# ~0.15 ms of numpy calls, which the seeds it saves repay from about here.
+# Fewer trials than this take the scalar path, and so do fewer seeds than
+# this in `each_child`: a vectorized pass costs a fixed ~0.15 ms of numpy
+# calls, which the seeds it saves repay from about here.
 MIN_BATCH = 8
 
 
 @contextlib.contextmanager
-def _derived(parents: np.ndarray, children: tuple[int, ...]) -> Iterator[None]:
-    """While the block runs, `child_seed(p, i)` for each one-word seed p in
-    `parents` and i in `children` is a table lookup (`each_child`), and
-    every child of those children and the generators `rng` makes for them
-    cost only their last hashes: one vectorized pass derives the parents'
-    and children's pools and the children's generator state words, and
-    the tables hold them."""
-    pool0 = _pools(parents)[0]
-    spawned = _hash_rows(_column(children), *(_U32(c) for c in _FIRST_SPAWN))
-    kid_rows = _first_output(_mix_rows(pool0, spawned))  # (len(children), len(parents))
-    kid_pools = _pools(kid_rows.ravel())
-    hashed = _hash_rows(np.concatenate([kid_pools, kid_pools]), _OUT_X, _OUT_M)
-    # each child's eight output words, read as four little-endian uint64
-    state = np.ascontiguousarray(hashed.T).view("<u8").astype(np.uint64, copy=False)
-    parents, kids = parents.tolist(), kid_rows.ravel().tolist()
-    _batch_pool0.update(zip(parents, pool0.tolist()))
-    _batch_kids.update((i, dict(zip(parents, row))) for i, row in zip(children, kid_rows.tolist()))
-    _batch_pool0.update(zip(kids, kid_pools[0].tolist()))
-    _batch_words.update(zip(kids, state))
-    try:
-        yield
-    finally:
-        _batch_pool0.clear()
-        _batch_words.clear()
-        _batch_kids.clear()
-
-
-@contextlib.contextmanager
-def batch(seed: int, head: tuple[int, ...], trials: range, children: tuple[int, ...]) -> Iterator[list[int]]:
+def batch(seed: int, head: tuple[int, ...], trials: range) -> Iterator[list[int]]:
     """Yield the trial seeds `spawn_seed(seed, (*head, t))` for t in
-    `trials`, derived in one vectorized pass.  While the block runs, each
-    trial's `children` (`child_seed(trial, i)` for i in `children`, read
-    for a chunk of trials by `each_child`), their own children and their
-    generators are read from what a second pass derived for all trials at
-    once (see `_derived`)."""
+    `trials`, derived in one vectorized pass.  While the block runs, the
+    pool word 0 of each is kept, so `each_child` derives the children of
+    a chunk of them in one pass too."""
     if trials.stop > _MASK + 1:
         raise ValueError(f"spawn key words must be 32-bit, got {(*head, trials.stop - 1)!r}")
     pool0, x, m = _spawn_point(seed, head)
     words = np.arange(trials.start, trials.stop, dtype=_U32)
     seeds = _first_output(_mix_rows(np.array([pool0], _U32), _hash_rows(words, _U32(x), _U32(m))))
-    with _derived(seeds, children):
-        yield seeds.tolist()
+    seed_list = seeds.tolist()
+    _batch_pool0.update(zip(seed_list, _pools(seeds)[0].tolist()))
+    try:
+        yield seed_list
+    finally:
+        _batch_pool0.clear()
+        _batch_words.clear()

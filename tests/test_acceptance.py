@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from entropybench.accountant import decompose_alpha
-from entropybench.cli import ExperimentConfig, rows_to_csv, run_experiment
+from entropybench.cli import ExperimentConfig, run_experiment
 from entropybench.estimators import estimate
 from entropybench.qsvtpoly import approx_log, approx_neg_power, approx_pos_power
 from entropybench.states import exact_entropies, from_spectrum, random_density
@@ -222,12 +222,12 @@ def test_criterion_7_noise_budget_honesty(announce):
     )
 
 
-def test_criterion_8_validate_determinism(announce):
+def test_criterion_8_validate_determinism(announce, csv_text):
     cfg1 = ExperimentConfig(mode="validate", seed=99, quick=True)
     rows1, _ = run_experiment(cfg1)
     cfg2 = ExperimentConfig(mode="validate", seed=99, quick=True)
     rows2, _ = run_experiment(cfg2)
-    csv1, csv2 = rows_to_csv(rows1), rows_to_csv(rows2)
+    csv1, csv2 = csv_text(rows1), csv_text(rows2)
     assert csv1 == csv2
     assert csv1.encode() == csv2.encode()
     announce(

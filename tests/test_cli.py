@@ -21,7 +21,6 @@ from entropybench.cli import (
     build_parser,
     main,
     parse_config_file,
-    rows_to_csv,
     run_experiment,
 )
 from entropybench.qsvtpoly import DegreeCapExceeded
@@ -32,12 +31,12 @@ golden_digest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden_digest)
 
 
-def test_csv_schema_and_pass_column(csv_rows):
+def test_csv_schema_and_pass_column(csv_rows, csv_text):
     cfg = ExperimentConfig(mode="renyi", alpha=2.0, d=4, rank=4, eps=0.1, trials=3, seed=5)
     points, summary = run_experiment(cfg)
     rows = csv_rows(points)
     assert len(rows) == 3
-    csv = rows_to_csv(points)
+    csv = csv_text(points)
     lines = csv.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     for r in rows:
@@ -45,18 +44,18 @@ def test_csv_schema_and_pass_column(csv_rows):
     assert "coverage" in summary
 
 
-def test_byte_identical_reruns():
+def test_byte_identical_reruns(csv_text):
     cfg = ExperimentConfig(mode="renyi", alpha=1.5, d=4, rank=3, eps=0.1, trials=4, seed=9)
     rows1, _ = run_experiment(cfg)
     cfg2 = ExperimentConfig(mode="renyi", alpha=1.5, d=4, rank=3, eps=0.1, trials=4, seed=9)
     rows2, _ = run_experiment(cfg2)
-    assert rows_to_csv(rows1) == rows_to_csv(rows2)
+    assert csv_text(rows1) == csv_text(rows2)
 
 
-def test_different_seeds_differ():
+def test_different_seeds_differ(csv_text):
     a = ExperimentConfig(mode="renyi", alpha=1.5, d=4, rank=3, eps=0.1, trials=2, seed=1)
     b = ExperimentConfig(mode="renyi", alpha=1.5, d=4, rank=3, eps=0.1, trials=2, seed=2)
-    assert rows_to_csv(run_experiment(a)[0]) != rows_to_csv(run_experiment(b)[0])
+    assert csv_text(run_experiment(a)[0]) != csv_text(run_experiment(b)[0])
 
 
 def test_explicit_spectrum(csv_rows):
@@ -430,7 +429,7 @@ _MODES = [(), ("--ideal",), ("--blind",)]
     ids=["noisy", "ideal", "blind", "noisy-bits", "ideal-bits", "blind-bits"],
 )
 @pytest.mark.parametrize("route", golden_digest.ROUTES, ids=lambda route: "-".join(w.lstrip("-") for w in route))
-def test_cli_rows_equal_per_trial_estimates(monkeypatch, route, mode):
+def test_cli_rows_equal_per_trial_estimates(monkeypatch, csv_text, route, mode):
     # batches of at most 2 trials, so the 5 trials run as two batches and
     # one scalar trial
     monkeypatch.setattr(seeding, "BATCH_TRIALS", 2, raising=False)
@@ -452,7 +451,7 @@ def test_cli_rows_equal_per_trial_estimates(monkeypatch, route, mode):
     # the CSV as the CLI wrote it from per-trial dicts
     expected_csv = "\n".join([",".join(CSV_COLUMNS), *(",".join(map(str, (row[c] for c in CSV_COLUMNS)))
                                                       for row in expected)]) + "\n"
-    assert rows_to_csv(run_experiment(cfg)[0]) == expected_csv
+    assert csv_text(run_experiment(cfg)[0]) == expected_csv
 
 
 def test_a_point_derives_its_seeds_in_one_batch(monkeypatch):
@@ -473,8 +472,7 @@ def test_batched_rows_equal_unbatched_rows(monkeypatch):
     unbatched, _ = run_experiment(cfg)
     sizes = []
     real = seeding.batch
-    monkeypatch.setattr(seeding, "batch", lambda seed, head, trials, children: sizes.append(len(trials)) or real(
-        seed, head, trials, children))
+    monkeypatch.setattr(seeding, "batch", lambda seed, head, trials: sizes.append(len(trials)) or real(seed, head, trials))
     monkeypatch.setattr(seeding, "BATCH_TRIALS", 8)
     monkeypatch.setattr(seeding, "MIN_BATCH", 8)
     assert run_experiment(cfg)[0] == unbatched
@@ -487,8 +485,8 @@ def test_a_huge_trial_count_is_derived_in_bounded_batches(monkeypatch):
 
     sizes, done = [], []
     real_batch, real_run = seeding.batch, cli.run_columns
-    monkeypatch.setattr(seeding, "batch", lambda seed, head, trials, children: sizes.append(len(trials)) or real_batch(
-        seed, head, trials, children))
+    monkeypatch.setattr(seeding, "batch", lambda seed, head, trials: sizes.append(len(trials)) or real_batch(
+        seed, head, trials))
 
     def run_20(plan, seeds):
         done.extend(s for columns in real_run(plan, seeds) for s in columns.seeds)

@@ -104,11 +104,12 @@ def test_a_chunk_measures_its_trials_in_one_call(monkeypatch):
     real = estimators.measure_p0
     monkeypatch.setattr(estimators, "measure_p0", lambda *a: calls.append(a[2]) or real(*a))
     seeds = [cli._trial_seed(5, 1, t) for t in range(30)]
-    for alpha, method in ((2.0, None), (1.5, None), (0.5, "ae")):
+    # (order, method, the child of a trial seed its route measures on)
+    for alpha, method, child in ((2.0, None, 1), (1.5, None, 2), (2.5, None, 3), (0.5, "ae", 2), (1.0, "qsvt", 2)):
         calls.clear()
         p = estimators.plan(DIAG8, alpha, 0.1, method=method)
         assert [r.seed for r in estimators.run(p, seeds)] == seeds
-        assert calls == [[estimators._child_seed(s, p.children[-1]) for s in seeds]]
+        assert calls == [[estimators._child_seed(s, child) for s in seeds]]
 
 
 def test_shot_rules():
@@ -556,21 +557,22 @@ def test_child_seeds_equal_spawned_children(seed, drawn, words, parents, k):
         assert estimators._child_seed(s, words[0]) == _numpy_seed(s, words[:1])
         assert cli._trial_seed(s, *words) == _numpy_seed(s, words)
         assert seeding.rng(s).bit_generator.state == np.random.default_rng(s).bit_generator.state
-    # the batch kernel, on one-word seeds and on the trial seeds of a master
-    # seed of any length; the tables prove the batch, not the scalar path,
-    # answered
+    # the pool kernel on one-word seeds
     parents = [0, 2**32 - 1, *parents]
-    with seeding._derived(np.array(parents, np.uint32), (k,)):
-        for p in parents:
-            assert p in seeding._batch_pool0
-            child = seeding.child_seed(p, k)
-            assert child == _numpy_seed(p, (k,)) and child in seeding._batch_words
+    pools = seeding._pools(np.array(parents, np.uint32))
+    assert pools.T.tolist() == [np.random.SeedSequence(p).pool.tolist() for p in parents]
+    # the batch on the trial seeds of a master seed of any length; the
+    # tables prove the batch, not the scalar path, answered
+    trials = range(words[1] % 1000, words[1] % 1000 + seeding.MIN_BATCH)
+    with seeding.batch(seed, words[:1], trials) as trial_seeds:
+        assert trial_seeds == [_numpy_seed(seed, (words[0], t)) for t in trials]
+        assert all(s in seeding._batch_pool0 for s in trial_seeds)
+        kids = seeding.each_child(trial_seeds, k)
+        assert kids == [_numpy_seed(s, (k,)) for s in trial_seeds]
+        for child in kids:
+            assert child in seeding._batch_words
             assert seeding.rng(child).bit_generator.state == np.random.default_rng(child).bit_generator.state
             assert seeding.child_seed(child, 0) == _numpy_seed(child, (0,))
-    trials = range(words[1] % 1000, words[1] % 1000 + 3)
-    with seeding.batch(seed, words[:1], trials, (k,)) as trial_seeds:
-        assert trial_seeds == [_numpy_seed(seed, (words[0], t)) for t in trials]
-        assert [seeding.child_seed(s, k) for s in trial_seeds] == [_numpy_seed(s, (k,)) for s in trial_seeds]
     assert not seeding._batch_pool0 and not seeding._batch_words
 
 
@@ -580,9 +582,9 @@ def test_batch_refuses_what_numpy_refuses():
     with pytest.raises(ValueError, match="negative"):
         estimate(DIAG, 2.0, 0.1, seed=-1)
     with pytest.raises(ValueError, match="negative"):
-        seeding.batch(-1, (1,), range(8), (1,)).__enter__()
+        seeding.batch(-1, (1,), range(8)).__enter__()
     with pytest.raises(ValueError, match="32-bit"):
-        seeding.batch(3, (1,), range(2**32 - 4, 2**32 + 4), (1,)).__enter__()
+        seeding.batch(3, (1,), range(2**32 - 4, 2**32 + 4)).__enter__()
 
 
 def test_integer_branch_derives_only_the_seeds_it_uses(monkeypatch):
@@ -597,25 +599,25 @@ def test_integer_branch_derives_only_the_seeds_it_uses(monkeypatch):
     assert derived == []
 
 
-# (order, method) of every route, each with its own `Plan.children`
-_ROUTES = [(2.0, None), (1.5, None), (2.5, None), (0.5, "sampling"), (0.5, "ae"), (1.0, "qsvt"), (1.0, "poly")]
-
-
 @pytest.mark.parametrize("trials", [seeding.MIN_BATCH, 100, seeding.BATCH_TRIALS + 1])
-def test_each_child_in_a_batch_equals_child_seed_outside_it(trials):
-    for alpha, method in _ROUTES:
-        children = estimators.plan(DIAG8, alpha, 0.1, method=method).children
-        seeds = [cli._trial_seed(7, 1, t) for t in range(trials)]
-        expected = {i: [seeding.child_seed(s, i) for s in seeds] for i in children}
-        got = {i: [] for i in children}
-        for batch in cli._trial_seeds(7, 1, trials, children):
-            for i in children:
-                # the batch's table answers for a whole batch and for a chunk of it
-                assert (i in seeding._batch_kids) == (len(batch) >= seeding.MIN_BATCH)
-                assert seeding.each_child(batch[1:4], i) == [seeding.child_seed(s, i) for s in batch[1:4]]
-                got[i] += seeding.each_child(batch, i)
-        assert got == expected
-    assert not seeding._batch_kids
+def test_each_child_in_a_batch_equals_child_seed_outside_it(monkeypatch, trials):
+    passes = []
+    real = seeding._pools
+    monkeypatch.setattr(seeding, "_pools", lambda seeds: passes.append(seeds.size) or real(seeds))
+    children = range(4)  # every child index a route reads: 0 for blind probes, then 1 to 3
+    seeds = [cli._trial_seed(7, 1, t) for t in range(trials)]
+    expected = {i: [seeding.child_seed(s, i) for s in seeds] for i in children}
+    got = {i: [] for i in children}
+    for batch in cli._trial_seeds(7, 1, trials):
+        for i in children:
+            # a chunk under MIN_BATCH seeds derives one by one; a batch of
+            # at least MIN_BATCH pooled seeds in one vectorized pass
+            passes.clear()
+            assert seeding.each_child(batch[1:4], i) == [seeding.child_seed(s, i) for s in batch[1:4]]
+            got[i] += seeding.each_child(batch, i)
+            assert passes == ([len(batch)] if len(batch) >= seeding.MIN_BATCH else [])
+    assert got == expected
+    assert not seeding._batch_pool0 and not seeding._batch_words
 
 
 def test_an_integer_point_derives_no_seed_per_trial(monkeypatch):
@@ -639,11 +641,57 @@ def test_rng_seeds_pcg64_from_an_iseedsequence_subclass():
     assert ISeedSequence in type(g.bit_generator.seed_seq).__mro__
     for s in (0, 5, 2**32 - 1, 12345678901):  # scalar seeds
         assert draws(seeding.rng(s)) == draws(np.random.default_rng(s))
-    with seeding.batch(9, (1,), range(seeding.MIN_BATCH), (1, 2)) as trial_seeds:
+    with seeding.batch(9, (1,), range(seeding.MIN_BATCH)) as trial_seeds:
         kids = seeding.each_child(trial_seeds, 2)
         assert all(k in seeding._batch_words for k in kids)  # batch seeds: their state words come from the table
         for k in kids:
             assert draws(seeding.rng(k)) == draws(np.random.default_rng(k))
+
+
+def test_a_batched_point_builds_no_seed_sequence_below_its_trial_seeds(monkeypatch):
+    # vn_poly's term seeds and the odd floor's noise seeds are grandchildren
+    # of a trial seed; inside the batch, they and their generators come
+    # from each_child's vectorized passes, not from numpy's SeedSequence
+    built = []
+    real = seeding._pool
+    for alpha, method in ((1.0, "poly"), (1.5, None)):
+        p = estimators.plan(DIAG8, alpha, 0.1, method=method)
+        for seeds in cli._trial_seeds(4, 1, 20):  # one batch, open while its trials run
+            monkeypatch.setattr(seeding, "_pool", lambda *a: built.append(a) or real(*a))
+            reports = estimators.run(p, seeds)
+            monkeypatch.setattr(seeding, "_pool", real)
+        assert len(reports) == 20 and built == []
+        # the same estimates as seeds derived outside any batch
+        assert reports == estimators.run(p, [cli._trial_seed(4, 1, t) for t in range(20)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    master=st.integers(0, 2**70),
+    head=st.integers(0, 2**32 - 1),
+    start=st.integers(0, 2**32 - 64),
+    n=st.integers(seeding.MIN_BATCH, 40),
+    i=st.integers(0, 2**32 - 1),
+    j=st.integers(0, 3),
+)
+def test_each_child_in_a_batch_equals_numpy_spawn(master, head, start, n, i, j):
+    state = lambda g: g.bit_generator.state
+    with mock.patch.object(seeding, "_pools", wraps=seeding._pools) as passes:
+        with seeding.batch(master, (head,), range(start, start + n)) as trial_seeds:
+            passes.reset_mock()
+            kids = seeding.each_child(trial_seeds, i)
+            grandkids = seeding.each_child(kids, j)
+            assert passes.call_count == 2  # one vectorized pass per generation
+            assert kids == [_numpy_seed(s, (i,)) for s in trial_seeds]
+            assert grandkids == [_numpy_seed(s, (j,)) for s in kids]
+            for s in kids + grandkids:
+                assert state(seeding.rng(s)) == state(np.random.default_rng(s))
+            # too few seeds, or a seed the batch does not know: one by one
+            foreign = max(seeding._batch_pool0) + 1
+            for few in (trial_seeds[: seeding.MIN_BATCH - 1], [*trial_seeds[1:], foreign]):
+                passes.reset_mock()
+                assert seeding.each_child(few, i) == [_numpy_seed(s, (i,)) for s in few]
+                assert passes.call_count == 0
 
 
 def test_blind_inputs_and_measurement_keep_their_seeds(monkeypatch):
