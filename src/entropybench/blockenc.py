@@ -12,26 +12,25 @@ builders below know that distance, or a bound on it, from how they made
 the pair and carry it as `dist_bound`, so checking the contract costs no
 eigendecomposition; an encoding built without one is checked directly.
 
-An encoding seeded with a sequence of noise seeds is a stack: one
-realized block per seed over the one target, which does not depend on
-the noise, with `eta` and `dist_bound` arrays holding one value per
-trial (NaN where a trial has no carried bound).  Every builder takes a
-stack as it takes a single encoding, and a check that fails raises the
-error of the first failing trial (`numkernel.fail_first`).  Each builder
-makes its target from its inputs' targets; the encoding targets are
-cached on the state.
+An encoding of more than one trial is a stack: one realized block per
+trial, drawn in turn from the builder's noise stream, over the one
+target, which does not depend on the noise, with `eta` and `dist_bound`
+arrays holding one value per trial (NaN where a trial has no carried
+bound).  An encoding of one trial is a single block.  Every builder
+takes a stack as it takes a single encoding, and a check that fails
+raises the error of the first failing trial (`numkernel.fail_first`).
+Each builder makes its target from its inputs' targets; the encoding
+targets are cached on the state.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from . import seeding
 from .config import TOL
 from .numkernel import (
     HermMatrix,
@@ -43,10 +42,8 @@ from .numkernel import (
     op_norm_dist,
     with_eigenvalues,
 )
+from .seeding import Stream
 from .states import DensityMatrix
-
-# A noise seed, or one per trial of a stack.
-Seeds = Union[int, Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -129,13 +126,11 @@ def encoding_copy_cost(delta: float) -> int:
     return int(math.ceil((1.0 / delta) * math.log(1.0 / delta)))
 
 
-def _random_perturbations(dim: int, norm: float, seeds: Sequence[int]) -> np.ndarray:
-    """Random Hermitian directions, one per seed, each scaled to an exact
-    operator norm.  Each seed's generator draws the real and then the
-    imaginary parts of its Gaussian matrix."""
-    z = np.empty((len(seeds), 2, dim, dim))
-    for draws, seed in zip(z, seeds):
-        seeding.rng(seed).standard_normal(out=draws)
+def _random_perturbations(dim: int, norm: float, noise: Stream, trials: int) -> np.ndarray:
+    """Random Hermitian directions, one per trial, each scaled to an exact
+    operator norm.  Trial by trial, the stream draws the real and then
+    the imaginary parts of a Gaussian matrix."""
+    z = noise.rng.standard_normal((trials, 2, dim, dim))
     g = z[:, 0] + 1j * z[:, 1]
     h = (g + adjoint(g)) / 2
     cur = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
@@ -146,9 +141,9 @@ def _random_perturbations(dim: int, norm: float, seeds: Sequence[int]) -> np.nda
     return h * (norm / cur)[:, None, None]
 
 
-def _perturbed(target: HermMatrix, norm: float, noise_seed: Seeds):
+def _perturbed(target: HermMatrix, norm: float, noise: Stream, trials: int):
     """target + P with ||P|| = norm, eigenvalues clipped into [-1, 1]; a
-    stack of them, one per seed, for a sequence of seeds.
+    stack of them, one per trial, for more than one trial.
 
     Returns the realized block and its distance bound.  Clipping only
     engages when the perturbed spectrum pokes above 1 (a unitary corner
@@ -158,9 +153,8 @@ def _perturbed(target: HermMatrix, norm: float, noise_seed: Seeds):
     increases the distance to it, but that is not proven in operator
     norm, so the encoding's own check measures it.
     """
-    stacked = np.ndim(noise_seed) == 1
-    p = _random_perturbations(target.dim, norm, noise_seed if stacked else [noise_seed])
-    h = HermMatrix(target.mat + (p if stacked else p[0]))
+    p = _random_perturbations(target.dim, norm, noise, trials)
+    h = HermMatrix(target.mat + (p if trials > 1 else p[0]))
     bound = widen_for_rounding(norm, target.dim)
     if op_norm(target) + norm <= 1.0:
         return h, bound
@@ -186,8 +180,9 @@ def encoding_target(rho: DensityMatrix, scale: float) -> HermMatrix:
 def _encode(
     rho: DensityMatrix,
     delta: float,
-    noise_seed: Seeds,
+    noise: Optional[Stream],
     noiseless: bool,
+    trials: int,
     scale: float,
     subnorm: float,
 ) -> BlockEncoding:
@@ -195,7 +190,7 @@ def _encode(
     if not (0.0 < delta <= 0.5):
         raise ValueError(f"approximation budget must be in (0, 1/2], got {delta}")
     target = encoding_target(rho, scale)
-    encoded, bound = (target, 0.0) if noiseless else _perturbed(target, delta / 2.0, noise_seed)
+    encoded, bound = (target, 0.0) if noiseless else _perturbed(target, delta / 2.0, noise or Stream(0), trials)
     return BlockEncoding(
         encoded=encoded,
         target=target,
@@ -210,26 +205,29 @@ def _encode(
 def encode_density(
     rho: DensityMatrix,
     delta: float,
-    noise_seed: Seeds = 0,
+    noise: Optional[Stream] = None,
     noiseless: bool = False,
+    trials: int = 1,
 ) -> BlockEncoding:
     """Encoding of (pi/4) * rho with approximation budget delta.
 
-    The realized corner is the target plus a seeded random Hermitian
-    perturbation of operator norm delta/2 (half the certified budget);
-    in noiseless mode the perturbation is dropped and delta is kept as a
-    bound only, and the encoding is one matrix whatever the seeds.  A
-    sequence of seeds gives a stack, one corner per seed.  Copy cost is
-    ceil((1/delta) log(1/delta)).
+    The realized corner is the target plus a random Hermitian
+    perturbation of operator norm delta/2 (half the certified budget),
+    drawn from the `noise` stream (a fresh `Stream(0)` if None); in
+    noiseless mode the perturbation is dropped and delta is kept as a
+    bound only, and the encoding is one matrix whatever the trials.
+    More than one trial gives a stack, one corner per trial.  Copy cost
+    is ceil((1/delta) log(1/delta)).
     """
-    return _encode(rho, delta, noise_seed, noiseless, np.pi / 4.0, 4.0 / np.pi)
+    return _encode(rho, delta, noise, noiseless, trials, np.pi / 4.0, 4.0 / np.pi)
 
 
 def encode_state_side(
     rho: DensityMatrix,
     delta: float,
-    noise_seed: Seeds = 0,
+    noise: Optional[Stream] = None,
     noiseless: bool = False,
+    trials: int = 1,
 ) -> BlockEncoding:
     """Encoding whose corner is rho itself (no pi/4 prefactor).
 
@@ -238,7 +236,7 @@ def encode_state_side(
     those of `encode_density`; the perturbation is clipped if it would
     push the corner norm above 1, as it can for spectra touching 1.
     """
-    return _encode(rho, delta, noise_seed, noiseless, 1.0, 1.0)
+    return _encode(rho, delta, noise, noiseless, trials, 1.0, 1.0)
 
 
 def be_product(be1: BlockEncoding, be2: BlockEncoding) -> BlockEncoding:
@@ -272,18 +270,19 @@ def be_power(
     rho: DensityMatrix,
     k: int,
     per_factor_delta: float,
-    noise_seed: Seeds = 0,
+    noise: Optional[Stream] = None,
     noiseless: bool = False,
+    trials: int = 1,
 ) -> BlockEncoding:
-    """k-fold product of fresh encodings of (pi/4) rho, factor j seeded
-    with noise_seed + j (each seed + j for a stack)."""
+    """k-fold product of fresh encodings of (pi/4) rho, factor j drawing
+    its noise from child j of the `noise` stream (of a fresh `Stream(0)`
+    if None)."""
     if k < 1:
         raise ValueError("power must be >= 1")
-    out = encode_density(rho, per_factor_delta, noise_seed, noiseless)
+    noise = noise or Stream(0)
+    out = encode_density(rho, per_factor_delta, noise.child(0), noiseless, trials)
     for j in range(1, k):
-        seeds = noise_seed + j if np.ndim(noise_seed) == 0 else [s + j for s in noise_seed]
-        factor = encode_density(rho, per_factor_delta, seeds, noiseless)
-        out = be_product(out, factor)
+        out = be_product(out, encode_density(rho, per_factor_delta, noise.child(j), noiseless, trials))
     return out
 
 

@@ -14,8 +14,15 @@ and pass) are joined once per point and the ledger once per chunk of
 trials; each trial, read from the columns of `estimators.run_columns`,
 formats only its seed, estimate, abs_err and pass into its line.  Blind
 mode plans every trial alone, and a point's record holds its trials in
-turn.  Identical configuration and seed produce byte-identical CSV.  Exit
-codes: 0 success, 1 usage error, 2 validation failure.
+turn.
+
+Grid point g (numbered from 1) draws all its trials from one tree of
+random streams, `seeding.Stream(master, (g,))`, and a random state is
+seeded with the first word of the master seed's node (0, 0).  The
+`seed` column holds a trial's index t in its point's stream, so
+rerunning a point's first t + 1 trials reproduces row t.  Identical
+configuration and seed produce byte-identical CSV.  Exit codes: 0
+success, 1 usage error, 2 validation failure.
 """
 
 from __future__ import annotations
@@ -25,17 +32,15 @@ import functools
 import math
 import os
 import sys
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, TextIO
 
 import numpy as np
 
 from .accountant import C_SHOTS, decompose_alpha
-from . import seeding
 from .estimators import EstimationFailure, Plan, plan, run_columns
 from .qsvtpoly import DegreeCapExceeded
-from .seeding import spawn_seed
+from .seeding import Stream
 from .states import DensityMatrix, from_spectrum, random_density
 
 CSV_COLUMNS = [
@@ -93,8 +98,6 @@ class ExperimentConfig:
             problems.append(f"mode {self.mode!r}")
         if self.trials < 1:
             problems.append(f"trials {self.trials}")
-        elif self.trials > 2**32:
-            problems.append(f"trials {self.trials} (at most 2**32: a trial's seed word is 32-bit)")
         if not _positive(self.eps):
             problems.append(f"eps {self.eps}")
         if self.mode != "validate" and not _positive(self.alpha):
@@ -126,29 +129,6 @@ class ExperimentConfig:
             raise UsageError("invalid config fields: " + ", ".join(problems))
 
 
-def _trial_seed(master: int, grid_index: int, trial: int) -> int:
-    """Seed of `trial` at grid point `grid_index`: the master seed's child
-    at spawn key (grid_index, trial).  The trials of one grid point share
-    the mixed pool before their trial word."""
-    return spawn_seed(master, (grid_index, trial))
-
-
-def _trial_seeds(master: int, grid_index: int, trials: int) -> Iterator[list[int]]:
-    """The seeds of a grid point's trials in order, in lists of at most
-    `seeding.BATCH_TRIALS`.  Each list is derived in one batch, which
-    stays open while its trials run, so the routes derive the children
-    they read in batches too (see `seeding.batch`); a batch smaller than
-    `seeding.MIN_BATCH` would not pay for itself, so its seeds are
-    derived one at a time."""
-    for start in range(0, trials, seeding.BATCH_TRIALS):
-        chunk = range(start, min(trials, start + seeding.BATCH_TRIALS))
-        if len(chunk) < seeding.MIN_BATCH:
-            yield [_trial_seed(master, grid_index, t) for t in chunk]
-            continue
-        with seeding.batch(master, (grid_index,), chunk) as seeds:
-            yield seeds
-
-
 # A grid point: (state, order, eps in the report's units, von Neumann approach).
 _Point = tuple[DensityMatrix, float, float, str]
 
@@ -166,7 +146,8 @@ def _points(cfg: ExperimentConfig) -> list[_Point]:
         return [(rho, a, 0.1, cfg.approach) for rho in fixtures for a in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)] + block
     alpha = 1.0 if cfg.mode == "vonneumann" else cfg.alpha
     # the state itself is fixed across trials; only measurements vary
-    random_state = functools.cache(lambda rank: random_density(cfg.d, rank, _trial_seed(cfg.seed, 0, 0)))
+    random_state = functools.cache(lambda rank: random_density(
+        cfg.d, rank, int(np.random.SeedSequence(cfg.seed, spawn_key=(0, 0)).generate_state(1)[0])))
     if cfg.mode == "sweep" and cfg.var == "rank":
         return [(random_state(int(v)), alpha, cfg.eps, cfg.approach) for v in cfg.grid]
     rho = from_spectrum(cfg.spectrum, cfg.d) if cfg.spectrum is not None else random_state(cfg.rank)
@@ -186,11 +167,12 @@ class PointRows(NamedTuple):
 
 
 def _point_rows(point: _Point, grid_index: int, trials: int, cfg: ExperimentConfig) -> PointRows:
-    """The rows of `trials` estimates at one grid point, each on its own
-    seed: the point is planned once and its trials run in batches.  Blind
-    mode draws its probes per trial, so it plans every trial and appends
-    each trial's row in turn.  The point's eps is in the report's units,
-    so the estimators, which work in nats, get it converted."""
+    """The rows of `trials` estimates at one grid point, all drawn from
+    the point's stream: the point is planned once and its trials run in
+    chunks.  Blind mode draws its probes per trial, so it plans every
+    trial and appends each trial's row in turn.  The point's eps is in
+    the report's units, so the estimators, which work in nats, get it
+    converted."""
     rho, alpha, eps, approach = point
     scale = math.log(2.0) if cfg.log_base == "2" else 1.0  # nats per report unit
     branch = decompose_alpha(alpha).branch
@@ -198,40 +180,40 @@ def _point_rows(point: _Point, grid_index: int, trials: int, cfg: ExperimentConf
     settings = dict(mode="ideal" if cfg.ideal else "noisy", method=method, c_shots=cfg.c_shots)
     out = PointRows([], [], [], [], [])
     if cfg.blind:
-        for seeds in _trial_seeds(cfg.seed, grid_index, trials):
-            for s in seeds:
-                _rows(plan(rho, alpha, eps * scale, blind=True, seed=s, **settings), [[s]], rho, scale, eps, out)
+        stream = Stream(cfg.seed, (grid_index,))
+        for t in range(trials):
+            p = plan(rho, alpha, eps * scale, blind=True, stream=stream, **settings)
+            _rows(p, stream, range(t, t + 1), rho, scale, eps, out)
         return out
     shared = plan(rho, alpha, eps * scale, **settings)
-    _rows(shared, _trial_seeds(cfg.seed, grid_index, trials), rho, scale, eps, out)
+    _rows(shared, Stream(cfg.seed, (grid_index,)), range(trials), rho, scale, eps, out)
     return out
 
 
-def _rows(p: Plan, batches: Iterable[list[int]], rho: DensityMatrix, scale: float, eps: float,
+def _rows(p: Plan, stream: Stream, trials: range, rho: DensityMatrix, scale: float, eps: float,
           out: PointRows) -> None:
-    """Append the rows of a plan's trials to `out`, batch by batch of
-    seeds.  The fields the plan fixes are joined once and the ledger once
-    per chunk; a trial's line adds its seed, its estimate and error in
-    report units, and whether that error is within eps, in the order of
+    """Append the rows of a plan's trials to `out`, chunk by chunk.  The
+    fields the plan fixes are joined once and the ledger once per chunk;
+    a trial's line adds its index, its estimate and error in report
+    units, and whether that error is within eps, in the order of
     `CSV_COLUMNS`."""
     exact = p.oracle.entropy / scale
     budget = p.budget
     head = (f"{float(p.regime.alpha)!r},{p.regime.branch},{rho.dim},{rho.meta.rank},{float(eps)!r},"
             f"{float(budget.delta)!r},{p.method},{budget.shots},")
     exact_field = f",{float(exact)!r},"
-    for seeds in batches:
-        for c in run_columns(p, seeds):
-            middle = f",{head}{c.ledger},{budget.predicted_samples},"
-            ests = [estimate / scale for estimate in c.estimates]
-            errs = [abs(est - exact) for est in ests]
-            oks = [int(err <= eps) for err in errs]
-            out.lines.extend([f"{seed}{middle}{est!r}{exact_field}{err!r},{ok}"
-                              for seed, est, err, ok in zip(c.seeds, ests, errs, oks)])
-            out.passed.extend(oks)
-            n = len(c.seeds)
-            out.shots.extend([budget.shots] * n)
-            out.ledger_samples.extend([c.ledger] * n)
-            out.predicted_samples.extend([budget.predicted_samples] * n)
+    for c in run_columns(p, stream, trials):
+        middle = f",{head}{c.ledger},{budget.predicted_samples},"
+        ests = [estimate / scale for estimate in c.estimates]
+        errs = [abs(est - exact) for est in ests]
+        oks = [int(err <= eps) for err in errs]
+        out.lines.extend([f"{t}{middle}{est!r}{exact_field}{err!r},{ok}"
+                          for t, est, err, ok in zip(c.trials, ests, errs, oks)])
+        out.passed.extend(oks)
+        n = len(c.trials)
+        out.shots.extend([budget.shots] * n)
+        out.ledger_samples.extend([c.ledger] * n)
+        out.predicted_samples.extend([budget.predicted_samples] * n)
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[PointRows], str]:

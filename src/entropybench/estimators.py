@@ -8,31 +8,36 @@ between p0 and the entropy.  `vn_poly` measures many trace powers
 instead of one p0.
 
 The skeleton runs in two steps.  `plan` does, once per grid point, all
-that does not depend on the trial seed: the regime, the spectral inputs,
-the budget, the oracle, the rho_min the route uses, and `vn_poly`'s
-term table (its shot counts need its fit).  `run_columns(plan, seeds)`
-does the seeded work.  It hands chunks of trials to the route's function
-(`renyi_integer(plan, seeds)` and so on, one per route), which writes the
-route's chain once: it makes its fits and encoding budgets first (a later
-chunk's fits are hits in the fit builders' memo), builds the realized
-encodings of a chunk as one stack (each trial's noise from its own
-generator) and transforms the stack with stacked kernels, while each
-builder makes the one exact target from its inputs' targets.  A fit the
-builders refuse, or a target outside a fit's domain, is refused there,
-by the first chunk.  One `measure_p0` call per chunk checks the accuracy
-and counts the shots once, then draws each trial's p0 from the trial's
-own generator; each trial is inverted in turn.  `measure_p0` is the one
-seeded draw of a run: `vn_poly` measures each term of a chunk in one
-call, and blind mode's purity and minimum-eigenvalue probes take one
-call each.  The chunk comes back as
-`Columns`: a list per trial field (seed, estimate, measured and realized
-p0, bound, eta) beside the ledger and the exact p0 of the chain's target,
-which every trial shares.  `run(plan, seeds)` makes a report of each
-trial from them; the CLI makes rows of them.  A chunk holds at most
-`STACK_BYTES` per stacked array.
-When a check fails, the run raises the error of the first failing trial,
-the one a trial-by-trial run would have met first.  `estimate` runs one
-trial.  Blind mode draws its probes per trial, so it plans every trial.
+that the trials share: the regime, the spectral inputs, the budget, the
+oracle, the rho_min the route uses, and `vn_poly`'s term table (its shot
+counts need its fit).  `run_columns(plan, stream, trials)` does the
+random work on the point's tree of random streams (`seeding.Stream`).
+It hands chunks of trials to the route's function
+(`renyi_integer(plan, stream, trials)` and so on, one per route), which
+writes the route's chain once: it makes its fits and encoding budgets
+first (a later chunk's fits are hits in the fit builders' memo), builds
+the realized encodings of a chunk as one stack and transforms the stack
+with stacked kernels, while each builder makes the one exact target
+from its inputs' targets.  A fit the builders refuse, or a target
+outside a fit's domain, is refused there, by the first chunk.  One
+`measure_p0` call per chunk checks the accuracy and counts the shots
+once; each trial is inverted in turn.  Each route numbers the stream's
+children it reads: 0 feeds blind mode's probes, then come its build
+stages, and its measurement comes last.  Every stage draws a chunk as
+one array from a generator it carries from chunk to chunk, and numpy
+draws an array in order, so a point's output does not depend on its
+chunk size.  `measure_p0` is the one random draw of a measurement:
+`vn_poly` measures each term of a chunk in one call, and blind mode's
+purity and minimum-eigenvalue probes take one call each.  The chunk
+comes back as `Columns`: a list per trial field (estimate, measured and
+realized p0, bound, eta) beside the trials' indices, the ledger and the
+exact p0 of the chain's target, which every trial shares.  `run(plan,
+stream, trials)` makes a report of each trial from them; the CLI makes
+rows of them.  A chunk holds at most `STACK_BYTES` per stacked array.
+When a check fails, the run raises the error of the first failing
+trial, the one a trial-by-trial run would have met first.  `estimate`
+runs one trial.  Blind mode draws its probes per trial, so it plans
+every trial.
 
 Reports carry the realized and exact p0, the certified operator-error
 ledger, a p0-level deviation bound, and the copy-count bookkeeping.
@@ -47,7 +52,7 @@ estimates obtained through the protocols themselves.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
@@ -58,8 +63,7 @@ from .blockenc import BlockEncoding, be_power, be_product, encode_density, encod
 from .config import TOL
 from .numkernel import HermMatrix, fail_first, frobenius, op_norm
 from .qsvtpoly import MONOMIAL_DEGREE_CAP, apply_poly, approx_log, approx_neg_power, approx_pos_power
-from . import seeding
-from .seeding import child_seed as _child_seed, each_child as _each_child
+from .seeding import Stream
 from .states import DensityMatrix, EntropyRecord, StateMeta, exact_entropies
 
 LOG_PI_OVER_4 = math.log(math.pi / 4.0)
@@ -79,17 +83,18 @@ class EstimationFailure(RuntimeError):
     """A statistical outcome made the recovery formula undefined."""
 
 
-def measure_p0(p0s: list[float], delta: float, seeds: list[int], c_shots: float = C_SHOTS,
+def measure_p0(p0s: list[float], delta: float, stream: Stream, c_shots: float = C_SHOTS,
                mode: str = "bernoulli") -> list[float]:
     """Simulated estimates of the ancilla probabilities `p0s` at accuracy
-    parameter delta: trial k measures p0s[k] with the generator of
-    seeds[k].  This is the package's one seeded draw.
+    parameter delta, drawn as one array from the stream's generator.
+    This is the package's one random draw of a measurement.
 
     Bernoulli mode draws ceil(c_shots/delta^2) coin flips (one binomial
     variate, identical in law); the "amplitude_estimation" model returns
     p0 plus uniform noise in [-delta, delta] at ceil(c_shots/delta) query
-    cost.  Each trial draws from its own seed's generator, so a list
-    equals its one-element calls.  Before any draw, a p0 outside [0, 1]
+    cost.  numpy draws an array in order, so a list equals its
+    one-element calls made in turn on the same stream.  Before any draw,
+    a p0 outside [0, 1]
     is refused naming its trial (one within 1e-12 of it is clamped to
     it), then delta and the shot count are checked.
     """
@@ -101,10 +106,9 @@ def measure_p0(p0s: list[float], delta: float, seeds: list[int], c_shots: float 
     if not (0.0 < delta < 1.0):
         raise ValueError(f"accuracy parameter must be in (0, 1), got {delta}")
     n = shots_for(mode, delta, c_shots)
-    rng = seeding.rng
     if mode == "bernoulli":
-        return [float(rng(s).binomial(n, p0) / n) for s, p0 in zip(seeds, p0s)]
-    return [float(p0 + rng(s).uniform(-delta, delta)) for s, p0 in zip(seeds, p0s)]
+        return (stream.rng.binomial(n, p0s) / n).tolist()
+    return (np.asarray(p0s) + stream.rng.uniform(-delta, delta, len(p0s))).tolist()
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ class EstimateReport:
     shots_used: int
     sample_cost_total: int
     method: str
-    seed: int
+    seed: int  # the trial's index in its point's stream
     predicted_budget: int
     alpha: float
     branch: str
@@ -142,11 +146,11 @@ class EstimateReport:
 
 class Columns(NamedTuple):
     """A chunk of one plan's trials as columns, one entry per trial in
-    seed order: what `run` makes reports of and the CLI writes as rows.
-    The ledger and the exact p0 are shared by every trial;
-    a route that measures no single p0 (`vn_poly`) has None entries."""
+    order: what `run` makes reports of and the CLI writes as rows.  The
+    ledger and the exact p0 are shared by every trial; a route that
+    measures no single p0 (`vn_poly`) has None entries."""
 
-    seeds: list[int]
+    trials: range  # the trials' indices in their point's stream
     estimates: list[float]
     ledger: int
     p0_measured: list[Optional[float]]
@@ -161,10 +165,6 @@ class MinEigResult:
     estimate: float  # of (pi/4) * rho_min
     rho_min: float
     sample_cost: int
-
-
-def _child_seeds(seed: int, n: int) -> list[int]:
-    return [_child_seed(seed, i) for i in range(n)]
 
 
 def _op_norm_cap(h: HermMatrix):
@@ -186,12 +186,13 @@ def _clamp_encoding_budget(x: float) -> float:
     return float(min(0.5, max(1e-300, x)))
 
 
-def min_eig_estimate(be: BlockEncoding, theta: float, seed: int = 0) -> MinEigResult:
+def min_eig_estimate(be: BlockEncoding, theta: float, stream: Optional[Stream] = None) -> MinEigResult:
     """Smallest nonzero eigenvalue of the encoded block, up to additive theta.
 
     theta = 0 returns the exact value at zero ledger cost; otherwise the
     value is measured as an amplitude estimate to additive theta (uniform
-    noise in [-theta, theta] from `measure_p0`'s generator for `seed`),
+    noise in [-theta, theta] drawn by `measure_p0` from `stream`, a fresh
+    `Stream(0)` if None),
     the result clamped positive, and the ledger charged
     (T_A/theta)(ln(1/theta) + ln(d)/2).
     Eigenvalues within the encoding's own error budget of zero are
@@ -207,7 +208,7 @@ def min_eig_estimate(be: BlockEncoding, theta: float, seed: int = 0) -> MinEigRe
     val = float(nz[-1])
     cost = 0
     if theta > 0.0:
-        (val,) = measure_p0([val], theta, [seed], mode="amplitude_estimation")
+        (val,) = measure_p0([val], theta, stream or Stream(0), mode="amplitude_estimation")
         val = max(val, TOL.rank_cutoff)
         d = be.dim
         cost = int(math.ceil((be.sample_cost / theta) * (math.log(1.0 / theta) + math.log(d) / 2.0)))
@@ -228,26 +229,28 @@ def _gather_inputs(
     rho: DensityMatrix,
     blind: bool,
     mode: str,
-    seed: int,
+    stream: Optional[Stream],
     c_shots: float,
     need_rho_min: bool = True,
 ) -> _Inputs:
-    """`seed` is the estimate's own seed: blind probes draw from its
-    child 0, which is derived only when they run.  The purity is measured
-    as the integer route measures order 2, on two copies per shot."""
+    """`stream` is the estimate's own (a fresh `Stream(0)` if None): blind
+    probes draw from its child 0, the purity from child 0 of that, the
+    minimum eigenvalue from child 1 and its probe encoding from child 2.
+    The purity is measured as the integer route measures order 2, on two
+    copies per shot."""
     meta = rho.meta
     if not blind:
         return _Inputs(meta=meta, rho_min_lower=meta.rho_min)
-    s_pur, s_min, s_enc = _child_seeds(_child_seed(seed, 0), 3)
-    (p_hat,) = measure_p0([(1.0 + meta.purity) / 2.0], BLIND_PURITY_DELTA, [s_pur], c_shots)
+    probes = (stream or Stream(0)).child(0)
+    (p_hat,) = measure_p0([(1.0 + meta.purity) / 2.0], BLIND_PURITY_DELTA, probes.child(0), c_shots)
     t2_hat = float(min(1.0, max(2.0 * p_hat - 1.0, 1.0 / rho.dim)))
     cost = 2 * shots_for("bernoulli", BLIND_PURITY_DELTA, c_shots)
     r_hat = max(1, min(rho.dim, int(math.ceil(1.0 / t2_hat - 1e-9))))
     flags = ["blind_rank", "blind_purity"]
     rho_min_lower = meta.rho_min
     if need_rho_min:
-        probe = encode_density(rho, 0.01, s_enc, noiseless=(mode == "ideal"))
-        res = min_eig_estimate(probe, BLIND_THETA, s_min)
+        probe = encode_density(rho, 0.01, probes.child(2), noiseless=(mode == "ideal"))
+        res = min_eig_estimate(probe, BLIND_THETA, probes.child(1))
         rho_min_lower = max((res.estimate - BLIND_THETA) * 4.0 / math.pi, 1e-4)
         cost += probe.sample_cost + res.sample_cost
         flags.append("blind_rho_min")
@@ -303,11 +306,12 @@ def plan(
     method: Optional[str] = None,
     blind: bool = False,
     c_shots: float = C_SHOTS,
-    seed: int = 0,
+    stream: Optional[Stream] = None,
 ) -> Plan:
     """The plan of `estimate(rho, alpha, eps, seed, mode, method, blind,
-    c_shots)`: everything but the seeded work.  `seed` matters in blind
-    mode only, whose probes draw from the trial seed's child 0."""
+    c_shots)`: everything but the trials' random work.  `stream` matters
+    in blind mode only, whose probes draw from its child 0 (of a fresh
+    `Stream(0)` if None)."""
     if mode not in ("noisy", "ideal"):
         raise ValueError(f"unknown mode {mode!r}; expected 'noisy' or 'ideal'")
     regime = decompose_alpha(alpha)
@@ -330,7 +334,7 @@ def plan(
         if branch == "integer":
             regime = decompose_alpha(float(round(alpha)))
     state = rho.project_to_support() if method in ("even_floor", "qsvt") else rho
-    inputs = _gather_inputs(state, blind, mode, seed, c_shots, need_rho_min=method != "integer")
+    inputs = _gather_inputs(state, blind, mode, stream, c_shots, need_rho_min=method != "integer")
     budget = delta_budget(regime, eps, inputs.meta, method="ae" if method == "ae" else "sampling", c_shots=c_shots)
     fields = dict(state=state, regime=regime, method=method, eps=eps, mode=mode, c_shots=c_shots,
                   inputs=inputs, budget=budget, flags=inputs.flags,
@@ -380,50 +384,47 @@ def _poly_table(state: DensityMatrix, eps: float, mode: str, c_shots: float, rho
     return dict(budget=budget, terms=tuple(terms), eta=log_scale * 2.0 * log_fit.eps)
 
 
-def run(p: Plan, seeds: Sequence[int]) -> list[EstimateReport]:
-    """One report per trial seed, in order, each as `estimate` would give
-    it on that seed: the reports of `run_columns(p, seeds)`."""
-    return [report for c in run_columns(p, seeds) for report in _reports(p, c)]
+def run(p: Plan, stream: Stream, trials: int) -> list[EstimateReport]:
+    """One report per trial, in order, of `trials` trials drawn from a
+    fresh `stream`: the reports of `run_columns(p, stream, range(trials))`."""
+    return [report for c in run_columns(p, stream, range(trials)) for report in _reports(p, c)]
 
 
-def run_columns(p: Plan, seeds: Sequence[int]) -> list[Columns]:
-    """The trials of `run(p, seeds)` as columns, one `Columns` per chunk of
-    at most `p.chunk` trials, each run through the route's function.  A
+def run_columns(p: Plan, stream: Stream, trials: range) -> Iterator[Columns]:
+    """The trials `trials` of a point as columns, one `Columns` per chunk
+    of at most `p.chunk` trials, each run through the route's function on
+    the point's stream, which carries its draws from chunk to chunk.  A
     failing trial raises its own error, and only once every trial before
-    it has run without one."""
-    return [_chunk(p, list(seeds[start:start + p.chunk])) for start in range(0, len(seeds), p.chunk)]
+    it has run without one: when trial k of a chunk fails first at its
+    stage, the point's trials before it run again from a fresh stream,
+    since one of them may still fail at a later stage.  A chunk of one
+    trial, as each of blind mode's, never runs again."""
+    for start in range(trials.start, trials.stop, p.chunk):
+        chunk = range(start, min(trials.stop, start + p.chunk))
+        try:
+            columns = _route(p, stream, chunk)
+        except (ValueError, RuntimeError) as exc:
+            if getattr(exc, "trial", 0):
+                for _ in run_columns(p, stream.fresh(), range(start + exc.trial)):
+                    pass
+            raise
+        yield columns
 
 
-def _chunk(p: Plan, seeds: list[int]) -> Columns:
+def _route(p: Plan, stream: Stream, chunk: range) -> Columns:
     # each route function is reached through its module global, so a
     # wrapper put there (a tracer's) sees every chunk
-    try:
-        if p.method == "integer":
-            return renyi_integer(p, seeds)
-        if p.method == "odd_floor":
-            return renyi_case_odd(p, seeds)
-        if p.method == "even_floor":
-            return renyi_case_even(p, seeds)
-        if p.method in ("sampling", "ae"):
-            return renyi_sub_one(p, seeds)
-        if p.method == "qsvt":
-            return vn_qsvt(p, seeds)
-        return vn_poly(p, seeds)
-    except (ValueError, RuntimeError) as exc:
-        # trial `exc.trial` failed first at its stage of the chunk; a
-        # trial before it may still fail at a later stage
-        if getattr(exc, "trial", 0):
-            _chunk(p, seeds[: exc.trial])
-        raise
-
-
-def _kids(seeds, i: int):
-    """Child i of each seed: one seed for a run of one trial, whose
-    encodings are single matrices, and a list for a stack."""
-    if isinstance(seeds, int):
-        return _child_seed(seeds, i)
-    kids = _each_child(seeds, i)
-    return kids[0] if len(kids) == 1 else kids
+    if p.method == "integer":
+        return renyi_integer(p, stream, chunk)
+    if p.method == "odd_floor":
+        return renyi_case_odd(p, stream, chunk)
+    if p.method == "even_floor":
+        return renyi_case_even(p, stream, chunk)
+    if p.method in ("sampling", "ae"):
+        return renyi_sub_one(p, stream, chunk)
+    if p.method == "qsvt":
+        return vn_qsvt(p, stream, chunk)
+    return vn_poly(p, stream, chunk)
 
 
 def _per_trial(x, n: int) -> list[float]:
@@ -432,16 +433,17 @@ def _per_trial(x, n: int) -> list[float]:
     return values * n if len(values) == 1 else values
 
 
-def _trials(p: Plan, seeds: list[int], child: int, be: Optional[BlockEncoding], invert: Callable) -> Columns:
+def _trials(p: Plan, stream: Stream, trials: range, child: int, be: Optional[BlockEncoding],
+            invert: Callable) -> Columns:
     """Measure and invert the trials of a built chain, as columns.  The
     chain's p0 is read exactly in ideal mode and otherwise measured in one
-    `measure_p0` call on each trial's child `child`, Bernoulli or, for
+    `measure_p0` call on the stream's child `child`, Bernoulli or, for
     method "ae", by amplitude estimation; the exact p0 and the deviation
     bound read the chain's target.  `invert(p0_hat, bound)` turns a
-    trial's p0 into the entropy.  Each route numbers a trial seed's
+    trial's p0 into the entropy.  Each route numbers its stream's
     children: 0 feeds blind mode's probes, then come its build stages,
     and `child` is its measurement, the last."""
-    n = len(seeds)
+    n = len(trials)
     if be is None:  # integer orders read the oracle's trace power, one p0 for all
         exact = (1.0 + p.oracle.tr_pow_alpha) / 2.0
         realized, bounds, etas = [min(1.0, max(0.0, exact))] * n, [0.0] * n, [0.0] * n
@@ -464,7 +466,7 @@ def _trials(p: Plan, seeds: list[int], child: int, be: Optional[BlockEncoding], 
         ledger = be.sample_cost + p.budget.shots
     measured = realized
     if not p.noiseless:
-        measured = measure_p0(realized, p.budget.measure_delta, _each_child(seeds, child), p.c_shots,
+        measured = measure_p0(realized, p.budget.measure_delta, stream.child(child), p.c_shots,
                               "amplitude_estimation" if p.method == "ae" else "bernoulli")
     estimates = []
     try:
@@ -473,7 +475,7 @@ def _trials(p: Plan, seeds: list[int], child: int, be: Optional[BlockEncoding], 
     except (ValueError, RuntimeError) as exc:
         exc.trial = len(estimates)
         raise
-    return Columns(seeds, estimates, int(ledger) + p.inputs.extra_cost, measured, realized, exact, bounds, etas)
+    return Columns(trials, estimates, int(ledger) + p.inputs.extra_cost, measured, realized, exact, bounds, etas)
 
 
 def _reports(p: Plan, c: Columns) -> list[EstimateReport]:
@@ -487,10 +489,10 @@ def _reports(p: Plan, c: Columns) -> list[EstimateReport]:
                   branch=p.regime.branch, delta=p.budget.delta, exact_value=entropy, p0_operator_exact=c.p0_exact,
                   rho_min_used=p.rho_min_used, sensitivity_rho_min=p.sensitivity, flags=p.flags)
     return [
-        EstimateReport(seed=seed, estimate=est, within_eps=bool(abs(est - entropy) <= p.eps), p0_measured=measured,
+        EstimateReport(seed=trial, estimate=est, within_eps=bool(abs(est - entropy) <= p.eps), p0_measured=measured,
                        p0_realized=realized, eta_operator=eta, p0_error_bound=bound, **shared)
-        for seed, est, measured, realized, bound, eta in zip(
-            c.seeds, c.estimates, c.p0_measured, c.p0_realized, c.bounds, c.etas)
+        for trial, est, measured, realized, bound, eta in zip(
+            c.trials, c.estimates, c.p0_measured, c.p0_realized, c.bounds, c.etas)
     ]
 
 
@@ -500,7 +502,7 @@ def _nonzero(p0_hat: float, what: str = "measured ancilla probability", budget: 
     return p0_hat
 
 
-def renyi_integer(p: Plan, seeds: list[int]) -> Columns:
+def renyi_integer(p: Plan, stream: Stream, trials: range) -> Columns:
     """Integer-order estimate from joint measurements on alpha copies.
 
     Simulated as a Bernoulli source with success probability
@@ -517,10 +519,10 @@ def renyi_integer(p: Plan, seeds: list[int]) -> Columns:
             )
         return math.log(t_hat) / (1.0 - p.regime.alpha)
 
-    return _trials(p, seeds, 1, None, invert)
+    return _trials(p, stream, trials, 1, None, invert)
 
 
-def renyi_case_odd(p: Plan, seeds: list[int]) -> Columns:
+def renyi_case_odd(p: Plan, stream: Stream, trials: range) -> Columns:
     """Fractional order with odd floor: positive-power route.
 
     Decomposes alpha = 2k+1+c with c > 0, realizes ((pi/4) rho)^(k+c/2),
@@ -532,18 +534,18 @@ def renyi_case_odd(p: Plan, seeds: list[int]) -> Columns:
     fit = approx_pos_power(p.regime.c / 2.0, 4.0 / (math.pi * p.rho_min_used), _poly_budget(delta, p.mode))
     # the fractional power and the k plain factors draw noise from children
     # of the build child
-    build = _kids(seeds, 1)
-    be = encode_density(p.state, _clamp_encoding_budget(min(fit.input_precision, delta)), _kids(build, 0),
-                        p.noiseless)
+    build, n = stream.child(1), len(trials)
+    be = encode_density(p.state, _clamp_encoding_budget(min(fit.input_precision, delta)), build.child(0),
+                        p.noiseless, n)
     be = rescale(apply_poly(be, fit), 2.0)
     if k > 0:
-        powers = be_power(p.state, k, _clamp_encoding_budget(delta / k), _kids(build, 1), p.noiseless)
+        powers = be_power(p.state, k, _clamp_encoding_budget(delta / k), build.child(1), p.noiseless, n)
         be = be_product(powers, be)
-    return _trials(p, seeds, 2, be, lambda p0, bound: (
+    return _trials(p, stream, trials, 2, be, lambda p0, bound: (
         math.log(_nonzero(p0) * math.pi / 4.0) - alpha * LOG_PI_OVER_4) / (1.0 - alpha))
 
 
-def renyi_case_even(p: Plan, seeds: list[int]) -> Columns:
+def renyi_case_even(p: Plan, stream: Stream, trials: range) -> Columns:
     """Fractional order above 2 with even floor: negative-power route.
 
     Decomposes alpha = 2k+1+c with c < 0 and realizes
@@ -557,16 +559,17 @@ def renyi_case_even(p: Plan, seeds: list[int]) -> Columns:
     alpha, k, c, delta = p.regime.alpha, p.regime.k, p.regime.c, p.budget.delta
     kappa = 1.0 / p.inputs.rho_min_lower  # p.rho_min_used is 1/kappa
     fit = approx_neg_power(abs(c) / 2.0, kappa, _poly_budget(delta, p.mode))
+    n = len(trials)
     neg_branch = encode_state_side(p.state, _clamp_encoding_budget(min(fit.input_precision, delta)),
-                                   _kids(seeds, 1), p.noiseless)
+                                   stream.child(1), p.noiseless, n)
     neg_branch = apply_poly(neg_branch, fit)
-    powers = be_power(p.state, k, _clamp_encoding_budget(delta / k), _kids(seeds, 2), p.noiseless)
+    powers = be_power(p.state, k, _clamp_encoding_budget(delta / k), stream.child(2), p.noiseless, n)
     be = be_product(powers, neg_branch)
     prefactor = 0.25 * (math.pi / 4.0) ** (2 * k) * p.rho_min_used ** (-c)
-    return _trials(p, seeds, 3, be, lambda p0, bound: (math.log(_nonzero(p0)) - math.log(prefactor)) / (1.0 - alpha))
+    return _trials(p, stream, trials, 3, be, lambda p0, bound: (math.log(_nonzero(p0)) - math.log(prefactor)) / (1.0 - alpha))
 
 
-def renyi_sub_one(p: Plan, seeds: list[int]) -> Columns:
+def renyi_sub_one(p: Plan, stream: Stream, trials: range) -> Columns:
     """Order in (0, 1): half-power transform against the maximally mixed input.
 
     sampling: realize (1/2)((pi/4) rho)^(alpha/2), feed I/d, measure
@@ -580,8 +583,8 @@ def renyi_sub_one(p: Plan, seeds: list[int]) -> Columns:
     delta = p.budget.measure_delta  # dimension-rescaled: the recovery scales by d
     exponent = alpha / 2.0 if p.method == "sampling" else alpha
     fit = approx_pos_power(exponent, 4.0 / (math.pi * p.rho_min_used), _poly_budget(delta, p.mode))
-    be = encode_density(p.state, _clamp_encoding_budget(min(fit.input_precision, delta)), _kids(seeds, 1),
-                        p.noiseless)
+    be = encode_density(p.state, _clamp_encoding_budget(min(fit.input_precision, delta)), stream.child(1),
+                        p.noiseless, len(trials))
     be = apply_poly(be, fit)
 
     def invert(p0_hat, bound):
@@ -591,10 +594,10 @@ def renyi_sub_one(p: Plan, seeds: list[int]) -> Columns:
             tr_quarter = 2.0 * d * _nonzero(p0_hat, "overlap estimate", "query")
         return (math.log(tr_quarter) - alpha * LOG_PI_OVER_4) / (1.0 - alpha)
 
-    return _trials(p, seeds, 2, be, invert)
+    return _trials(p, stream, trials, 2, be, invert)
 
 
-def vn_qsvt(p: Plan, seeds: list[int]) -> Columns:
+def vn_qsvt(p: Plan, stream: Stream, trials: range) -> Columns:
     """Von Neumann entropy by direct spectral transformation.
 
     Chain: encode (pi/4) rho, apply the scaled-log fit on
@@ -611,7 +614,8 @@ def vn_qsvt(p: Plan, seeds: list[int]) -> Columns:
     log_fit = approx_log(beta, stage_eps)
     sqrt_fit = approx_pos_power(0.5, 1.0 / floor2, stage_eps)
     slope = max(1.0, log_fit.lipschitz_bound())
-    b1 = encode_density(p.state, _clamp_encoding_budget(stage_eps / (2.0 * slope)), _kids(seeds, 1), p.noiseless)
+    b1 = encode_density(p.state, _clamp_encoding_budget(stage_eps / (2.0 * slope)), stream.child(1), p.noiseless,
+                        len(trials))
     b1 = apply_poly(b1, log_fit)
     b2 = rescale(apply_poly(b1, sqrt_fit), 2.0)
 
@@ -624,10 +628,10 @@ def vn_qsvt(p: Plan, seeds: list[int]) -> Columns:
             )
         return (p0_hat - floor2) / gamma
 
-    return _trials(p, seeds, 2, b2, invert)
+    return _trials(p, stream, trials, 2, b2, invert)
 
 
-def vn_poly(p: Plan, seeds: list[int]) -> Columns:
+def vn_poly(p: Plan, stream: Stream, trials: range) -> Columns:
     """Von Neumann entropy from a plain-power expansion of log(1/x).
 
     Converts the scaled-log fit on [rho_min, 1] to monomial coefficients
@@ -639,19 +643,19 @@ def vn_poly(p: Plan, seeds: list[int]) -> Columns:
     |a_i|)); the coefficient-aware denominator keeps the statistical
     error within budget even when the plain-power basis inflates the
     coefficients.  There is no single p0: term i measures the chunk in
-    one call, each trial on child i-1 of its seed's child 1.
+    one call, on child i-1 of the stream's child 1.
     """
-    n = len(seeds)
+    n = len(trials)
     estimates = [p.terms[0][0]] * n  # a_0 Tr rho, exactly
-    meas = _each_child(seeds, 1)
+    meas = stream.child(1)
     for i, (a_i, delta_i, _, t_i) in enumerate(p.terms[1:], 1):
         t_hats = [t_i] * n
         if not p.noiseless:
-            p0s = measure_p0([(1.0 + t_i) / 2.0] * n, delta_i, _each_child(meas, i - 1), p.c_shots)
+            p0s = measure_p0([(1.0 + t_i) / 2.0] * n, delta_i, meas.child(i - 1), p.c_shots)
             t_hats = [2.0 * p0 - 1.0 for p0 in p0s]
         estimates = [value + a_i * t_hat for value, t_hat in zip(estimates, t_hats)]
     ledger = p.inputs.extra_cost + sum((i + 1) * n_i for i, (_, _, n_i, _) in enumerate(p.terms))
-    return Columns(seeds, estimates, ledger, [None] * n, [None] * n, None, [0.0] * n, [p.eta] * n)
+    return Columns(trials, estimates, ledger, [None] * n, [None] * n, None, [0.0] * n, [p.eta] * n)
 
 
 def estimate(
@@ -670,6 +674,8 @@ def estimate(
     or "ae" below order 1, "qsvt" (default) or "poly" at order 1.  The
     other branches have one route each and take None or its name
     ("integer", "odd_floor", "even_floor"); any other method is refused.
-    The same as `run(plan(...), [seed])[0]`.
+    The report of trial 0 of the stream `Stream(seed)`: the same as
+    `run(plan(..., stream=s), s, 1)[0]` for `s = Stream(seed)`.
     """
-    return run(plan(rho, alpha, eps, mode, method, blind, c_shots, seed), [seed])[0]
+    stream = Stream(seed)
+    return run(plan(rho, alpha, eps, mode, method, blind, c_shots, stream), stream, 1)[0]

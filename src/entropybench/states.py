@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import seeding
 from .config import MAX_DIM, TOL
 from .numkernel import HermMatrix, Spectrum, herm_with_spectrum
 
@@ -152,7 +151,7 @@ def random_density(d: int, r: int, seed: int) -> DensityMatrix:
     """
     if not (1 <= r <= d <= MAX_DIM):
         raise ValueError(f"need 1 <= r <= d <= {MAX_DIM}, got r={r}, d={d}")
-    rng = seeding.rng(seed)
+    rng = np.random.default_rng(seed)
     while True:
         p = rng.dirichlet(np.ones(r))
         if np.min(p) > 10 * TOL.rank_cutoff:
@@ -187,7 +186,8 @@ def exact_entropies(rho: DensityMatrix, alpha: float) -> EntropyRecord:
     """Spectral oracle: Tr rho^alpha and the entropy of order alpha.
 
     alpha = 1 is read as the von Neumann limit -Tr(rho log rho) with the
-    0*log(0) = 0 convention.  Records are cached on the state, keyed by
+    0*log(0) = 0 convention.  A zero entropy is +0.0, never -0.0, which
+    a pure state's sums would give.  Records are cached on the state, keyed by
     the order's type as well as its value (as the fit builders key
     theirs), since `nz**2` and `nz**2.0` need not round alike.
     """
@@ -198,11 +198,11 @@ def exact_entropies(rho: DensityMatrix, alpha: float) -> EntropyRecord:
         raise ValueError(f"order must be positive, got {alpha}")
     nz = rho.nonzero_eigenvalues
     if alpha == 1.0:
-        s = float(-np.sum(nz * np.log(nz)))
+        s = float(-np.sum(nz * np.log(nz))) + 0.0
         rec = EntropyRecord(alpha=1.0, tr_pow_alpha=1.0, entropy=s, quantity="S_v", meta=rho.meta)
     else:
         t = float(np.sum(nz**alpha))
-        s = float(np.log(t) / (1.0 - alpha))
+        s = float(np.log(t) / (1.0 - alpha)) + 0.0
         rec = EntropyRecord(alpha=alpha, tr_pow_alpha=t, entropy=s, quantity="S_alpha", meta=rho.meta)
     rho._cache[key] = rec
     return rec

@@ -12,6 +12,7 @@ from entropybench.blockenc import (
 )
 from entropybench.numkernel import HermMatrix, op_norm, op_norm_dist
 from entropybench.qsvtpoly import apply_poly, approx_pos_power
+from entropybench.seeding import Stream
 from entropybench.states import from_spectrum, random_density
 from reference import mat_fun
 
@@ -33,7 +34,7 @@ def test_encode_cost_example():
 
 def test_encode_noisy_perturbation_norm():
     rho = from_spectrum([0.5, 0.3, 0.2], 3)
-    be = encode_density(rho, 0.01, noise_seed=7)
+    be = encode_density(rho, 0.01, Stream(7))
     assert op_norm_dist(be.encoded, be.target) == pytest.approx(0.005, abs=1e-12)
     assert op_norm_dist(be.encoded, be.target) <= be.eta
 
@@ -57,8 +58,8 @@ def test_product_squares_spectrum():
 
 def test_product_eta_composition():
     rho = random_density(3, 3, seed=5)
-    b1 = encode_density(rho, 0.02, noise_seed=1)
-    b2 = encode_density(rho, 0.03, noise_seed=2)
+    b1 = encode_density(rho, 0.02, Stream(1))
+    b2 = encode_density(rho, 0.03, Stream(2))
     prod = be_product(b1, b2)
     assert prod.eta == pytest.approx(0.02 + 0.03 + 0.02 * 0.03)
     assert op_norm_dist(prod.encoded, prod.target) <= prod.eta
@@ -95,14 +96,14 @@ def test_kfold_error_accumulation():
     rho = random_density(4, 4, seed=13)
     for k in (2, 4, 8):
         for big_delta in (0.02, 0.1):
-            be = be_power(rho, k, big_delta / k, noise_seed=17)
+            be = be_power(rho, k, big_delta / k, Stream(17))
             assert be.eta <= 1.1 * big_delta
             assert op_norm_dist(be.encoded, be.target) <= be.eta
 
 
 def test_rescale_removes_half():
     rho = from_spectrum([0.5, 0.3, 0.2], 3)
-    be = encode_density(rho, 0.02, noise_seed=3)
+    be = encode_density(rho, 0.02, Stream(3))
     half = be_product(be, be)
     doubled = rescale(half, 2.0)
     assert op_norm_dist(doubled.target, mat_fun(half.target, lambda x: 2 * x)) <= 1e-12
@@ -129,8 +130,8 @@ def test_rescale_clipping_carries_overshoot():
 
 def test_every_encoding_eta_never_underreports():
     rho = random_density(5, 4, seed=21)
-    be = encode_density(rho, 0.05, noise_seed=9)
-    prods = [be, be_product(be, be), be_power(rho, 3, 0.01, noise_seed=4)]
+    be = encode_density(rho, 0.05, Stream(9))
+    prods = [be, be_product(be, be), be_power(rho, 3, 0.01, Stream(4))]
     for b in prods:
         assert op_norm_dist(b.encoded, b.target) <= b.eta + 1e-12
 
@@ -139,7 +140,7 @@ def test_three_fold_budget_split():
     # three factors at budget/3 each accumulate to at most budget + budget^2
     rho = random_density(4, 4, seed=30)
     eps = 0.09
-    be = be_power(rho, 3, eps / 3, noise_seed=5)
+    be = be_power(rho, 3, eps / 3, Stream(5))
     assert be.eta <= eps + eps**2
     assert op_norm_dist(be.encoded, be.target) <= be.eta
 
@@ -159,24 +160,26 @@ def _single(be):
 
 
 def test_a_stack_equals_its_trials_built_one_by_one():
-    # seeds a stack of encodings, each trial from its own generator, and
-    # runs it through every builder; a pure state's corner sits at norm 1,
-    # so some of its perturbations are clipped and carry no bound
-    seeds = [3, 17, 2**32 - 1, 40]
+    # draws a stack of encodings from one stream and runs it through every
+    # builder; a pure state's corner sits at norm 1, so some of its
+    # perturbations are clipped and carry no bound.  One-trial builds
+    # drawn in turn from a fresh copy of the stream give its trials.
+    trials = 6
     pure = from_spectrum([1.0], 2)
     rho = random_density(4, 3, seed=8)
     fit = approx_pos_power(0.5, 4 / (np.pi * rho.meta.rho_min), 1e-3)
 
-    def chain(seed):
-        side = encode_state_side(pure, 0.2, seed)
-        be = rescale(apply_poly(encode_density(rho, 0.01, seed), fit), 2.0)
-        return side, be_product(be_power(rho, 2, 0.02, seed), be)
+    def chain(stream, n):
+        side = encode_state_side(pure, 0.2, stream.child(0), trials=n)
+        be = rescale(apply_poly(encode_density(rho, 0.01, stream.child(1), trials=n), fit), 2.0)
+        return side, be_product(be_power(rho, 2, 0.02, stream.child(2), trials=n), be)
 
-    stacks = chain(seeds)
+    stacks = chain(Stream(3), trials)
     bounds = stacks[0].dist_bound
     assert np.isnan(bounds).any() and not np.isnan(bounds).all()
-    for i, seed in enumerate(seeds):
-        for stacked, one in zip(stacks, chain(seed)):
+    stream = Stream(3)
+    for i in range(trials):
+        for stacked, one in zip(stacks, chain(stream, 1)):
             assert _trial(stacked, i) == _single(one)
             assert stacked.target is one.target or stacked.target.mat.tobytes() == one.target.mat.tobytes()
             assert stacked.sample_cost == one.sample_cost
@@ -189,5 +192,21 @@ def test_one_seed_draws_its_noise_as_two_gaussian_matrices():
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = (g + g.conj().T) / 2
     p = h * (0.025 / float(np.max(np.abs(np.linalg.eigvalsh(h)))))
-    be = encode_density(rho, 0.05, 17)
+    be = encode_density(rho, 0.05, Stream(17))
     assert be.encoded.mat.tobytes() == HermMatrix(be.target.mat + p).mat.tobytes()
+
+
+def test_power_factors_draw_from_distinct_streams(monkeypatch):
+    # factor j of `be_power` draws its noise from child j of its stream
+    import entropybench.blockenc as blockenc
+
+    rho = random_density(4, 3, seed=8)
+    factors = []
+    real = blockenc.encode_density
+    monkeypatch.setattr(blockenc, "encode_density", lambda *a, **kw: factors.append(real(*a, **kw)) or factors[-1])
+    be_power(rho, 2, 0.02, Stream(5), trials=3)
+    monkeypatch.undo()
+    noise = [f.encoded.mat - f.target.mat for f in factors]
+    assert len(noise) == 2 and not np.allclose(noise[0], noise[1])
+    for j, f in enumerate(factors):
+        assert f.encoded.mat.tobytes() == encode_density(rho, 0.02, Stream(5).child(j), trials=3).encoded.mat.tobytes()

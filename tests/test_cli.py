@@ -4,14 +4,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entropybench import accountant, cli, estimators, numkernel, seeding
+from entropybench import accountant, cli, estimators, numkernel
 from entropybench.accountant import decompose_alpha
-from entropybench.estimators import EstimationFailure, estimate
+from entropybench.estimators import EstimationFailure, plan, run, run_columns
+from entropybench.seeding import Stream
 
 from entropybench.cli import (
     CSV_COLUMNS,
@@ -300,7 +302,6 @@ _SWEEP = ("sweep", "--alpha", "2", "--dim", "4")
             ("--grid", "0.1,0.1,0.1", "invalid config fields: grid [0.1, 0.1, 0.1] needs >= 2 distinct values",
              (*_SWEEP, "--var", "eps")),
             ("--seed", "-1", "error: expected non-negative integer", _RENYI2),
-            ("--trials", str(2**32 + 1), "invalid config fields: trials 4294967297", _RENYI2),
             ("--spectrum", "0.5,0.3,0.2", "invalid config fields: spectrum with a rank sweep",
              (*_SWEEP, "--var", "rank", "--grid", "1,2,3")),
         ]
@@ -390,15 +391,14 @@ def test_eps_sweep_builds_its_state_once(monkeypatch, csv_rows):
 )
 def test_grid_points_are_numbered_from_one(monkeypatch, cfg, indices):
     seen = set()
-    real = cli._trial_seed
-    monkeypatch.setattr(cli, "_trial_seed", lambda master, gi, t: seen.add(gi) or real(master, gi, t))
+    monkeypatch.setattr(cli, "Stream", lambda master, key: seen.add(key) or Stream(master, key))
     run_experiment(cfg)
-    assert seen == indices
+    assert seen == {(gi,) for gi in indices}
 
 
 def _reference_row(report, log_base: str, eps_report: float, fixed: dict) -> dict:
-    """One CSV row formatted from an `estimate` report, field by field as
-    the CLI wrote rows when it built a report per trial."""
+    """One CSV row formatted from a report, field by field as the CLI
+    wrote rows when it built a report per trial."""
     scale = lambda value: value / math.log(2.0) if log_base == "2" else value
     est = scale(report.estimate)
     exact = scale(report.exact_value)
@@ -430,28 +430,51 @@ _MODES = [(), ("--ideal",), ("--blind",)]
 )
 @pytest.mark.parametrize("route", golden_digest.ROUTES, ids=lambda route: "-".join(w.lstrip("-") for w in route))
 def test_cli_rows_equal_per_trial_estimates(monkeypatch, csv_text, route, mode):
-    # batches of at most 2 trials, so the 5 trials run as two batches and
-    # one scalar trial
-    monkeypatch.setattr(seeding, "BATCH_TRIALS", 2, raising=False)
-    monkeypatch.setattr(seeding, "MIN_BATCH", 2, raising=False)
     argv = [*route, "--dim", "8", "--spectrum", "0.5,0.3,0.2", "--eps", "0.1", "--trials", "5", "--seed", "3", *mode]
     cfg = config_from_args(build_parser().parse_args(argv))
     rho, alpha, eps, approach = cli._points(cfg)[0]
-    # a method reaches `estimate` only on the branches with two routes, as in `cli._point_rows`
+    # a method reaches `plan` only on the branches with two routes, as in `cli._point_rows`
     branch = decompose_alpha(alpha).branch
     method = approach if branch == "von_neumann" else cfg.method if branch == "sub_one" else None
     eps_nats = eps * math.log(2.0) if cfg.log_base == "2" else eps
+    kw = dict(mode="ideal" if cfg.ideal else "noisy", method=method)
+    stream = Stream(3, (1,))  # the stream of grid point 1
+    if cfg.blind:  # a plan per trial, each drawing its probes from the point's stream in turn
+        reports = [run(plan(rho, alpha, eps_nats, blind=True, stream=stream, **kw), stream, 1)[0] for _ in range(5)]
+    else:
+        reports = run(plan(rho, alpha, eps_nats, **kw), stream, 5)
     fixed = {"d": 8, "rank": 3, "eps": repr(eps)}
-    expected = [
-        _reference_row(estimate(rho, alpha, eps_nats, seed=cli._trial_seed(3, 1, t),
-                                mode="ideal" if cfg.ideal else "noisy", method=method, blind=cfg.blind),
-                       cfg.log_base, eps, fixed)
-        for t in range(5)
-    ]
+    expected = [{**_reference_row(r, cfg.log_base, eps, fixed), "seed": t} for t, r in enumerate(reports)]
     # the CSV as the CLI wrote it from per-trial dicts
     expected_csv = "\n".join([",".join(CSV_COLUMNS), *(",".join(map(str, (row[c] for c in CSV_COLUMNS)))
                                                       for row in expected)]) + "\n"
+    # chunks of at most 2 trials on the support of size 3, so the CLI runs
+    # the 5 trials as two stacks and one single trial
+    monkeypatch.setattr(estimators, "STACK_BYTES", 2 * 16 * 3**2)
     assert csv_text(run_experiment(cfg)[0]) == expected_csv
+
+
+# a full-rank spectrum at d = 8, so that the support routes chunk too
+_SPREAD8 = "0.2,0.15,0.15,0.1,0.1,0.1,0.1,0.1"
+
+
+@pytest.mark.parametrize("mode", [(), ("--ideal",)], ids=["noisy", "ideal"])
+@pytest.mark.parametrize("route", golden_digest.ROUTES, ids=lambda route: "-".join(w.lstrip("-") for w in route))
+def test_a_points_rows_do_not_depend_on_its_chunks(monkeypatch, csv_text, route, mode):
+    # each stage draws a chunk as one array from a generator it carries
+    # from chunk to chunk, so stacks of 64 KiB (64 trials at d = 8), of
+    # 2 MiB (one chunk here) and of one trial give the same CSV, and the
+    # first n rows of a run are the rows of an n-trial run
+    def rows(trials, stack_bytes):
+        argv = [*route, "--dim", "8", "--spectrum", _SPREAD8, "--eps", "0.2", "--trials", str(trials), "--seed", "5",
+                *mode]
+        with mock.patch.object(estimators, "STACK_BYTES", stack_bytes):
+            return csv_text(run_experiment(config_from_args(build_parser().parse_args(argv)))[0]).splitlines()
+
+    full = rows(70, 2 << 20)
+    assert rows(70, 64 << 10) == full
+    assert rows(70, 16 * 8**2) == full
+    assert rows(13, 64 << 10) == full[:14]
 
 
 def test_a_point_derives_its_seeds_in_one_batch(monkeypatch):
@@ -460,44 +483,44 @@ def test_a_point_derives_its_seeds_in_one_batch(monkeypatch):
     made = []
     real = numpy.random.SeedSequence
     monkeypatch.setattr(numpy.random, "SeedSequence", lambda *a, **kw: made.append(a) or real(*a, **kw))
-    seeding._spawn_point.cache_clear()
     argv = ["renyi", "--alpha", "2", "--dim", "8", "--spectrum", "0.5,0.3,0.2", "--trials", "50", "--seed", "3"]
     assert main(argv) == 0
     assert len(made) <= 3  # one trial and one generator each would make 101
 
 
 def test_batched_rows_equal_unbatched_rows(monkeypatch):
+    # stacked chunks of 8 trials give the rows of one-trial chunks
     cfg = ExperimentConfig(mode="renyi", alpha=1.5, d=4, rank=3, eps=0.1, trials=2 * 8 + 1, seed=6)
-    monkeypatch.setattr(seeding, "MIN_BATCH", cfg.trials + 1)
+    monkeypatch.setattr(estimators, "STACK_BYTES", 16 * 4**2)
     unbatched, _ = run_experiment(cfg)
     sizes = []
-    real = seeding.batch
-    monkeypatch.setattr(seeding, "batch", lambda seed, head, trials: sizes.append(len(trials)) or real(seed, head, trials))
-    monkeypatch.setattr(seeding, "BATCH_TRIALS", 8)
-    monkeypatch.setattr(seeding, "MIN_BATCH", 8)
+    real = estimators.renyi_case_odd
+    monkeypatch.setattr(estimators, "renyi_case_odd", lambda p, stream, trials: sizes.append(len(trials)) or real(
+        p, stream, trials))
+    monkeypatch.setattr(estimators, "STACK_BYTES", 8 * 16 * 4**2)
     assert run_experiment(cfg)[0] == unbatched
-    assert sizes == [8, 8]  # the 17th trial alone would not repay a batch
+    assert sizes == [8, 8, 1]
 
 
 def test_a_huge_trial_count_is_derived_in_bounded_batches(monkeypatch):
+    # a trial count above 2**32 runs lazily, one bounded chunk at a time
     class Stop(Exception):
         pass
 
-    sizes, done = [], []
-    real_batch, real_run = seeding.batch, cli.run_columns
-    monkeypatch.setattr(seeding, "batch", lambda seed, head, trials: sizes.append(len(trials)) or real_batch(
-        seed, head, trials))
+    sizes = []
+    real_run = cli.run_columns
 
-    def run_20(plan, seeds):
-        done.extend(s for columns in real_run(plan, seeds) for s in columns.seeds)
-        if len(done) >= 20:
+    def run_one_chunk(plan, stream, trials):
+        for columns in real_run(plan, stream, trials):
+            sizes.append(len(columns.trials))
             raise Stop
+        yield
 
-    monkeypatch.setattr(cli, "run_columns", run_20)
-    cfg = ExperimentConfig(mode="renyi", alpha=2.0, d=8, spectrum=[0.5, 0.3, 0.2], trials=2**32, seed=1)
+    monkeypatch.setattr(cli, "run_columns", run_one_chunk)
+    cfg = ExperimentConfig(mode="renyi", alpha=2.0, d=8, spectrum=[0.5, 0.3, 0.2], trials=2**40, seed=1)
     with pytest.raises(Stop):
         run_experiment(cfg)
-    assert sizes == [seeding.BATCH_TRIALS]
+    assert sizes == [estimators.STACK_BYTES // (16 * 8**2)]
 
 
 @settings(max_examples=50, deadline=None)
@@ -515,7 +538,8 @@ def test_run_builds_one_runtime_config_and_routes_through_plan_and_run(monkeypat
         return real_plan(rho, alpha, eps, **kw)
 
     monkeypatch.setattr(cli, "plan", plan_spy)
-    monkeypatch.setattr(cli, "run_columns", lambda plan, seeds: ran.extend(seeds) or real_run(plan, seeds))
+    monkeypatch.setattr(cli, "run_columns", lambda plan, stream, trials: ran.extend(trials) or real_run(
+        plan, stream, trials))
     for cfg, method in (
         (ExperimentConfig(mode="renyi", alpha=2.0, d=4, rank=4, trials=4, c_shots=1.0), None),
         (ExperimentConfig(mode="renyi", alpha=0.5, d=4, rank=4, trials=3, method="ae"), "ae"),
@@ -594,35 +618,40 @@ def test_an_error_text_prints_no_numpy_repr(capsys):
     assert "np.float64(" not in err
 
 
-# One stacked chunk of 40 trials in which trial 30 is the first whose
+# One stacked chunk of 40 trials in which trial 6 is the first whose
 # measured p0 is zero.
 LATE_FAILURE = ["renyi", "--alpha", "3.5", "--dim", "4", "--rank", "4", "--c-shots", "0.0001", "--trials", "40",
                 "--seed", "3"]
 
 
 def _first_failure_one_by_one(argv):
+    """The first failing trial of the run and its error, from a run of one
+    trial per chunk."""
     cfg = config_from_args(build_parser().parse_args(argv))
     rho, alpha, eps, _ = cli._points(cfg)[0]
-    for t in range(cfg.trials):
+    p = plan(rho, alpha, eps, c_shots=cfg.c_shots)
+    done = 0
+    with mock.patch.object(estimators, "STACK_BYTES", 16 * rho.dim**2):
         try:
-            estimate(rho, alpha, eps, seed=cli._trial_seed(cfg.seed, 1, t), c_shots=cfg.c_shots)
+            for done, _ in enumerate(run_columns(p, Stream(cfg.seed, (1,)), range(cfg.trials)), 1):
+                pass
         except EstimationFailure as exc:
-            return t, str(exc)
+            return done, str(exc)
 
 
 def test_a_later_trial_failing_fails_the_run_with_its_error(capsys):
     trial, message = _first_failure_one_by_one(LATE_FAILURE)
-    assert trial == 30
+    assert trial == 6
     assert main(LATE_FAILURE) == 1
     assert capsys.readouterr() == ("", f"estimation failed: {message}\n")
 
 
-@pytest.mark.parametrize("broken", [35, 20])
+@pytest.mark.parametrize("broken", [35, 20, 3])
 def test_the_first_failing_trial_wins_whatever_its_stage(monkeypatch, capsys, broken):
     # a made-up failure inside the stacked chain at trial `broken`, against
-    # trial 30's failure at the measurement after the chain: the run raises
+    # trial 6's failure at the measurement after the chain: the run raises
     # the error of the earlier trial, as a trial-by-trial run would
-    _, message = _first_failure_one_by_one(LATE_FAILURE)
+    first, message = _first_failure_one_by_one(LATE_FAILURE)
     real = estimators.apply_poly
 
     def apply_poly(be, p):
@@ -632,5 +661,5 @@ def test_the_first_failing_trial_wins_whatever_its_stage(monkeypatch, capsys, br
 
     monkeypatch.setattr(estimators, "apply_poly", apply_poly)
     assert main(LATE_FAILURE) == 1
-    expected = f"estimation failed: {message}" if broken > 30 else f"error: chain failed at trial {broken}"
+    expected = f"estimation failed: {message}" if broken > first else f"error: chain failed at trial {broken}"
     assert capsys.readouterr().err == expected + "\n"

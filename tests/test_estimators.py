@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import binom
 
-from entropybench import cli, estimators, numkernel, qsvtpoly, seeding
+from entropybench import cli, estimators, numkernel, qsvtpoly
 from entropybench.blockenc import BlockEncoding, encode_density, encode_state_side
 from entropybench.estimators import (
     EstimationFailure,
@@ -17,6 +17,7 @@ from entropybench.estimators import (
     shots_for,
 )
 from entropybench.numkernel import op_norm_dist
+from entropybench.seeding import Stream
 from entropybench.states import exact_entropies, from_spectrum, random_density
 from reference import ideal_p0_case1, ideal_p0_case2, ideal_p0_sub_one, propagate_entropy_error
 
@@ -31,8 +32,8 @@ PURE4 = from_spectrum([1], 4)
 
 
 def test_measure_p0_degenerate_probabilities():
-    assert measure_p0([0.0], 0.1, [1]) == [0.0]
-    assert measure_p0([1.0], 0.1, [1]) == [1.0]
+    assert measure_p0([0.0], 0.1, Stream(1)) == [0.0]
+    assert measure_p0([1.0], 0.1, Stream(1)) == [1.0]
 
 
 def test_measure_p0_bernoulli_coverage():
@@ -42,18 +43,18 @@ def test_measure_p0_bernoulli_coverage():
     lo = binom.cdf(math.floor((0.38 - 0.03) * n), n, 0.38)
     hi = binom.sf(math.ceil((0.38 + 0.03) * n) - 1, n, 0.38)
     assert lo + hi < 0.01
-    hits = sum(abs(est - 0.38) <= 0.03 for est in measure_p0([0.38] * 1000, delta, list(range(1000))))
+    hits = sum(abs(est - 0.38) <= 0.03 for est in measure_p0([0.38] * 1000, delta, Stream(0)))
     assert hits >= 990
 
 
 def test_measure_p0_ae_bounded_noise():
-    for est in measure_p0([0.4] * 50, 0.05, list(range(50)), mode="amplitude_estimation"):
+    for est in measure_p0([0.4] * 50, 0.05, Stream(0), mode="amplitude_estimation"):
         assert abs(est - 0.4) <= 0.05
 
 
 def test_measure_p0_rejects_bad_delta():
     with pytest.raises(ValueError):
-        measure_p0([0.5], 1.5, [0])
+        measure_p0([0.5], 1.5, Stream(0))
 
 
 _BITS = lambda values: [float(v).hex() for v in values]
@@ -62,54 +63,57 @@ _BITS = lambda values: [float(v).hex() for v in values]
 @pytest.mark.parametrize("mode", ["bernoulli", "amplitude_estimation"])
 @pytest.mark.parametrize("p0", [0.0, 1.0, 0.37])
 def test_measure_p0_batch_equals_one_seed_calls(mode, p0):
-    seeds = [0, 1, 7, 99, 2**31 - 1, 2**32 - 1, 12345678901]
-    one_by_one = [measure_p0([p0], 0.05, [s], mode=mode)[0] for s in seeds]
-    assert _BITS(measure_p0([p0] * len(seeds), 0.05, seeds, mode=mode)) == _BITS(one_by_one)
-    # one p0 per trial: trial k measures its own
-    p0s = [p0, 0.0, 1.0, 0.37, p0, 0.5, 1e-9]
-    one_by_one = [measure_p0([q], 0.05, [s], mode=mode)[0] for q, s in zip(p0s, seeds)]
-    assert _BITS(measure_p0(p0s, 0.05, seeds, mode=mode)) == _BITS(one_by_one)
+    # a list equals its one-element calls made in turn on the same stream
+    for seed in [0, 1, 7, 99, 2**31 - 1, 2**32 - 1, 12345678901]:
+        stream = Stream(seed)
+        one_by_one = [measure_p0([p0], 0.05, stream, mode=mode)[0] for _ in range(7)]
+        assert _BITS(measure_p0([p0] * 7, 0.05, Stream(seed), mode=mode)) == _BITS(one_by_one)
+        # one p0 per trial: trial k measures its own
+        p0s = [p0, 0.0, 1.0, 0.37, p0, 0.5, 1e-9]
+        stream = Stream(seed)
+        one_by_one = [measure_p0([q], 0.05, stream, mode=mode)[0] for q in p0s]
+        assert _BITS(measure_p0(p0s, 0.05, Stream(seed), mode=mode)) == _BITS(one_by_one)
 
 
-def test_measure_p0_checks_delta_before_any_draw(monkeypatch):
-    drawn = []
-    real = seeding.rng
-    monkeypatch.setattr(seeding, "rng", lambda seed: drawn.append(seed) or real(seed))
+def test_measure_p0_checks_delta_before_any_draw():
+    stream = Stream(3)
+    state = lambda: stream.rng.bit_generator.state
+    before = state()
     for delta in (1.5, 0.0, float("nan")):
         with pytest.raises(ValueError, match="accuracy parameter must be in"):
-            measure_p0([0.2, 0.4], delta, [3, 4])
+            measure_p0([0.2, 0.4], delta, stream)
     with pytest.raises(ValueError, match="unknown measurement mode 'bernouli'"):
-        measure_p0([0.2, 0.4], 0.5, [3, 4], mode="bernouli")
-    assert drawn == []
-    measure_p0([0.2, 0.4], 0.5, [3, 4])
-    assert drawn == [3, 4]
+        measure_p0([0.2, 0.4], 0.5, stream, mode="bernouli")
+    assert state() == before
+    measure_p0([0.2, 0.4], 0.5, stream)
+    assert state() != before
 
 
 def test_measure_p0_names_the_trial_of_an_out_of_range_p0():
     for p0s, k, bad in (([0.2, 0.5, 1.5, -0.3], 2, 1.5), ([-0.1, 0.5], 0, -0.1), ([0.5, float("nan")], 1, float("nan"))):
         with pytest.raises(ValueError, match=rf"probability {bad!r} outside \[0, 1\]") as exc:
-            measure_p0(p0s, 0.1, list(range(len(p0s))))
+            measure_p0(p0s, 0.1, Stream(0))
         assert exc.value.trial == k
     # the p0 check comes before the delta check
     with pytest.raises(ValueError, match="probability 1.5 outside"):
-        measure_p0([0.5, 1.5], 1.5, [0, 1])
+        measure_p0([0.5, 1.5], 1.5, Stream(0))
     # within rounding of the interval, a p0 is clamped to it, per trial
-    assert measure_p0([-1e-13, 1.0 + 1e-13], 0.1, [0, 1]) == [0.0, 1.0]
-    ae = lambda p0s: _BITS(measure_p0(p0s, 0.1, [0, 1, 2], mode="amplitude_estimation"))
+    assert measure_p0([-1e-13, 1.0 + 1e-13], 0.1, Stream(0)) == [0.0, 1.0]
+    ae = lambda p0s: _BITS(measure_p0(p0s, 0.1, Stream(0), mode="amplitude_estimation"))
     assert ae([-1e-13, 1.0 + 1e-13, 0.5]) == ae([0.0, 1.0, 0.5])
 
 
 def test_a_chunk_measures_its_trials_in_one_call(monkeypatch):
     calls = []
     real = estimators.measure_p0
-    monkeypatch.setattr(estimators, "measure_p0", lambda *a: calls.append(a[2]) or real(*a))
-    seeds = [cli._trial_seed(5, 1, t) for t in range(30)]
-    # (order, method, the child of a trial seed its route measures on)
+    monkeypatch.setattr(estimators, "measure_p0", lambda *a: calls.append((len(a[0]), a[2])) or real(*a))
+    # (order, method, the child of the point's stream its route measures on)
     for alpha, method, child in ((2.0, None, 1), (1.5, None, 2), (2.5, None, 3), (0.5, "ae", 2), (1.0, "qsvt", 2)):
         calls.clear()
+        stream = Stream(5, (1,))
         p = estimators.plan(DIAG8, alpha, 0.1, method=method)
-        assert [r.seed for r in estimators.run(p, seeds)] == seeds
-        assert calls == [[estimators._child_seed(s, child) for s in seeds]]
+        assert [r.seed for r in estimators.run(p, stream, 30)] == list(range(30))
+        assert calls == [(30, stream.child(child))]
 
 
 def test_shot_rules():
@@ -378,9 +382,9 @@ def test_min_eig_bounded_noise():
     be = encode_density(DIAG, 0.001, noiseless=True)
     truth = math.pi * 0.2 / 4
     for s in range(30):
-        res = min_eig_estimate(be, 0.01, seed=s)
+        res = min_eig_estimate(be, 0.01, Stream(s))
         assert abs(res.estimate - truth) <= 0.01
-    assert min_eig_estimate(be, 0.01, seed=0).sample_cost > 0
+    assert min_eig_estimate(be, 0.01, Stream(0)).sample_cost > 0
 
 
 # ------------------------------------------------------------- cross checks
@@ -507,7 +511,7 @@ def test_clipped_perturbation_carries_no_bound():
     # a pure state's corner sits at norm 1, so the perturbation is clipped
     # and the encoding's own check has to measure the distance
     rho = from_spectrum([1.0], 2)
-    be = encode_state_side(rho, 0.2, noise_seed=3)
+    be = encode_state_side(rho, 0.2, Stream(3))
     assert be.dist_bound is None
     assert op_norm_dist(be.encoded, be.target) <= be.eta
 
@@ -532,166 +536,73 @@ def test_eigendecompositions_per_branch(monkeypatch):
     assert sum(per_branch) / len(per_branch) <= 2.0, per_branch
 
 
-def _spawned(seed, n):
-    return [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(n)]
-
-
-def _numpy_seed(seed, key):
-    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
-
-
-# Seeds of 1, 2, 5 and 32 words: once the run entropy is longer than the
-# 4-word pool, the hashmix index of the spawn words moves.
+# Seeds of 1, 2, 5 and 32 words.
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1, 2**32 + 5, 12345678901234567890, 2**128 + 9, 2**1023 + 3])
 @settings(max_examples=20, deadline=None)
-@given(
-    drawn=st.integers(0, 2**1024 - 1),
-    words=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
-    parents=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
-    k=st.integers(0, 3),
-)
-def test_child_seeds_equal_spawned_children(seed, drawn, words, parents, k):
-    for n in range(1, 9):
-        assert estimators._child_seeds(seed, n) == _spawned(seed, n)
-    for s in (seed, drawn):
-        assert estimators._child_seed(s, words[0]) == _numpy_seed(s, words[:1])
-        assert cli._trial_seed(s, *words) == _numpy_seed(s, words)
-        assert seeding.rng(s).bit_generator.state == np.random.default_rng(s).bit_generator.state
-    # the pool kernel on one-word seeds
-    parents = [0, 2**32 - 1, *parents]
-    pools = seeding._pools(np.array(parents, np.uint32))
-    assert pools.T.tolist() == [np.random.SeedSequence(p).pool.tolist() for p in parents]
-    # the batch on the trial seeds of a master seed of any length; the
-    # tables prove the batch, not the scalar path, answered
-    trials = range(words[1] % 1000, words[1] % 1000 + seeding.MIN_BATCH)
-    with seeding.batch(seed, words[:1], trials) as trial_seeds:
-        assert trial_seeds == [_numpy_seed(seed, (words[0], t)) for t in trials]
-        assert all(s in seeding._batch_pool0 for s in trial_seeds)
-        kids = seeding.each_child(trial_seeds, k)
-        assert kids == [_numpy_seed(s, (k,)) for s in trial_seeds]
-        for child in kids:
-            assert child in seeding._batch_words
-            assert seeding.rng(child).bit_generator.state == np.random.default_rng(child).bit_generator.state
-            assert seeding.child_seed(child, 0) == _numpy_seed(child, (0,))
-    assert not seeding._batch_pool0 and not seeding._batch_words
-
-
-def test_batch_refuses_what_numpy_refuses():
-    # a negative seed reaches numpy's SeedSequence, in a batch as in a
-    # direct estimate, and a trial word must fit in 32 bits
+@given(words=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)), k=st.integers(0, 3))
+def test_child_seeds_equal_spawned_children(seed, words, k):
+    # a stream's child i is numpy's spawned child i, and its generator is
+    # `default_rng` of that child; a child is made once
+    state = lambda g: g.bit_generator.state
+    root = Stream(seed)
+    for i, spawned in enumerate(np.random.SeedSequence(seed).spawn(4)):
+        assert root.child(i).seq.generate_state(4).tolist() == spawned.generate_state(4).tolist()
+        assert state(root.child(i).rng) == state(np.random.default_rng(spawned))
+    node = Stream(seed, words)
+    assert node.child(k) is node.child(k)
+    numpy_node = np.random.SeedSequence(seed, spawn_key=(*words, k))
+    assert state(node.child(k).rng) == state(np.random.default_rng(numpy_node))
+    # a fresh copy of a node draws from the start again
+    drawn = node.rng.random(3).tolist()
+    assert node.fresh().rng.random(3).tolist() == drawn and node.rng.random(3).tolist() != drawn
+    # numpy refuses a negative seed, in a stream as in a direct estimate
+    with pytest.raises(ValueError, match="negative"):
+        Stream(-1)
     with pytest.raises(ValueError, match="negative"):
         estimate(DIAG, 2.0, 0.1, seed=-1)
-    with pytest.raises(ValueError, match="negative"):
-        seeding.batch(-1, (1,), range(8)).__enter__()
-    with pytest.raises(ValueError, match="32-bit"):
-        seeding.batch(3, (1,), range(2**32 - 4, 2**32 + 4)).__enter__()
 
 
 def test_integer_branch_derives_only_the_seeds_it_uses(monkeypatch):
     derived = []
-    real = estimators._each_child
-    monkeypatch.setattr(estimators, "_each_child", lambda seeds, i: derived.append(i) or real(seeds, i))
+    real = Stream.child
+    monkeypatch.setattr(Stream, "child", lambda self, i: derived.append(i) or real(self, i))
     rho = from_spectrum([0.5, 0.3, 0.2], 4)
     estimate(rho, 2.0, 0.1, seed=3)
-    assert derived == [1]  # the measurement seed; blind inputs would use child 0
+    assert derived == [1]  # the measurement stream; blind inputs would use child 0
     derived.clear()
     estimate(rho, 2.0, 0.1, seed=3, mode="ideal")
     assert derived == []
 
 
-@pytest.mark.parametrize("trials", [seeding.MIN_BATCH, 100, seeding.BATCH_TRIALS + 1])
-def test_each_child_in_a_batch_equals_child_seed_outside_it(monkeypatch, trials):
-    passes = []
-    real = seeding._pools
-    monkeypatch.setattr(seeding, "_pools", lambda seeds: passes.append(seeds.size) or real(seeds))
-    children = range(4)  # every child index a route reads: 0 for blind probes, then 1 to 3
-    seeds = [cli._trial_seed(7, 1, t) for t in range(trials)]
-    expected = {i: [seeding.child_seed(s, i) for s in seeds] for i in children}
-    got = {i: [] for i in children}
-    for batch in cli._trial_seeds(7, 1, trials):
-        for i in children:
-            # a chunk under MIN_BATCH seeds derives one by one; a batch of
-            # at least MIN_BATCH pooled seeds in one vectorized pass
-            passes.clear()
-            assert seeding.each_child(batch[1:4], i) == [seeding.child_seed(s, i) for s in batch[1:4]]
-            got[i] += seeding.each_child(batch, i)
-            assert passes == ([len(batch)] if len(batch) >= seeding.MIN_BATCH else [])
-    assert got == expected
-    assert not seeding._batch_pool0 and not seeding._batch_words
+def _seed_sequences_built(monkeypatch, run) -> int:
+    """How many numpy `SeedSequence`s `run()` builds."""
+    built = []
+    real = np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence", lambda *a, **kw: built.append(a) or real(*a, **kw))
+    run()
+    monkeypatch.setattr(np.random, "SeedSequence", real)
+    return len(built)
 
 
 def test_an_integer_point_derives_no_seed_per_trial(monkeypatch):
-    calls = []
-    real = seeding.spawn_seed
-    monkeypatch.setattr(seeding, "spawn_seed", lambda seed, key: calls.append(key) or real(seed, key))
-    counts = []
-    for trials in (64, 256):
-        calls.clear()
-        cli.run_experiment(cli.ExperimentConfig(mode="renyi", alpha=2.0, d=8, spectrum=[0.5, 0.3, 0.2],
-                                                trials=trials, seed=3))
-        counts.append(len(calls))
+    counts = [
+        _seed_sequences_built(monkeypatch, lambda: cli.run_experiment(cli.ExperimentConfig(
+            mode="renyi", alpha=2.0, d=8, spectrum=[0.5, 0.3, 0.2], trials=trials, seed=3)))
+        for trials in (64, 256)
+    ]
     assert counts[0] == counts[1], counts
 
 
-def test_rng_seeds_pcg64_from_an_iseedsequence_subclass():
-    from numpy.random.bit_generator import ISeedSequence
-
-    draws = lambda g: (g.random(3).tolist(), g.binomial(1000, 0.3, 4).tolist())
-    g = seeding.rng(5)
-    assert ISeedSequence in type(g.bit_generator.seed_seq).__mro__
-    for s in (0, 5, 2**32 - 1, 12345678901):  # scalar seeds
-        assert draws(seeding.rng(s)) == draws(np.random.default_rng(s))
-    with seeding.batch(9, (1,), range(seeding.MIN_BATCH)) as trial_seeds:
-        kids = seeding.each_child(trial_seeds, 2)
-        assert all(k in seeding._batch_words for k in kids)  # batch seeds: their state words come from the table
-        for k in kids:
-            assert draws(seeding.rng(k)) == draws(np.random.default_rng(k))
-
-
-def test_a_batched_point_builds_no_seed_sequence_below_its_trial_seeds(monkeypatch):
-    # vn_poly's term seeds and the odd floor's noise seeds are grandchildren
-    # of a trial seed; inside the batch, they and their generators come
-    # from each_child's vectorized passes, not from numpy's SeedSequence
-    built = []
-    real = seeding._pool
-    for alpha, method in ((1.0, "poly"), (1.5, None)):
-        p = estimators.plan(DIAG8, alpha, 0.1, method=method)
-        for seeds in cli._trial_seeds(4, 1, 20):  # one batch, open while its trials run
-            monkeypatch.setattr(seeding, "_pool", lambda *a: built.append(a) or real(*a))
-            reports = estimators.run(p, seeds)
-            monkeypatch.setattr(seeding, "_pool", real)
-        assert len(reports) == 20 and built == []
-        # the same estimates as seeds derived outside any batch
-        assert reports == estimators.run(p, [cli._trial_seed(4, 1, t) for t in range(20)])
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    master=st.integers(0, 2**70),
-    head=st.integers(0, 2**32 - 1),
-    start=st.integers(0, 2**32 - 64),
-    n=st.integers(seeding.MIN_BATCH, 40),
-    i=st.integers(0, 2**32 - 1),
-    j=st.integers(0, 3),
-)
-def test_each_child_in_a_batch_equals_numpy_spawn(master, head, start, n, i, j):
-    state = lambda g: g.bit_generator.state
-    with mock.patch.object(seeding, "_pools", wraps=seeding._pools) as passes:
-        with seeding.batch(master, (head,), range(start, start + n)) as trial_seeds:
-            passes.reset_mock()
-            kids = seeding.each_child(trial_seeds, i)
-            grandkids = seeding.each_child(kids, j)
-            assert passes.call_count == 2  # one vectorized pass per generation
-            assert kids == [_numpy_seed(s, (i,)) for s in trial_seeds]
-            assert grandkids == [_numpy_seed(s, (j,)) for s in kids]
-            for s in kids + grandkids:
-                assert state(seeding.rng(s)) == state(np.random.default_rng(s))
-            # too few seeds, or a seed the batch does not know: one by one
-            foreign = max(seeding._batch_pool0) + 1
-            for few in (trial_seeds[: seeding.MIN_BATCH - 1], [*trial_seeds[1:], foreign]):
-                passes.reset_mock()
-                assert seeding.each_child(few, i) == [_numpy_seed(s, (i,)) for s in few]
-                assert passes.call_count == 0
+@pytest.mark.parametrize("alpha,method", [(5.5, None), (4.5, None), (0.5, "sampling"), (1.0, "qsvt"), (1.0, "poly")])
+def test_a_noisy_point_builds_no_seed_sequence_per_trial(monkeypatch, alpha, method):
+    # every stage of a point draws from one stream, whatever its trials
+    # count: the odd and even floors at k = 2 read grandchildren of the
+    # point's stream, and so do vn_poly's terms
+    rho = from_spectrum([0.4, 0.3, 0.2, 0.1], 4)
+    p = estimators.plan(rho, alpha, 0.2, method=method)
+    counts = [_seed_sequences_built(monkeypatch, lambda: estimators.run(p, Stream(4, (1,)), trials))
+              for trials in (50, 500)]
+    assert counts[0] == counts[1], counts
 
 
 def test_blind_inputs_and_measurement_keep_their_seeds(monkeypatch):
@@ -700,29 +611,26 @@ def test_blind_inputs_and_measurement_keep_their_seeds(monkeypatch):
     monkeypatch.setattr(estimators, "measure_p0", lambda *a, **kw: seen.append(a[2]) or real(*a, **kw))
     rho = random_density(4, 2, seed=1)
     r = estimate(rho, 2.0, 0.1, seed=9, blind=True)
-    s_in, s_meas = _spawned(9, 2)
-    assert seen == [[_spawned(s_in, 3)[0]], [s_meas]]
+    # the purity probe on child 0 of the probes' child 0, the measurement on child 1
+    assert [(s.seq.entropy, s.seq.spawn_key) for s in seen] == [(9, (0, 0)), (9, (1,))]
     p0 = (1.0 + exact_entropies(rho, 2.0).tr_pow_alpha) / 2.0
-    assert [r.p0_measured] == measure_p0([p0], r.delta, [s_meas])
+    assert [r.p0_measured] == measure_p0([p0], r.delta, Stream(9).child(1))
 
 
 def test_every_draw_goes_through_measure_p0(monkeypatch):
     calls = []
     real = estimators.measure_p0
-    monkeypatch.setattr(estimators, "measure_p0", lambda *a, **kw: calls.append(a[2]) or real(*a, **kw))
+    monkeypatch.setattr(estimators, "measure_p0", lambda *a, **kw: calls.append(a[2].seq.spawn_key) or real(*a, **kw))
     # noisy vn_poly: one call per measured term i >= 1, on child i - 1 of
-    # each trial's measurement child
-    seeds = [11, 12, 13]
+    # the stream's measurement child
     p = estimators.plan(DIAG, 1.0, 0.1, method="poly")
-    estimators.run(p, seeds)
+    estimators.run(p, Stream(11), 3)
     assert len(p.terms) > 2
-    s_meas = [_numpy_seed(s, (1,)) for s in seeds]
-    assert calls == [[_numpy_seed(m, (i - 1,)) for m in s_meas] for i in range(1, len(p.terms))]
+    assert calls == [(1, i - 1) for i in range(1, len(p.terms))]
     # blind odd floor: the purity, then the minimum eigenvalue, then the measurement
     calls.clear()
     estimate(DIAG, 1.5, 0.1, seed=9, blind=True)
-    s_pur, s_min, _ = _spawned(_numpy_seed(9, (0,)), 3)
-    assert calls == [[s_pur], [s_min], [_numpy_seed(9, (2,))]]
+    assert calls == [(0, 0), (0, 1), (2,)]
 
 
 def test_estimate_rejects_unknown_von_neumann_method():
@@ -780,7 +688,7 @@ def test_chunks_reach_the_route_function_by_its_module_name(monkeypatch, name, a
     rho = from_spectrum([0.4, 0.3, 0.2, 0.1], 4)
     chunks = []
     real = getattr(estimators, name)
-    monkeypatch.setattr(estimators, name, lambda p, seeds: chunks.append(len(seeds)) or real(p, seeds))
+    monkeypatch.setattr(estimators, name, lambda p, stream, trials: chunks.append(len(trials)) or real(p, stream, trials))
     monkeypatch.setattr(estimators, "STACK_BYTES", 2 * 16 * rho.dim**2)
     for builder in FIT_BUILDERS:
         builder.cache_clear()
@@ -789,8 +697,8 @@ def test_chunks_reach_the_route_function_by_its_module_name(monkeypatch, name, a
     monkeypatch.setattr(qsvtpoly, "cheb_fit", lambda *args, **kw: fits.append(kw.get("target_tag")) or real_fit(*args, **kw))
     p = estimators.plan(rho, alpha, 0.1, method=method)
     assert p.chunk == 2
-    columns = estimators.run_columns(p, list(range(5)))
-    assert chunks == [2, 2, 1] and [len(c.seeds) for c in columns] == chunks
+    columns = list(estimators.run_columns(p, Stream(0), range(5)))
+    assert chunks == [2, 2, 1] and [c.trials for c in columns] == [range(0, 2), range(2, 4), range(4, 5)]
     # a later chunk's fits are hits in the builders' memo
     assert len(fits) == FITS[name], fits
     chunks.clear()
@@ -812,7 +720,7 @@ def test_plan_makes_no_fit(monkeypatch, alpha, method, mode):
         monkeypatch.setattr(estimators, name, refuse)
     rho = from_spectrum([0.4, 0.3, 0.2, 0.1], 4)
     p = estimators.plan(rho, alpha, 0.1, mode=mode, method=method)
-    for call in (lambda: estimators.run(p, [1, 2, 3]), lambda: estimate(rho, alpha, 0.1, seed=1, mode=mode, method=method)):
+    for call in (lambda: estimators.run(p, Stream(1), 3), lambda: estimate(rho, alpha, 0.1, seed=1, mode=mode, method=method)):
         with pytest.raises(RuntimeError) as info:
             call()
         assert info.value is marker
@@ -844,19 +752,26 @@ def test_a_batch_of_trials_equals_its_trials_run_one_by_one(
 ):
     # one grid point's trials run as stacks of at most `chunk` trials give
     # the reports (or the first failing trial's error) of the same trials
-    # run one estimate at a time
+    # run one trial per chunk, each a single matrix.  Blind mode plans
+    # every trial on the point's stream in turn, and a run of its first
+    # t + 1 trials gives trial t.
     d = 2**d_exp
     rho = random_density(d, min(rank, d), state_seed)
     assume(rho.meta.rho_min >= 0.02)
     alpha, method = route
-    seeds = [cli._trial_seed(master, 1, t) for t in range(trials)]
     kw = dict(mode="ideal" if mode == "ideal" else "noisy", method=method, c_shots=c_shots)
 
-    def batch():
-        if mode == "blind":  # blind mode plans every trial
-            return [estimators.run(estimators.plan(rho, alpha, 0.1, blind=True, seed=s, **kw), [s])[0] for s in seeds]
-        with mock.patch.object(estimators, "STACK_BYTES", chunk * 16 * d * d):
-            return estimators.run(estimators.plan(rho, alpha, 0.1, **kw), seeds)
+    def blind(n):
+        stream = Stream(master, (1,))
+        return [estimators.run(estimators.plan(rho, alpha, 0.1, blind=True, stream=stream, **kw), stream, 1)[0]
+                for _ in range(n)]
 
-    one_by_one = lambda: [estimate(rho, alpha, 0.1, seed=s, blind=mode == "blind", **kw) for s in seeds]
+    def chunked(size):
+        with mock.patch.object(estimators, "STACK_BYTES", size * 16 * d * d):
+            return estimators.run(estimators.plan(rho, alpha, 0.1, **kw), Stream(master, (1,)), trials)
+
+    if mode == "blind":
+        batch, one_by_one = lambda: blind(trials), lambda: [blind(t + 1)[-1] for t in range(trials)]
+    else:
+        batch, one_by_one = lambda: chunked(chunk), lambda: chunked(1)
     assert _outcome(batch) == _outcome(one_by_one)

@@ -14,6 +14,7 @@ from entropybench import qsvtpoly
 from entropybench.blockenc import BlockEncoding, encode_density
 from entropybench.estimators import estimate
 from entropybench.numkernel import HermMatrix, op_norm_dist
+from entropybench.seeding import Stream
 from entropybench.qsvtpoly import (
     DegreeCapExceeded,
     PolyApprox,
@@ -243,7 +244,7 @@ def test_apply_poly_eta_covers_noncommuting_noise():
     rho = random_density(6, 3, seed=0)
     kappa = 4 / (np.pi * rho.meta.rho_min)
     fit = approx_pos_power(0.05, kappa, 2e-3)
-    be = encode_density(rho, 0.04, noise_seed=0)
+    be = encode_density(rho, 0.04, Stream(0))
     out = apply_poly(be, fit)
     realized = op_norm_dist(out.encoded, out.target)
     assert realized > fit.eps + fit.lipschitz_bound(widen=be.eta) * be.eta  # scalar bound beaten
@@ -346,7 +347,7 @@ def test_apply_poly_matches_scalar_loop():
     # reference: the per-eigenvalue evaluation apply_poly used to run
     rho = random_density(6, 3, seed=0)
     fit = approx_pos_power(0.5, 4 / (np.pi * rho.meta.rho_min), 1e-4)
-    be = encode_density(rho, 0.01, noise_seed=1)
+    be = encode_density(rho, 0.01, Stream(1))
     lo, hi = fit.domain
     reach = be.eta + 1e-9
     expect = []

@@ -100,6 +100,13 @@ def test_entropy_examples():
     assert r3.entropy == pytest.approx(np.log(4), abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 3.0, 2])
+def test_a_pure_state_has_entropy_plus_zero(alpha):
+    # -sum(1 * log 1) and log(1) / (1 - alpha > 0) are both -0.0 in floats
+    entropy = exact_entropies(from_spectrum([1.0], 4), alpha).entropy
+    assert entropy == 0.0 and repr(entropy) == "0.0"
+
+
 def test_entropy_rejects_nonpositive_alpha():
     rho = from_spectrum([1.0], 2)
     with pytest.raises(ValueError):

@@ -10,10 +10,10 @@ to keep behaviour byte-identical must print the same digest as its parent:
 The list covers `validate` (full, quick, quick in bits), every route in
 noisy, ideal and blind mode on one random and one explicit-spectrum state,
 a non-default shot multiplier, one eps sweep, one rank sweep and four
-error exits.  It also covers the batched runs: every encoded route with
-more trials than one stacked chunk holds at d = 64, an integer order
-with more trials than one seed batch and with one trial below and at
-the smallest batch, a run whose first failing trial is not its first,
+error exits.  It also covers the chunked runs: every encoded route with
+more trials than one stacked chunk holds at d = 64, and with a stack
+followed by a one-matrix chunk, a run whose first failing trial is not
+its first,
 a base-2 sweep of 100-trial points, 10-trial blind runs (a plan per
 trial), a measurement accuracy that fails only when measured, the
 orders 5.5 and 4.5, whose power chains take more than one step, and a
@@ -91,10 +91,11 @@ def runs() -> list[list[str]]:
     # stacked chunk holds there
     spread = ",".join(repr((64 + i) / 6112) for i in range(64))
     out += [[*route, "--dim", "64", "--spectrum", spread, "--trials", "40", "--seed", "4"] for route in ENCODED]
+    # 33 trials there: a stack of 32, then a chunk of one trial, whose
+    # encodings are single matrices drawn from the same streams
+    out += [[*route, "--dim", "64", "--spectrum", spread, "--trials", "33", "--seed", "6"] for route in ENCODED]
     out += [
-        # more trials than one seed batch (`seeding.BATCH_TRIALS` = 256)
-        ["renyi", "--alpha", "2", "--dim", "4", "--rank", "2", "--trials", "300", "--seed", "6"],
-        # trial 30 is the first whose measured p0 is zero
+        # trial 6 is the first whose measured p0 is zero
         ["renyi", "--alpha", "3.5", "--dim", "4", "--rank", "4", "--c-shots", "0.0001", "--trials", "40", "--seed", "3"],
         # a grid point's fields formatted once for its trials, in bits
         ["sweep", "--var", "eps", "--grid", "0.2,0.1,0.05", "--alpha", "2", "--dim", "8", "--spectrum", "0.5,0.3,0.2",
@@ -102,9 +103,6 @@ def runs() -> list[list[str]]:
         # blind trials are each their own plan, with its own budget and ledger
         ["renyi", "--alpha", "2", "--dim", "4", "--rank", "3", "--blind", "--trials", "10", "--seed", "8"],
         ["renyi", "--alpha", "0.5", "--dim", "4", "--rank", "3", "--blind", "--trials", "10", "--seed", "8"],
-        # one trial below and at `seeding.MIN_BATCH` = 8
-        ["renyi", "--alpha", "3", "--dim", "8", "--rank", "4", "--trials", "7", "--seed", "9"],
-        ["renyi", "--alpha", "3", "--dim", "8", "--rank", "4", "--trials", "8", "--seed", "9"],
         # a measurement accuracy outside (0, 1): the noisy run fails when it
         # measures, the ideal run measures nothing
         ["renyi", "--alpha", "2", "--dim", "4", "--rank", "2", "--eps", "40", "--trials", "2"],
