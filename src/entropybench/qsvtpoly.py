@@ -7,16 +7,15 @@ Three target families are built in: the scaled logarithm
 log(1/x)/(2 log(1/beta)), positive powers x^c/2, and negative powers
 x^(-c)/(2 kappa^c), each on a domain bounded away from zero.
 
-The search for the smallest passing degree is steered by estimates of
-the error, each with a rigorous slack: a degree is interpolated and
-certified exactly only when its estimate cannot decide pass or fail.
-Up to degree `_OPERATOR_DEGREE_CUTOFF` (16) an estimate is one matmul
-with a cached per-degree operator; above it, two real FFTs, so
+Each searched degree is evaluated once (`_evaluate`): the target is
+sampled at the interpolation nodes and on the certification grid, and
+the interpolant's coefficients and its values on the grid come from two
+small matmuls with cached per-degree matrices up to degree
+`_OPERATOR_DEGREE_CUTOFF` (16), above it from two real FFTs, so
 `numpy.fft` is imported only when a fit searches a degree above 16.  The
-returned fit is interpolated from the scalar `math` target and certified
-on the full grid with the arithmetic of `Chebyshev.interpolate` and
-`Chebyshev.__call__`, so the chosen degree, coefficients and recorded eps
-are those of the all-exact search.
+grid error plus a rigorous bound on its rounding is the certificate: a
+degree passes on it, and the returned fit carries it, coefficients and
+grid values included.
 
 The three builders are memoized per process on their argument list: a
 fit is computed once per key and then shared, so its coefficients are
@@ -47,13 +46,17 @@ _CERT_SAFETY = 1.05
 # distinct fits each builder keeps; one estimator run needs at most two
 _FIT_CACHE_SIZE = 128
 
-# highest degree whose error estimate runs through a cached per-degree
-# operator (which also holds the degree's interpolation matrix); above it
-# the estimate takes two FFTs and nothing is cached.  An operator costs
-# what 1-3 FFT estimates cost up to degree 32, and every fit searches
-# 0, 1, 2, 4, 8, 16; above 16 most degrees are searched a few times at
-# most, and operators up to 32 held ~0.5 MB more at peak on a pass of
-# d = 64 requests for no measurable time
+# bound on |array target - scalar target| at a grid point, in units of
+# u * max|f|: numpy's log and power against `math`'s on the builders'
+# three families (at most 1 where measured; a test pins the bound)
+_TARGET_ULPS = 8
+
+# highest degree evaluated through cached per-degree matrices
+# (`_operator`); above it an evaluation takes two FFTs and nothing is
+# cached.  Operators cost what 1-3 FFT evaluations cost up to degree 32,
+# and every fit searches 0, 1, 2, 4, 8, 16; above 16 most degrees are
+# searched a few times at most, and operators up to 32 held ~0.5 MB more
+# at peak on a pass of d = 64 requests for no measurable time
 _OPERATOR_DEGREE_CUTOFF = 16
 
 # degree caps: log fits may use up to C_LOG * (1/beta) * ln(1/eps), power
@@ -62,9 +65,9 @@ C_LOG = 8.0
 C_POWER = 8.0
 # monomial conversion refuses degrees above this (ill-conditioned)
 MONOMIAL_DEGREE_CAP = 30
-# no search goes above this degree, whatever a builder's cap: an exact
-# interpolation at degree N holds an (N + 1)^2 matrix, 134 MB here and
-# 8.6 GB at degree 32768, which a power fit's cap reaches at kappa ~1e7
+# no search goes above this degree, whatever a builder's cap: it bounds
+# the time a refused fit searches and the size of its FFTs (length 20 N
+# at degree N), where a power fit's cap reaches 32768 at kappa ~1e7
 MAX_FIT_DEGREE = 4096
 
 _MACHINE_EPS = float(np.finfo(float).eps)
@@ -100,9 +103,10 @@ class PolyApprox:
     # values derived from the coefficients, computed on first use; not an
     # init field, so dataclasses.replace starts a copy with an empty one
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (grid error, grid values) of these coefficients, as `_certify` computes
-    # them; `cheb_fit` hands over the certificate it has just computed, and
-    # a fit built any other way is certified here
+    # (grid error + slack, grid values) of these coefficients, as `_on_grid`
+    # computes them; `cheb_fit` hands over the certificate its search
+    # computed, and a fit built any other way is certified here against
+    # its scalar target
     _certificate: InitVar[Optional[tuple[float, np.ndarray]]] = None
 
     def __post_init__(self, _certificate):
@@ -112,7 +116,9 @@ class PolyApprox:
         object.__setattr__(self, "coeffs", coeffs)
         if _certificate is None:
             lo, hi = self.domain
-            _certificate = _certify(coeffs, self.target_fn, lo, hi, self.degree)
+            grid = _cheb_grid(lo, hi, _grid_size(len(coeffs) - 1))
+            values, err, slack = _on_grid(coeffs, _vec(self.target_fn, grid), lo, hi)
+            _certificate = err + slack, values
         err, values = _certificate
         if err > self.eps + 1e-15:
             raise ValueError(
@@ -185,90 +191,101 @@ def _grid_size(degree: int) -> int:
     return max(10 * max(degree, 1), 10)
 
 
-def _certify(coeffs: np.ndarray, f, lo: float, hi: float, degree: int) -> tuple[float, np.ndarray]:
-    """Sup error of the fit with these coefficients over [lo, hi] against
-    the scalar target on the certification grid, and the fit's values there."""
-    grid = _cheb_grid(lo, hi, _grid_size(degree))
-    values = _cheb_eval(coeffs, (lo, hi), grid)
-    return float(np.max(np.abs(values - _vec(f, grid)))), values
+def _on_grid(coeffs: np.ndarray, f_grid: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, float, float]:
+    """The fit with these coefficients on the certification grid of its
+    degree, its sup error there against `f_grid` (the target at the grid
+    points), and a slack that bounds the error's rounding.
 
+    The grid points are x_k = fl((hi + lo)/2 + (hi - lo)/2 t_k) with
+    t_k = fl(cos(pi k/m)), k = 0..m, and the certified error is
+    max_k |P(x_k) - f(x_k)|, for P the exact polynomial of these
+    coefficients and f the scalar target as `math` computes it.  With
+    u = 2^-52 (twice the unit roundoff, which also absorbs second-order
+    terms), S = sum |c_j| and S2 = sum j^2 |c_j| >= max |P'| on [-1, 1],
+    the slack is u times the sum of:
 
-def _interpolate(f, lo: float, hi: float, degree: int) -> np.ndarray:
-    """Coefficients of `Chebyshev.interpolate` of the scalar target over
-    [lo, hi], by the same arithmetic (`chebinterpolate`'s)."""
-    if degree <= _OPERATOR_DEGREE_CUTOFF:
-        points, vander, _ = _operator(degree)
-        nodes = points[: degree + 1]
+    - the values' rounding.  Up to the cutoff degree they are one product
+      with the grid's Chebyshev-Vandermonde matrix, whose entries carry
+      the three-term recurrence's error (at most 1.5 j^2 u in T_j), and
+      whose n-term sums round by n u S: (n + 1) S + 3 S2, the extra S for
+      the subtraction below.  Above it they are a DCT-I by one real FFT
+      of length 2m, which rounds each output by a few u per butterfly
+      pass times S: 64 (log2(2m) + n) S covers the log2(2m) radix passes
+      and the generic passes of the prime factors of 2m = 20 * degree
+      (whose sum is below n + 9) with a wide margin; measured against a
+      long-double Clenshaw sum, the error stays below 0.03 of it.
+    - the nodes.  The product evaluates at t_k, the FFT at cos(pi k/m),
+      within 8u of it; x_k maps back to within 4 u (cond + 1) of t_k,
+      cond = (hi + lo) / (hi - lo), since the map rounds by at most
+      4 u hi.  So the values move by at most (4 cond + 12) S2.
+    - the target.  The array target lies within `_TARGET_ULPS` u max|f|
+      of the scalar one, and the subtraction rounds by u max|f| more.
+    """
+    n = len(coeffs)
+    size = float(np.abs(coeffs).sum())
+    slope = float(np.arange(n) ** 2 @ np.abs(coeffs))
+    if n - 1 <= _OPERATOR_DEGREE_CUTOFF:
+        values = _operator(n - 1)[2] @ coeffs
+        rounding = (n + 1) * size + 3 * slope
     else:
-        nodes = chebpts1(degree + 1)
-        vander = chebvander(nodes, degree)
-    coeffs = np.dot(vander.T, _vec(f, pu.mapdomain(nodes, Chebyshev.window, [lo, hi])))
-    coeffs[0] /= degree + 1
-    coeffs[1:] /= 0.5 * (degree + 1)
-    return coeffs
+        from numpy import fft
+
+        m = _grid_size(n - 1)
+        # sum_j c_j cos(pi j k/m), with c_0 doubled as the transform counts it once
+        values = 0.5 * fft.irfft(np.concatenate(([2 * coeffs[0]], coeffs[1:])), 2 * m, norm="forward")[: m + 1]
+        rounding = 64 * (math.log2(2 * m) + n) * size
+    cond = (hi + lo) / (hi - lo)
+    f_max = float(np.abs(f_grid).max())
+    slack = _MACHINE_EPS * (rounding + (4 * cond + 12) * slope + (_TARGET_ULPS + 1) * f_max)
+    return values, float(np.abs(values - f_grid).max()), slack
 
 
 @functools.lru_cache(maxsize=None)  # reached only up to the cutoff degree
 def _operator(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (reference points, node Vandermonde matrix, operator) of
-    the degree-`degree` error estimate on [-1, 1].
+    """Read-only (reference points, interpolation matrix, grid matrix) of
+    a degree-`degree` evaluation on [-1, 1].
 
     The reference points are the interpolation nodes followed by the
-    certification grid.  The operator maps the target at the nodes to the
-    interpolant's coefficients (the first degree + 1 rows) and to its
-    values on the grid (the rest).
+    certification grid.  The interpolation matrix maps the target at the
+    nodes to the interpolant's coefficients, and the grid matrix maps
+    coefficients to the polynomial's values on the grid.
     """
     n = degree + 1
     nodes = chebpts1(n)
     m = _grid_size(degree)
     grid = np.cos(np.pi * np.arange(m + 1) / m)
-    vander = chebvander(nodes, degree)
-    interp = vander.T * np.where(np.arange(n) == 0, 1.0, 2.0)[:, None] / n
-    operator = np.concatenate((interp, chebvander(grid, degree) @ interp))
-    out = (np.concatenate((nodes, grid)), vander, operator)
+    interp = chebvander(nodes, degree).T * np.where(np.arange(n) == 0, 1.0, 2.0)[:, None] / n
+    out = (np.concatenate((nodes, grid)), interp, chebvander(grid, degree))
     for a in out:
         a.flags.writeable = False
     return out
 
 
-def _estimated_error(f_arr, lo: float, hi: float, degree: int) -> tuple[float, float]:
-    """Estimate of `_certify`'s error for the degree-`degree` interpolant,
-    and a slack that bounds its distance from the exact value.
+def _evaluate(f_arr, lo: float, hi: float, degree: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The degree-`degree` interpolant of the array target over [lo, hi]:
+    its coefficients, its values on the certification grid, its grid
+    error and the slack of that error (`_on_grid`).
 
-    The array target is sampled at the nodes `Chebyshev.interpolate`
-    samples and on the certification grid.  Up to the cutoff degree, one
-    product with the cached `_operator` gives the coefficients and the
-    fit's values on the grid; above it, the coefficients come from a
-    DCT-II of the node samples and the values from a DCT-I of the
-    coefficients, each one real FFT.  The slack is the rounding of the
-    exact path, times 1e3 to spare: the Vandermonde product O(N^3 u max|f|),
-    Clenshaw's sum and the map between domain and window O(N^2 u cond
-    sum|c|); it also covers this path's own rounding and the last-bit
-    difference between the array and the scalar target.
+    The target is sampled at the Chebyshev points of the first kind and
+    on the grid.  Up to the cutoff degree the coefficients are one product
+    with the cached interpolation matrix; above it, a DCT-II of the node
+    samples by one real FFT.
     """
     n = degree + 1
     if degree <= _OPERATOR_DEGREE_CUTOFF:
-        points, _, operator = _operator(degree)
+        points, interp, _ = _operator(degree)
         samples = f_arr((hi + lo) / 2 + (hi - lo) / 2 * points)
-        y, grid_f = samples[:n], samples[n:]
-        fit = operator @ y
-        coeffs, values = fit[:n], fit[n:]
+        coeffs, f_grid = interp @ samples[:n], samples[n:]
     else:
         from numpy import fft
 
         y = f_arr(pu.mapdomain(chebpts1(n), Chebyshev.window, [lo, hi]))
         # chebpts1 ascends, so reversed it is cos((2k+1)pi/2n) for k = 0..n-1
         spec = fft.rfft(np.concatenate((y[::-1], y)))[:n]
-        coeffs = (spec * np.exp(-0.5j * np.pi * np.arange(n) / n)).real / n  # c_0 doubled
-        m = _grid_size(degree)
-        grid_f = f_arr(_cheb_grid(lo, hi, m))
-        values = m * fft.irfft(coeffs, 2 * m)[: m + 1]  # the fit at cos(pi k/m)
-    est = float(abs(values - grid_f).max())
-    cond = (hi + lo) / (hi - lo)
-    f_max = max(abs(y).max(), abs(grid_f).max())
-    scale = cond * abs(coeffs).sum() + n * f_max
-    slack = 1e3 * (n + 1) ** 2 * _MACHINE_EPS * float(scale) + 1e-13
-    return est, slack
+        coeffs = (spec * np.exp(-0.5j * np.pi * np.arange(n) / n)).real / n
+        coeffs[0] /= 2
+        f_grid = f_arr(_cheb_grid(lo, hi, _grid_size(degree)))
+    return (coeffs, *_on_grid(coeffs, f_grid, lo, hi))
 
 
 def cheb_fit(
@@ -286,19 +303,17 @@ def cheb_fit(
     """Smallest-degree Chebyshev interpolant meeting sup error <= eps.
 
     Degrees are doubled until certification succeeds, then binary search
-    finds the smallest passing degree.  The recorded eps carries a small
-    aliasing safety factor over the grid maximum.  The search stops at
-    `k_cap` or at `MAX_FIT_DEGREE`, whichever is lower, and raises
-    `DegreeCapExceeded` naming that degree.
+    finds the smallest passing degree.  A degree passes when its grid
+    error plus slack (`_evaluate`), times a small aliasing safety factor,
+    is within eps; that times the factor is the recorded eps.  The search
+    stops at `k_cap` or at `MAX_FIT_DEGREE`, whichever is lower, and
+    raises `DegreeCapExceeded` naming that degree and the smallest error
+    plus slack it saw.
 
-    With `array_target`, a numpy form of `target`, each pass/fail question
-    of the search is first answered from an estimate of the error with
-    a rigorous slack (`_estimated_error`); only a degree the estimate cannot
-    decide is interpolated and certified exactly, so every decision, and
-    the result, equal those of the exact search.  The returned fit is
-    always interpolated from the scalar `target` and certified on the full
-    grid exactly as without it; the array target never reaches the
-    certificate, since numpy ufuncs and `math` can differ in the last bit.
+    `array_target`, a numpy form of `target`, is what the search samples;
+    without it the scalar target is sampled point by point.  The slack
+    covers the last-bit difference between numpy's and `math`'s log and
+    power, so the certificate holds against the scalar target too.
     """
     if not (0.0 < lo < hi <= 1.0):
         raise ValueError(f"domain must satisfy 0 < lo < hi <= 1, got [{lo}, {hi}]")
@@ -307,45 +322,30 @@ def cheb_fit(
     if k_cap < 0:
         raise ValueError("degree cap must be nonnegative")
     k_cap = min(k_cap, MAX_FIT_DEGREE)
+    f_arr = array_target if array_target is not None else functools.partial(_vec, target)
 
-    exact: dict[int, tuple[np.ndarray, tuple[float, np.ndarray]]] = {}
-
-    def attempt(deg: int) -> tuple[np.ndarray, tuple[float, np.ndarray]]:
-        """The degree-`deg` interpolant's coefficients and its certificate
-        (error, values)."""
-        if deg not in exact:
-            coeffs = _interpolate(target, lo, hi, deg)
-            exact[deg] = coeffs, _certify(coeffs, target, lo, hi, deg)
-        return exact[deg]
-
-    def passes(err: float) -> bool:
-        return _CERT_SAFETY * err + 1e-15 <= eps
+    best_err = math.inf
+    best = None  # (degree, coefficients, certificate) of the last degree that passed
 
     def passes_at(deg: int) -> bool:
-        if array_target is not None:
-            est, slack = _estimated_error(array_target, lo, hi, deg)
-            if math.isfinite(est + slack):  # else let the exact error decide
-                if passes(est + slack):
-                    return True
-                if not passes(est - slack):
-                    return False
-        return passes(attempt(deg)[1][0])
+        nonlocal best_err, best
+        coeffs, values, err, slack = _evaluate(f_arr, lo, hi, deg)
+        best_err = min(best_err, err + slack)
+        if not _CERT_SAFETY * (err + slack) + 1e-15 <= eps:  # a NaN error fails too
+            return False
+        best = deg, coeffs, (err + slack, values)
+        return True
 
-    tried = []
     deg = 0
     prev_fail = -1
-    while True:
-        tried.append(deg)
-        if passes_at(deg):
-            break
+    while not passes_at(deg):
         prev_fail = deg
         if deg >= k_cap:
-            # the exact search's running minimum over the degrees it tried
-            best_err = functools.reduce(min, (attempt(d)[1][0] for d in tried), math.inf)
             raise DegreeCapExceeded(k_cap, best_err)
         deg = min(k_cap, max(1, 2 * deg))
 
-    # smallest passing degree between the last failure and this success
+    # smallest passing degree between the last failure and this success;
+    # each pass lowers the upper end, so `best` ends at the smallest
     lo_deg, hi_deg = prev_fail, deg
     while hi_deg - lo_deg > 1:
         mid = (lo_deg + hi_deg) // 2
@@ -354,20 +354,13 @@ def cheb_fit(
         else:
             lo_deg = mid
 
-    deg = hi_deg
-    coeffs, certificate = attempt(deg)
-    err = certificate[0]
-    if not passes(err):  # an estimate was wrong: decide every degree exactly
-        return cheb_fit(
-            target, lo, hi, eps, k_cap, target_tag, zero_extension, subnorm_factor, input_precision
-        )
-    recorded = min(eps, _CERT_SAFETY * err + 1e-15)
+    deg, coeffs, certificate = best
     return PolyApprox(
         coeffs=coeffs,
         degree=deg,
         domain=(lo, hi),
         target_tag=target_tag,
-        eps=recorded,
+        eps=_CERT_SAFETY * certificate[0] + 1e-15,
         target_fn=target,
         zero_extension=zero_extension,
         subnorm_factor=subnorm_factor,

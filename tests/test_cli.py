@@ -565,19 +565,18 @@ def test_cli_degree_cap_is_estimation_failure(monkeypatch, capsys):
 
 
 def test_cli_refuses_a_fit_above_the_degree_ceiling(monkeypatch, capsys):
-    # kappa ~1e7 lets the odd-floor fit's cap reach degree 32768, whose
-    # interpolation matrix alone is 8.6 GB; no degree above the ceiling
-    # may be interpolated, so the guard also keeps this test small where
-    # the ceiling is missing
+    # kappa ~1e7 lets the odd-floor fit's cap reach degree 32768; no degree
+    # above the ceiling may be evaluated, so the guard also keeps this test
+    # small where the ceiling is missing
     from entropybench import qsvtpoly
 
-    real = qsvtpoly._interpolate
+    real = qsvtpoly._evaluate
 
     def guarded(f, lo, hi, degree):
-        assert degree <= 4096, f"interpolation at degree {degree}"
+        assert degree <= 4096, f"evaluation at degree {degree}"
         return real(f, lo, hi, degree)
 
-    monkeypatch.setattr(qsvtpoly, "_interpolate", guarded)
+    monkeypatch.setattr(qsvtpoly, "_evaluate", guarded)
     argv = ["renyi", "--alpha", "1.5", "--spectrum", "0.9999999,0.0000001", "--eps", "0.01", "--ideal"]
     assert main(argv) == 1
     err = capsys.readouterr().err

@@ -9,10 +9,14 @@ which side goes first so drift in the host's speed falls on both sides.
 The worktree is removed afterwards, also when a run fails.
 
 Prints each pair's end-to-end metrics (those `BENCHMARK.json` lists under
-`end_to_end`), then per metric each side's median and quartiles and the
-pairs this tree wins: a win is a strictly better value in the metric's
-`better` direction.  The last line of stdout is one JSON object with the
-same summary.  Exit code 0 when every bench run exited 0, 1 otherwise.
+`end_to_end`), then per metric each side's median and quartiles, the
+pairs this tree wins (a win is a strictly better value in the metric's
+`better` direction; a tie counts for neither side), and whether a claimed
+gain on the metric would hold (`verdict`).  Beside it stand the relative
+change of the median and the metric's `bound` from `BENCHMARK.json`,
+printed without a verdict, since the file does not say whether a bound is
+relative.  The last line of stdout is one JSON object with the same
+summary.  Exit code 0 when every bench run exited 0, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -49,6 +53,18 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(base: list[float], change: list[float], better: str) -> dict:
+    """Whether a claimed gain holds: this tree wins at least nine pairs in
+    ten (ties count for neither side), and its median beats the base's by
+    more than the base's interquartile range."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+    b = spread(base)
+    gap = sign * (b["median"] - spread(change)["median"])
+    iqr = b["q3"] - b["q1"]
+    return {"wins": wins, "gap": gap, "base_iqr": iqr, "claim_holds": 10 * wins >= 9 * len(base) and gap > iqr}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="git revision to compare this tree against")
@@ -60,6 +76,7 @@ def main(argv: list[str] | None = None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     done = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{args.base}^{{commit}}"], cwd=ROOT,
                           capture_output=True, text=True)
     if done.returncode != 0:
@@ -97,13 +114,16 @@ def main(argv: list[str] | None = None) -> int:
     if pairs:
         for name, direction in better.items():
             base, change = values["base"][name], values["change"][name]
-            sign = 1.0 if direction == "lower" else -1.0
-            wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
-            row = {"better": direction, "base": spread(base), "change": spread(change), "wins": wins}
+            b, c = spread(base), spread(change)
+            row = {"better": direction, "base": b, "change": c, **verdict(base, change, direction),
+                   "median_change": (c["median"] - b["median"]) / b["median"] if b["median"] else None,
+                   "bound": bound[name]}
             summary["metrics"][name] = row
-            b, c = row["base"], row["change"]
+            rel = "n/a" if row["median_change"] is None else f"{row['median_change']:+.1%}"
             print(f"{name:12s} base {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}]  "
-                  f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  wins {wins}/{pairs} ({direction} is better)")
+                  f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  wins {row['wins']}/{pairs} "
+                  f"({direction} is better)  claim {'holds' if row['claim_holds'] else 'fails'}  "
+                  f"median change {rel} (bound {bound[name]:g})")
     print(json.dumps(summary))
     return 0 if ok else 1
 

@@ -122,7 +122,7 @@ def runs() -> list[list[str]]:
 
 # (builder, arguments) of each pinned fit: the three families, degrees 0
 # to 436, among them 16 and 17 on either side of the degree above which
-# the search estimates errors by FFT instead of by cached operators
+# the search evaluates a degree by FFT instead of by cached operators
 FITS = [
     # (0.02, 1e-3) has degree 16, (0.1, 1e-6) degree 17
     *[("approx_log", (beta, eps)) for beta in (0.9, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005)
