@@ -66,6 +66,10 @@ class UsageError(ValueError):
     pass
 
 
+# rows one run may hold: each is kept until the run ends, at ~250 B, so ~2 GB
+MAX_ROWS = 2**23
+
+
 def _positive(x: float) -> bool:
     """Finite and > 0; NaN fails, unlike a bare `x <= 0` test."""
     return math.isfinite(x) and x > 0
@@ -98,6 +102,9 @@ class ExperimentConfig:
             problems.append(f"mode {self.mode!r}")
         if self.trials < 1:
             problems.append(f"trials {self.trials}")
+        points = len(self.grid) if self.mode == "sweep" else 1
+        if self.mode != "validate" and self.trials * points > MAX_ROWS:
+            problems.append(f"trials {self.trials} x {points} grid point(s) (at most MAX_ROWS = {MAX_ROWS} rows)")
         if not _positive(self.eps):
             problems.append(f"eps {self.eps}")
         if self.mode != "validate" and not _positive(self.alpha):

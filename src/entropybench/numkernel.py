@@ -4,7 +4,9 @@ Spectral kernel: `hermitian_eig` is LAPACK's Hermitian eigensolver
 (`numpy.linalg.eigh`) with the spectrum reordered descending, and every
 matrix function in the package is realized through it.  Each validated
 matrix caches its decomposition, so an operator is diagonalized at most
-once however many functions are taken of it.
+once however many functions are taken of it.  The one exception is
+`op_norm_dist`, which needs only the eigenvalues of a difference that
+nothing else reads, and takes them from `numpy.linalg.eigvalsh`.
 
 A `HermMatrix` is one matrix or a stack of them with one leading axis,
 one matrix per trial, and every function here takes either.  A stacked
@@ -79,12 +81,15 @@ class HermMatrix:
             raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
         if m.shape[-1] < 1 or m.shape[-1] > MAX_DIM:
             raise ValueError(f"dimension {m.shape[-1]} outside [1, {MAX_DIM}]")
-        m_h = adjoint(m)
+        # the adjoint as a row-major copy, so that the two passes below read
+        # both operands in order, and m may be overwritten in place
+        m_h = np.conjugate(m.swapaxes(-1, -2), out=np.empty_like(m))
         asym = float(np.max(np.abs(m - m_h))) if m.size else 0.0
         if asym > TOL.herm:
             raise NonHermitianError(asym)
         # exact symmetrization removes representation noise below tolerance
-        m = (m + m_h) / 2.0
+        np.add(m, m_h, out=m)
+        m /= 2.0
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
 
@@ -154,8 +159,10 @@ def op_norm(a: HermMatrix):
 
 
 def op_norm_dist(a: HermMatrix, b: HermMatrix):
-    """Operator-norm distance ||a - b||, via the spectrum of the difference;
-    one distance per matrix when either side is a stack."""
+    """Operator-norm distance ||a - b||, the largest |eigenvalue| of the
+    difference by `eigvalsh` alone (so maybe not the last bits of `op_norm`
+    of it); one distance per matrix when either side is a stack."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return op_norm(HermMatrix(a.mat - b.mat))
+    out = np.max(np.abs(np.linalg.eigvalsh(HermMatrix(a.mat - b.mat).mat)), axis=-1)
+    return float(out) if out.ndim == 0 else out

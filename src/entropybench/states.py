@@ -147,7 +147,11 @@ def random_density(d: int, r: int, seed: int) -> DensityMatrix:
     Deterministic per seed.  The rotation comes from orthonormalized
     complex Gaussian columns; the spectrum is resampled in the
     (practically impossible) event a Dirichlet weight falls below the
-    rank cutoff, so the realized rank is exactly r.
+    rank cutoff, so the realized rank is exactly r.  One complete QR
+    gives the cached eigenvectors: its first r columns are reduced mode's
+    Q (a test checks the bits), the rest span the null space.  Their
+    eigenvalue 0 reaches no output whatever basis they are: positive
+    powers map it to 0, and the other routes project to the support.
     """
     if not (1 <= r <= d <= MAX_DIM):
         raise ValueError(f"need 1 <= r <= d <= {MAX_DIM}, got r={r}, d={d}")
@@ -157,29 +161,14 @@ def random_density(d: int, r: int, seed: int) -> DensityMatrix:
         if np.min(p) > 10 * TOL.rank_cutoff:
             break
     g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-    q, _ = np.linalg.qr(g)
+    full_v, _ = np.linalg.qr(g, mode="complete")
+    q = full_v[:, :r]
     rho = (q * p) @ q.conj().T
     rho = rho / float(np.trace(rho).real)
     w = np.zeros(d)
     w[:r] = np.sort(p)[::-1]
-    full_v = np.zeros((d, d), dtype=np.complex128)
     full_v[:, :r] = q[:, np.argsort(p)[::-1]]
-    # complete the basis for the cached decomposition
-    null = _complete_basis(q)
-    full_v[:, r:] = null
     return DensityMatrix(herm_with_spectrum((rho + rho.conj().T) / 2, w, full_v))
-
-
-def _complete_basis(q: np.ndarray) -> np.ndarray:
-    """Orthonormal complement of the column span of q."""
-    d, r = q.shape
-    if r == d:
-        return np.zeros((d, 0), dtype=np.complex128)
-    # QR of [q | I]: the first r output columns span col(q), the next
-    # d - r columns are an orthonormal basis of its complement
-    stack = np.hstack([q, np.eye(d, dtype=np.complex128)])
-    qq, _ = np.linalg.qr(stack)
-    return qq[:, r:d]
 
 
 def exact_entropies(rho: DensityMatrix, alpha: float) -> EntropyRecord:

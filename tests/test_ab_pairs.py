@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 spec = importlib.util.spec_from_file_location("ab_pairs", Path(__file__).resolve().parent.parent / "tools" / "ab_pairs.py")
@@ -28,3 +29,25 @@ def test_a_claim_fails_when_every_pair_wins_but_the_gap_lies_inside_the_base_spr
     assert 0 < got["gap"] < got["base_iqr"]
     assert not got["claim_holds"]
 
+
+def test_the_change_side_is_copied_without_bytecode(tmp_path):
+    # the change side runs from a copy: modified and new files as they are
+    # in the working tree, and no `__pycache__` that would spare it the
+    # compile the base side pays for
+    root, dest = tmp_path / "repo", tmp_path / "copy"
+    (root / "pkg" / "__pycache__").mkdir(parents=True)
+    (root / ".gitignore").write_text("__pycache__/\nbuild/\n")
+    (root / "pkg" / "mod.py").write_text("x = 1\n")
+    (root / "pkg" / "gone.py").write_text("y = 1\n")
+    subprocess.run(["git", "init", "-q"], cwd=root, check=True)
+    subprocess.run(["git", "add", "-A"], cwd=root, check=True)
+    (root / "pkg" / "mod.py").write_text("x = 2\n")
+    (root / "pkg" / "gone.py").unlink()
+    (root / "pkg" / "new.py").write_text("z = 3\n")
+    (root / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"stale")
+    (root / "build").mkdir()
+    (root / "build" / "out.txt").write_text("ignored\n")
+    ab_pairs.clean_copy(root, dest)
+    copied = sorted(p.relative_to(dest).as_posix() for p in dest.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "pkg/mod.py", "pkg/new.py"]
+    assert (dest / "pkg" / "mod.py").read_text() == "x = 2\n"

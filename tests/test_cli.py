@@ -264,6 +264,21 @@ def test_invalid_config_lists_all_offenders():
         assert field in msg
 
 
+def test_trial_counts_whose_rows_cannot_be_held_are_refused_before_any_work(monkeypatch, capsys):
+    # every row is kept until the run ends, so 2**32 + 1 trials ran until
+    # memory was exhausted; a sweep counts its rows over its grid
+    monkeypatch.setattr(cli, "_point_rows", mock.Mock(side_effect=AssertionError("a trial ran")))
+    assert main(["renyi", "--alpha", "2", "--dim", "4", "--rank", "2", "--trials", "4294967297"]) == 1
+    err = capsys.readouterr().err
+    assert f"trials 4294967297 x 1 grid point(s) (at most MAX_ROWS = {2**23} rows)" in err
+    assert "Traceback" not in err
+    sweep = ["sweep", "--var", "eps", "--grid", "0.2,0.1,0.05", "--alpha", "2", "--dim", "4", "--rank", "2"]
+    assert main([*sweep, "--trials", str(2**23 // 3 + 1)]) == 1
+    assert "x 3 grid point(s)" in capsys.readouterr().err
+    ExperimentConfig(mode="renyi", trials=cli.MAX_ROWS).validate()
+    ExperimentConfig(mode="sweep", var="eps", grid=[0.2, 0.1, 0.05], trials=2**23 // 3).validate()
+
+
 def test_validate_failure_exit_code(monkeypatch):
     import entropybench.cli as cli
 
@@ -517,6 +532,9 @@ def test_a_huge_trial_count_is_derived_in_bounded_batches(monkeypatch):
         yield
 
     monkeypatch.setattr(cli, "run_columns", run_one_chunk)
+    # the config refuses more rows than a run can hold (tested above); lift
+    # that ceiling so that what is checked here is the loop's own laziness
+    monkeypatch.setattr(cli, "MAX_ROWS", 2**40)
     cfg = ExperimentConfig(mode="renyi", alpha=2.0, d=8, spectrum=[0.5, 0.3, 0.2], trials=2**40, seed=1)
     with pytest.raises(Stop):
         run_experiment(cfg)

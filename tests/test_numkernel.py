@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entropybench import numkernel
+from entropybench.blockenc import widen_for_rounding
 from entropybench.numkernel import (
     HermMatrix,
     NonHermitianError,
@@ -223,3 +224,35 @@ def test_fail_first_raises_the_first_failing_trial():
     with pytest.raises(ValueError) as info:
         numkernel.fail_first(np.bool_(True), lambda i: ValueError(f"trial {i}"))  # one matrix is trial 0
     assert info.value.trial == 0
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_non_increasing_spectra_with_ties_come_back_unchanged_and_read_only(stacked):
+    # a cached spectrum (`random_density`'s, `from_spectrum`'s) is already
+    # non-increasing with tied zeros: the stable reordering must keep it as
+    # it is, hand back read-only copies and leave the caller's arrays writeable
+    rng = np.random.default_rng(5)
+    eigs = np.array([0.5, 0.25, 0.25, 0.0, 0.0, -0.0])
+    vecs = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    if stacked:
+        eigs, vecs = np.stack([eigs, [0.9, 0.1, 0.0, 0.0, -0.0, -0.0]]), np.stack([vecs, vecs.conj()])
+    got = numkernel._descending(eigs, vecs)
+    for g, w in zip((got.eigenvalues, got.eigenvectors), (eigs, vecs)):
+        assert g.tobytes() == w.tobytes()
+        assert not g.flags.writeable and w.flags.writeable and not np.shares_memory(g, w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(1, 64), n=st.sampled_from([None, 1, 5]), seed=st.integers(0, 2**32 - 1))
+def test_op_norm_dist_is_the_spectral_norm_of_the_difference_within_rounding(d, n, seed):
+    # the distance comes from `eigvalsh` alone; the oracle is the largest
+    # |eigenvalue| of `hermitian_eig` of the difference.  The two may differ
+    # in the last bits, never by more than the widening the ledger applies
+    rng = np.random.default_rng(seed)
+    shape = (d, d) if n is None else (n, d, d)
+    g = rng.standard_normal((2, *shape)) + 1j * rng.standard_normal((2, *shape))
+    a, b = (HermMatrix((m + numkernel.adjoint(m)) / 2) for m in g)
+    got = op_norm_dist(a, b)
+    want = np.max(np.abs(hermitian_eig(HermMatrix(a.mat - b.mat)).eigenvalues), axis=-1)
+    assert isinstance(got, float) == (n is None) and np.shape(got) == np.shape(want)
+    assert np.all(got <= widen_for_rounding(want, d)) and np.all(want <= widen_for_rounding(got, d))

@@ -226,3 +226,31 @@ def test_non_finite_states_are_rejected(bad):
         from_spectrum([bad, 1.0], 2)
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
         DensityMatrix(HermMatrix(np.diag([bad, 1.0]).astype(np.complex128)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 64), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_complete_qr_leads_with_the_reduced_q_bit_for_bit(d, data, seed):
+    # `random_density` takes its support basis from the first r columns of a
+    # complete QR; its states keep their bits only while those columns are
+    # the reduced Q that numpy returns on its own
+    r = data.draw(st.integers(1, d))
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    full, _ = np.linalg.qr(g, mode="complete")
+    reduced, _ = np.linalg.qr(g)
+    assert full.shape == (d, d)
+    assert np.ascontiguousarray(full[:, :r]).tobytes() == np.ascontiguousarray(reduced).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 5000), d=st.integers(1, 64), data=st.data())
+def test_random_density_caches_an_orthonormal_basis_that_rebuilds_it(seed, d, data):
+    r = data.draw(st.integers(1, d))
+    rho = random_density(d, r, seed)
+    spec = rho.spectrum
+    v = spec.eigenvectors
+    assert v.shape == (d, d)
+    assert np.linalg.norm(v.conj().T @ v - np.eye(d), 2) <= 1e-12
+    assert np.all(spec.eigenvalues[r:] == 0.0) and np.all(np.diff(spec.eigenvalues) <= 0)
+    assert np.linalg.norm(with_eigenvalues(v, spec.eigenvalues) - rho.matrix.mat, 2) <= 1e-12

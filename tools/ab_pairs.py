@@ -3,10 +3,14 @@
     python tools/ab_pairs.py BASE_REF --workload sweep-int --pairs 10 --seed 1 --seconds 5
 
 Checks BASE_REF out as a detached `git worktree` in a temporary directory,
-then runs `bench/run.py --trace 0` from the base tree and from this tree
+copies this tree's files (those git tracks, as modified in the working
+tree, and new files it does not ignore) to another one without any
+`__pycache__`, then runs `bench/run.py --trace 0` from the two copies
 once per pair with the same workload, seed and run length, alternating
 which side goes first so drift in the host's speed falls on both sides.
-The worktree is removed afterwards, also when a run fails.
+Neither side finds bytecode left by an earlier run, so under
+`PYTHONDONTWRITEBYTECODE=1` both compile the package in every pass.  The
+worktree and the copy are removed afterwards, also when a run fails.
 
 Prints each pair's end-to-end metrics (those `BENCHMARK.json` lists under
 `end_to_end`), then per metric each side's median and quartiles, the
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -43,6 +48,20 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, flo
         raise RuntimeError(f"bench run in {tree} exited {done.returncode}: {done.stderr.strip()[-2000:]}")
     result = json.loads(lines[-1])
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def clean_copy(root: Path, dest: Path) -> None:
+    """Copy the files of the git tree at `root` that git tracks or would
+    track, as they are in the working tree, into `dest`, leaving out every
+    `__pycache__` and every tracked file deleted from the working tree."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"], cwd=root,
+                            check=True, capture_output=True).stdout.decode()
+    for rel in sorted(set(listed.split("\0")) - {""}):
+        src = root / rel
+        if "__pycache__" in Path(rel).parts or not src.is_file():
+            continue
+        (dest / rel).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(src, dest / rel)
 
 
 def spread(values: list[float]) -> dict[str, float]:
@@ -87,7 +106,8 @@ def main(argv: list[str] | None = None) -> int:
     pairs = 0
     ok = True
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
-        base_tree = Path(tmp) / "base"
+        base_tree, change_tree = Path(tmp) / "base", Path(tmp) / "change"
+        clean_copy(ROOT, change_tree)
         subprocess.run(["git", "worktree", "add", "--detach", str(base_tree), sha], cwd=ROOT,
                        check=True, capture_output=True)
         try:
@@ -95,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 got = {}
                 for side in order:
-                    tree = base_tree if side == "base" else ROOT
+                    tree = base_tree if side == "base" else change_tree
                     got[side] = bench(tree, args.workload, args.seed, args.seconds)
                 for side, metrics in got.items():
                     for name in better:
