@@ -19,8 +19,10 @@ grid values included.
 
 The three builders are memoized per process on their argument list: a
 fit is computed once per key and then shared, so its coefficients are
-read-only and the values derived from it (Chebyshev form, slope bounds,
-monomial form) are computed once too.
+read-only and the values derived from it (its derivative's coefficients,
+its monomial form) are computed once too.  A fit's slope bound on a
+widened domain (`PolyApprox.lipschitz_bound`) is one closed formula in
+those coefficients over any number of widths, with no sampling.
 """
 
 from __future__ import annotations
@@ -132,24 +134,48 @@ class PolyApprox:
         return _cheb_eval(self.coeffs, self.domain, x)
 
     def lipschitz_bound(self, widen=0.0):
-        """max |P'| on the domain enlarged by `widen` on both sides.  An
-        array of widths gives an array of bounds, one per width, each the
-        bits its width alone gives; a single width's bound is cached."""
-        widen = np.asarray(widen, dtype=float)
-        if widen.ndim and not np.all(widen == widen[0]):
-            return self._max_slope(widen)
-        key = ("lip", float(widen.flat[0]))
-        if key not in self._cache:
-            self._cache[key] = float(self._max_slope(key[1]))
-        return self._cache[key] if widen.ndim == 0 else np.full(widen.shape, self._cache[key])
+        """An upper bound on max |P'| over the domain enlarged by `widen`
+        on both sides.  An array of widths gives an array of bounds, one
+        per width, each the bits its width alone gives.
 
-    def _max_slope(self, widen: np.ndarray):
-        lo, hi = self.domain
-        span = np.linspace(lo - widen, hi + widen, 10 * max(self.degree, 1) + 21, axis=-1)
-        if "deriv" not in self._cache:  # `Chebyshev.deriv`'s coefficients
+        The enlarged domain maps onto [-r, r], r = 1 + 2 widen / (hi - lo),
+        where |T_k| <= T_k(r) = cosh(k acosh r).  So with c' the Chebyshev
+        coefficients of P' (`chebder`), sum_k |c'_k| T_k(r) bounds |P'|
+        there, with equality where the terms align, as at the left end of
+        the builders' fits.  A T_k(r) past the largest float is inf, still
+        an upper bound.
+
+        The slack bounds the rounding, as in `_on_grid`.  With u = 2^-52,
+        n coefficients and E the `chebder` coefficients of |c| (E_k is at
+        least the sum of the magnitudes of c'_k's terms), it is
+        u sum_k (2 k^2 r + 5 k acosh r + 1.5 n + 8) E_k T_k(r).  That covers
+        these roundings, each at most u/2 of its result unless said
+        otherwise, with room for the second-order terms:
+
+        - c'.  A term of c'_k meets three roundings in the scale and the
+          product by it, three per step of at most n/2 steps, and one
+          last: (0.75 n + 2) u E_k.
+        - T_k(r).  r rounds by at most 1.5 u r, which moves T_k by k^2
+          times as much relative to it (T_k'/T_k <= k^2 on r >= 1).  acosh
+          and cosh are within 4 ulp (numpy's SIMD loops; libm's within 2)
+          and k acosh r rounds once, which moves cosh by k acosh r times
+          4.5 u.  With the product by |c'_k|, a term is within
+          (1.5 k^2 r + 4.5 k acosh r + 4.5) u of itself.
+        - the (n - 1)-term sum and the slack's addition: (0.5 n + 1) u of
+          the bound.
+        """
+        if "deriv" not in self._cache:  # |c'| and E
             scale = pu.mapparms(self.domain, Chebyshev.window)[1]
-            self._cache["deriv"] = chebder(self.coeffs, 1, scale)
-        return np.max(np.abs(_cheb_eval(self._cache["deriv"], self.domain, span)), axis=-1)
+            self._cache["deriv"] = np.abs(chebder(self.coeffs, 1, scale)), chebder(np.abs(self.coeffs), 1, scale)
+        deriv, sizes = self._cache["deriv"]
+        lo, hi = self.domain
+        r = 1 + 2 * np.asarray(widen, dtype=float)[..., None] / (hi - lo)
+        k = np.arange(len(deriv))
+        arg = k * np.arccosh(r)
+        t = np.cosh(arg)
+        weights = 2 * k**2 * r + 5 * arg + (1.5 * len(self.coeffs) + 8)
+        bound = (deriv * t).sum(axis=-1) + _MACHINE_EPS * (weights * sizes * t).sum(axis=-1)
+        return float(bound) if bound.ndim == 0 else bound
 
     def monomial(self) -> "MonomialPoly":
         """`to_monomial(self)`, converted once per fit."""
@@ -529,10 +555,11 @@ def apply_poly(be: BlockEncoding, p: PolyApprox) -> BlockEncoding:
     The exact ledger (`target`) moves by the target function
     (`poly_target`, which refuses a target outside the fit domain), the
     realized ledger (`encoded`) by the polynomial itself; the new error
-    bound is p.eps + L * eta with L the certified slope of the fit on an
-    eta-enlarged domain.  Copy cost scales with 2 * degree, the number
-    of encoding uses one polynomial application needs.  A stack is
-    transformed trial by trial in stacked calls.
+    bound is p.eps + L * eta with L the fit's certified bound on |P'| over
+    its domain enlarged by eta (`PolyApprox.lipschitz_bound`).  Copy cost
+    scales with 2 * degree, the number of encoding uses one polynomial
+    application needs.  A stack is transformed trial by trial in stacked
+    calls.
     """
     lo, hi = p.domain
     eta = be.eta
@@ -557,7 +584,7 @@ def apply_poly(be: BlockEncoding, p: PolyApprox) -> BlockEncoding:
     new_encoded = herm_with_spectrum(with_eigenvalues(espec.eigenvectors, ew), ew, espec.eigenvectors)
 
     positive = np.asarray(eta) > 0
-    new_eta = p.eps + np.where(positive, p.lipschitz_bound(widen=eta), 0.0) * eta
+    new_eta = p.eps + p.lipschitz_bound(widen=eta) * eta
     bound = np.nan
     # the scalar slope bound does not always transfer to a non-commuting
     # perturbation (the operator Lipschitz constant of a polynomial can

@@ -617,3 +617,37 @@ def test_lipschitz_bounds_of_many_widths_equal_each_alone():
     alone = np.array([replace(fit).lipschitz_bound(float(w)) for w in widths])
     assert many.tobytes() == alone.tobytes()
     assert fit.lipschitz_bound(np.full(3, 1e-3)).tobytes() == np.full(3, alone[0]).tobytes()
+
+
+def dense_slope_max(fit, widen):
+    """max |P'| over 200 * degree + 1 points spanning the domain enlarged by
+    `widen`, ends included, evaluated in long double so that its own
+    rounding stays far below the slope bound's slack."""
+    lo, hi = (np.longdouble(x) for x in fit.domain)
+    w = np.longdouble(widen)
+    xs = np.linspace(lo - w, hi + w, 200 * max(fit.degree, 1) + 1, dtype=np.longdouble)
+    deriv = np.polynomial.chebyshev.chebder(fit.coeffs.astype(np.longdouble), 1, 2 / (hi - lo))
+    return float(np.max(np.abs(np.polynomial.chebyshev.chebval((2 * xs - (lo + hi)) / (hi - lo), deriv))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(builder=FAMILIES, lo=st.floats(-3, math.log10(0.5)).map(lambda e: 10.0**e), c=EXPONENTS,
+       eps=st.floats(-6, -2).map(lambda e: 10.0**e), widen=st.floats(0.0, 1e-2))
+@example(builder=approx_log, lo=1e-3, c=0.5, eps=1e-6, widen=1e-2)
+def test_slope_bound_is_the_dense_maximum_up_to_its_slack(builder, lo, c, eps, widen):
+    # the builders' slopes peak at the left end, where every term of the
+    # bound adds up: the bound is sound there and no looser than its slack
+    fit = builder.__wrapped__(lo, eps) if builder is approx_log else builder.__wrapped__(c, 1.0 / lo, eps)
+    dense = dense_slope_max(fit, widen)
+    assert dense <= fit.lipschitz_bound(widen) <= (1 + 1e-9) * dense
+
+
+@pytest.mark.parametrize("target", ["sin(40x)", "sin(7x)", "x cos(25x)"])
+@pytest.mark.parametrize("widen", [0.0, 1e-4, 1e-3, 1e-2])
+def test_slope_bound_covers_the_dense_maximum_of_custom_targets(target, widen):
+    # their slopes peak inside the domain, where a sampled maximum reads low
+    # and the bound's terms do not all add up: sound, and loose
+    f = {"sin(40x)": lambda x: np.sin(40 * x), "sin(7x)": lambda x: np.sin(7 * x),
+         "x cos(25x)": lambda x: x * np.cos(25 * x)}[target]
+    fit = cheb_fit(lambda x: float(f(x)), 0.01, 1.0, 1e-6, 200, array_target=f)
+    assert fit.lipschitz_bound(widen) >= dense_slope_max(fit, widen)

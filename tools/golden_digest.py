@@ -29,6 +29,10 @@ array of widths, and for log fits of degree <= 30 its monomial
 coefficients; and the (cap, best error) of two fits that exceed their
 degree cap (`CAPPED`).  The fits are made through the public builders and
 `cheb_fit`, which every version has.
+
+The combined digest is the last line.  Above it, `runs <hex>` hashes the
+CLI runs alone and `fits <hex>` the fit and capped records alone, so a
+move confined to fit records leaves the `runs` line equal.
 """
 
 from __future__ import annotations
@@ -198,17 +202,24 @@ def run_one(argv: list[str], csv_path: str, config_path: str) -> bytes:
 
 def main() -> int:
     os.environ.pop("ENTROPYBENCH_SEED", None)  # runs without --seed use seed 0
-    h = hashlib.sha256()
+    whole, halves = hashlib.sha256(), {"runs": hashlib.sha256(), "fits": hashlib.sha256()}
+
+    def add(half: str, record: bytes) -> None:
+        framed = len(record).to_bytes(8, "big") + record
+        whole.update(framed)
+        halves[half].update(framed)
+
     with tempfile.TemporaryDirectory() as tmp:
         csv_path, config_path = os.path.join(tmp, "rows.csv"), os.path.join(tmp, "run.cfg")
         with open(config_path, "w") as fh:
             fh.write(CONFIG_TEXT)
         for argv in runs():
-            record = run_one(argv, csv_path, config_path)
-            h.update(len(record).to_bytes(8, "big") + record)
+            add("runs", run_one(argv, csv_path, config_path))
     for record in fit_records():
-        h.update(len(record).to_bytes(8, "big") + record)
-    print(h.hexdigest())
+        add("fits", record)
+    for half, h in halves.items():
+        print(half, h.hexdigest())
+    print(whole.hexdigest())
     return 0
 
 
