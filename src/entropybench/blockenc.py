@@ -55,9 +55,9 @@ class BlockEncoding:
     eta: float = 0.0  # for a stack, an array with one value per trial
     sample_cost: int = 0
     # certified upper bound on op_norm_dist(encoded, target) known from the
-    # construction, rounding included; None when the builder has none (for
-    # a stack, one value per trial, NaN where a trial has none)
-    dist_bound: Optional[float] = None
+    # construction, rounding included; NaN when the builder has none (for a
+    # stack, one value per trial)
+    dist_bound: float = math.nan
 
     def __post_init__(self):
         if self.encoded.dim != self.target.dim:
@@ -66,16 +66,15 @@ class BlockEncoding:
             raise ValueError("the target is one matrix, shared by every trial of a stack")
         if self.subnorm < 1.0 - 1e-12:
             raise ValueError(f"subnormalization {self.subnorm} < 1")
-        eta, bound = self.eta, math.nan if self.dist_bound is None else self.dist_bound
+        eta, bound = self.eta, self.dist_bound
         if self.encoded.mat.ndim == 3:
             trials = self.encoded.mat.shape[:1]
             eta = np.broadcast_to(np.asarray(eta, dtype=float), trials)
             bound = np.broadcast_to(np.asarray(bound, dtype=float), trials)
-            object.__setattr__(self, "dist_bound", bound)
         else:
             eta, bound = float(eta), float(bound)
-            object.__setattr__(self, "dist_bound", None if math.isnan(bound) else bound)
         object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "dist_bound", bound)
         if _any(eta < 0) or self.sample_cost < 0 or self.ancillas < 0:
             raise ValueError("eta, ancillas and sample_cost must be nonnegative")
         if _any(bound < 0):
@@ -113,12 +112,6 @@ def widen_for_rounding(bound, dim: int):
     float rounding: relatively for norms the bound was computed from, and
     absolutely, growing with dimension, for rounding in the matrix entries."""
     return bound * (1.0 + 1e-12) + dim * 1e-15
-
-
-def _carried_bound(be: BlockEncoding):
-    """`be.dist_bound` with NaN for a missing bound, so that bounds derived
-    from it are missing too."""
-    return np.nan if be.dist_bound is None else be.dist_bound
 
 
 def encoding_copy_cost(delta: float) -> int:
@@ -254,7 +247,7 @@ def be_product(be1: BlockEncoding, be2: BlockEncoding) -> BlockEncoding:
         raise ValueError(f"dimension mismatch: {be1.dim} vs {be2.dim}")
     eprod = be1.encoded.mat @ be2.encoded.mat
     tprod = be1.target.mat @ be2.target.mat
-    d1, d2 = _carried_bound(be1), _carried_bound(be2)
+    d1, d2 = be1.dist_bound, be2.dist_bound
     return BlockEncoding(
         encoded=HermMatrix((eprod + adjoint(eprod)) / 2),
         target=HermMatrix((tprod + adjoint(tprod)) / 2),
@@ -322,5 +315,5 @@ def rescale(be: BlockEncoding, factor: float) -> BlockEncoding:
         ancillas=be.ancillas,
         eta=eta,
         sample_cost=be.sample_cost,
-        dist_bound=widen_for_rounding(factor * _carried_bound(be) + np.maximum(overshoot, 0.0), be.dim),
+        dist_bound=widen_for_rounding(factor * be.dist_bound + np.maximum(overshoot, 0.0), be.dim),
     )

@@ -111,7 +111,10 @@ class ExperimentConfig:
             problems.append(f"alpha {self.alpha}")
         if not _positive(self.c_shots):
             problems.append(f"c_shots {self.c_shots}")
-        if self.spectrum is None and not (1 <= self.rank <= self.d <= 64):
+        rank_sweep = self.mode == "sweep" and self.var == "rank"  # its grid sets the ranks
+        if rank_sweep and not 1 <= self.d <= 64:
+            problems.append(f"dim {self.d}")
+        if not rank_sweep and self.spectrum is None and not (1 <= self.rank <= self.d <= 64):
             problems.append(f"rank/dim pair ({self.rank}, {self.d})")
         if self.log_base not in ("e", "2"):
             problems.append(f"log_base {self.log_base!r}")
@@ -414,7 +417,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = config_from_args(ns)
         points, summary = run_experiment(cfg)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (EstimationFailure, DegreeCapExceeded) as exc:

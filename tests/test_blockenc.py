@@ -156,7 +156,7 @@ def _trial(be, i):
 def _single(be):
     spec = be.encoded._cache.get("spec")
     eigs = None if spec is None else (spec.eigenvalues.tobytes(), spec.eigenvectors.tobytes())
-    return be.encoded.mat.tobytes(), eigs, be.eta, be.dist_bound
+    return be.encoded.mat.tobytes(), eigs, be.eta, None if np.isnan(be.dist_bound) else be.dist_bound
 
 
 def test_a_stack_equals_its_trials_built_one_by_one():

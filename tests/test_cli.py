@@ -264,6 +264,17 @@ def test_invalid_config_lists_all_offenders():
         assert field in msg
 
 
+def test_a_rank_sweep_ignores_the_default_rank(tmp_path, capsys):
+    # the grid sets the ranks, so the default rank 4 above dim 3 is not read
+    out = tmp_path / "rank.csv"
+    argv = ["sweep", "--var", "rank", "--grid", "1,2,3", "--alpha", "2", "--dim", "3", "--out", str(out)]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert len(out.read_text().splitlines()) == 4
+    assert main([*argv[:-2], "--rank", "3"]) == 0
+    assert main(["sweep", "--var", "rank", "--grid", "1,2,3", "--alpha", "2", "--dim", "65"]) == 1
+    assert "invalid config fields: dim 65" in capsys.readouterr().err
+
+
 def test_trial_counts_whose_rows_cannot_be_held_are_refused_before_any_work(monkeypatch, capsys):
     # every row is kept until the run ends, so 2**32 + 1 trials ran until
     # memory was exhausted; a sweep counts its rows over its grid
