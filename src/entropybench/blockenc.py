@@ -40,6 +40,7 @@ from .numkernel import (
     herm_with_spectrum,
     op_norm,
     op_norm_dist,
+    spectral_norm,
     with_eigenvalues,
 )
 from .seeding import Stream
@@ -126,7 +127,7 @@ def _random_perturbations(dim: int, norm: float, noise: Stream, trials: int) -> 
     z = noise.rng.standard_normal((trials, 2, dim, dim))
     g = z[:, 0] + 1j * z[:, 1]
     h = (g + adjoint(g)) / 2
-    cur = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+    cur = spectral_norm(h)
     flat = cur == 0.0
     if flat.any():
         h[flat] = np.eye(dim)

@@ -320,13 +320,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, state: bool = True) -> None:
+    """The flags a subcommand takes; `validate` (state False) runs its own
+    fixture states, accuracies and trial counts, so it takes none of those."""
     p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--dim", type=int, dest="d", help="state dimension")
-    p.add_argument("--rank", type=int, help="state rank (random states)")
-    p.add_argument("--spectrum", help="comma-separated explicit eigenvalues")
-    p.add_argument("--eps", type=float, help="target entropy accuracy")
-    p.add_argument("--trials", type=int, help="repetitions per grid point")
+    if state:
+        p.add_argument("--dim", type=int, dest="d", help="state dimension")
+        p.add_argument("--rank", type=int, help="state rank (random states)")
+        p.add_argument("--spectrum", help="comma-separated explicit eigenvalues")
+        p.add_argument("--eps", type=float, help="target entropy accuracy")
+        p.add_argument("--trials", type=int, help="repetitions per grid point")
     p.add_argument("--seed", type=int, help="master seed (ENTROPYBENCH_SEED fallback)")
     p.add_argument("--log-base", choices=("e", "2"), dest="log_base", help="entropy units")
     p.add_argument("--ideal", action="store_true", default=None, help="noiseless encodings, exact p0")
@@ -361,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the fixture gate")
     p.add_argument("--quick", action="store_true", default=None)
-    _add_common(p)
+    _add_common(p, state=False)
     return parser
 
 
@@ -384,13 +387,12 @@ _FILE_TYPES = {
 def config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig(mode=ns.mode)
     file_values = parse_config_file(ns.config) if getattr(ns, "config", None) else {}
-    for key, raw in file_values.items():
-        if key == "dim":
-            key = "d"
+    for name, raw in file_values.items():
+        key = "d" if name == "dim" else name
         if key == "mode":
             raise UsageError("config key 'mode' is not accepted; the subcommand sets the mode")
         if key == "config" or not hasattr(ns, key):  # only what the subcommand takes as a flag
-            raise UsageError(f"unknown config key {key!r} for {ns.mode}")
+            raise UsageError(f"unknown config key {name!r} for {ns.mode}")
         if key in _BOOL_KEYS:
             if raw.lower() not in _BOOL_WORDS:
                 raise UsageError(f"config key {key!r}: expected 1/true/yes or 0/false/no, got {raw!r}")

@@ -61,7 +61,7 @@ import numpy as np
 from .accountant import C_SHOTS, MAX_SHOTS, Budget, RegimeDecomposition, decompose_alpha, delta_budget, shots_for
 from .blockenc import BlockEncoding, be_power, be_product, encode_density, encode_state_side, rescale
 from .config import TOL
-from .numkernel import HermMatrix, fail_first, frobenius, op_norm
+from .numkernel import fail_first, op_norm_cap
 from .qsvtpoly import MONOMIAL_DEGREE_CAP, apply_poly, approx_log, approx_neg_power, approx_pos_power
 from .seeding import Stream
 from .states import DensityMatrix, EntropyRecord, StateMeta, exact_entropies
@@ -167,15 +167,6 @@ class MinEigResult:
     sample_cost: int
 
 
-def _op_norm_cap(h: HermMatrix):
-    """Cheap upper bound on the operator norm, per matrix of a stack:
-    cached spectrum if present, else min(1 + slack, Frobenius norm);
-    corners never exceed 1."""
-    if "spec" in h._cache:
-        return op_norm(h)
-    return np.minimum(1.0 + TOL.encoding_norm_slack, frobenius(h.mat))
-
-
 def _poly_budget(delta: float, mode: str) -> float:
     if mode == "ideal":
         return IDEAL_POLY_EPS
@@ -215,16 +206,6 @@ def min_eig_estimate(be: BlockEncoding, theta: float, stream: Optional[Stream] =
     return MinEigResult(estimate=val, rho_min=min(1.0, val * 4.0 / math.pi), sample_cost=cost)
 
 
-@dataclass(frozen=True)
-class _Inputs:
-    """Spectral inputs a run uses: oracle values or blind estimates."""
-
-    meta: StateMeta
-    rho_min_lower: float
-    extra_cost: int = 0
-    flags: tuple[str, ...] = ()
-
-
 def _gather_inputs(
     rho: DensityMatrix,
     blind: bool,
@@ -232,15 +213,17 @@ def _gather_inputs(
     stream: Optional[Stream],
     c_shots: float,
     need_rho_min: bool = True,
-) -> _Inputs:
-    """`stream` is the estimate's own (a fresh `Stream(0)` if None): blind
-    probes draw from its child 0, the purity from child 0 of that, the
-    minimum eigenvalue from child 1 and its probe encoding from child 2.
-    The purity is measured as the integer route measures order 2, on two
-    copies per shot."""
+) -> tuple[StateMeta, float, int, tuple[str, ...]]:
+    """The spectral inputs a run uses, oracle values or blind estimates:
+    (meta, rho_min_lower, extra_cost, flags), the `Plan` fields of those
+    names.  `stream` is the estimate's own (a fresh `Stream(0)` if None):
+    blind probes draw from its child 0, the purity from child 0 of that,
+    the minimum eigenvalue from child 1 and its probe encoding from child
+    2.  The purity is measured as the integer route measures order 2, on
+    two copies per shot."""
     meta = rho.meta
     if not blind:
-        return _Inputs(meta=meta, rho_min_lower=meta.rho_min)
+        return meta, meta.rho_min, 0, ()
     probes = (stream or Stream(0)).child(0)
     (p_hat,) = measure_p0([(1.0 + meta.purity) / 2.0], BLIND_PURITY_DELTA, probes.child(0), c_shots)
     t2_hat = float(min(1.0, max(2.0 * p_hat - 1.0, 1.0 / rho.dim)))
@@ -261,7 +244,7 @@ def _gather_inputs(
         purity=t2_hat,
         dim=rho.dim,
     )
-    return _Inputs(meta=blind_meta, rho_min_lower=rho_min_lower, extra_cost=cost, flags=tuple(flags))
+    return blind_meta, rho_min_lower, cost, tuple(flags)
 
 
 @dataclass(frozen=True)
@@ -277,7 +260,9 @@ class Plan:
     eps: float
     mode: str
     c_shots: float
-    inputs: _Inputs
+    meta: StateMeta  # the oracle's, or in blind mode the estimated rank and purity
+    rho_min_lower: float  # the oracle's rho_min, or in blind mode a lower bound on it
+    extra_cost: int  # copies the blind probes consumed
     budget: Budget
     oracle: EntropyRecord
     flags: tuple[str, ...] = ()
@@ -334,17 +319,18 @@ def plan(
         if branch == "integer":
             regime = decompose_alpha(float(round(alpha)))
     state = rho.project_to_support() if method in ("even_floor", "qsvt") else rho
-    inputs = _gather_inputs(state, blind, mode, stream, c_shots, need_rho_min=method != "integer")
-    budget = delta_budget(regime, eps, inputs.meta, method="ae" if method == "ae" else "sampling", c_shots=c_shots)
-    fields = dict(state=state, regime=regime, method=method, eps=eps, mode=mode, c_shots=c_shots,
-                  inputs=inputs, budget=budget, flags=inputs.flags,
-                  rho_min_used=None if method == "integer" else inputs.rho_min_lower)
+    meta, rho_min_lower, extra_cost, flags = _gather_inputs(state, blind, mode, stream, c_shots,
+                                                            need_rho_min=method != "integer")
+    budget = delta_budget(regime, eps, meta, method="ae" if method == "ae" else "sampling", c_shots=c_shots)
+    fields = dict(state=state, regime=regime, method=method, eps=eps, mode=mode, c_shots=c_shots, meta=meta,
+                  rho_min_lower=rho_min_lower, extra_cost=extra_cost, budget=budget, flags=flags,
+                  rho_min_used=None if method == "integer" else rho_min_lower)
     if method == "even_floor":  # it divides by rho_min as its fit's kappa = 1/rho_min gives it back
-        used = 1.0 / (1.0 / inputs.rho_min_lower)
+        used = 1.0 / (1.0 / rho_min_lower)
         fields.update(rho_min_used=used, sensitivity=regime.c / ((1.0 - regime.alpha) * used))
     if method == "poly":
         fields.update(oracle=exact_entropies(state, 1.0))
-        fields.update(_poly_table(state, eps, mode, c_shots, inputs.rho_min_lower, budget))
+        fields.update(_poly_table(state, eps, mode, c_shots, rho_min_lower, budget))
     else:
         fields.update(oracle=exact_entropies(state, regime.alpha))
         if blind and branch == "sub_one":
@@ -395,10 +381,12 @@ def run_columns(p: Plan, stream: Stream, trials: range) -> Iterator[Columns]:
     of at most `p.chunk` trials, each run through the route's function on
     the point's stream, which carries its draws from chunk to chunk.  A
     failing trial raises its own error, and only once every trial before
-    it has run without one: when trial k of a chunk fails first at its
-    stage, the point's trials before it run again from a fresh stream,
-    since one of them may still fail at a later stage.  A chunk of one
-    trial, as each of blind mode's, never runs again."""
+    it has run without one: when trial k of a chunk fails first at a
+    build or measurement stage (`fail_first`), the point's trials before
+    it run again from a fresh stream, since one of them may still fail at
+    a later stage.  Inversion is a chunk's last stage and runs in trial
+    order, so its failure is raised as it is.  A chunk of one trial, as
+    each of blind mode's, never runs again."""
     for start in range(trials.start, trials.stop, p.chunk):
         chunk = range(start, min(trials.stop, start + p.chunk))
         try:
@@ -459,7 +447,8 @@ def _trials(p: Plan, stream: Stream, trials: range, child: int, be: Optional[Blo
             exact = float(np.real(np.trace(t @ probe)))
         else:
             realized = np.real(np.trace(e @ probe @ e, axis1=-2, axis2=-1))
-            bounds = be.eta * (_op_norm_cap(be.encoded) + _op_norm_cap(be.target))
+            cap = 1.0 + TOL.encoding_norm_slack  # corners never exceed 1
+            bounds = be.eta * (op_norm_cap(be.encoded, cap) + op_norm_cap(be.target, cap))
             exact = min(1.0, max(0.0, float(np.real(np.trace(t @ probe @ t)))))
         realized = [min(1.0, max(0.0, x)) for x in _per_trial(realized, n)]
         bounds, etas = _per_trial(bounds, n), _per_trial(be.eta, n)
@@ -468,14 +457,8 @@ def _trials(p: Plan, stream: Stream, trials: range, child: int, be: Optional[Blo
     if not p.noiseless:
         measured = measure_p0(realized, p.budget.measure_delta, stream.child(child), p.c_shots,
                               "amplitude_estimation" if p.method == "ae" else "bernoulli")
-    estimates = []
-    try:
-        for p0_hat, bound in zip(measured, bounds):
-            estimates.append(float(invert(p0_hat, bound)))
-    except (ValueError, RuntimeError) as exc:
-        exc.trial = len(estimates)
-        raise
-    return Columns(trials, estimates, int(ledger) + p.inputs.extra_cost, measured, realized, exact, bounds, etas)
+    estimates = [float(invert(p0_hat, bound)) for p0_hat, bound in zip(measured, bounds)]
+    return Columns(trials, estimates, int(ledger) + p.extra_cost, measured, realized, exact, bounds, etas)
 
 
 def _reports(p: Plan, c: Columns) -> list[EstimateReport]:
@@ -557,7 +540,7 @@ def renyi_case_even(p: Plan, stream: Stream, trials: range) -> Columns:
     state is restricted to its support first.
     """
     alpha, k, c, delta = p.regime.alpha, p.regime.k, p.regime.c, p.budget.delta
-    kappa = 1.0 / p.inputs.rho_min_lower  # p.rho_min_used is 1/kappa
+    kappa = 1.0 / p.rho_min_lower  # p.rho_min_used is 1/kappa
     fit = approx_neg_power(abs(c) / 2.0, kappa, _poly_budget(delta, p.mode))
     n = len(trials)
     neg_branch = encode_state_side(p.state, _clamp_encoding_budget(min(fit.input_precision, delta)),
@@ -654,7 +637,7 @@ def vn_poly(p: Plan, stream: Stream, trials: range) -> Columns:
             p0s = measure_p0([(1.0 + t_i) / 2.0] * n, delta_i, meas.child(i - 1), p.c_shots)
             t_hats = [2.0 * p0 - 1.0 for p0 in p0s]
         estimates = [value + a_i * t_hat for value, t_hat in zip(estimates, t_hats)]
-    ledger = p.inputs.extra_cost + sum((i + 1) * n_i for i, (_, _, n_i, _) in enumerate(p.terms))
+    ledger = p.extra_cost + sum((i + 1) * n_i for i, (_, _, n_i, _) in enumerate(p.terms))
     return Columns(trials, estimates, ledger, [None] * n, [None] * n, None, [0.0] * n, [p.eta] * n)
 
 

@@ -5,8 +5,10 @@ Spectral kernel: `hermitian_eig` is LAPACK's Hermitian eigensolver
 matrix function in the package is realized through it.  Each validated
 matrix caches its decomposition, so an operator is diagonalized at most
 once however many functions are taken of it.  The one exception is
-`op_norm_dist`, which needs only the eigenvalues of a difference that
-nothing else reads, and takes them from `numpy.linalg.eigvalsh`.
+`spectral_norm`, the largest |eigenvalue| of an array that nothing else
+reads (a distance's difference, a random direction), taken from
+`numpy.linalg.eigvalsh` alone.  No other module calls an eigensolver or
+reads a `HermMatrix`'s cache.
 
 A `HermMatrix` is one matrix or a stack of them with one leading axis,
 one matrix per trial, and every function here takes either.  A stacked
@@ -158,11 +160,26 @@ def op_norm(a: HermMatrix):
     return float(out) if out.ndim == 0 else out
 
 
+def op_norm_cap(h: HermMatrix, cap: float):
+    """Cheap upper bound on the operator norm, per matrix of a stack: the
+    cached spectrum's if known, else min(cap, Frobenius norm)."""
+    if "spec" in h._cache:
+        return op_norm(h)
+    return np.minimum(cap, frobenius(h.mat))
+
+
+def spectral_norm(m: np.ndarray) -> np.ndarray:
+    """Largest |eigenvalue| of an exactly Hermitian array, or of each matrix
+    of a stack, by `eigvalsh` alone (so maybe not the last bits of `op_norm`
+    of it)."""
+    return np.max(np.abs(np.linalg.eigvalsh(m)), axis=-1)
+
+
 def op_norm_dist(a: HermMatrix, b: HermMatrix):
-    """Operator-norm distance ||a - b||, the largest |eigenvalue| of the
-    difference by `eigvalsh` alone (so maybe not the last bits of `op_norm`
-    of it); one distance per matrix when either side is a stack."""
+    """Operator-norm distance ||a - b||, by `spectral_norm` of the
+    difference, which is exactly Hermitian as both sides are; one distance
+    per matrix when either side is a stack."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    out = np.max(np.abs(np.linalg.eigvalsh(HermMatrix(a.mat - b.mat).mat)), axis=-1)
+    out = spectral_norm(a.mat - b.mat)
     return float(out) if out.ndim == 0 else out

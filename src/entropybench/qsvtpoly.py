@@ -522,30 +522,30 @@ def approx_neg_power(c: float, kappa: float, eps: float) -> PolyApprox:
 _DOMAIN_TOL = 1e-9
 
 
+def _outside(p: PolyApprox, eigenvalues: np.ndarray, reach):
+    """The fit-domain test of eigenvalues: masks (at_zero, stray) of those
+    farther than `reach` outside the domain, at_zero for those within
+    `reach` of 0 where the fit extends through 0, stray for the rest."""
+    lo, hi = p.domain
+    inside = (lo - reach <= eigenvalues) & (eigenvalues <= hi + reach)
+    at_zero = ~inside & (np.abs(eigenvalues) <= reach) & (p.zero_extension is not None)
+    return at_zero, ~(inside | at_zero)
+
+
 def poly_target(t: HermMatrix, p: PolyApprox) -> HermMatrix:
     """The target side of `apply_poly`: the fit's target function on the
     target's spectrum (clamped into the domain, and the zero extension at
     a zero eigenvalue where the fit has one)."""
     lo, hi = p.domain
-    tol = _DOMAIN_TOL
     tspec = t.spectrum
-    for lam in tspec.eigenvalues:
-        if lo - tol <= lam <= hi + tol:
-            continue
-        if abs(lam) <= tol and p.zero_extension is not None:
-            continue
+    at_zero, stray = _outside(p, tspec.eigenvalues, _DOMAIN_TOL)
+    if stray.any():
         raise ValueError(
-            f"target eigenvalue {float(lam)!r} outside fit domain [{lo}, {hi}]"
+            f"target eigenvalue {float(tspec.eigenvalues[stray][0])!r} outside fit domain [{lo}, {hi}]"
             + ("" if p.zero_extension is not None else " (no extension through 0)")
         )
-
-    def f_ext(x: float) -> float:
-        # only zero-extension eigenvalues can reach here below the domain
-        if x < lo - tol:
-            return float(p.zero_extension)
-        return p.target_fn(min(max(x, lo), hi))
-
-    tw = np.asarray([f_ext(float(x)) for x in tspec.eigenvalues])
+    tw = np.asarray([float(p.zero_extension) if zero else p.target_fn(min(max(x, lo), hi))
+                     for x, zero in zip(tspec.eigenvalues.tolist(), at_zero.tolist())])
     return herm_with_spectrum(with_eigenvalues(tspec.eigenvectors, tw), tw, tspec.eigenvectors)
 
 
@@ -567,10 +567,7 @@ def apply_poly(be: BlockEncoding, p: PolyApprox) -> BlockEncoding:
 
     espec = be.encoded.spectrum
     mus = espec.eigenvalues
-    reach = np.asarray(eta + _DOMAIN_TOL)[..., None]
-    inside = (lo - reach <= mus) & (mus <= hi + reach)
-    at_zero = ~inside & (np.abs(mus) <= reach) & (p.zero_extension is not None)
-    stray = ~(inside | at_zero)
+    at_zero, stray = _outside(p, mus, np.asarray(eta + _DOMAIN_TOL)[..., None])
     fail_first(
         stray.any(axis=-1),
         lambda i: ValueError(

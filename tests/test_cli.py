@@ -691,3 +691,32 @@ def test_the_first_failing_trial_wins_whatever_its_stage(monkeypatch, capsys, br
     assert main(LATE_FAILURE) == 1
     expected = f"estimation failed: {message}" if broken > first else f"error: chain failed at trial {broken}"
     assert capsys.readouterr().err == expected + "\n"
+
+
+def test_an_inversion_failure_runs_its_chunk_once(monkeypatch):
+    # inversion is a chunk's last stage and runs in trial order, so every
+    # trial before the failing one has passed every stage: nothing runs again
+    calls = []
+    real = estimators.renyi_case_odd
+
+    def renyi_case_odd(p, stream, trials):
+        calls.append((trials.start, trials.stop))
+        return real(p, stream, trials)
+
+    monkeypatch.setattr(estimators, "renyi_case_odd", renyi_case_odd)
+    assert main(LATE_FAILURE) == 1
+    assert calls == [(0, 40)]
+
+
+@pytest.mark.parametrize("flag,value", [("--dim", "4"), ("--rank", "2"), ("--spectrum", "0.5,0.5"), ("--eps", "0.1"),
+                                        ("--trials", "7")])
+def test_validate_refuses_the_flags_and_config_keys_it_never_reads(tmp_path, capsys, flag, value):
+    # validate runs its own fixture states, accuracies and trial counts
+    assert main(["validate", "--quick", flag, value]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {flag} {value}" in err and "Traceback" not in err
+    key = flag[2:]
+    path = tmp_path / "extra.cfg"
+    path.write_text(f"{key}={value}\n")
+    assert main(["validate", "--quick", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: unknown config key {key!r} for validate\n")

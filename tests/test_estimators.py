@@ -1,5 +1,6 @@
 import contextlib
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -114,6 +115,27 @@ def test_a_chunk_measures_its_trials_in_one_call(monkeypatch):
         p = estimators.plan(DIAG8, alpha, 0.1, method=method)
         assert [r.seed for r in estimators.run(p, stream, 30)] == list(range(30))
         assert calls == [(30, stream.child(child))]
+
+
+def test_only_numkernel_calls_an_eigensolver(monkeypatch):
+    # every decomposition goes through one module, where a count of them
+    # per matrix can be taken
+    callers = set()
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def recorded(*args, _real=real, **kwargs):
+            callers.add(sys._getframe(1).f_globals["__name__"])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    rho = from_spectrum([0.5, 0.3, 0.2], 8)  # no spectrum cached yet
+    for alpha, method, blind in ((1.5, None, False), (2.5, None, False), (0.5, "sampling", False),
+                                 (0.5, "ae", False), (1.0, "qsvt", False), (1.5, None, True)):
+        stream = Stream(7, (1,))
+        assert len(estimators.run(estimators.plan(rho, alpha, 0.1, method=method, blind=blind, stream=stream),
+                                  stream, 3)) == 3
+    assert callers == {"entropybench.numkernel"}
 
 
 def test_shot_rules():

@@ -30,14 +30,23 @@ coefficients; and the (cap, best error) of two fits that exceed their
 degree cap (`CAPPED`).  The fits are made through the public builders and
 `cheb_fit`, which every version has.
 
-The combined digest is the last line.  Above it, `runs <hex>` hashes the
-CLI runs alone and `fits <hex>` the fit and capped records alone, so a
-move confined to fit records leaves the `runs` line equal.
+The CSV shows neither eta, the p0 bounds nor the exact p0, so the digest
+also takes the library's reports: the repr of every field of each report
+of `run(plan(...))`, or the error, for every route in noisy and ideal
+mode, blind and not, on the golden states and one d = 64 state
+(`LIBRARY_STATES`).  Only the `plan` and `run` signatures every version
+has are used.
+
+`runs <hex>` hashes the CLI runs alone, `fits <hex>` the fit and capped
+records alone and `reports <hex>` the library reports alone, so a move
+confined to one of them leaves the other lines equal.  The last line is
+the combined digest of runs and fits.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -48,6 +57,9 @@ import tempfile
 import numpy as np
 
 from entropybench import cli, qsvtpoly
+from entropybench.estimators import plan, run
+from entropybench.seeding import Stream
+from entropybench.states import from_spectrum, random_density
 
 # (subcommand and order, route flags) for every estimation route
 ROUTES = [
@@ -68,6 +80,12 @@ STATES = [
     ("--dim", "8", "--spectrum", "0.5,0.3,0.2", "--seed", "5"),
 ]
 MODES = [(), ("--ideal",), ("--blind",)]
+# (order, method) of each route, as the library takes them
+LIBRARY_ROUTES = [(2.0, None), (3.0, None), (1.5, None), (3.5, None), (2.5, None), (0.5, "sampling"), (0.5, "ae"),
+                  (1.0, "qsvt"), (1.0, "poly")]
+# the two golden states' shapes, and one d = 64 state
+LIBRARY_STATES = [lambda: random_density(4, 4, 11), lambda: from_spectrum([0.5, 0.3, 0.2], 8),
+                  lambda: random_density(64, 16, 1)]
 # the config file of the --config runs, and the token for its path in argv
 CONFIG_TEXT = "# keys every version reads\ndim=4\nrank=3\neps=0.2\ntrials=3\nseed=12\nlog_base=2\nc_shots=2\n"
 CONFIG = "<config>"
@@ -184,6 +202,25 @@ def fit_records() -> list[bytes]:
     return out
 
 
+def report_records() -> list[bytes]:
+    """One record per (state, route, mode, blind) of the library: the repr
+    of every field of each of three trials' reports, or the error."""
+    out = []
+    for make_state in LIBRARY_STATES:
+        rho = make_state()  # built here, so no spectrum or fit from a CLI run is reused
+        for alpha, method in LIBRARY_ROUTES:
+            for mode in ("noisy", "ideal"):
+                for blind in (False, True):
+                    stream = Stream(13)
+                    try:
+                        reports = run(plan(rho, alpha, 0.1, mode, method, blind, stream=stream), stream, 3)
+                        parts = [repr((f.name, getattr(r, f.name))) for r in reports for f in dataclasses.fields(r)]
+                    except (ValueError, RuntimeError) as exc:
+                        parts = [type(exc).__name__, str(exc)]
+                    out.append("\0".join([repr(rho.dim), repr((alpha, method, mode, blind)), *parts]).encode())
+    return out
+
+
 def run_one(argv: list[str], csv_path: str, config_path: str) -> bytes:
     """argv, exit code, stdout, stderr and CSV of one in-process run, with
     `config_path` for the token `CONFIG` in argv."""
@@ -202,11 +239,12 @@ def run_one(argv: list[str], csv_path: str, config_path: str) -> bytes:
 
 def main() -> int:
     os.environ.pop("ENTROPYBENCH_SEED", None)  # runs without --seed use seed 0
-    whole, halves = hashlib.sha256(), {"runs": hashlib.sha256(), "fits": hashlib.sha256()}
+    whole, halves = hashlib.sha256(), {"runs": hashlib.sha256(), "fits": hashlib.sha256(), "reports": hashlib.sha256()}
 
     def add(half: str, record: bytes) -> None:
         framed = len(record).to_bytes(8, "big") + record
-        whole.update(framed)
+        if half != "reports":  # the combined digest predates the reports
+            whole.update(framed)
         halves[half].update(framed)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -217,6 +255,8 @@ def main() -> int:
             add("runs", run_one(argv, csv_path, config_path))
     for record in fit_records():
         add("fits", record)
+    for record in report_records():
+        add("reports", record)
     for half, h in halves.items():
         print(half, h.hexdigest())
     print(whole.hexdigest())
