@@ -88,12 +88,12 @@ def decompose_alpha(alpha: float) -> RegimeDecomposition:
 C_SHOTS = 4.0
 
 
-def shots_for(mode: str, delta: float, c_shots: float = C_SHOTS, limit: float = MAX_SHOTS) -> int:
+def shots_for(mode: str, delta: float, c_shots: float = C_SHOTS) -> int:
     """Shots at accuracy delta: ceil(c_shots/delta^2) Bernoulli draws, or
     ceil(c_shots/delta) queries in the amplitude-estimation model.
 
-    Raises ValueError when the count is not finite or exceeds `limit`,
-    by default the largest count the sampler can draw.
+    Raises ValueError when the count is not finite or exceeds MAX_SHOTS,
+    the largest count the sampler can draw.
     """
     try:
         n = c_shots / delta if mode == "amplitude_estimation" else c_shots / delta**2
@@ -101,10 +101,10 @@ def shots_for(mode: str, delta: float, c_shots: float = C_SHOTS, limit: float = 
         n = math.inf
     except OverflowError:  # delta**2 exceeds the float range: the count rounds to 0
         n = 0.0
-    if not (math.isfinite(n) and n <= limit):
+    if not (math.isfinite(n) and n <= MAX_SHOTS):
         raise ValueError(
             f"accuracy {delta:.3e} needs {n:.3e} shots at c_shots={c_shots:g}, "
-            f"not a finite count of at most {limit:.3e}"
+            f"not a finite count of at most {MAX_SHOTS:.3e}"
         )
     return int(math.ceil(n))
 

@@ -58,7 +58,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .accountant import C_SHOTS, MAX_SHOTS, Budget, RegimeDecomposition, decompose_alpha, delta_budget, shots_for
+from .accountant import C_SHOTS, Budget, RegimeDecomposition, decompose_alpha, delta_budget, shots_for
 from .blockenc import BlockEncoding, be_power, be_product, encode_density, encode_state_side, rescale
 from .config import TOL
 from .numkernel import fail_first, op_norm_cap
@@ -330,7 +330,7 @@ def plan(
         fields.update(rho_min_used=used, sensitivity=regime.c / ((1.0 - regime.alpha) * used))
     if method == "poly":
         fields.update(oracle=exact_entropies(state, 1.0))
-        fields.update(_poly_table(state, eps, mode, c_shots, rho_min_lower, budget))
+        fields.update(_poly_table(state, eps, c_shots, rho_min_lower, budget))
     else:
         fields.update(oracle=exact_entropies(state, regime.alpha))
         if blind and branch == "sub_one":
@@ -338,7 +338,7 @@ def plan(
     return Plan(**fields)
 
 
-def _poly_table(state: DensityMatrix, eps: float, mode: str, c_shots: float, rho_min: float, budget: Budget) -> dict:
+def _poly_table(state: DensityMatrix, eps: float, c_shots: float, rho_min: float, budget: Budget) -> dict:
     """`vn_poly`'s term table, made from its fit, as `Plan` fields: Tr
     rho^(i+1) is measured at accuracy delta_i, so shots n_i, for the
     monomial coefficient a_i of log(1/x)."""
@@ -357,8 +357,7 @@ def _poly_table(state: DensityMatrix, eps: float, mode: str, c_shots: float, rho
         a_i = float(coeffs[i])
         delta_i = min(0.49, eps / (2.0 * max(1, k_deg) * max(log_scale, abs(a_i))))
         try:
-            # ideal mode draws nothing, so its count is only reported
-            n_i = shots_for("bernoulli", delta_i, c_shots, limit=math.inf if mode == "ideal" else MAX_SHOTS)
+            n_i = shots_for("bernoulli", delta_i, c_shots)
         except ValueError as exc:
             raise ValueError(
                 f"term {i} of the plain-power expansion (coefficient {a_i:.3e}): {exc}; the expansion "

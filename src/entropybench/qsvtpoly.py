@@ -5,7 +5,10 @@ certification grid (with a small aliasing safety factor), so downstream
 error ledgers are backed by a checked bound rather than a requested one.
 Three target families are built in: the scaled logarithm
 log(1/x)/(2 log(1/beta)), positive powers x^c/2, and negative powers
-x^(-c)/(2 kappa^c), each on a domain bounded away from zero.
+x^(-c)/(2 kappa^c), each on a domain bounded away from zero.  A target
+is one numpy function of an array of points: the search samples it, the
+certificate bounds the fit's distance from the values it computes on the
+grid, and `apply_poly` applies it to the target side of an encoding.
 
 Each searched degree is evaluated once (`_evaluate`): the target is
 sampled at the interpolation nodes and on the certification grid, and
@@ -48,11 +51,6 @@ _CERT_SAFETY = 1.05
 # distinct fits each builder keeps; one estimator run needs at most two
 _FIT_CACHE_SIZE = 128
 
-# bound on |array target - scalar target| at a grid point, in units of
-# u * max|f|: numpy's log and power against `math`'s on the builders'
-# three families (at most 1 where measured; a test pins the bound)
-_TARGET_ULPS = 8
-
 # highest degree evaluated through cached per-degree matrices
 # (`_operator`); above it an evaluation takes two FFTs and nothing is
 # cached.  Operators cost what 1-3 FFT evaluations cost up to degree 32,
@@ -94,7 +92,7 @@ class PolyApprox:
     domain: tuple[float, float]
     target_tag: str  # "log_scaled", "pos_power", "neg_power", "custom"
     eps: float  # certified sup-norm error on the domain
-    target_fn: Callable[[float], float]
+    target_fn: Callable[[np.ndarray], np.ndarray]
     # value assigned at eigenvalue 0 (continuous extension); None means
     # a zero eigenvalue is out of domain for this transform
     zero_extension: Optional[float] = None
@@ -108,7 +106,7 @@ class PolyApprox:
     # (grid error + slack, grid values) of these coefficients, as `_on_grid`
     # computes them; `cheb_fit` hands over the certificate its search
     # computed, and a fit built any other way is certified here against
-    # its scalar target
+    # its target
     _certificate: InitVar[Optional[tuple[float, np.ndarray]]] = None
 
     def __post_init__(self, _certificate):
@@ -119,7 +117,7 @@ class PolyApprox:
         if _certificate is None:
             lo, hi = self.domain
             grid = _cheb_grid(lo, hi, _grid_size(len(coeffs) - 1))
-            values, err, slack = _on_grid(coeffs, _vec(self.target_fn, grid), lo, hi)
+            values, err, slack = _on_grid(coeffs, self.target_fn(grid), lo, hi)
             _certificate = err + slack, values
         err, values = _certificate
         if err > self.eps + 1e-15:
@@ -194,12 +192,6 @@ class MonomialPoly:
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coeffs)
 
 
-def _vec(f, xs: np.ndarray) -> np.ndarray:
-    """The scalar target at each point of `xs` (no list of its values: at
-    degree 450 one would raise peak memory by ~0.4 MB)."""
-    return np.fromiter(map(f, xs.tolist()), float, len(xs))
-
-
 def _cheb_eval(coeffs: np.ndarray, domain, x):
     """`Chebyshev(coeffs, domain)(x)`, without building the object."""
     return chebval(pu.mapdomain(x, domain, Chebyshev.window), coeffs)
@@ -225,7 +217,8 @@ def _on_grid(coeffs: np.ndarray, f_grid: np.ndarray, lo: float, hi: float) -> tu
     The grid points are x_k = fl((hi + lo)/2 + (hi - lo)/2 t_k) with
     t_k = fl(cos(pi k/m)), k = 0..m, and the certified error is
     max_k |P(x_k) - f(x_k)|, for P the exact polynomial of these
-    coefficients and f the scalar target as `math` computes it.  With
+    coefficients and f(x_k) the target's values at the grid points as the
+    target function computes them (`f_grid`).  With
     u = 2^-52 (twice the unit roundoff, which also absorbs second-order
     terms), S = sum |c_j| and S2 = sum j^2 |c_j| >= max |P'| on [-1, 1],
     the slack is u times the sum of:
@@ -244,8 +237,7 @@ def _on_grid(coeffs: np.ndarray, f_grid: np.ndarray, lo: float, hi: float) -> tu
       within 8u of it; x_k maps back to within 4 u (cond + 1) of t_k,
       cond = (hi + lo) / (hi - lo), since the map rounds by at most
       4 u hi.  So the values move by at most (4 cond + 12) S2.
-    - the target.  The array target lies within `_TARGET_ULPS` u max|f|
-      of the scalar one, and the subtraction rounds by u max|f| more.
+    - the subtraction, which rounds by u max|f|.
     """
     n = len(coeffs)
     size = float(np.abs(coeffs).sum())
@@ -262,7 +254,7 @@ def _on_grid(coeffs: np.ndarray, f_grid: np.ndarray, lo: float, hi: float) -> tu
         rounding = 64 * (math.log2(2 * m) + n) * size
     cond = (hi + lo) / (hi - lo)
     f_max = float(np.abs(f_grid).max())
-    slack = _MACHINE_EPS * (rounding + (4 * cond + 12) * slope + (_TARGET_ULPS + 1) * f_max)
+    slack = _MACHINE_EPS * (rounding + (4 * cond + 12) * slope + f_max)
     return values, float(np.abs(values - f_grid).max()), slack
 
 
@@ -287,8 +279,8 @@ def _operator(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _evaluate(f_arr, lo: float, hi: float, degree: int) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The degree-`degree` interpolant of the array target over [lo, hi]:
+def _evaluate(f, lo: float, hi: float, degree: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The degree-`degree` interpolant of the target `f` over [lo, hi]:
     its coefficients, its values on the certification grid, its grid
     error and the slack of that error (`_on_grid`).
 
@@ -300,22 +292,22 @@ def _evaluate(f_arr, lo: float, hi: float, degree: int) -> tuple[np.ndarray, np.
     n = degree + 1
     if degree <= _OPERATOR_DEGREE_CUTOFF:
         points, interp, _ = _operator(degree)
-        samples = f_arr((hi + lo) / 2 + (hi - lo) / 2 * points)
+        samples = f((hi + lo) / 2 + (hi - lo) / 2 * points)
         coeffs, f_grid = interp @ samples[:n], samples[n:]
     else:
         from numpy import fft
 
-        y = f_arr(pu.mapdomain(chebpts1(n), Chebyshev.window, [lo, hi]))
+        y = f(pu.mapdomain(chebpts1(n), Chebyshev.window, [lo, hi]))
         # chebpts1 ascends, so reversed it is cos((2k+1)pi/2n) for k = 0..n-1
         spec = fft.rfft(np.concatenate((y[::-1], y)))[:n]
         coeffs = (spec * np.exp(-0.5j * np.pi * np.arange(n) / n)).real / n
         coeffs[0] /= 2
-        f_grid = f_arr(_cheb_grid(lo, hi, _grid_size(degree)))
+        f_grid = f(_cheb_grid(lo, hi, _grid_size(degree)))
     return (coeffs, *_on_grid(coeffs, f_grid, lo, hi))
 
 
 def cheb_fit(
-    target: Callable[[float], float],
+    target: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     eps: float,
@@ -324,7 +316,6 @@ def cheb_fit(
     zero_extension: Optional[float] = None,
     subnorm_factor: float = 1.0,
     input_precision: Optional[float] = None,
-    array_target: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> PolyApprox:
     """Smallest-degree Chebyshev interpolant meeting sup error <= eps.
 
@@ -336,10 +327,9 @@ def cheb_fit(
     raises `DegreeCapExceeded` naming that degree and the smallest error
     plus slack it saw.
 
-    `array_target`, a numpy form of `target`, is what the search samples;
-    without it the scalar target is sampled point by point.  The slack
-    covers the last-bit difference between numpy's and `math`'s log and
-    power, so the certificate holds against the scalar target too.
+    `target` maps an array of points to the target's values there; the
+    search samples it, the certificate holds against it as it computes
+    them, and the fit keeps it as `target_fn`.
     """
     if not (0.0 < lo < hi <= 1.0):
         raise ValueError(f"domain must satisfy 0 < lo < hi <= 1, got [{lo}, {hi}]")
@@ -348,14 +338,13 @@ def cheb_fit(
     if k_cap < 0:
         raise ValueError("degree cap must be nonnegative")
     k_cap = min(k_cap, MAX_FIT_DEGREE)
-    f_arr = array_target if array_target is not None else functools.partial(_vec, target)
 
     best_err = math.inf
     best = None  # (degree, coefficients, certificate) of the last degree that passed
 
     def passes_at(deg: int) -> bool:
         nonlocal best_err, best
-        coeffs, values, err, slack = _evaluate(f_arr, lo, hi, deg)
+        coeffs, values, err, slack = _evaluate(target, lo, hi, deg)
         best_err = min(best_err, err + slack)
         if not _CERT_SAFETY * (err + slack) + 1e-15 <= eps:  # a NaN error fails too
             return False
@@ -395,28 +384,6 @@ def cheb_fit(
     )
 
 
-def _constant_poly(
-    value: float,
-    lo: float,
-    hi: float,
-    target_tag: str,
-    zero_extension: Optional[float],
-    subnorm_factor: float,
-    input_precision: Optional[float],
-) -> PolyApprox:
-    return PolyApprox(
-        coeffs=[value],
-        degree=0,
-        domain=(lo, hi),
-        target_tag=target_tag,
-        eps=1e-15,
-        target_fn=lambda x: value,
-        zero_extension=zero_extension,
-        subnorm_factor=subnorm_factor,
-        input_precision=input_precision,
-    )
-
-
 @functools.lru_cache(maxsize=_FIT_CACHE_SIZE, typed=True)
 def approx_log(beta: float, eps: float) -> PolyApprox:
     """Certified fit of log(1/x) / (2 log(1/beta)) on [beta, 1].
@@ -433,7 +400,7 @@ def approx_log(beta: float, eps: float) -> PolyApprox:
     scale = 2.0 * math.log(1.0 / beta)
     cap = int(math.ceil(C_LOG * (1.0 / beta) * math.log(1.0 / eps)))
     return cheb_fit(
-        lambda x: math.log(1.0 / x) / scale,
+        lambda xs: np.log(1.0 / xs) / scale,
         beta,
         1.0,
         eps,
@@ -441,7 +408,6 @@ def approx_log(beta: float, eps: float) -> PolyApprox:
         target_tag="log_scaled",
         zero_extension=None,
         subnorm_factor=scale,
-        array_target=lambda xs: np.log(1.0 / xs) / scale,
     )
 
 
@@ -456,6 +422,16 @@ def neg_power_input_precision(c: float, kappa: float, eps: float) -> float:
     return eps / (k1c * (1.0 + c) * math.log(k1c / eps) ** 3)
 
 
+def _power_fit(target: Callable[[np.ndarray], np.ndarray], kappa: float, eps: float, **fields) -> PolyApprox:
+    """`cheb_fit` of a power target on [1/kappa, 1], its degree capped at
+    C_POWER * kappa * max(1, ln(kappa/eps)).  At kappa ~ 1 the target is
+    the constant 1/2, fitted at degree 0 on the stand-in domain [1/2, 1]."""
+    if kappa <= 1.0 + 1e-9:
+        return cheb_fit(lambda xs: np.full_like(xs, 0.5), 0.5, 1.0, eps, 0, **fields)
+    cap = int(math.ceil(C_POWER * kappa * max(1.0, math.log(kappa / eps))))
+    return cheb_fit(target, 1.0 / kappa, 1.0, eps, cap, **fields)
+
+
 @functools.lru_cache(maxsize=_FIT_CACHE_SIZE, typed=True)
 def approx_pos_power(c: float, kappa: float, eps: float) -> PolyApprox:
     """Certified fit of x^c / 2 on [1/kappa, 1], with its input-precision tag.
@@ -468,21 +444,14 @@ def approx_pos_power(c: float, kappa: float, eps: float) -> PolyApprox:
         raise ValueError(f"conditioning parameter must be >= 1, got {kappa}")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    prec = pos_power_input_precision(kappa, eps)
-    if kappa <= 1.0 + 1e-9:
-        return _constant_poly(0.5, 0.5, 1.0, "pos_power", 0.0, 2.0, prec)
-    cap = int(math.ceil(C_POWER * kappa * max(1.0, math.log(kappa / eps))))
-    return cheb_fit(
-        lambda x: 0.5 * x**c,
-        1.0 / kappa,
-        1.0,
+    return _power_fit(
+        lambda xs: 0.5 * xs**c,
+        kappa,
         eps,
-        cap,
         target_tag="pos_power",
         zero_extension=0.0,
         subnorm_factor=2.0,
-        input_precision=prec,
-        array_target=lambda xs: 0.5 * xs**c,
+        input_precision=pos_power_input_precision(kappa, eps),
     )
 
 
@@ -499,22 +468,15 @@ def approx_neg_power(c: float, kappa: float, eps: float) -> PolyApprox:
         raise ValueError(f"conditioning parameter must be >= 1, got {kappa}")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    prec = neg_power_input_precision(c, kappa, eps)
-    if kappa <= 1.0 + 1e-9:
-        return _constant_poly(0.5, 0.5, 1.0, "neg_power", None, 2.0 * kappa**c, prec)
     scale = 2.0 * kappa**c
-    cap = int(math.ceil(C_POWER * kappa * max(1.0, math.log(kappa / eps))))
-    return cheb_fit(
-        lambda x: x ** (-c) / scale,
-        1.0 / kappa,
-        1.0,
+    return _power_fit(
+        lambda xs: xs ** (-c) / scale,
+        kappa,
         eps,
-        cap,
         target_tag="neg_power",
         zero_extension=None,
         subnorm_factor=scale,
-        input_precision=prec,
-        array_target=lambda xs: xs ** (-c) / scale,
+        input_precision=neg_power_input_precision(c, kappa, eps),
     )
 
 
@@ -544,8 +506,8 @@ def poly_target(t: HermMatrix, p: PolyApprox) -> HermMatrix:
             f"target eigenvalue {float(tspec.eigenvalues[stray][0])!r} outside fit domain [{lo}, {hi}]"
             + ("" if p.zero_extension is not None else " (no extension through 0)")
         )
-    tw = np.asarray([float(p.zero_extension) if zero else p.target_fn(min(max(x, lo), hi))
-                     for x, zero in zip(tspec.eigenvalues.tolist(), at_zero.tolist())])
+    # at_zero is empty where the fit has no zero extension
+    tw = np.where(at_zero, p.zero_extension or 0.0, p.target_fn(np.clip(tspec.eigenvalues, lo, hi)))
     return herm_with_spectrum(with_eigenvalues(tspec.eigenvectors, tw), tw, tspec.eigenvectors)
 
 

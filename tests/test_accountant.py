@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entropybench.accountant import (
-    MAX_SHOTS,
     decompose_alpha,
     delta_budget,
     predicted_samples,
@@ -197,7 +196,6 @@ def test_shots_for_refuses_counts_it_cannot_draw():
     assert shots_for("amplitude_estimation", 1.0 / 2.0**62, 1.0) == 2**62
     with pytest.raises(ValueError):
         shots_for("amplitude_estimation", 1.0 / 2.0**63, 1.0)
-    assert shots_for("amplitude_estimation", 1.0 / 2.0**63, 1.0, limit=math.inf) == 2**63 > MAX_SHOTS
 
 
 def test_delta_budget_uses_the_shared_shot_rule():

@@ -375,12 +375,21 @@ def test_vn_poly_maximally_mixed():
 
 
 def test_vn_paths_agree_ideal():
-    for s in (1, 2, 3):
+    eps = 0.05
+    for s in (2, 3, 4):
         rho = random_density(6, 6, seed=s)
-        eps = 0.05
         q = estimate(rho, 1.0, eps, mode="ideal", seed=s, method="qsvt")
         p = estimate(rho, 1.0, eps, mode="ideal", seed=s, method="poly")
         assert abs(q.estimate - p.estimate) <= 2 * eps
+    # seed 1's expansion needs more shots than the sampler can draw: ideal
+    # mode, which draws none, refuses it as noisy mode does
+    rho = random_density(6, 6, seed=1)
+    errors = []
+    for mode in ("noisy", "ideal"):
+        with pytest.raises(ValueError, match=r"term 7 .* use the direct-transform estimator \(vn_qsvt\)") as exc:
+            estimate(rho, 1.0, eps, mode=mode, seed=1, method="poly")
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
 
 
 # ------------------------------------------------------- minimum eigenvalue

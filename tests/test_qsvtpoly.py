@@ -51,18 +51,18 @@ def test_fit_quadratic_target():
 
 def test_fit_log_degree_bound():
     beta = 0.1
-    p = cheb_fit(lambda x: math.log(1 / x) / (2 * math.log(10)), beta, 1.0, 1e-3, 10_000)
+    p = cheb_fit(lambda x: np.log(1 / x) / (2 * math.log(10)), beta, 1.0, 1e-3, 10_000)
     assert p.degree <= 8 * (1 / beta) * math.log(1e3)
 
 
 def test_fit_cap_exceeded_reports_best():
     with pytest.raises(DegreeCapExceeded) as exc:
-        cheb_fit(lambda x: math.log(1 / x), 0.01, 1.0, 1e-12, 2)
+        cheb_fit(lambda x: np.log(1 / x), 0.01, 1.0, 1e-12, 2)
     assert exc.value.best_err > 0
 
 
 def test_fit_search_stops_at_max_fit_degree(monkeypatch):
-    target = lambda x: math.log(1 / x)
+    target = lambda x: np.log(1 / x)
     assert cheb_fit(target, 0.001, 1.0, 1e-6, 10_000).degree == 199
     monkeypatch.setattr(qsvtpoly, "MAX_FIT_DEGREE", 64)  # below the fit's own cap of 10000
     with pytest.raises(DegreeCapExceeded, match="no Chebyshev fit up to degree 64 met") as exc:
@@ -231,7 +231,7 @@ def test_to_monomial_log_agreement():
 
 
 def test_to_monomial_degree_cap():
-    p = cheb_fit(lambda x: math.sin(40 * x), 0.01, 1.0, 1e-9, 200)
+    p = cheb_fit(lambda x: np.sin(40 * x), 0.01, 1.0, 1e-9, 200)
     assert p.degree > 30
     with pytest.raises(ValueError, match="cap"):
         to_monomial(p)
@@ -359,34 +359,29 @@ def test_apply_poly_matches_scalar_loop():
     np.testing.assert_array_equal(np.sort(got), np.sort(expect))
 
 
-def reference_vec(f, xs):
-    return np.asarray([f(float(x)) for x in xs], dtype=float)
-
-
 def reference_interpolate(target, lo, hi, deg):
-    """The degree-`deg` interpolant of the scalar target, built by numpy's
-    own `Chebyshev.interpolate`."""
-    return Chebyshev.interpolate(lambda xs: reference_vec(target, np.atleast_1d(xs)), deg, domain=[lo, hi])
+    """The degree-`deg` interpolant of the target, built by numpy's own
+    `Chebyshev.interpolate`."""
+    return Chebyshev.interpolate(target, deg, domain=[lo, hi])
 
 
 def reference_certify(cheb, f, lo, hi, degree):
-    """Sup error of a `Chebyshev` against the scalar target on the
-    certification grid, and its values there, evaluated by the object."""
+    """Sup error of a `Chebyshev` against the target on the certification
+    grid, and its values there, evaluated by the object."""
     n = max(10 * max(degree, 1), 10)
     grid = (hi + lo) / 2 + (hi - lo) / 2 * np.cos(np.pi * np.arange(n + 1) / n)
     values = cheb(grid)
-    return float(np.max(np.abs(values - reference_vec(f, grid)))), values
+    return float(np.max(np.abs(values - f(grid)))), values
 
 
 def reference_cheb_fit(
     target, lo, hi, eps, k_cap, target_tag="custom", zero_extension=None,
-    subnorm_factor=1.0, input_precision=None, array_target=None,
+    subnorm_factor=1.0, input_precision=None,
 ):
     """The all-exact degree search cheb_fit ran before its evaluation
-    became its certificate: every degree is interpolated from the scalar
-    target by `Chebyshev.interpolate` and certified by `Chebyshev.__call__`.
-    The returned fit carries that certificate; `array_target` is accepted
-    and ignored."""
+    became its certificate: every degree is interpolated from the target
+    by `Chebyshev.interpolate` and certified by `Chebyshev.__call__`.
+    The returned fit carries that certificate."""
 
     def attempt(deg: int):
         cheb = reference_interpolate(target, lo, hi, deg)
@@ -451,13 +446,12 @@ EXPONENTS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 @given(builder=FAMILIES, lo=LOWER_ENDS, c=EXPONENTS, eps=st.floats(-6, -2).map(lambda e: 10.0**e))
 def test_steered_search_equals_exact_search(builder, lo, c, eps):
     args, kwargs = cheb_fit_call(builder, lo, c, eps)
-    (target, lo, hi, *_), f_arr = args, kwargs["array_target"]
-    assert f_arr is not None
+    target, lo, hi = args[:3]
     want = reference_cheb_fit(*args, **kwargs)
     got = cheb_fit(*args, **kwargs)
     safety = qsvtpoly._CERT_SAFETY
     if got.degree == want.degree:
-        slack = qsvtpoly._evaluate(f_arr, lo, hi, got.degree)[3]
+        slack = qsvtpoly._evaluate(target, lo, hi, got.degree)[3]
         assert abs(got.eps - want.eps) <= 2 * safety * slack
     else:
         # the two searches can part only where the exact error of the lower
@@ -465,7 +459,7 @@ def test_steered_search_equals_exact_search(builder, lo, c, eps):
         # once for the slack added to the error) of the pass threshold
         low = min(got.degree, want.degree)
         err = reference_certify(reference_interpolate(target, lo, hi, low), target, lo, hi, low)[0]
-        slack = qsvtpoly._evaluate(f_arr, lo, hi, low)[3]
+        slack = qsvtpoly._evaluate(target, lo, hi, low)[3]
         assert abs(err - (eps - 1e-15) / safety) <= 2 * slack
 
 
@@ -477,10 +471,7 @@ def capped_log_fit(c_log):
 CAPPED_FITS = {
     "log": capped_log_fit,
     # the smallest error of degrees 0, 1, 2, 4, 8, 14 is at degree 1, not at the cap
-    "sine": lambda c_log: (
-        (lambda x: math.sin(40 * x), 0.01, 1.0, 1e-6, 14),
-        {"array_target": lambda xs: np.sin(40 * xs)},
-    ),
+    "sine": lambda c_log: ((lambda xs: np.sin(40 * xs), 0.01, 1.0, 1e-6, 14), {}),
 }
 
 
@@ -492,11 +483,11 @@ def test_steered_search_degree_cap_reports_exact_best_err(case, c_log):
     with pytest.raises(DegreeCapExceeded) as got:
         cheb_fit(*args, **kwargs)
     assert got.value.cap == want.value.cap
-    (_, lo, hi, _, cap), f_arr = args, kwargs["array_target"]
+    target, lo, hi, _, cap = args
     tried = [0]
     while tried[-1] < cap:
         tried.append(min(cap, max(1, 2 * tried[-1])))
-    slack = max(qsvtpoly._evaluate(f_arr, lo, hi, deg)[3] for deg in tried)
+    slack = max(qsvtpoly._evaluate(target, lo, hi, deg)[3] for deg in tried)
     assert abs(got.value.best_err - want.value.best_err) <= 2 * slack
 
 
@@ -514,8 +505,8 @@ def evaluation_examples(test):
 @given(builder=FAMILIES, lo=LOWER_ENDS, c=EXPONENTS, deg=st.integers(0, 1024))
 @evaluation_examples
 def test_evaluation_error_within_its_slack_and_the_slack_small(builder, lo, c, deg):
-    (target, lo, hi, *_), kwargs = cheb_fit_call(builder, lo, c, 1e-3)
-    coeffs, _, err, slack = qsvtpoly._evaluate(kwargs["array_target"], lo, hi, deg)
+    (target, lo, hi, *_), _ = cheb_fit_call(builder, lo, c, 1e-3)
+    coeffs, _, err, slack = qsvtpoly._evaluate(target, lo, hi, deg)
     exact = reference_certify(Chebyshev(coeffs, domain=[lo, hi]), target, lo, hi, deg)[0]
     assert abs(err - exact) <= slack
     # a sound but huge slack would raise every recorded eps: on the fits the
@@ -523,7 +514,7 @@ def test_evaluation_error_within_its_slack_and_the_slack_small(builder, lo, c, d
     # below a thousandth of eps
     args, kwargs = cheb_fit_call(builder, lo, c, 1e-6)
     fit = cheb_fit(*args, **kwargs)
-    assert qsvtpoly._evaluate(kwargs["array_target"], lo, hi, fit.degree)[3] <= 1e-3 * 1e-6
+    assert qsvtpoly._evaluate(args[0], lo, hi, fit.degree)[3] <= 1e-3 * 1e-6
 
 
 def test_estimate_operators_are_read_only_and_kept_only_up_to_the_cutoff(monkeypatch):
@@ -567,26 +558,59 @@ def test_fit_error_on_a_dense_grid_stays_within_its_recorded_eps(builder, lo, c,
     args, kwargs = cheb_fit_call(builder, lo, c, eps)
     fit = cheb_fit(*args, **kwargs)
     grid = np.linspace(*fit.domain, 20_001)
-    assert np.max(np.abs(fit(grid) - reference_vec(fit.target_fn, grid))) <= fit.eps
+    assert np.max(np.abs(fit(grid) - fit.target_fn(grid))) <= fit.eps
 
 
-@settings(max_examples=30, deadline=None)
-@given(builder=FAMILIES, lo=LOWER_ENDS, c=EXPONENTS)
-def test_array_targets_stay_within_the_slack_of_the_scalar_targets(builder, lo, c):
-    (target, lo, hi, *_), kwargs = cheb_fit_call(builder, lo, c, 1e-3)
-    grid = np.linspace(lo, hi, 20_001)
-    scalar = reference_vec(target, grid)
-    bound = qsvtpoly._TARGET_ULPS * qsvtpoly._MACHINE_EPS * np.max(np.abs(scalar))
-    assert np.max(np.abs(kwargs["array_target"](grid) - scalar)) <= bound
+# the certificate of the constant 1/2 at degree 0: its grid error is 0,
+# its slack u (2 S + max|f|) = 1.5 u (`_on_grid`, S = 1/2, no slope)
+CONSTANT_EPS = qsvtpoly._CERT_SAFETY * (1.5 * qsvtpoly._MACHINE_EPS) + 1e-15
 
 
 def test_a_constant_fit_certifies_through_the_grid_evaluation():
-    # kappa 1 gives the constant 1/2, recorded at eps 1e-15: its slack
-    # must leave room for that
+    # kappa 1 gives the constant 1/2, certified by the search's one grid
+    # evaluation at degree 0
     with mock.patch.object(qsvtpoly, "_on_grid", wraps=qsvtpoly._on_grid) as on_grid:
         fit = approx_pos_power.__wrapped__(0.3, 1.0, 1e-6)
     assert on_grid.call_count == 1
-    assert (fit.degree, fit.eps, fit(0.7)) == (0, 1e-15, 0.5)
+    assert (fit.degree, fit.eps, fit(0.7)) == (0, CONSTANT_EPS, 0.5)
+
+
+@pytest.mark.parametrize("builder", [approx_pos_power, approx_neg_power])
+def test_unit_kappa_fits_carry_the_search_certificate(builder):
+    fit = builder.__wrapped__(0.3, 1.0, 1e-6)
+    assert (fit.degree, fit.coeffs.tolist(), fit.domain) == (0, [0.5], (0.5, 1.0))
+    assert fit.eps == CONSTANT_EPS
+
+
+@pytest.mark.parametrize("builder", [approx_pos_power, approx_neg_power])
+def test_unit_kappa_fits_refuse_an_eps_below_their_certificate(builder):
+    with pytest.raises(DegreeCapExceeded, match="up to degree 0 met") as exc:
+        builder.__wrapped__(0.3, 1.0, float(np.nextafter(CONSTANT_EPS, 0.0)))
+    assert exc.value.cap == 0
+
+
+@pytest.mark.parametrize("builder,args", [*BUILDER_CASES, (approx_pos_power, (0.5, 1.0, 1e-4)),
+                                          (approx_neg_power, (0.6, 1.0, 1e-4))])
+def test_a_fit_keeps_the_target_its_search_sampled(monkeypatch, builder, args):
+    sampled = []
+    real = qsvtpoly._evaluate
+    monkeypatch.setattr(qsvtpoly, "_evaluate", lambda f, lo, hi, deg: sampled.append(f) or real(f, lo, hi, deg))
+    fit = builder.__wrapped__(*args)
+    assert sampled and all(f is fit.target_fn for f in sampled)
+
+
+def test_poly_target_calls_the_target_once_on_the_clamped_spectrum():
+    rho = from_spectrum([0.5, 0.3, 0.2], 4)  # a zero eigenvalue, clamped to the domain and then extended
+    t = encode_density(rho, 0.01, noiseless=True).target
+    fit = approx_pos_power(0.4, 10.0, 1e-6)
+    calls = []
+    spy = replace(fit, target_fn=lambda xs: calls.append(xs.copy()) or fit.target_fn(xs))
+    calls.clear()  # the copy certified itself against the spy
+    out = qsvtpoly.poly_target(t, spy)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], np.clip(t.spectrum.eigenvalues, *fit.domain))
+    expect = np.where(t.spectrum.eigenvalues > 1e-12, fit.target_fn(calls[0]), 0.0)
+    np.testing.assert_array_equal(out.spectrum.eigenvalues, expect)
 
 
 def test_fit_keeps_its_checks_on_a_handed_over_certificate():
@@ -601,7 +625,7 @@ def test_fit_keeps_its_checks_on_a_handed_over_certificate():
     with pytest.raises(ValueError, match=r"\|P\(x\)\| <= 1"):
         PolyApprox(**fields, _certificate=(err, values * 3))
     # built directly, a fit is certified by the same grid evaluation
-    # against its scalar target
+    # against its target
     with mock.patch.object(qsvtpoly, "_on_grid", wraps=qsvtpoly._on_grid) as on_grid:
         PolyApprox(**fields)
         with pytest.raises(ValueError, match="certification failed"):
@@ -649,5 +673,5 @@ def test_slope_bound_covers_the_dense_maximum_of_custom_targets(target, widen):
     # and the bound's terms do not all add up: sound, and loose
     f = {"sin(40x)": lambda x: np.sin(40 * x), "sin(7x)": lambda x: np.sin(7 * x),
          "x cos(25x)": lambda x: x * np.cos(25 * x)}[target]
-    fit = cheb_fit(lambda x: float(f(x)), 0.01, 1.0, 1e-6, 200, array_target=f)
+    fit = cheb_fit(f, 0.01, 1.0, 1e-6, 200)
     assert fit.lipschitz_bound(widen) >= dense_slope_max(fit, widen)

@@ -28,7 +28,8 @@ coefficient bytes and recorded eps, its slope bound at width 0 and for an
 array of widths, and for log fits of degree <= 30 its monomial
 coefficients; and the (cap, best error) of two fits that exceed their
 degree cap (`CAPPED`).  The fits are made through the public builders and
-`cheb_fit`, which every version has.
+`cheb_fit`, which every version has; a capped fit passes `cheb_fit` its
+numpy target alone, positionally, a call every version accepts.
 
 The CSV shows neither eta, the p0 bounds nor the exact p0, so the digest
 also takes the library's reports: the repr of every field of each report
@@ -170,12 +171,11 @@ FITS = [
 ]
 # slope-bound widths of one stacked call
 WIDTHS = np.array([1e-3, 0.0, 2.5e-4, 1e-3])
-# (target, array target, lo, hi, eps, degree cap) of fits no degree up to the cap meets
+# (numpy target, lo, hi, eps, degree cap) of fits no degree up to the cap meets
 CAPPED = [
-    (lambda x: math.log(1.0 / x) / (2 * math.log(100.0)), lambda xs: np.log(1.0 / xs) / (2 * math.log(100.0)),
-     0.01, 1.0, 1e-6, 14),
+    (lambda xs: np.log(1.0 / xs) / (2 * math.log(100.0)), 0.01, 1.0, 1e-6, 14),
     # the smallest error of degrees 0, 1, 2, 4, 8, 14 is at degree 1, not at the cap
-    (lambda x: math.sin(40 * x), lambda xs: np.sin(40 * xs), 0.01, 1.0, 1e-6, 14),
+    (lambda xs: np.sin(40 * xs), 0.01, 1.0, 1e-6, 14),
 ]
 
 
@@ -192,9 +192,9 @@ def fit_records() -> list[bytes]:
             except ValueError as exc:  # the conversion's own check refused it
                 parts.append(str(exc))
         out.append("\0".join(parts).encode())
-    for target, array_target, lo, hi, eps, cap in CAPPED:
+    for target, lo, hi, eps, cap in CAPPED:
         try:
-            qsvtpoly.cheb_fit(target, lo, hi, eps, cap, array_target=array_target)
+            qsvtpoly.cheb_fit(target, lo, hi, eps, cap)
         except qsvtpoly.DegreeCapExceeded as exc:
             out.append(f"capped\0{lo!r}\0{eps!r}\0{exc.cap}\0{exc.best_err.hex()}".encode())
         else:
