@@ -51,8 +51,6 @@ from .states import DensityMatrix
 class BlockEncoding:
     encoded: HermMatrix
     target: HermMatrix
-    subnorm: float = 1.0
-    ancillas: int = 1
     eta: float = 0.0  # for a stack, an array with one value per trial
     sample_cost: int = 0
     # certified upper bound on op_norm_dist(encoded, target) known from the
@@ -65,8 +63,6 @@ class BlockEncoding:
             raise ValueError("encoded and target dimensions differ")
         if self.target.mat.ndim != 2:
             raise ValueError("the target is one matrix, shared by every trial of a stack")
-        if self.subnorm < 1.0 - 1e-12:
-            raise ValueError(f"subnormalization {self.subnorm} < 1")
         eta, bound = self.eta, self.dist_bound
         if self.encoded.mat.ndim == 3:
             trials = self.encoded.mat.shape[:1]
@@ -76,8 +72,8 @@ class BlockEncoding:
             eta, bound = float(eta), float(bound)
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "dist_bound", bound)
-        if _any(eta < 0) or self.sample_cost < 0 or self.ancillas < 0:
-            raise ValueError("eta, ancillas and sample_cost must be nonnegative")
+        if _any(eta < 0) or self.sample_cost < 0:
+            raise ValueError("eta and sample_cost must be nonnegative")
         if _any(bound < 0):
             raise ValueError("dist_bound must be nonnegative")
         # Frobenius norm upper-bounds the operator norm, so try it first
@@ -178,7 +174,6 @@ def _encode(
     noiseless: bool,
     trials: int,
     scale: float,
-    subnorm: float,
 ) -> BlockEncoding:
     """Encoding of scale * rho: the shared body of the two public encoders."""
     if not (0.0 < delta <= 0.5):
@@ -188,8 +183,6 @@ def _encode(
     return BlockEncoding(
         encoded=encoded,
         target=target,
-        subnorm=subnorm,
-        ancillas=1,
         eta=delta,
         sample_cost=encoding_copy_cost(delta),
         dist_bound=bound,
@@ -213,7 +206,7 @@ def encode_density(
     More than one trial gives a stack, one corner per trial.  Copy cost
     is ceil((1/delta) log(1/delta)).
     """
-    return _encode(rho, delta, noise, noiseless, trials, np.pi / 4.0, 4.0 / np.pi)
+    return _encode(rho, delta, noise, noiseless, trials, np.pi / 4.0)
 
 
 def encode_state_side(
@@ -230,7 +223,7 @@ def encode_state_side(
     those of `encode_density`; the perturbation is clipped if it would
     push the corner norm above 1, as it can for spectra touching 1.
     """
-    return _encode(rho, delta, noise, noiseless, trials, 1.0, 1.0)
+    return _encode(rho, delta, noise, noiseless, trials, 1.0)
 
 
 def be_product(be1: BlockEncoding, be2: BlockEncoding) -> BlockEncoding:
@@ -252,8 +245,6 @@ def be_product(be1: BlockEncoding, be2: BlockEncoding) -> BlockEncoding:
     return BlockEncoding(
         encoded=HermMatrix((eprod + adjoint(eprod)) / 2),
         target=HermMatrix((tprod + adjoint(tprod)) / 2),
-        subnorm=be1.subnorm * be2.subnorm,
-        ancillas=be1.ancillas + be2.ancillas,
         eta=be1.eta + be2.eta + be1.eta * be2.eta,
         sample_cost=be1.sample_cost + be2.sample_cost,
         dist_bound=widen_for_rounding((1.0 + TOL.encoding_norm_slack) * (d1 + d2) + d1 * d2, be1.dim),
@@ -312,8 +303,6 @@ def rescale(be: BlockEncoding, factor: float) -> BlockEncoding:
     return BlockEncoding(
         encoded=herm_with_spectrum(mat, ew, espec.eigenvectors),
         target=herm_with_spectrum(be.target.mat * factor, tw, tspec.eigenvectors),
-        subnorm=max(1.0, be.subnorm / factor),
-        ancillas=be.ancillas,
         eta=eta,
         sample_cost=be.sample_cost,
         dist_bound=widen_for_rounding(factor * be.dist_bound + np.maximum(overshoot, 0.0), be.dim),

@@ -34,10 +34,12 @@ realized p0, bound, eta) beside the trials' indices, the ledger and the
 exact p0 of the chain's target, which every trial shares.  `run(plan,
 stream, trials)` makes a report of each trial from them; the CLI makes
 rows of them.  A chunk holds at most `STACK_BYTES` per stacked array.
-When a check fails, the run raises the error of the first failing
-trial, the one a trial-by-trial run would have met first.  `estimate`
-runs one trial.  Blind mode draws its probes per trial, so it plans
-every trial.
+A check that fails raises where it fails, with the error of the chunk's
+first failing trial there.  Inversion runs in trial order, and every
+earlier per-trial check fails only if a chain's eta under-reports its
+error, so on an input the package accepts that is the error a
+trial-by-trial run would have met first.  `estimate` runs one trial.
+Blind mode draws its probes per trial, so it plans every trial.
 
 Reports carry the realized and exact p0, the certified operator-error
 ledger, a p0-level deviation bound, and the copy-count bookkeeping.
@@ -94,9 +96,8 @@ def measure_p0(p0s: list[float], delta: float, stream: Stream, c_shots: float = 
     p0 plus uniform noise in [-delta, delta] at ceil(c_shots/delta) query
     cost.  numpy draws an array in order, so a list equals its
     one-element calls made in turn on the same stream.  Before any draw,
-    a p0 outside [0, 1]
-    is refused naming its trial (one within 1e-12 of it is clamped to
-    it), then delta and the shot count are checked.
+    the first p0 outside [0, 1] is refused (one within 1e-12 of it is
+    clamped to it), then delta and the shot count are checked.
     """
     if mode not in ("bernoulli", "amplitude_estimation"):
         raise ValueError(f"unknown measurement mode {mode!r}")
@@ -379,23 +380,13 @@ def run_columns(p: Plan, stream: Stream, trials: range) -> Iterator[Columns]:
     """The trials `trials` of a point as columns, one `Columns` per chunk
     of at most `p.chunk` trials, each run through the route's function on
     the point's stream, which carries its draws from chunk to chunk.  A
-    failing trial raises its own error, and only once every trial before
-    it has run without one: when trial k of a chunk fails first at a
-    build or measurement stage (`fail_first`), the point's trials before
-    it run again from a fresh stream, since one of them may still fail at
-    a later stage.  Inversion is a chunk's last stage and runs in trial
-    order, so its failure is raised as it is.  A chunk of one trial, as
-    each of blind mode's, never runs again."""
+    failed check raises where it fails, with the error of the chunk's
+    first failing trial there (`fail_first`).  Inversion is a chunk's
+    last stage and runs in trial order; a build or measurement check
+    fails for a trial only if its chain's eta under-reports, so no trial
+    before it could still fail at a later stage."""
     for start in range(trials.start, trials.stop, p.chunk):
-        chunk = range(start, min(trials.stop, start + p.chunk))
-        try:
-            columns = _route(p, stream, chunk)
-        except (ValueError, RuntimeError) as exc:
-            if getattr(exc, "trial", 0):
-                for _ in run_columns(p, stream.fresh(), range(start + exc.trial)):
-                    pass
-            raise
-        yield columns
+        yield _route(p, stream, range(start, min(trials.stop, start + p.chunk)))
 
 
 def _route(p: Plan, stream: Stream, chunk: range) -> Columns:

@@ -53,15 +53,12 @@ def frobenius(m: np.ndarray):
 
 
 def fail_first(bad, error: Callable[[int], Exception]) -> None:
-    """Raise `error(i)` for the first trial i whose check failed, with
-    `trial = i` set on it.  `bad` holds one flag per matrix of a stack, or
-    one flag for a single matrix, which is trial 0."""
+    """Raise `error(i)` for the first trial i whose check failed.  `bad`
+    holds one flag per matrix of a stack, or one flag for a single matrix,
+    which is trial 0."""
     bad = np.atleast_1d(bad)
     if bad.any():
-        i = int(bad.argmax())
-        exc = error(i)
-        exc.trial = i
-        raise exc
+        raise error(int(bad.argmax()))
 
 
 @dataclass(frozen=True)

@@ -96,8 +96,6 @@ class PolyApprox:
     # value assigned at eigenvalue 0 (continuous extension); None means
     # a zero eigenvalue is out of domain for this transform
     zero_extension: Optional[float] = None
-    # scalar folded out of the target (2 log(1/beta), 2, 2 kappa^c, or 1)
-    subnorm_factor: float = 1.0
     # input-precision requirement attached by the power transforms
     input_precision: Optional[float] = None
     # values derived from the coefficients, computed on first use; not an
@@ -314,7 +312,6 @@ def cheb_fit(
     k_cap: int,
     target_tag: str = "custom",
     zero_extension: Optional[float] = None,
-    subnorm_factor: float = 1.0,
     input_precision: Optional[float] = None,
 ) -> PolyApprox:
     """Smallest-degree Chebyshev interpolant meeting sup error <= eps.
@@ -378,7 +375,6 @@ def cheb_fit(
         eps=_CERT_SAFETY * certificate[0] + 1e-15,
         target_fn=target,
         zero_extension=zero_extension,
-        subnorm_factor=subnorm_factor,
         input_precision=input_precision,
         _certificate=certificate,
     )
@@ -407,7 +403,6 @@ def approx_log(beta: float, eps: float) -> PolyApprox:
         cap,
         target_tag="log_scaled",
         zero_extension=None,
-        subnorm_factor=scale,
     )
 
 
@@ -442,15 +437,14 @@ def approx_pos_power(c: float, kappa: float, eps: float) -> PolyApprox:
         raise ValueError(f"exponent must be in (0, 1), got {c}")
     if kappa < 1.0:
         raise ValueError(f"conditioning parameter must be >= 1, got {kappa}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (0.0 < eps <= 0.5):
+        raise ValueError(f"eps must be in (0, 1/2], got {eps}")
     return _power_fit(
         lambda xs: 0.5 * xs**c,
         kappa,
         eps,
         target_tag="pos_power",
         zero_extension=0.0,
-        subnorm_factor=2.0,
         input_precision=pos_power_input_precision(kappa, eps),
     )
 
@@ -466,8 +460,8 @@ def approx_neg_power(c: float, kappa: float, eps: float) -> PolyApprox:
         raise ValueError(f"exponent must be in (0, 1), got {c}")
     if kappa < 1.0:
         raise ValueError(f"conditioning parameter must be >= 1, got {kappa}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (0.0 < eps <= 0.5):
+        raise ValueError(f"eps must be in (0, 1/2], got {eps}")
     scale = 2.0 * kappa**c
     return _power_fit(
         lambda xs: xs ** (-c) / scale,
@@ -475,7 +469,6 @@ def approx_neg_power(c: float, kappa: float, eps: float) -> PolyApprox:
         eps,
         target_tag="neg_power",
         zero_extension=None,
-        subnorm_factor=scale,
         input_precision=neg_power_input_precision(c, kappa, eps),
     )
 
@@ -557,8 +550,6 @@ def apply_poly(be: BlockEncoding, p: PolyApprox) -> BlockEncoding:
     return BlockEncoding(
         encoded=new_encoded,
         target=target,
-        subnorm=max(1.0, p.subnorm_factor),
-        ancillas=be.ancillas + 1,
         eta=new_eta,
         sample_cost=be.sample_cost * 2 * p.degree,
         dist_bound=bound,
@@ -566,10 +557,12 @@ def apply_poly(be: BlockEncoding, p: PolyApprox) -> BlockEncoding:
 
 
 def to_monomial(p: PolyApprox) -> MonomialPoly:
-    """Plain-power coefficients of subnorm_factor * P(x).
+    """Plain-power coefficients of P(x), times the scalar folded out of
+    the scaled-log target.
 
-    For the scaled-log family this is the expansion of log(1/x) itself
-    (factor 2 log(1/beta)); generic fits convert with factor 1.  Refuses
+    For the scaled-log family, whose domain starts at beta, this is the
+    expansion of log(1/x) itself (factor 2 log(1/beta), the bits of
+    `approx_log`'s scale); every other fit converts with factor 1.  Refuses
     degrees above 30, where the change of basis is no longer trustworthy
     at double precision, and verifies agreement on the domain.
     """
@@ -578,7 +571,7 @@ def to_monomial(p: PolyApprox) -> MonomialPoly:
             f"degree {p.degree} exceeds the monomial conversion cap "
             f"{MONOMIAL_DEGREE_CAP} (conversion would be unstable)"
         )
-    factor = p.subnorm_factor if p.target_tag in ("log_scaled",) else 1.0
+    factor = 2.0 * math.log(1.0 / p.domain[0]) if p.target_tag == "log_scaled" else 1.0
     plain = (Chebyshev(p.coeffs, domain=list(p.domain)) * factor).convert(kind=Polynomial)
     coeffs = np.asarray(plain.coef, dtype=float)
     coeffs.flags.writeable = False  # shared through PolyApprox.monomial

@@ -33,7 +33,3 @@ class Stream:
         if i not in self._children:
             self._children[i] = Stream(self.seq.entropy, (*self.seq.spawn_key, i))
         return self._children[i]
-
-    def fresh(self) -> Stream:
-        """This node again, with nothing drawn from it or its children."""
-        return Stream(self.seq.entropy, self.seq.spawn_key)

@@ -676,21 +676,27 @@ def test_a_later_trial_failing_fails_the_run_with_its_error(capsys):
 
 @pytest.mark.parametrize("broken", [35, 20, 3])
 def test_the_first_failing_trial_wins_whatever_its_stage(monkeypatch, capsys, broken):
-    # a made-up failure inside the stacked chain at trial `broken`, against
-    # trial 6's failure at the measurement after the chain: the run raises
-    # the error of the earlier trial, as a trial-by-trial run would
-    first, message = _first_failure_one_by_one(LATE_FAILURE)
-    real = estimators.apply_poly
+    # a made-up failure inside the stacked chain at trial `broken`, before
+    # or after trial 6, whose inversion fails after the chain: the chain's
+    # check raises where it fails, and the chunk runs once.  A real chain
+    # check fails for a trial only if its eta under-reports, so no earlier
+    # trial is run again to see whether it fails later
+    real_apply, real_route, calls = estimators.apply_poly, estimators.renyi_case_odd, []
 
     def apply_poly(be, p):
         trials = len(be.encoded.mat) if be.encoded.mat.ndim == 3 else 1
         numkernel.fail_first(np.arange(trials) == broken, lambda i: ValueError(f"chain failed at trial {i}"))
-        return real(be, p)
+        return real_apply(be, p)
+
+    def renyi_case_odd(p, stream, trials):
+        calls.append((trials.start, trials.stop))
+        return real_route(p, stream, trials)
 
     monkeypatch.setattr(estimators, "apply_poly", apply_poly)
+    monkeypatch.setattr(estimators, "renyi_case_odd", renyi_case_odd)
     assert main(LATE_FAILURE) == 1
-    expected = f"estimation failed: {message}" if broken > first else f"error: chain failed at trial {broken}"
-    assert capsys.readouterr().err == expected + "\n"
+    assert capsys.readouterr().err == f"error: chain failed at trial {broken}\n"
+    assert calls == [(0, 40)]
 
 
 def test_an_inversion_failure_runs_its_chunk_once(monkeypatch):

@@ -219,11 +219,9 @@ def test_stack_functions_take_one_matrix_or_a_stack():
 def test_fail_first_raises_the_first_failing_trial():
     with pytest.raises(ValueError, match="trial 2") as info:
         numkernel.fail_first(np.array([False, False, True, True]), lambda i: ValueError(f"trial {i}"))
-    assert info.value.trial == 2
     numkernel.fail_first(np.array([False, False]), lambda i: ValueError(f"trial {i}"))
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ValueError, match="trial 0"):
         numkernel.fail_first(np.bool_(True), lambda i: ValueError(f"trial {i}"))  # one matrix is trial 0
-    assert info.value.trial == 0
 
 
 @pytest.mark.parametrize("stacked", [False, True])

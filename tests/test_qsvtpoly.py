@@ -210,7 +210,6 @@ def test_to_monomial_constant_log():
         target_tag="log_scaled",
         eps=1e-15,
         target_fn=lambda x: 0.5,
-        subnorm_factor=2 * math.log(10),
     )
     mono = to_monomial(p)
     assert mono.coeffs[0] == pytest.approx(math.log(10), rel=1e-12)
@@ -375,8 +374,7 @@ def reference_certify(cheb, f, lo, hi, degree):
 
 
 def reference_cheb_fit(
-    target, lo, hi, eps, k_cap, target_tag="custom", zero_extension=None,
-    subnorm_factor=1.0, input_precision=None,
+    target, lo, hi, eps, k_cap, target_tag="custom", zero_extension=None, input_precision=None,
 ):
     """The all-exact degree search cheb_fit ran before its evaluation
     became its certificate: every degree is interpolated from the target
@@ -418,8 +416,8 @@ def reference_cheb_fit(
     recorded = min(eps, qsvtpoly._CERT_SAFETY * err + 1e-15)
     return PolyApprox(
         coeffs=cheb.coef, degree=deg, domain=(lo, hi), target_tag=target_tag, eps=recorded,
-        target_fn=target, zero_extension=zero_extension, subnorm_factor=subnorm_factor,
-        input_precision=input_precision, _certificate=(err, values),
+        target_fn=target, zero_extension=zero_extension, input_precision=input_precision,
+        _certificate=(err, values),
     )
 
 
@@ -442,8 +440,61 @@ LOWER_ENDS = st.floats(-4.5, math.log10(0.5)).map(lambda e: 10.0**e)
 EXPONENTS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
+def reference_rounding(coeffs, lo, hi, target):
+    """s_ref: a bound on how far `reference_certify`'s grid error for these
+    coefficients lies from max_k |P(x_k) - f(x_k)|, the exact error
+    `_on_grid`'s slack is measured from (P the exact polynomial at the
+    exact image t'_k of the float grid point x_k, f the target's values
+    there).
+
+    With e = 2^-53 the unit roundoff, every rounding below is at most e
+    of its computed result to first order, and u = 2^-52 doubles the sum
+    to cover the second-order terms, as in `_on_grid`:
+
+    - Clenshaw.  `chebval` keeps c1 = b_(j+1) and c0 = c_j - b_(j+2) of
+      the recurrence b_j = c_j + 2 tau b_(j+1) - b_(j+2), and ends with
+      c0 + tau c1.  Each rounded step is that recurrence with c_j, or
+      c_(j+1), moved by the step's error, and the last one moves c_0, so
+      the computed value is exactly sum_j (c_j + r_j) T_j(tau), where
+      r_j sums the roundings charged to index j.  As |T_j| <= 1 on
+      [-1, 1] (tau lies within rounding of it, so |T_j(tau)| exceeds 1
+      only at second order), the value is within e R of P(tau), R the
+      sum of the magnitudes of every rounded result: each c0, each
+      product c1 * 2 tau, each c1, and the final product and sum.  R is
+      computed here by running the same loop.
+    - the map.  `Chebyshev.__call__` evaluates at tau_k = off + scl x_k,
+      with off = -(hi + lo)/(hi - lo) and scl = 2/(hi - lo) from at most
+      three roundings each and tau_k from two more, so each of its two
+      terms is within 4 e of itself and |tau_k - t'_k| <=
+      4 e (hi + lo + 2 |x_k|)/(hi - lo) <= 4 e (2 cond + 1) with
+      cond = (hi + lo)/(hi - lo) as in `_on_grid`.  That moves P by at
+      most S2 = sum_j j^2 |c_j| >= max |P'| times as much.
+    - the subtraction from the target, at most e (S + max |f|) with
+      S = sum_j |c_j| >= max |P|.
+    """
+    n = max(10 * max(len(coeffs) - 1, 1), 10)
+    grid = (hi + lo) / 2 + (hi - lo) / 2 * np.cos(np.pi * np.arange(n + 1) / n)
+    off, scl = Chebyshev(coeffs, domain=[lo, hi]).mapparms()
+    tau = off + scl * grid
+    c = np.asarray(coeffs, dtype=float)
+    c0, c1 = (c[0], 0.0) if len(c) == 1 else (c[-2], c[-1])
+    sizes = np.zeros_like(tau)
+    for i in range(3, len(c) + 1):  # the loop of `chebval`, its magnitudes summed
+        c0, c1, prod = c[-i] - c1, c0 + c1 * (2 * tau), c1 * (2 * tau)
+        sizes += np.abs(c0) + np.abs(prod) + np.abs(c1)
+    sizes += np.abs(c1 * tau) + np.abs(c0 + c1 * tau)
+    size = float(np.abs(c).sum())
+    slope = float(np.arange(len(c)) ** 2 @ np.abs(c))
+    cond = (hi + lo) / (hi - lo)
+    f_max = float(np.abs(target(grid)).max())
+    return qsvtpoly._MACHINE_EPS * (float(sizes.max()) + 4 * (2 * cond + 1) * slope + size + f_max)
+
+
 @settings(max_examples=30, deadline=None)
 @given(builder=FAMILIES, lo=LOWER_ENDS, c=EXPONENTS, eps=st.floats(-6, -2).map(lambda e: 10.0**e))
+# two searches that end at degrees 765-960 with coefficients apart by rounding
+@example(builder=approx_neg_power, lo=10**-4.5, c=0.18359375, eps=1e-6)
+@example(builder=approx_neg_power, lo=10**-4.5, c=0.03125, eps=10**-5.875)
 def test_steered_search_equals_exact_search(builder, lo, c, eps):
     args, kwargs = cheb_fit_call(builder, lo, c, eps)
     target, lo, hi = args[:3]
@@ -451,8 +502,18 @@ def test_steered_search_equals_exact_search(builder, lo, c, eps):
     got = cheb_fit(*args, **kwargs)
     safety = qsvtpoly._CERT_SAFETY
     if got.degree == want.degree:
+        # both record safety * (grid error) + 1e-15, cheb_fit with its slack
+        # added.  Its grid error is within its slack of the exact error of
+        # its coefficients, the reference's within s_ref of that of its own,
+        # and the two exact errors differ by at most sum |got - want| of the
+        # coefficients, since |T_k| <= 1 on the mapped grid (to first order:
+        # its points lie within rounding of [-1, 1]).  The last term covers
+        # the five roundings that make the two recorded eps.
         slack = qsvtpoly._evaluate(target, lo, hi, got.degree)[3]
-        assert abs(got.eps - want.eps) <= 2 * safety * slack
+        apart = float(np.abs(got.coeffs - want.coeffs).sum())
+        s_ref = reference_rounding(want.coeffs, lo, hi, target)
+        bound = safety * (apart + 2 * slack + s_ref) + 3 * qsvtpoly._MACHINE_EPS * max(got.eps, want.eps)
+        assert abs(got.eps - want.eps) <= bound
     else:
         # the two searches can part only where the exact error of the lower
         # degree sits within the slack (once for the errors' difference,
@@ -589,6 +650,17 @@ def test_unit_kappa_fits_refuse_an_eps_below_their_certificate(builder):
     assert exc.value.cap == 0
 
 
+@pytest.mark.parametrize("builder,args", [(approx_pos_power, (0.5, 1.0, 1.0)), (approx_neg_power, (0.5, 4.0, 8.0)),
+                                          (approx_pos_power, (0.5, 4.0, 5.0)), (approx_pos_power, (0.5, 4.0, math.nan)),
+                                          (approx_neg_power, (0.5, 4.0, math.nan))])
+def test_power_fits_refuse_an_eps_outside_the_target_range(builder, args):
+    # every target lies in [0, 1/2]; at eps = kappa (or kappa^(1+c)) the
+    # input-precision formula would divide by log 1 = 0, and above it
+    # would come out negative
+    with pytest.raises(ValueError, match=r"eps must be in \(0, 1/2\], got"):
+        builder.__wrapped__(*args)
+
+
 @pytest.mark.parametrize("builder,args", [*BUILDER_CASES, (approx_pos_power, (0.5, 1.0, 1e-4)),
                                           (approx_neg_power, (0.6, 1.0, 1e-4))])
 def test_a_fit_keeps_the_target_its_search_sampled(monkeypatch, builder, args):
@@ -616,7 +688,7 @@ def test_poly_target_calls_the_target_once_on_the_clamped_spectrum():
 def test_fit_keeps_its_checks_on_a_handed_over_certificate():
     fit = approx_log(0.2, 0.05)
     fields = dict(coeffs=fit.coeffs, degree=fit.degree, domain=fit.domain, target_tag=fit.target_tag,
-                  eps=fit.eps, target_fn=fit.target_fn, subnorm_factor=fit.subnorm_factor)
+                  eps=fit.eps, target_fn=fit.target_fn)
     lo, hi = fit.domain
     err, values = reference_certify(Chebyshev(fit.coeffs, domain=list(fit.domain)), fit.target_fn, lo, hi, fit.degree)
     PolyApprox(**fields, _certificate=(err, values))

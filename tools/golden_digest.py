@@ -38,10 +38,21 @@ mode, blind and not, on the golden states and one d = 64 state
 (`LIBRARY_STATES`).  Only the `plan` and `run` signatures every version
 has are used.
 
+Fixed inputs reach few of the library's failure paths, so the digest
+also takes 1000 seeded `run(plan(...))` calls drawn from
+`random.Random(2026)` (`random_records`): `random_density` states, and
+`from_spectrum` states whose nonzero eigenvalues sit at least 0, 1e-3
+or 1e-2 above zero, at d in {2, 3, 4, 8, 16}; every route and the
+orders 2.001, 0.3, 1.2, 4.5 and 5.5; noisy and ideal mode, blind in
+about one call in five; c_shots of 4, 1e-2 and 1e-4, so that
+inversions fail; 1, 2, 7 or 40 trials.  Each call gives the repr of
+every field of its reports, or the error.
+
 `runs <hex>` hashes the CLI runs alone, `fits <hex>` the fit and capped
-records alone and `reports <hex>` the library reports alone, so a move
-confined to one of them leaves the other lines equal.  The last line is
-the combined digest of runs and fits.
+records alone, `reports <hex>` the library reports alone and
+`random <hex>` the random calls alone, so a move confined to one of
+them leaves the other lines equal.  The last line is the combined
+digest of runs and fits.
 """
 
 from __future__ import annotations
@@ -51,6 +62,7 @@ import dataclasses
 import hashlib
 import io
 import os
+import random
 import sys
 import math
 import tempfile
@@ -58,6 +70,7 @@ import tempfile
 import numpy as np
 
 from entropybench import cli, qsvtpoly
+from entropybench.accountant import C_SHOTS
 from entropybench.estimators import plan, run
 from entropybench.seeding import Stream
 from entropybench.states import from_spectrum, random_density
@@ -202,6 +215,18 @@ def fit_records() -> list[bytes]:
     return out
 
 
+def report_parts(rho, alpha: float, eps: float, mode: str, method, blind: bool, c_shots: float, seed: int,
+                 trials: int) -> list[str]:
+    """The repr of every field of each report of `run(plan(...))` on
+    `Stream(seed)`, or the error's type and text."""
+    stream = Stream(seed)
+    try:
+        reports = run(plan(rho, alpha, eps, mode, method, blind, c_shots, stream), stream, trials)
+    except (ValueError, RuntimeError) as exc:
+        return [type(exc).__name__, str(exc)]
+    return [repr((f.name, getattr(r, f.name))) for r in reports for f in dataclasses.fields(r)]
+
+
 def report_records() -> list[bytes]:
     """One record per (state, route, mode, blind) of the library: the repr
     of every field of each of three trials' reports, or the error."""
@@ -211,13 +236,41 @@ def report_records() -> list[bytes]:
         for alpha, method in LIBRARY_ROUTES:
             for mode in ("noisy", "ideal"):
                 for blind in (False, True):
-                    stream = Stream(13)
-                    try:
-                        reports = run(plan(rho, alpha, 0.1, mode, method, blind, stream=stream), stream, 3)
-                        parts = [repr((f.name, getattr(r, f.name))) for r in reports for f in dataclasses.fields(r)]
-                    except (ValueError, RuntimeError) as exc:
-                        parts = [type(exc).__name__, str(exc)]
+                    parts = report_parts(rho, alpha, 0.1, mode, method, blind, C_SHOTS, 13, 3)
                     out.append("\0".join([repr(rho.dim), repr((alpha, method, mode, blind)), *parts]).encode())
+    return out
+
+
+# orders the random calls draw beside the routes, each on its branch's default route
+RANDOM_ORDERS = [(2.001, None), (0.3, None), (1.2, None), (4.5, None), (5.5, None)]
+
+
+def random_records(calls: int = 1000) -> list[bytes]:
+    """One record per random `run(plan(...))` call: its inputs, then the
+    repr of every field of each report, or the error."""
+    draw = random.Random(2026)
+    out = []
+    for _ in range(calls):
+        d = draw.choice([2, 3, 4, 8, 16])
+        r = draw.randint(1, d)
+        floor = draw.choice([None, 0.0, 1e-3, 1e-2])  # None: a random_density state
+        if floor is None:
+            state = ("random_density", d, r, draw.randrange(2**32))
+            rho = random_density(*state[1:])
+        else:
+            w = [draw.random() for _ in range(r)]
+            state = ("from_spectrum", [floor + (1.0 - r * floor) * x / sum(w) for x in w], d)
+            rho = from_spectrum(*state[1:])
+        alpha, method = draw.choice(LIBRARY_ROUTES + RANDOM_ORDERS)
+        mode = draw.choice(["noisy", "ideal"])
+        blind = draw.random() < 0.2
+        eps = draw.choice([0.2, 0.1, 0.05])
+        c_shots = draw.choice([4.0, 1e-2, 1e-4])
+        trials = draw.choice([1, 2, 7, 40])
+        seed = draw.randrange(2**32)
+        parts = report_parts(rho, alpha, eps, mode, method, blind, c_shots, seed, trials)
+        inputs = (state, alpha, method, mode, blind, eps, c_shots, trials, seed)
+        out.append("\0".join([repr(inputs), *parts]).encode())
     return out
 
 
@@ -239,11 +292,12 @@ def run_one(argv: list[str], csv_path: str, config_path: str) -> bytes:
 
 def main() -> int:
     os.environ.pop("ENTROPYBENCH_SEED", None)  # runs without --seed use seed 0
-    whole, halves = hashlib.sha256(), {"runs": hashlib.sha256(), "fits": hashlib.sha256(), "reports": hashlib.sha256()}
+    whole = hashlib.sha256()
+    halves = {half: hashlib.sha256() for half in ("runs", "fits", "reports", "random")}
 
     def add(half: str, record: bytes) -> None:
         framed = len(record).to_bytes(8, "big") + record
-        if half != "reports":  # the combined digest predates the reports
+        if half in ("runs", "fits"):  # the combined digest predates the other lines
             whole.update(framed)
         halves[half].update(framed)
 
@@ -257,6 +311,8 @@ def main() -> int:
         add("fits", record)
     for record in report_records():
         add("reports", record)
+    for record in random_records():
+        add("random", record)
     for half, h in halves.items():
         print(half, h.hexdigest())
     print(whole.hexdigest())
