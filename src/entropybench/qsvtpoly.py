@@ -10,7 +10,12 @@ is one numpy function of an array of points: the search samples it, the
 certificate bounds the fit's distance from the values it computes on the
 grid, and `apply_poly` applies it to the target side of an encoding.
 
-Each searched degree is evaluated once (`_evaluate`): the target is
+A fit's degree is searched (`cheb_fit`): after degrees 0, 8 and 16, the
+search predicts where the error, which decays about geometrically in the
+degree, crosses eps, from the line through the log errors of the last
+two failing degrees, and closes the bracket around that prediction with
+the same line or by bisection; a fit takes about 6 evaluations.  Each
+searched degree is evaluated once (`_evaluate`): the target is
 sampled at the interpolation nodes and on the certification grid, and
 the interpolant's coefficients and its values on the grid come from two
 small matmuls with cached per-degree matrices up to degree
@@ -54,7 +59,7 @@ _FIT_CACHE_SIZE = 128
 # highest degree evaluated through cached per-degree matrices
 # (`_operator`); above it an evaluation takes two FFTs and nothing is
 # cached.  Operators cost what 1-3 FFT evaluations cost up to degree 32,
-# and every fit searches 0, 1, 2, 4, 8, 16; above 16 most degrees are
+# and every fit searches 0 and 8, most 16; above 16 most degrees are
 # searched a few times at most, and operators up to 32 held ~0.5 MB more
 # at peak on a pass of d = 64 requests for no measurable time
 _OPERATOR_DEGREE_CUTOFF = 16
@@ -316,13 +321,23 @@ def cheb_fit(
 ) -> PolyApprox:
     """Smallest-degree Chebyshev interpolant meeting sup error <= eps.
 
-    Degrees are doubled until certification succeeds, then binary search
-    finds the smallest passing degree.  A degree passes when its grid
-    error plus slack (`_evaluate`), times a small aliasing safety factor,
-    is within eps; that times the factor is the recorded eps.  The search
-    stops at `k_cap` or at `MAX_FIT_DEGREE`, whichever is lower, and
-    raises `DegreeCapExceeded` naming that degree and the smallest error
-    plus slack it saw.
+    A degree passes when its grid error plus slack (`_evaluate`), times a
+    small aliasing safety factor, is within eps; that times the factor is
+    the recorded eps.  The interpolation error of a smooth target decays
+    about geometrically in the degree, so the search predicts where it
+    crosses eps: after degrees 0, 8 and 16 it jumps to the degree where
+    the line through the logarithms of the last two failures' errors
+    reaches the pass threshold, at most 8 times the last failing degree
+    (twice it where the line does not descend).  Once a degree passes,
+    the same line, or bisection where the line points outside the
+    bracket, closes it until a failing degree sits next to a passing one.
+    Where passing is monotone in the degree, that is the smallest passing
+    degree.  No degree is evaluated twice, and none above 16 before 16
+    has failed, so a fit of degree <= 16 never imports `numpy.fft`.
+
+    The search stops at `k_cap` or at `MAX_FIT_DEGREE`, whichever is
+    lower, and raises `DegreeCapExceeded` naming that degree and the
+    smallest error plus slack among the degrees 0, 1, 2, 4, ... up to it.
 
     `target` maps an array of points to the target's values there; the
     search samples it, the certificate holds against it as it computes
@@ -330,41 +345,64 @@ def cheb_fit(
     """
     if not (0.0 < lo < hi <= 1.0):
         raise ValueError(f"domain must satisfy 0 < lo < hi <= 1, got [{lo}, {hi}]")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     if k_cap < 0:
         raise ValueError("degree cap must be nonnegative")
     k_cap = min(k_cap, MAX_FIT_DEGREE)
 
-    best_err = math.inf
-    best = None  # (degree, coefficients, certificate) of the last degree that passed
+    errors = {}  # error plus slack of every evaluated degree
+    fails = []  # the degrees that failed, ascending: each lies above the last
+    best = None  # (degree, coefficients, certificate) of the lowest degree that passed
 
     def passes_at(deg: int) -> bool:
-        nonlocal best_err, best
+        nonlocal best
         coeffs, values, err, slack = _evaluate(target, lo, hi, deg)
-        best_err = min(best_err, err + slack)
+        errors[deg] = err + slack
         if not _CERT_SAFETY * (err + slack) + 1e-15 <= eps:  # a NaN error fails too
+            fails.append(deg)
             return False
         best = deg, coeffs, (err + slack, values)
         return True
 
-    deg = 0
-    prev_fail = -1
-    while not passes_at(deg):
-        prev_fail = deg
-        if deg >= k_cap:
-            raise DegreeCapExceeded(k_cap, best_err)
-        deg = min(k_cap, max(1, 2 * deg))
+    def predicted() -> Optional[int]:
+        """The degree where the line through the last two failures'
+        log errors reaches the pass threshold, or None where it cannot."""
+        if len(fails) < 2:
+            return None
+        (d1, e1), (d2, e2) = ((d, errors[d]) for d in fails[-2:])
+        goal = (eps - 1e-15) / _CERT_SAFETY
+        if not (0 < e1 < math.inf and 0 < e2 < math.inf and goal > 0):
+            return None
+        slope = (math.log(e2) - math.log(e1)) / (d2 - d1)
+        return math.ceil(d2 + (math.log(goal) - math.log(e2)) / slope) if slope < 0 else None
 
-    # smallest passing degree between the last failure and this success;
-    # each pass lowers the upper end, so `best` ends at the smallest
-    lo_deg, hi_deg = prev_fail, deg
-    while hi_deg - lo_deg > 1:
-        mid = (lo_deg + hi_deg) // 2
-        if passes_at(mid):
-            hi_deg = mid
+    for deg in (0, 8, 16):
+        if passes_at(min(deg, k_cap)) or deg >= k_cap:
+            break
+    while best is None:
+        last = fails[-1]
+        if last >= k_cap:
+            doubling = [0]
+            while doubling[-1] < k_cap:
+                doubling.append(min(k_cap, max(1, 2 * doubling[-1])))
+            for deg in doubling:
+                if deg not in errors:
+                    passes_at(deg)
+            # from inf and in doubling order, so that a NaN error never wins
+            raise DegreeCapExceeded(k_cap, min(math.inf, *(errors[deg] for deg in doubling)))
+        guess = predicted()
+        passes_at(min(2 * last if guess is None else max(guess, last + 1), 8 * last, k_cap))
+
+    # each evaluation lies strictly between the last failure and the lowest
+    # pass, so `best` ends at the passing degree next to a failing one
+    while fails and best[0] - fails[-1] > 1:
+        last, lowest = fails[-1], best[0]
+        guess = predicted()
+        if guess == lowest:  # the line's degree passed: test the one below it
+            passes_at(lowest - 1)
         else:
-            lo_deg = mid
+            passes_at(guess if guess is not None and last < guess < lowest else (last + lowest) // 2)
 
     deg, coeffs, certificate = best
     return PolyApprox(

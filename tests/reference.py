@@ -3,18 +3,21 @@
 The library never calls these: they are closed forms and generic kernels
 the tests compare the pipeline against.  The three `ideal_p0_*` oracles
 give the ancilla probability each encoded route should realize, `mat_fun`
-applies a scalar function through the spectrum, and
+applies a scalar function through the spectrum,
 `propagate_entropy_error` bounds the entropy error a trace-functional
-error delta induces, which checks that every budget is sound.
+error delta induces, which checks that every budget is sound, and
+`reference_search` is the degree search `cheb_fit` ran before it came to
+predict the degree.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
+from entropybench import qsvtpoly
 from entropybench.accountant import _INT_TOL
 from entropybench.numkernel import HermMatrix, herm_with_spectrum
 from entropybench.states import DensityMatrix, StateMeta, exact_entropies
@@ -102,3 +105,63 @@ def propagate_entropy_error(delta: float, alpha: float, meta: StateMeta) -> floa
     if alpha > 0.0:
         return 2.0 * delta / (one * meta.purity ** (alpha - 1.0))
     raise ValueError(f"order must be positive, got {alpha}")
+
+
+def reference_search(
+    target: Callable[[np.ndarray], np.ndarray],
+    lo: float,
+    hi: float,
+    eps: float,
+    k_cap: int,
+    target_tag: str = "custom",
+    zero_extension: Optional[float] = None,
+    input_precision: Optional[float] = None,
+) -> qsvtpoly.PolyApprox:
+    """`cheb_fit` with its earlier degree search: degrees 0, 1, 2, 4, ...
+    are evaluated by `qsvtpoly._evaluate` until one passes, then binary
+    search finds the smallest passing degree between the last failure and
+    that pass.  At the cap it raises `DegreeCapExceeded` with the smallest
+    error plus slack of the degrees it evaluated."""
+    k_cap = min(k_cap, qsvtpoly.MAX_FIT_DEGREE)
+    best_err = math.inf
+    best = None  # (degree, coefficients, certificate) of the last degree that passed
+
+    def passes_at(deg: int) -> bool:
+        nonlocal best_err, best
+        coeffs, values, err, slack = qsvtpoly._evaluate(target, lo, hi, deg)
+        best_err = min(best_err, err + slack)
+        if not qsvtpoly._CERT_SAFETY * (err + slack) + 1e-15 <= eps:  # a NaN error fails too
+            return False
+        best = deg, coeffs, (err + slack, values)
+        return True
+
+    deg = 0
+    prev_fail = -1
+    while not passes_at(deg):
+        prev_fail = deg
+        if deg >= k_cap:
+            raise qsvtpoly.DegreeCapExceeded(k_cap, best_err)
+        deg = min(k_cap, max(1, 2 * deg))
+
+    # smallest passing degree between the last failure and this success;
+    # each pass lowers the upper end, so `best` ends at the smallest
+    lo_deg, hi_deg = prev_fail, deg
+    while hi_deg - lo_deg > 1:
+        mid = (lo_deg + hi_deg) // 2
+        if passes_at(mid):
+            hi_deg = mid
+        else:
+            lo_deg = mid
+
+    deg, coeffs, certificate = best
+    return qsvtpoly.PolyApprox(
+        coeffs=coeffs,
+        degree=deg,
+        domain=(lo, hi),
+        target_tag=target_tag,
+        eps=qsvtpoly._CERT_SAFETY * certificate[0] + 1e-15,
+        target_fn=target,
+        zero_extension=zero_extension,
+        input_precision=input_precision,
+        _certificate=certificate,
+    )

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -28,6 +29,7 @@ from entropybench.qsvtpoly import (
     to_monomial,
 )
 from entropybench.states import from_spectrum, random_density
+from reference import reference_search
 
 SRC = os.path.dirname(os.path.dirname(qsvtpoly.__file__))
 
@@ -552,6 +554,116 @@ def test_steered_search_degree_cap_reports_exact_best_err(case, c_log):
     assert abs(got.value.best_err - want.value.best_err) <= 2 * slack
 
 
+def search_outcome(search, args, kwargs):
+    """The degree, coefficient bytes and recorded eps of a search's fit,
+    or the cap and best error of its `DegreeCapExceeded`."""
+    try:
+        fit = search(*args, **kwargs)
+    except DegreeCapExceeded as exc:
+        return "capped", exc.cap, exc.best_err.hex()
+    return fit.degree, fit.coeffs.tobytes(), fit.eps.hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(builder=FAMILIES, lo=LOWER_ENDS, c=EXPONENTS, eps=st.floats(-7, -2).map(lambda e: 10.0**e))
+@example(builder=approx_neg_power, lo=10**-4.5, c=0.18359375, eps=1e-6)
+@example(builder=approx_neg_power, lo=10**-4.5, c=0.03125, eps=10**-5.875)
+def test_predicted_search_returns_the_doubling_search_fit(builder, lo, c, eps):
+    args, kwargs = cheb_fit_call(builder, lo, c, eps)
+    assert search_outcome(cheb_fit, args, kwargs) == search_outcome(reference_search, args, kwargs)
+
+
+# (target, lo, hi, eps, degree cap) of custom fits, two of them capped as
+# in `CAPPED_FITS` and one at the degree ceiling's test cap of 64
+CUSTOM_FITS = {
+    "x": (lambda x: x, 0.2, 0.9, 1e-6, 50),
+    "x^2": (lambda x: x * x, 0.1, 1.0, 1e-12, 50),
+    "sin(40x)": (lambda xs: np.sin(40 * xs), 0.01, 1.0, 1e-6, 200),
+    "sin(40x) capped": (lambda xs: np.sin(40 * xs), 0.01, 1.0, 1e-6, 14),
+    "scaled log": (lambda x: np.log(1 / x) / (2 * math.log(10)), 0.1, 1.0, 1e-3, 10_000),
+    "scaled log capped": (lambda xs: np.log(1.0 / xs) / (2 * math.log(100.0)), 0.01, 1.0, 1e-6, 14),
+    "log": (lambda x: np.log(1 / x), 0.001, 1.0, 1e-6, 10_000),
+    "log capped": (lambda x: np.log(1 / x), 0.001, 1.0, 1e-6, 64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CUSTOM_FITS))
+def test_predicted_search_returns_the_doubling_search_fit_of_custom_targets(case):
+    args = CUSTOM_FITS[case]
+    want = search_outcome(reference_search, args, {})
+    assert (want[0] == "capped") == case.endswith("capped")
+    assert search_outcome(cheb_fit, args, {}) == want
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """Degrees `_evaluate` is called at, in order."""
+    degrees = []
+    real = qsvtpoly._evaluate
+    monkeypatch.setattr(qsvtpoly, "_evaluate", lambda f, lo, hi, deg: degrees.append(deg) or real(f, lo, hi, deg))
+    return degrees
+
+
+# the 18 builder calls of one pass of the bench's renyi-d64 workload at seed 1
+RENYI_D64_FITS = [
+    (approx_pos_power, (0.25, 2162.262369405756, 0.0005208333333333333)),
+    (approx_neg_power, (0.25, 31.56510163651716, 0.0003906250000000001)),
+    (approx_pos_power, (0.25, 505.97835987834355, 0.000152157589502467)),
+    (approx_pos_power, (0.25, 205.36979694040147, 4.0690104166666664e-05)),
+    (approx_log, (0.005046625805076093, 0.00029542248765219406)),
+    (approx_pos_power, (0.5, 43.7898445994579, 0.00029542248765219406)),
+    (approx_pos_power, (0.25, 1269.2756959300682, 0.0005208333333333333)),
+    (approx_neg_power, (0.25, 108.507413967611, 0.0003906250000000001)),
+    (approx_pos_power, (0.25, 684.4000127039118, 0.0001420251987181369)),
+    (approx_pos_power, (0.25, 395.5010986285696, 4.0690104166666664e-05)),
+    (approx_log, (3.552871877137285e-05, 0.0001525109022717744)),
+    (approx_pos_power, (0.5, 84.82347578287877, 0.0001525109022717744)),
+    (approx_pos_power, (0.25, 267.53318802337077, 0.0005208333333333333)),
+    (approx_neg_power, (0.25, 259.5272007545374, 0.0003906250000000001)),
+    (approx_pos_power, (0.25, 243.50090103371676, 0.00014110192681171267)),
+    (approx_pos_power, (0.25, 221.0982870506689, 4.0690104166666664e-05)),
+    (approx_log, (0.0025597102075781038, 0.0002618190907178549)),
+    (approx_pos_power, (0.5, 49.410089959466184, 0.0002618190907178549)),
+]
+
+
+def test_a_renyi_d64_pass_evaluates_few_degrees(evaluated):
+    # the doubling search made 224 evaluations here, 107 of them above the cutoff
+    for builder, args in RENYI_D64_FITS:
+        builder.__wrapped__(*args)
+    assert len(evaluated) <= 120
+    assert sum(deg > qsvtpoly._OPERATOR_DEGREE_CUTOFF for deg in evaluated) <= 60
+
+
+def test_the_search_keeps_its_degree_limits(evaluated):
+    # no degree twice, none above the cap, none above 16 before 16 failed,
+    # and no jump past 8 times the degrees evaluated before it
+    draw = random.Random(16)
+    cases = [(args, {}) for args in CUSTOM_FITS.values()]
+    for _ in range(200):
+        builder = draw.choice([approx_log, approx_pos_power, approx_neg_power])
+        cases.append(cheb_fit_call(builder, 10 ** draw.uniform(-4.5, -0.3), draw.random(), 10 ** draw.uniform(-7, -1.5)))
+    low = 0
+    for args, kwargs in cases:
+        evaluated.clear()
+        degree = search_outcome(cheb_fit, args, kwargs)[0]
+        assert len(set(evaluated)) == len(evaluated)
+        assert max(evaluated) <= min(args[4], qsvtpoly.MAX_FIT_DEGREE)
+        for i, deg in enumerate(evaluated):
+            assert deg <= 16 or 16 in evaluated[:i] and deg <= 8 * max(evaluated[:i])
+        if degree != "capped" and degree <= 16:
+            low += 1
+            assert max(evaluated) <= 16
+    assert low >= 40
+
+
+@pytest.mark.parametrize("eps", [math.nan, 0.0, -1e-3])
+def test_cheb_fit_refuses_an_eps_that_is_not_positive(evaluated, eps):
+    with pytest.raises(ValueError, match=f"eps must be positive, got {eps}"):
+        cheb_fit(lambda x: x, 0.1, 1.0, eps, 4096)
+    assert evaluated == []
+
+
 def evaluation_examples(test):
     """Each family at degrees 0 and 1 and on both sides of the cutoff, where
     the evaluation moves from the cached operator to the FFT."""
@@ -595,8 +707,8 @@ def test_estimate_operators_are_read_only_and_kept_only_up_to_the_cutoff(monkeyp
 
 
 def test_low_degree_fits_do_not_import_the_fft():
-    # the doubling search stops below twice the degree it returns, so a fit
-    # of at most half the cutoff searches no degree above it
+    # the search evaluates no degree above 16 before 16 has failed, so a
+    # fit of degree at most half the cutoff searches no degree above it
     code = (
         "import sys\n"
         "from entropybench import qsvtpoly\n"

@@ -48,11 +48,18 @@ about one call in five; c_shots of 4, 1e-2 and 1e-4, so that
 inversions fail; 1, 2, 7 or 40 trials.  Each call gives the repr of
 every field of its reports, or the error.
 
+The pinned fits reach few of the degrees a search can end at, so the
+digest also takes 500 seeded builder fits drawn from `random.Random(37)`
+(`search_records`): the family, a lower end 10^U(-4.5, -0.3), an
+exponent in (0, 1) and eps 10^U(-7, -1.5).  Each fit gives its degree,
+coefficient bytes and recorded eps, or the (cap, best error) of its
+`DegreeCapExceeded`.
+
 `runs <hex>` hashes the CLI runs alone, `fits <hex>` the fit and capped
-records alone, `reports <hex>` the library reports alone and
-`random <hex>` the random calls alone, so a move confined to one of
-them leaves the other lines equal.  The last line is the combined
-digest of runs and fits.
+records alone, `reports <hex>` the library reports alone,
+`random <hex>` the random calls alone and `search <hex>` the seeded fits
+alone, so a move confined to one of them leaves the other lines equal.
+The last line is the combined digest of runs and fits.
 """
 
 from __future__ import annotations
@@ -274,6 +281,26 @@ def random_records(calls: int = 1000) -> list[bytes]:
     return out
 
 
+def search_records(fits: int = 500) -> list[bytes]:
+    """One record per seeded builder fit: its inputs, then its degree,
+    coefficient bytes and recorded eps, or its cap and best error."""
+    draw = random.Random(37)
+    builders = ["approx_log", "approx_pos_power", "approx_neg_power"]
+    out = []
+    for _ in range(fits):
+        name = draw.choice(builders)
+        lo, c, eps = 10 ** draw.uniform(-4.5, -0.3), draw.random(), 10 ** draw.uniform(-7, -1.5)
+        args = (lo, eps) if name == "approx_log" else (c, 1.0 / lo, eps)
+        try:
+            p = getattr(qsvtpoly, name).__wrapped__(*args)
+        except qsvtpoly.DegreeCapExceeded as exc:
+            parts = ["capped", str(exc.cap), exc.best_err.hex()]
+        else:
+            parts = [str(p.degree), p.coeffs.tobytes().hex(), p.eps.hex()]
+        out.append("\0".join([name, repr(args), *parts]).encode())
+    return out
+
+
 def run_one(argv: list[str], csv_path: str, config_path: str) -> bytes:
     """argv, exit code, stdout, stderr and CSV of one in-process run, with
     `config_path` for the token `CONFIG` in argv."""
@@ -293,7 +320,7 @@ def run_one(argv: list[str], csv_path: str, config_path: str) -> bytes:
 def main() -> int:
     os.environ.pop("ENTROPYBENCH_SEED", None)  # runs without --seed use seed 0
     whole = hashlib.sha256()
-    halves = {half: hashlib.sha256() for half in ("runs", "fits", "reports", "random")}
+    halves = {half: hashlib.sha256() for half in ("runs", "fits", "reports", "random", "search")}
 
     def add(half: str, record: bytes) -> None:
         framed = len(record).to_bytes(8, "big") + record
@@ -313,6 +340,8 @@ def main() -> int:
         add("reports", record)
     for record in random_records():
         add("random", record)
+    for record in search_records():
+        add("search", record)
     for half, h in halves.items():
         print(half, h.hexdigest())
     print(whole.hexdigest())
