@@ -15,7 +15,7 @@ random work on the point's tree of random streams (`seeding.Stream`).
 It hands chunks of trials to the route's function
 (`renyi_integer(plan, stream, trials)` and so on, one per route), which
 writes the route's chain once: it makes its fits and encoding budgets
-first (a later chunk's fits are hits in the fit builders' memo), builds
+first (on every chunk: no fit is kept between chunks), builds
 the realized encodings of a chunk as one stack and transforms the stack
 with stacked kernels, while each builder makes the one exact target
 from its inputs' targets.  A fit the builders refuse, or a target

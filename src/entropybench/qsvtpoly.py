@@ -25,12 +25,12 @@ grid error plus a rigorous bound on its rounding is the certificate: a
 degree passes on it, and the returned fit carries it, coefficients and
 grid values included.
 
-The three builders are memoized per process on their argument list: a
-fit is computed once per key and then shared, so its coefficients are
-read-only and the values derived from it (its derivative's coefficients,
-its monomial form) are computed once too.  A fit's slope bound on a
-widened domain (`PolyApprox.lipschitz_bound`) is one closed formula in
-those coefficients over any number of widths, with no sampling.
+Each builder call makes its own fit.  A fit's coefficients are
+read-only, since its certificate holds for those bits, and the values
+derived from them (its derivative's coefficients, its monomial form)
+are computed once per fit.  A fit's slope bound on a widened domain
+(`PolyApprox.lipschitz_bound`) is one closed formula in those
+coefficients over any number of widths, with no sampling.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ from .numkernel import HermMatrix, fail_first, herm_with_spectrum, op_norm_dist,
 # multiplied onto the grid maximum so the recorded bound also covers
 # excursions between certification nodes
 _CERT_SAFETY = 1.05
-
-# distinct fits each builder keeps; one estimator run needs at most two
-_FIT_CACHE_SIZE = 128
 
 # highest degree evaluated through cached per-degree matrices
 # (`_operator`); above it an evaluation takes two FFTs and nothing is
@@ -113,7 +110,7 @@ class PolyApprox:
     _certificate: InitVar[Optional[tuple[float, np.ndarray]]] = None
 
     def __post_init__(self, _certificate):
-        # a memoized fit is shared by every caller, so nobody may write to it
+        # the certificate holds for these bits, so nobody may write to them
         coeffs = np.array(self.coeffs, dtype=float)
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
@@ -347,8 +344,8 @@ def cheb_fit(
         raise ValueError(f"domain must satisfy 0 < lo < hi <= 1, got [{lo}, {hi}]")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if k_cap < 0:
-        raise ValueError("degree cap must be nonnegative")
+    if not k_cap >= 0:  # a NaN cap too
+        raise ValueError(f"degree cap must be nonnegative, got {k_cap}")
     k_cap = min(k_cap, MAX_FIT_DEGREE)
 
     errors = {}  # error plus slack of every evaluated degree
@@ -418,7 +415,13 @@ def cheb_fit(
     )
 
 
-@functools.lru_cache(maxsize=_FIT_CACHE_SIZE, typed=True)
+def _check_lower_end(lo: float, what: str) -> None:
+    """Refuse a domain [lo, 1] whose certification grid rounds lo to 0,
+    where the log and negative-power targets are infinite."""
+    if _cheb_grid(lo, 1.0, 1)[-1] == 0.0:
+        raise ValueError(f"{what} puts the fit domain's lower end {lo!r} where the certification grid rounds it to 0")
+
+
 def approx_log(beta: float, eps: float) -> PolyApprox:
     """Certified fit of log(1/x) / (2 log(1/beta)) on [beta, 1].
 
@@ -431,8 +434,10 @@ def approx_log(beta: float, eps: float) -> PolyApprox:
         raise ValueError("beta = 1 gives a degenerate single-point domain")
     if not (0.0 < eps <= 0.5):
         raise ValueError(f"eps must be in (0, 1/2], got {eps}")
+    _check_lower_end(beta, f"beta {beta!r}")
     scale = 2.0 * math.log(1.0 / beta)
-    cap = int(math.ceil(C_LOG * (1.0 / beta) * math.log(1.0 / eps)))
+    # clamped as `cheb_fit` clamps it, so that a subnormal eps cannot overflow the cap
+    cap = math.ceil(min(C_LOG * (1.0 / beta) * math.log(1.0 / eps), MAX_FIT_DEGREE))
     return cheb_fit(
         lambda xs: np.log(1.0 / xs) / scale,
         beta,
@@ -455,28 +460,38 @@ def neg_power_input_precision(c: float, kappa: float, eps: float) -> float:
     return eps / (k1c * (1.0 + c) * math.log(k1c / eps) ** 3)
 
 
-def _power_fit(target: Callable[[np.ndarray], np.ndarray], kappa: float, eps: float, **fields) -> PolyApprox:
+def _check_power_args(c: float, kappa: float, eps: float) -> None:
+    """The power builders' refusals of their arguments, made before any
+    arithmetic on them."""
+    if not (0.0 < c < 1.0):
+        raise ValueError(f"exponent must be in (0, 1), got {c}")
+    if not (1.0 <= kappa < math.inf):
+        raise ValueError(f"conditioning parameter must be finite and >= 1, got {kappa}")
+    if not (0.0 < eps <= 0.5):
+        raise ValueError(f"eps must be in (0, 1/2], got {eps}")
+
+
+def _power_fit(target: Callable[[np.ndarray], np.ndarray], kappa: float, eps: float, input_precision: float,
+               **fields) -> PolyApprox:
     """`cheb_fit` of a power target on [1/kappa, 1], its degree capped at
     C_POWER * kappa * max(1, ln(kappa/eps)).  At kappa ~ 1 the target is
-    the constant 1/2, fitted at degree 0 on the stand-in domain [1/2, 1]."""
+    the constant 1/2, fitted at degree 0 on the stand-in domain [1/2, 1].
+    An input precision that rounds to 0, which no encoding meets, is
+    refused."""
+    if not input_precision > 0:
+        raise ValueError(f"conditioning parameter {kappa!r} at eps {eps!r} demands an input precision that rounds to 0")
     if kappa <= 1.0 + 1e-9:
-        return cheb_fit(lambda xs: np.full_like(xs, 0.5), 0.5, 1.0, eps, 0, **fields)
+        return cheb_fit(lambda xs: np.full_like(xs, 0.5), 0.5, 1.0, eps, 0, input_precision=input_precision, **fields)
     cap = int(math.ceil(C_POWER * kappa * max(1.0, math.log(kappa / eps))))
-    return cheb_fit(target, 1.0 / kappa, 1.0, eps, cap, **fields)
+    return cheb_fit(target, 1.0 / kappa, 1.0, eps, cap, input_precision=input_precision, **fields)
 
 
-@functools.lru_cache(maxsize=_FIT_CACHE_SIZE, typed=True)
 def approx_pos_power(c: float, kappa: float, eps: float) -> PolyApprox:
     """Certified fit of x^c / 2 on [1/kappa, 1], with its input-precision tag.
 
     A zero eigenvalue extends continuously to 0.
     """
-    if not (0.0 < c < 1.0):
-        raise ValueError(f"exponent must be in (0, 1), got {c}")
-    if kappa < 1.0:
-        raise ValueError(f"conditioning parameter must be >= 1, got {kappa}")
-    if not (0.0 < eps <= 0.5):
-        raise ValueError(f"eps must be in (0, 1/2], got {eps}")
+    _check_power_args(c, kappa, eps)
     return _power_fit(
         lambda xs: 0.5 * xs**c,
         kappa,
@@ -487,19 +502,14 @@ def approx_pos_power(c: float, kappa: float, eps: float) -> PolyApprox:
     )
 
 
-@functools.lru_cache(maxsize=_FIT_CACHE_SIZE, typed=True)
 def approx_neg_power(c: float, kappa: float, eps: float) -> PolyApprox:
     """Certified fit of x^(-c) / (2 kappa^c) on [1/kappa, 1].
 
     The target peaks at exactly 1/2 at x = 1/kappa; zero eigenvalues are
     out of domain (negative powers do not extend through 0).
     """
-    if not (0.0 < c < 1.0):
-        raise ValueError(f"exponent must be in (0, 1), got {c}")
-    if kappa < 1.0:
-        raise ValueError(f"conditioning parameter must be >= 1, got {kappa}")
-    if not (0.0 < eps <= 0.5):
-        raise ValueError(f"eps must be in (0, 1/2], got {eps}")
+    _check_power_args(c, kappa, eps)
+    _check_lower_end(1.0 / kappa, f"conditioning parameter {kappa!r}")
     scale = 2.0 * kappa**c
     return _power_fit(
         lambda xs: xs ** (-c) / scale,

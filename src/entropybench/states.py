@@ -177,8 +177,8 @@ def exact_entropies(rho: DensityMatrix, alpha: float) -> EntropyRecord:
     alpha = 1 is read as the von Neumann limit -Tr(rho log rho) with the
     0*log(0) = 0 convention.  A zero entropy is +0.0, never -0.0, which
     a pure state's sums would give.  Records are cached on the state, keyed by
-    the order's type as well as its value (as the fit builders key
-    theirs), since `nz**2` and `nz**2.0` need not round alike.
+    the order's type as well as its value, since `nz**2` and `nz**2.0`
+    need not round alike.
     """
     key = ("entropy", type(alpha), alpha)
     if key in rho._cache:

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -259,11 +260,6 @@ BUILDER_CASES = [
 ]
 
 
-def clear_fit_caches():
-    for builder, _ in BUILDER_CASES:
-        builder.cache_clear()
-
-
 @pytest.fixture
 def cheb_fit_calls(monkeypatch):
     """Target tags of every cheb_fit call the fit builders make."""
@@ -274,65 +270,35 @@ def cheb_fit_calls(monkeypatch):
         return cheb_fit(*args, **kwargs)
 
     monkeypatch.setattr(qsvtpoly, "cheb_fit", counting)
-    clear_fit_caches()
     return calls
 
 
 @pytest.fixture
 def c_log(monkeypatch):
-    """Setter for the log-fit degree-cap constant; the fit caches, which do
-    not key on it, are emptied when it is set and again after the test."""
+    """Setter for the log-fit degree-cap constant.  Every builder call
+    makes its own fit, so no fit made under another value is handed out
+    (a memo that did not key on it did)."""
 
     def set_c_log(value):
         monkeypatch.setattr(qsvtpoly, "C_LOG", value)
-        clear_fit_caches()
 
-    yield set_c_log
-    clear_fit_caches()
-
-
-def test_memo_fits_once_across_trials(cheb_fit_calls):
-    rho = from_spectrum([0.4, 0.3, 0.2, 0.1], 8)
-    for seed in range(20):
-        estimate(rho, 1.0, 0.05, seed=seed, method="qsvt")
-    assert sorted(cheb_fit_calls) == ["log_scaled", "pos_power"]
-
-
-def test_memo_shares_fits_across_shot_multipliers(cheb_fit_calls):
-    # the shot multiplier moves no fit, so it is no part of a fit's key
-    rho = from_spectrum([0.4, 0.3, 0.2, 0.1], 8)
-    estimate(rho, 1.0, 0.05, seed=1, c_shots=4.0, method="qsvt")
-    assert sorted(cheb_fit_calls) == ["log_scaled", "pos_power"]
-    estimate(rho, 1.0, 0.05, seed=1, c_shots=8.0, method="qsvt")
-    assert sorted(cheb_fit_calls) == ["log_scaled", "pos_power"]
+    return set_c_log
 
 
 @pytest.mark.parametrize("builder,args", BUILDER_CASES)
-def test_memo_hit_equals_fresh_fit(builder, args):
-    clear_fit_caches()
+def test_each_builder_call_runs_its_own_search(cheb_fit_calls, builder, args):
     first = builder(*args)
-    hit = builder(*args)
-    assert hit is first
-    clear_fit_caches()
-    fresh = builder(*args)
-    assert fresh is not first
-    assert_same_fit(hit, fresh)
+    second = builder(*args)
+    assert len(cheb_fit_calls) == 2 and second is not first
+    assert_same_fit(first, second)
 
 
 @pytest.mark.parametrize("builder,args", BUILDER_CASES)
-def test_memo_fit_is_read_only(builder, args):
+def test_fit_coefficients_are_read_only(builder, args):
     p = builder(*args)
     with pytest.raises(ValueError, match="read-only"):
         p.coeffs[0] = 0.0
-    assert builder(*args).coeffs[0] != 0.0
-
-
-def test_memo_does_not_keep_degree_cap_failures(cheb_fit_calls, c_log):
-    c_log(0.01)  # cap ceil(0.01 * 10 * ln(1e6)) = 2
-    for _ in range(2):
-        with pytest.raises(DegreeCapExceeded):
-            approx_log(0.1, 1e-6)
-    assert cheb_fit_calls == ["log_scaled", "log_scaled"]
+    assert p.coeffs[0] != 0.0
 
 
 def test_cached_derived_values_equal_fresh():
@@ -424,11 +390,11 @@ def reference_cheb_fit(
 
 
 def cheb_fit_call(builder, lo, c, eps):
-    """(args, kwargs) the uncached `builder` passes to cheb_fit for the domain [lo, 1]."""
+    """(args, kwargs) `builder` passes to cheb_fit for the domain [lo, 1]."""
     with mock.patch.object(qsvtpoly, "cheb_fit", lambda *a, **k: (a, k)):
         if builder is approx_log:
-            return builder.__wrapped__(lo, eps)
-        return builder.__wrapped__(c, 1.0 / lo, eps)
+            return builder(lo, eps)
+        return builder(c, 1.0 / lo, eps)
 
 
 def assert_same_fit(got, want):
@@ -630,7 +596,7 @@ RENYI_D64_FITS = [
 def test_a_renyi_d64_pass_evaluates_few_degrees(evaluated):
     # the doubling search made 224 evaluations here, 107 of them above the cutoff
     for builder, args in RENYI_D64_FITS:
-        builder.__wrapped__(*args)
+        builder(*args)
     assert len(evaluated) <= 120
     assert sum(deg > qsvtpoly._OPERATOR_DEGREE_CUTOFF for deg in evaluated) <= 60
 
@@ -662,6 +628,53 @@ def test_cheb_fit_refuses_an_eps_that_is_not_positive(evaluated, eps):
     with pytest.raises(ValueError, match=f"eps must be positive, got {eps}"):
         cheb_fit(lambda x: x, 0.1, 1.0, eps, 4096)
     assert evaluated == []
+
+
+def test_cheb_fit_refuses_a_nan_degree_cap(monkeypatch):
+    # `k_cap < 0` is False for NaN, and a NaN cap never stops the search
+    evaluated = []
+    real = qsvtpoly._evaluate
+
+    def bounded(f, lo, hi, deg):
+        if deg > qsvtpoly.MAX_FIT_DEGREE:
+            raise AssertionError(f"searched degree {deg}, above MAX_FIT_DEGREE")
+        evaluated.append(deg)
+        return real(f, lo, hi, deg)
+
+    monkeypatch.setattr(qsvtpoly, "_evaluate", bounded)
+    with pytest.raises(ValueError, match="degree cap must be nonnegative, got nan"):
+        cheb_fit(lambda xs: np.sin(40 * xs), 0.01, 1.0, 1e-16, math.nan)
+    assert evaluated == []
+
+
+@pytest.mark.parametrize("builder,args,message", [
+    (approx_pos_power, (0.5, math.inf, 1e-3), "conditioning parameter must be finite and >= 1, got inf"),
+    (approx_pos_power, (0.5, math.nan, 1e-3), "conditioning parameter must be finite and >= 1, got nan"),
+    (approx_neg_power, (0.5, math.nan, 1e-3), "conditioning parameter must be finite and >= 1, got nan"),
+    # the cap overflows, and the input precision rounds to 0
+    (approx_pos_power, (0.5, 1e308, 1e-3), "conditioning parameter 1e+308 at eps 0.001 demands an input precision"),
+    # the grid rounds 1/kappa or beta to 0, where the target is infinite
+    (approx_neg_power, (0.5, 1e300, 1e-3), "conditioning parameter 1e+300 puts the fit domain's lower end 1e-300"),
+    (approx_neg_power, (0.5, 1e17, 1e-3), "conditioning parameter 1e+17 puts the fit domain's lower end 1e-17"),
+    (approx_log, (1e-307, 0.1), "beta 1e-307 puts the fit domain's lower end 1e-307"),
+    (approx_log, (1e-17, 0.1), "beta 1e-17 puts the fit domain's lower end 1e-17"),
+])
+def test_builders_refuse_what_their_arithmetic_cannot_hold_before_any_evaluation(evaluated, builder, args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        builder(*args)
+    assert evaluated == []
+
+
+def test_a_positive_power_fits_where_the_grid_rounds_its_lower_end_to_0():
+    # x^c extends through 0, so its domain needs no resolved lower end
+    assert approx_pos_power(0.5, 1e17, 1e-3).degree == 262
+
+
+def test_a_log_fit_at_a_subnormal_eps_searches_up_to_the_degree_ceiling():
+    # its cap, C_LOG / beta * ln(1/eps), is inf, and no eps below 1e-15 passes
+    with pytest.raises(DegreeCapExceeded) as exc:
+        approx_log(0.1, 5e-324)
+    assert exc.value.cap == qsvtpoly.MAX_FIT_DEGREE
 
 
 def evaluation_examples(test):
@@ -743,14 +756,14 @@ def test_a_constant_fit_certifies_through_the_grid_evaluation():
     # kappa 1 gives the constant 1/2, certified by the search's one grid
     # evaluation at degree 0
     with mock.patch.object(qsvtpoly, "_on_grid", wraps=qsvtpoly._on_grid) as on_grid:
-        fit = approx_pos_power.__wrapped__(0.3, 1.0, 1e-6)
+        fit = approx_pos_power(0.3, 1.0, 1e-6)
     assert on_grid.call_count == 1
     assert (fit.degree, fit.eps, fit(0.7)) == (0, CONSTANT_EPS, 0.5)
 
 
 @pytest.mark.parametrize("builder", [approx_pos_power, approx_neg_power])
 def test_unit_kappa_fits_carry_the_search_certificate(builder):
-    fit = builder.__wrapped__(0.3, 1.0, 1e-6)
+    fit = builder(0.3, 1.0, 1e-6)
     assert (fit.degree, fit.coeffs.tolist(), fit.domain) == (0, [0.5], (0.5, 1.0))
     assert fit.eps == CONSTANT_EPS
 
@@ -758,7 +771,7 @@ def test_unit_kappa_fits_carry_the_search_certificate(builder):
 @pytest.mark.parametrize("builder", [approx_pos_power, approx_neg_power])
 def test_unit_kappa_fits_refuse_an_eps_below_their_certificate(builder):
     with pytest.raises(DegreeCapExceeded, match="up to degree 0 met") as exc:
-        builder.__wrapped__(0.3, 1.0, float(np.nextafter(CONSTANT_EPS, 0.0)))
+        builder(0.3, 1.0, float(np.nextafter(CONSTANT_EPS, 0.0)))
     assert exc.value.cap == 0
 
 
@@ -770,7 +783,7 @@ def test_power_fits_refuse_an_eps_outside_the_target_range(builder, args):
     # input-precision formula would divide by log 1 = 0, and above it
     # would come out negative
     with pytest.raises(ValueError, match=r"eps must be in \(0, 1/2\], got"):
-        builder.__wrapped__(*args)
+        builder(*args)
 
 
 @pytest.mark.parametrize("builder,args", [*BUILDER_CASES, (approx_pos_power, (0.5, 1.0, 1e-4)),
@@ -779,7 +792,7 @@ def test_a_fit_keeps_the_target_its_search_sampled(monkeypatch, builder, args):
     sampled = []
     real = qsvtpoly._evaluate
     monkeypatch.setattr(qsvtpoly, "_evaluate", lambda f, lo, hi, deg: sampled.append(f) or real(f, lo, hi, deg))
-    fit = builder.__wrapped__(*args)
+    fit = builder(*args)
     assert sampled and all(f is fit.target_fn for f in sampled)
 
 
@@ -845,7 +858,7 @@ def dense_slope_max(fit, widen):
 def test_slope_bound_is_the_dense_maximum_up_to_its_slack(builder, lo, c, eps, widen):
     # the builders' slopes peak at the left end, where every term of the
     # bound adds up: the bound is sound there and no looser than its slack
-    fit = builder.__wrapped__(lo, eps) if builder is approx_log else builder.__wrapped__(c, 1.0 / lo, eps)
+    fit = builder(lo, eps) if builder is approx_log else builder(c, 1.0 / lo, eps)
     dense = dense_slope_max(fit, widen)
     assert dense <= fit.lipschitz_bound(widen) <= (1 + 1e-9) * dense
 

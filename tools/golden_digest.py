@@ -199,11 +199,18 @@ CAPPED = [
 ]
 
 
+def fresh_fit(name: str, args: tuple):
+    """`qsvtpoly.<name>(*args)`, fitted here: through a memoized builder's
+    undecorated function, so that no fit is taken from a CLI run's cache."""
+    builder = getattr(qsvtpoly, name)
+    return getattr(builder, "__wrapped__", builder)(*args)
+
+
 def fit_records() -> list[bytes]:
     """One record per fit of `FITS` and per capped fit of `CAPPED`."""
     out = []
     for name, args in FITS:
-        p = getattr(qsvtpoly, name).__wrapped__(*args)  # fitted here, not taken from a CLI run's cache
+        p = fresh_fit(name, args)
         parts = [name, repr(args), str(p.degree), p.coeffs.tobytes().hex(), p.eps.hex(),
                  float(p.lipschitz_bound()).hex(), p.lipschitz_bound(WIDTHS).tobytes().hex()]
         if name == "approx_log" and p.degree <= 30:
@@ -292,7 +299,7 @@ def search_records(fits: int = 500) -> list[bytes]:
         lo, c, eps = 10 ** draw.uniform(-4.5, -0.3), draw.random(), 10 ** draw.uniform(-7, -1.5)
         args = (lo, eps) if name == "approx_log" else (c, 1.0 / lo, eps)
         try:
-            p = getattr(qsvtpoly, name).__wrapped__(*args)
+            p = fresh_fit(name, args)
         except qsvtpoly.DegreeCapExceeded as exc:
             parts = ["capped", str(exc.cap), exc.best_err.hex()]
         else:
