@@ -102,6 +102,8 @@ class ExperimentConfig:
             problems.append(f"mode {self.mode!r}")
         if self.trials < 1:
             problems.append(f"trials {self.trials}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            problems.append(f"seed {self.seed}")
         points = len(self.grid) if self.mode == "sweep" else 1
         if self.mode != "validate" and self.trials * points > MAX_ROWS:
             problems.append(f"trials {self.trials} x {points} grid point(s) (at most MAX_ROWS = {MAX_ROWS} rows)")
@@ -405,7 +407,10 @@ def config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
     if getattr(ns, "seed", None) is None and "seed" not in file_values:
         env = os.environ.get("ENTROPYBENCH_SEED")
         if env is not None:
-            cfg.seed = int(env)
+            try:
+                cfg.seed = int(env)
+            except ValueError:
+                raise UsageError(f"ENTROPYBENCH_SEED must be an integer, got {env!r}") from None
     if cfg.spectrum is not None and getattr(ns, "d", None) is None and "d" not in file_values and "dim" not in file_values:
         cfg.d = len(cfg.spectrum)
     return cfg

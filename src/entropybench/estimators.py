@@ -64,7 +64,7 @@ from .accountant import C_SHOTS, Budget, RegimeDecomposition, decompose_alpha, d
 from .blockenc import BlockEncoding, be_power, be_product, encode_density, encode_state_side, rescale
 from .config import TOL
 from .numkernel import fail_first, op_norm_cap
-from .qsvtpoly import MONOMIAL_DEGREE_CAP, apply_poly, approx_log, approx_neg_power, approx_pos_power
+from .qsvtpoly import apply_poly, approx_log, approx_neg_power, approx_pos_power, to_monomial
 from .seeding import Stream
 from .states import DensityMatrix, EntropyRecord, StateMeta, exact_entropies
 
@@ -161,13 +161,6 @@ class Columns(NamedTuple):
     etas: list[float]
 
 
-@dataclass(frozen=True)
-class MinEigResult:
-    estimate: float  # of (pi/4) * rho_min
-    rho_min: float
-    sample_cost: int
-
-
 def _poly_budget(delta: float, mode: str) -> float:
     if mode == "ideal":
         return IDEAL_POLY_EPS
@@ -178,33 +171,23 @@ def _clamp_encoding_budget(x: float) -> float:
     return float(min(0.5, max(1e-300, x)))
 
 
-def min_eig_estimate(be: BlockEncoding, theta: float, stream: Optional[Stream] = None) -> MinEigResult:
-    """Smallest nonzero eigenvalue of the encoded block, up to additive theta.
-
-    theta = 0 returns the exact value at zero ledger cost; otherwise the
-    value is measured as an amplitude estimate to additive theta (uniform
-    noise in [-theta, theta] drawn by `measure_p0` from `stream`, a fresh
-    `Stream(0)` if None),
-    the result clamped positive, and the ledger charged
-    (T_A/theta)(ln(1/theta) + ln(d)/2).
-    Eigenvalues within the encoding's own error budget of zero are
-    treated as kernel directions, not as the minimum.
+def min_eig_estimate(be: BlockEncoding, theta: float, stream: Stream) -> tuple[float, int]:
+    """(estimate, copies): the smallest nonzero eigenvalue of the encoded
+    block, measured as an amplitude estimate to additive theta (uniform
+    noise in [-theta, theta] drawn by `measure_p0` from `stream`, which
+    refuses a theta outside (0, 1)) and clamped positive, and the copies
+    that costs, (T_A/theta)(ln(1/theta) + ln(d)/2).  Eigenvalues within
+    the encoding's own error budget of zero are treated as kernel
+    directions, not as the minimum.
     """
-    if not (0.0 <= theta < 1.0):
-        raise ValueError(f"accuracy must be in [0, 1), got {theta}")
     eigs = be.encoded.spectrum.eigenvalues
     cutoff = max(TOL.rank_cutoff, be.eta + TOL.rank_cutoff)
     nz = eigs[eigs > cutoff]
     if nz.size == 0:
         raise ValueError("encoded block has no eigenvalue above its error budget")
-    val = float(nz[-1])
-    cost = 0
-    if theta > 0.0:
-        (val,) = measure_p0([val], theta, stream or Stream(0), mode="amplitude_estimation")
-        val = max(val, TOL.rank_cutoff)
-        d = be.dim
-        cost = int(math.ceil((be.sample_cost / theta) * (math.log(1.0 / theta) + math.log(d) / 2.0)))
-    return MinEigResult(estimate=val, rho_min=min(1.0, val * 4.0 / math.pi), sample_cost=cost)
+    (val,) = measure_p0([float(nz[-1])], theta, stream, mode="amplitude_estimation")
+    cost = math.ceil((be.sample_cost / theta) * (math.log(1.0 / theta) + math.log(be.dim) / 2.0))
+    return max(val, TOL.rank_cutoff), cost
 
 
 def _gather_inputs(
@@ -216,12 +199,13 @@ def _gather_inputs(
     need_rho_min: bool = True,
 ) -> tuple[StateMeta, float, int, tuple[str, ...]]:
     """The spectral inputs a run uses, oracle values or blind estimates:
-    (meta, rho_min_lower, extra_cost, flags), the `Plan` fields of those
-    names.  `stream` is the estimate's own (a fresh `Stream(0)` if None):
-    blind probes draw from its child 0, the purity from child 0 of that,
-    the minimum eigenvalue from child 1 and its probe encoding from child
-    2.  The purity is measured as the integer route measures order 2, on
-    two copies per shot."""
+    (meta, rho_min_lower, extra_cost, flags): the oracle's meta or the
+    estimated rank and purity, which `delta_budget` reads, then the
+    `Plan` fields of the other names.  `stream` is the estimate's own (a
+    fresh `Stream(0)` if None): blind probes draw from its child 0, the
+    purity from child 0 of that, the minimum eigenvalue from child 1 and
+    its probe encoding from child 2.  The purity is measured as the
+    integer route measures order 2, on two copies per shot."""
     meta = rho.meta
     if not blind:
         return meta, meta.rho_min, 0, ()
@@ -234,9 +218,9 @@ def _gather_inputs(
     rho_min_lower = meta.rho_min
     if need_rho_min:
         probe = encode_density(rho, 0.01, probes.child(2), noiseless=(mode == "ideal"))
-        res = min_eig_estimate(probe, BLIND_THETA, probes.child(1))
-        rho_min_lower = max((res.estimate - BLIND_THETA) * 4.0 / math.pi, 1e-4)
-        cost += probe.sample_cost + res.sample_cost
+        estimate, copies = min_eig_estimate(probe, BLIND_THETA, probes.child(1))
+        rho_min_lower = max((estimate - BLIND_THETA) * 4.0 / math.pi, 1e-4)
+        cost += probe.sample_cost + copies
         flags.append("blind_rho_min")
     blind_meta = StateMeta(
         rank=r_hat,
@@ -261,7 +245,6 @@ class Plan:
     eps: float
     mode: str
     c_shots: float
-    meta: StateMeta  # the oracle's, or in blind mode the estimated rank and purity
     rho_min_lower: float  # the oracle's rho_min, or in blind mode a lower bound on it
     extra_cost: int  # copies the blind probes consumed
     budget: Budget
@@ -323,7 +306,7 @@ def plan(
     meta, rho_min_lower, extra_cost, flags = _gather_inputs(state, blind, mode, stream, c_shots,
                                                             need_rho_min=method != "integer")
     budget = delta_budget(regime, eps, meta, method="ae" if method == "ae" else "sampling", c_shots=c_shots)
-    fields = dict(state=state, regime=regime, method=method, eps=eps, mode=mode, c_shots=c_shots, meta=meta,
+    fields = dict(state=state, regime=regime, method=method, eps=eps, mode=mode, c_shots=c_shots,
                   rho_min_lower=rho_min_lower, extra_cost=extra_cost, budget=budget, flags=flags,
                   rho_min_used=None if method == "integer" else rho_min_lower)
     if method == "even_floor":  # it divides by rho_min as its fit's kappa = 1/rho_min gives it back
@@ -347,12 +330,8 @@ def _poly_table(state: DensityMatrix, eps: float, c_shots: float, rho_min: float
     log_scale = math.log(1.0 / beta)
     log_fit = approx_log(beta, min(0.5, eps / (2.0 * log_scale)))
     k_deg = log_fit.degree
-    if k_deg > MONOMIAL_DEGREE_CAP:
-        raise ValueError(
-            f"expansion degree {k_deg} exceeds the stable conversion cap "
-            f"{MONOMIAL_DEGREE_CAP}; use the direct-transform estimator instead"
-        )
-    coeffs = log_fit.monomial().coeffs  # of log(1/x) on [beta, 1]
+    # reached through this module's global, so a wrapper put there (a tracer's) sees it
+    coeffs = to_monomial(log_fit)  # of log(1/x) on [beta, 1]
     terms = [(float(coeffs[0]), 0.0, 0, 1.0)]
     for i in range(1, len(coeffs)):
         a_i = float(coeffs[i])

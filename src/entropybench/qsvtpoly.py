@@ -26,11 +26,11 @@ degree passes on it, and the returned fit carries it, coefficients and
 grid values included.
 
 Each builder call makes its own fit.  A fit's coefficients are
-read-only, since its certificate holds for those bits, and the values
-derived from them (its derivative's coefficients, its monomial form)
-are computed once per fit.  A fit's slope bound on a widened domain
-(`PolyApprox.lipschitz_bound`) is one closed formula in those
-coefficients over any number of widths, with no sampling.
+read-only, since its certificate holds for those bits, and its
+derivative's coefficients are computed once per fit.  A fit's slope
+bound on a widened domain (`PolyApprox.lipschitz_bound`) is one closed
+formula in those coefficients over any number of widths, with no
+sampling.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ _OPERATOR_DEGREE_CUTOFF = 16
 # fits up to C_POWER * kappa * max(1, ln(kappa/eps))
 C_LOG = 8.0
 C_POWER = 8.0
-# monomial conversion refuses degrees above this (ill-conditioned)
+# monomial conversion refuses degrees above this (ill-conditioned), and
+# with it `vn_poly`, which names the direct-transform estimator instead
 MONOMIAL_DEGREE_CAP = 30
 # no search goes above this degree, whatever a builder's cap: it bounds
 # the time a refused fit searches and the size of its FFTs (length 20 N
@@ -174,22 +175,6 @@ class PolyApprox:
         weights = 2 * k**2 * r + 5 * arg + (1.5 * len(self.coeffs) + 8)
         bound = (deriv * t).sum(axis=-1) + _MACHINE_EPS * (weights * sizes * t).sum(axis=-1)
         return float(bound) if bound.ndim == 0 else bound
-
-    def monomial(self) -> "MonomialPoly":
-        """`to_monomial(self)`, converted once per fit."""
-        if "mono" not in self._cache:
-            self._cache["mono"] = to_monomial(self)
-        return self._cache["mono"]
-
-
-@dataclass(frozen=True)
-class MonomialPoly:
-    """Plain-power coefficients a_i of sum a_i x^i."""
-
-    coeffs: np.ndarray
-
-    def __call__(self, x):
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coeffs)
 
 
 def _cheb_eval(coeffs: np.ndarray, domain, x):
@@ -415,6 +400,18 @@ def cheb_fit(
     )
 
 
+def _check_eps(eps: float) -> None:
+    """The fit builders' refusal of eps, made before any arithmetic on it.
+    Every target lies in [0, 1/2], and a degree passes only when
+    1.05 (error + slack) + 1e-15 <= eps (`cheb_fit`), where each
+    builder's target has a positive slack, so no eps at or below 1e-15
+    can ever pass."""
+    if not (0.0 < eps <= 0.5):
+        raise ValueError(f"eps must be in (0, 1/2], got {eps}")
+    if eps <= 1e-15:
+        raise ValueError(f"fit accuracy eps {eps!r} is at or below 1e-15, which no certified fit can meet")
+
+
 def _check_lower_end(lo: float, what: str) -> None:
     """Refuse a domain [lo, 1] whose certification grid rounds lo to 0,
     where the log and negative-power targets are infinite."""
@@ -432,12 +429,10 @@ def approx_log(beta: float, eps: float) -> PolyApprox:
         raise ValueError(f"beta must be in (0, 1], got {beta}")
     if beta >= 1.0 - 1e-12:
         raise ValueError("beta = 1 gives a degenerate single-point domain")
-    if not (0.0 < eps <= 0.5):
-        raise ValueError(f"eps must be in (0, 1/2], got {eps}")
+    _check_eps(eps)
     _check_lower_end(beta, f"beta {beta!r}")
     scale = 2.0 * math.log(1.0 / beta)
-    # clamped as `cheb_fit` clamps it, so that a subnormal eps cannot overflow the cap
-    cap = math.ceil(min(C_LOG * (1.0 / beta) * math.log(1.0 / eps), MAX_FIT_DEGREE))
+    cap = math.ceil(C_LOG * (1.0 / beta) * math.log(1.0 / eps))
     return cheb_fit(
         lambda xs: np.log(1.0 / xs) / scale,
         beta,
@@ -467,8 +462,7 @@ def _check_power_args(c: float, kappa: float, eps: float) -> None:
         raise ValueError(f"exponent must be in (0, 1), got {c}")
     if not (1.0 <= kappa < math.inf):
         raise ValueError(f"conditioning parameter must be finite and >= 1, got {kappa}")
-    if not (0.0 < eps <= 0.5):
-        raise ValueError(f"eps must be in (0, 1/2], got {eps}")
+    _check_eps(eps)
 
 
 def _power_fit(target: Callable[[np.ndarray], np.ndarray], kappa: float, eps: float, input_precision: float,
@@ -604,9 +598,9 @@ def apply_poly(be: BlockEncoding, p: PolyApprox) -> BlockEncoding:
     )
 
 
-def to_monomial(p: PolyApprox) -> MonomialPoly:
-    """Plain-power coefficients of P(x), times the scalar folded out of
-    the scaled-log target.
+def to_monomial(p: PolyApprox) -> np.ndarray:
+    """Read-only plain-power coefficients a_i of sum a_i x^i = P(x), times
+    the scalar folded out of the scaled-log target.
 
     For the scaled-log family, whose domain starts at beta, this is the
     expansion of log(1/x) itself (factor 2 log(1/beta), the bits of
@@ -616,17 +610,16 @@ def to_monomial(p: PolyApprox) -> MonomialPoly:
     """
     if p.degree > MONOMIAL_DEGREE_CAP:
         raise ValueError(
-            f"degree {p.degree} exceeds the monomial conversion cap "
-            f"{MONOMIAL_DEGREE_CAP} (conversion would be unstable)"
+            f"expansion degree {p.degree} exceeds the stable conversion cap "
+            f"{MONOMIAL_DEGREE_CAP}; use the direct-transform estimator instead"
         )
     factor = 2.0 * math.log(1.0 / p.domain[0]) if p.target_tag == "log_scaled" else 1.0
     plain = (Chebyshev(p.coeffs, domain=list(p.domain)) * factor).convert(kind=Polynomial)
     coeffs = np.asarray(plain.coef, dtype=float)
-    coeffs.flags.writeable = False  # shared through PolyApprox.monomial
-    mono = MonomialPoly(coeffs=coeffs)
+    coeffs.flags.writeable = False
     lo, hi = p.domain
     grid = np.linspace(lo, hi, 10 * max(p.degree, 1) + 11)
-    dev = float(np.max(np.abs(mono(grid) - factor * p(grid))))
+    dev = float(np.max(np.abs(np.polynomial.polynomial.polyval(grid, coeffs) - factor * p(grid))))
     if dev > TOL.monomial_eval:
         raise ValueError(f"monomial conversion error {dev:.3e} exceeds {TOL.monomial_eval:g}")
-    return mono
+    return coeffs

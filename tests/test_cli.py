@@ -164,6 +164,34 @@ def test_env_seed_fallback(monkeypatch):
     assert cfg.seed == 123
 
 
+@pytest.mark.parametrize("argv,config,env,message", [
+    pytest.param(["renyi", "--alpha", "2", "--spectrum", "0.5,0.5", "--seed", "-1"], None, None,
+                 "invalid config fields: seed -1", id="flag"),
+    pytest.param(["renyi", "--alpha", "2", "--spectrum", "0.5,0.5"], "seed=-1\n", None,
+                 "invalid config fields: seed -1", id="config-key"),
+    pytest.param(["renyi", "--alpha", "2", "--spectrum", "0.5,0.5", "--seed", "1.5"], None, None,
+                 "argument --seed: invalid int value: '1.5'", id="flag-not-an-integer"),
+    pytest.param(["renyi", "--alpha", "2", "--spectrum", "0.5,0.5"], None, "-1",
+                 "invalid config fields: seed -1", id="variable"),
+    pytest.param(["renyi", "--alpha", "2", "--spectrum", "0.5,0.5"], None, "abc",
+                 "ENTROPYBENCH_SEED must be an integer, got 'abc'", id="variable-not-a-number"),
+    pytest.param(["validate", "--seed", "-2"], None, None, "invalid config fields: seed -2", id="validate"),
+])
+def test_a_negative_or_unparsed_seed_is_refused_before_any_work(monkeypatch, tmp_path, capsys, argv, config, env,
+                                                               message):
+    monkeypatch.delenv("ENTROPYBENCH_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("ENTROPYBENCH_SEED", env)
+    if config is not None:
+        (tmp_path / "seed.cfg").write_text(config)
+        argv = [*argv, "--config", str(tmp_path / "seed.cfg")]
+    planned = []
+    monkeypatch.setattr(cli, "plan", lambda *a, **k: planned.append(a) or plan(*a, **k))
+    assert main(argv) == 1
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert planned == []
+
+
 def test_config_file_with_cli_override(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("# comment\nalpha=2.0\ndim=4\nrank=4\neps=0.2\ntrials=2\nseed=8\n")
@@ -327,7 +355,7 @@ _SWEEP = ("sweep", "--alpha", "2", "--dim", "4")
             ("--grid", "2,2.5,9", "invalid config fields: rank grid", (*_SWEEP, "--var", "rank")),
             ("--grid", "0.1,0.1,0.1", "invalid config fields: grid [0.1, 0.1, 0.1] needs >= 2 distinct values",
              (*_SWEEP, "--var", "eps")),
-            ("--seed", "-1", "error: expected non-negative integer", _RENYI2),
+            ("--seed", "-1", "error: invalid config fields: seed -1\n", _RENYI2),
             ("--spectrum", "0.5,0.3,0.2", "invalid config fields: spectrum with a rank sweep",
              (*_SWEEP, "--var", "rank", "--grid", "1,2,3")),
         ]

@@ -396,25 +396,31 @@ def test_vn_paths_agree_ideal():
 
 def test_min_eig_noiseless():
     be = encode_density(DIAG, 0.01, noiseless=True)
-    res = min_eig_estimate(be, 0.0)
-    assert res.estimate == pytest.approx(math.pi * 0.2 / 4, abs=1e-12)
-    assert res.rho_min == pytest.approx(0.2, abs=1e-12)
-    assert res.sample_cost == 0
+    estimate, copies = min_eig_estimate(be, 0.01, Stream(0))
+    assert abs(estimate - math.pi * 0.2 / 4) <= 0.01
+    assert copies == math.ceil((be.sample_cost / 0.01) * (math.log(100.0) + math.log(3) / 2.0))
 
 
 def test_min_eig_pure_projected():
     pure = from_spectrum([1], 4).project_to_support()
     be = encode_density(pure, 0.01, noiseless=True)
-    assert min_eig_estimate(be, 0.0).rho_min == pytest.approx(1.0)
+    assert abs(min_eig_estimate(be, 0.01, Stream(0))[0] - math.pi / 4) <= 0.01
 
 
 def test_min_eig_bounded_noise():
     be = encode_density(DIAG, 0.001, noiseless=True)
     truth = math.pi * 0.2 / 4
     for s in range(30):
-        res = min_eig_estimate(be, 0.01, Stream(s))
-        assert abs(res.estimate - truth) <= 0.01
-    assert min_eig_estimate(be, 0.01, Stream(0)).sample_cost > 0
+        estimate, _ = min_eig_estimate(be, 0.01, Stream(s))
+        assert abs(estimate - truth) <= 0.01
+    assert min_eig_estimate(be, 0.01, Stream(0))[1] > 0
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0, -0.01, math.nan])
+def test_min_eig_refuses_an_accuracy_outside_the_open_unit_interval(theta):
+    be = encode_density(DIAG, 0.01, noiseless=True)
+    with pytest.raises(ValueError, match=r"accuracy parameter must be in \(0, 1\), got "):
+        min_eig_estimate(be, theta, Stream(0))
 
 
 # ------------------------------------------------------------- cross checks
@@ -475,10 +481,20 @@ def test_error_propagation_inequality_sampled():
         assert abs(s_hat - rec.entropy) <= bound + 1e-12
 
 
-def test_vn_poly_degree_cap_suggests_alternative():
+def test_vn_poly_degree_cap_suggests_alternative(capsys):
     rho = from_spectrum([0.994, 0.005, 0.001], 3)
-    with pytest.raises(ValueError, match="direct-transform"):
+    message = "expansion degree 48 exceeds the stable conversion cap 30; use the direct-transform estimator instead"
+    with pytest.raises(ValueError, match="direct-transform") as exc:
         estimate(rho, 1.0, 0.05, seed=1, method="poly")
+    assert str(exc.value) == message
+    # the fit the plan converts, log(1/x) on [rho_min, 1], refused by the conversion itself
+    log_scale = math.log(1.0 / rho.meta.rho_min)
+    with pytest.raises(ValueError) as exc:
+        qsvtpoly.to_monomial(qsvtpoly.approx_log(rho.meta.rho_min, 0.05 / (2.0 * log_scale)))
+    assert str(exc.value) == message
+    argv = ["vonneumann", "--approach", "poly", "--spectrum", "0.994,0.005,0.001", "--eps", "0.05", "--seed", "1"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_vn_poly_shot_overflow_refused_before_drawing():

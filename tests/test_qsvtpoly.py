@@ -215,21 +215,27 @@ def test_to_monomial_constant_log():
         target_fn=lambda x: 0.5,
     )
     mono = to_monomial(p)
-    assert mono.coeffs[0] == pytest.approx(math.log(10), rel=1e-12)
-    assert len(mono.coeffs) - 1 == 0
+    assert mono[0] == pytest.approx(math.log(10), rel=1e-12)
+    assert len(mono) - 1 == 0
 
 
 def test_to_monomial_linear_exact():
     p = cheb_fit(lambda x: 0.25 + 0.5 * x, 0.1, 1.0, 1e-9, 10)
     mono = to_monomial(p)
-    assert mono.coeffs == pytest.approx([0.25, 0.5], abs=1e-12)
+    assert mono == pytest.approx([0.25, 0.5], abs=1e-12)
 
 
 def test_to_monomial_log_agreement():
     p = approx_log(0.2, 0.05)
     mono = to_monomial(p)
     g = dense_grid(0.2, 1.0)
-    assert np.max(np.abs(mono(g) - 2 * math.log(5) * p(g))) <= 1e-8
+    assert np.max(np.abs(np.polynomial.polynomial.polyval(g, mono) - 2 * math.log(5) * p(g))) <= 1e-8
+
+
+def test_to_monomial_coefficients_are_read_only():
+    mono = to_monomial(approx_log(0.2, 0.05))
+    with pytest.raises(ValueError, match="read-only"):
+        mono[0] = 0.0
 
 
 def test_to_monomial_degree_cap():
@@ -304,10 +310,8 @@ def test_fit_coefficients_are_read_only(builder, args):
 def test_cached_derived_values_equal_fresh():
     p = approx_log(0.2, 0.05)
     cached = [p.lipschitz_bound(w) for w in (0.0, 1e-3)]
-    assert p.monomial() is p.monomial()
     fresh = replace(p)  # same fit, empty cache
     assert [fresh.lipschitz_bound(w) for w in (0.0, 1e-3)] == cached
-    np.testing.assert_array_equal(p.monomial().coeffs, to_monomial(fresh).coeffs)
 
 
 def test_apply_poly_matches_scalar_loop():
@@ -670,11 +674,22 @@ def test_a_positive_power_fits_where_the_grid_rounds_its_lower_end_to_0():
     assert approx_pos_power(0.5, 1e17, 1e-3).degree == 262
 
 
-def test_a_log_fit_at_a_subnormal_eps_searches_up_to_the_degree_ceiling():
-    # its cap, C_LOG / beta * ln(1/eps), is inf, and no eps below 1e-15 passes
-    with pytest.raises(DegreeCapExceeded) as exc:
-        approx_log(0.1, 5e-324)
-    assert exc.value.cap == qsvtpoly.MAX_FIT_DEGREE
+@pytest.mark.parametrize("builder,args", [(approx_log, (0.1, 5e-324)), (approx_log, (0.1, 1e-15)),
+                                          (approx_pos_power, (0.5, 4.0, 1e-16)),
+                                          (approx_neg_power, (0.5, 4.0, 1e-15))])
+def test_builders_refuse_an_eps_no_degree_can_meet_before_any_evaluation(evaluated, builder, args):
+    # a degree passes only when 1.05 (error + slack) + 1e-15 <= eps, and every
+    # builder target's slack is positive; these searched to degree 4096 or 1224
+    with pytest.raises(ValueError, match=r"fit accuracy eps .* is at or below 1e-15, which no certified fit can meet"):
+        builder(*args)
+    assert evaluated == []
+
+
+@pytest.mark.parametrize("builder,args", [(approx_log, (0.1, 2e-15)), (approx_pos_power, (0.5, 4.0, 2e-15))])
+def test_an_eps_just_above_1e_15_still_searches(evaluated, builder, args):
+    with pytest.raises(DegreeCapExceeded):
+        builder(*args)
+    assert len(evaluated) > 3
 
 
 def evaluation_examples(test):

@@ -215,7 +215,9 @@ def fit_records() -> list[bytes]:
                  float(p.lipschitz_bound()).hex(), p.lipschitz_bound(WIDTHS).tobytes().hex()]
         if name == "approx_log" and p.degree <= 30:
             try:
-                parts.append(p.monomial().coeffs.tobytes().hex())
+                # the coefficients, which versions before the array return held as `.coeffs`
+                mono = qsvtpoly.to_monomial(p)
+                parts.append(getattr(mono, "coeffs", mono).tobytes().hex())
             except ValueError as exc:  # the conversion's own check refused it
                 parts.append(str(exc))
         out.append("\0".join(parts).encode())
